@@ -1,7 +1,7 @@
 // E14 — google-benchmark microbenchmarks: hash families, conditional
 // probability engines, GF(2^m) arithmetic, graph generation, simulator
 // throughput. These quantify the per-query costs that make the fast
-// bitwise engine the default (DESIGN.md).
+// bitwise engine the default (src/coloring/pair_prob.h).
 #include <benchmark/benchmark.h>
 
 #include "src/coloring/pair_prob.h"

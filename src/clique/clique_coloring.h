@@ -24,7 +24,7 @@
 // conditional interval probabilities are plain interval intersections
 // (see the .cpp). The bitwise coin family's longer seed costs an extra
 // O(logDelta) factor per pass relative to the paper's O(log n)-bit seed —
-// the same documented substitution as in CONGEST (DESIGN.md).
+// the same documented substitution as in CONGEST (src/hash/coin_family.h).
 #pragma once
 
 #include <cstdint>

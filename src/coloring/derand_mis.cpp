@@ -148,8 +148,7 @@ DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
       for (std::size_t e = 0; e < edges.size(); ++e) {
         const NodeId u = edges[e].u;
         const NodeId v = edges[e].v;
-        const JointDist J0 = engine->edge_joint(static_cast<int>(e), 0);
-        const JointDist J1 = engine->edge_joint(static_cast<int>(e), 1);
+        const auto [J0, J1] = engine->edge_joints(static_cast<int>(e));
         if (!counted[u]) {
           counted[u] = true;
           x0[u] += J0[1][0] + J0[1][1];

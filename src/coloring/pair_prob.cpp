@@ -1,5 +1,6 @@
 #include "src/coloring/pair_prob.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -60,6 +61,18 @@ class GenericPairProb final : public PairProbEngine {
 // are constants folded into per-node and per-edge DP states; digit
 // cur_chunk_ is partially substituted; digits > cur_chunk_ are fully free
 // and therefore (for any two distinct colors) independent uniform.
+//
+// Only free nodes (0 < threshold < 2^b) carry DP state, stored densely in
+// ascending node order; only edges between two free nodes carry an edge
+// DP. A forced coin (threshold 0 or 2^b, which includes every
+// non-participating node) is a constant, so after begin_phase the work per
+// seed bit is proportional to the free nodes and edges, not to n.
+//
+// Per-chunk caches: refresh_chunk() computes each free node's threshold
+// digit, tail and undetermined marginal when chunk t begins, with the same
+// operations in the same order as the per-query code they replace. The
+// queries read them instead of recomputing them, so every returned
+// probability is bit-identical to evaluating the formulas per query.
 class FastBitwisePairProb final : public PairProbEngine {
  public:
   FastBitwisePairProb(std::uint64_t num_input_colors, int b)
@@ -67,42 +80,155 @@ class FastBitwisePairProb final : public PairProbEngine {
 
   void begin_phase(const std::vector<CoinSpec>& specs,
                    const std::vector<ConflictEdge>& edges) override {
-    specs_ = specs;
-    edges_ = edges;
     cur_chunk_ = 0;
     cur_offset_ = 0;
-    node_state_.assign(specs.size(), NodeState{});
+    const std::uint64_t full = std::uint64_t{1} << b_;
+    slot_.resize(specs.size());
+    nodes_.clear();
+    nodes_.reserve(std::count_if(specs.begin(), specs.end(), [&](const CoinSpec& s) {
+      return s.threshold != 0 && s.threshold < full;
+    }));
     for (std::size_t v = 0; v < specs.size(); ++v) {
-      node_state_[v].known = 0;
-      node_state_[v].tight = 1.0L;
-      node_state_[v].less = 0.0L;
-      node_state_[v].value = 0;
+      const CoinSpec& s = specs[v];
+      if (s.threshold == 0) {
+        slot_[v] = kForcedZero;
+      } else if (s.threshold >= full) {
+        slot_[v] = kForcedOne;
+      } else {
+        slot_[v] = static_cast<int>(nodes_.size());
+        NodeState ns;
+        ns.input_color = s.input_color;
+        ns.threshold = s.threshold;
+        nodes_.push_back(ns);
+      }
+    }
+    edges_.resize(edges.size());
+    free_edges_.clear();
+    free_edges_.reserve(edges.size());
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      edges_[e] = EdgeSlots{slot_[edges[e].u], slot_[edges[e].v]};
+      if (edges_[e].u >= 0 && edges_[e].v >= 0) free_edges_.push_back(static_cast<int>(e));
     }
     edge_state_.assign(edges.size(), EdgeState{});
+    refresh_chunk();
   }
 
   int num_seed_bits() const override { return b_ * (w_ + 1); }
 
-  JointDist edge_joint(int e, int cand) override {
-    const NodeId u = edges_[e].u;
-    const NodeId v = edges_[e].v;
-    const CoinSpec& su = specs_[u];
-    const CoinSpec& sv = specs_[v];
-    const std::uint64_t full = std::uint64_t{1} << b_;
-    const bool fu = su.threshold == 0 || su.threshold >= full;
-    const bool fv = sv.threshold == 0 || sv.threshold >= full;
+  JointDist edge_joint(int e, int cand) override { return joint_dist(e, cand); }
 
+  std::array<JointDist, 2> edge_joints(int e) override {
+    return {joint_dist(e, 0), joint_dist(e, 1)};
+  }
+
+  void fix_next_bit(int bit) override {
+    if (cur_offset_ < w_) {
+      // Fixing a_t[cur_offset_]: folds into `known` of nodes whose color
+      // has that bit set.
+      if (bit) {
+        for (NodeState& ns : nodes_) {
+          if (ns.input_color >> cur_offset_ & 1) ns.known ^= 1;
+        }
+      }
+      ++cur_offset_;
+      return;
+    }
+    // Fixing c_t: the digit becomes the constant known ^ bit for every
+    // node. Advance all DP states one digit.
+    for (NodeState& ns : nodes_) {
+      const int digit = ns.known ^ bit;
+      ns.value = (ns.value << 1) | static_cast<std::uint64_t>(digit);
+      if (digit < ns.tau) {
+        ns.less += ns.tight;
+        ns.tight = 0.0L;
+      } else if (digit > ns.tau) {
+        ns.tight = 0.0L;
+      }
+      // digit == tau_t: stays tight.
+      ns.known = 0;
+    }
+    for (int e : free_edges_) {
+      const NodeState& nu = nodes_[edges_[e].u];
+      const NodeState& nv = nodes_[edges_[e].v];
+      advance_edge(edge_state_[e], nu.tau, nv.tau, static_cast<int>(nu.value & 1),
+                   static_cast<int>(nv.value & 1));
+    }
+    cur_offset_ = 0;
+    ++cur_chunk_;
+    refresh_chunk();
+  }
+
+  int coin(NodeId v) const override {
+    assert(cur_chunk_ == b_);
+    const int slot = slot_[v];
+    if (slot == kForcedZero) return 0;
+    if (slot == kForcedOne) return 1;
+    return nodes_[slot].value < nodes_[slot].threshold ? 1 : 0;
+  }
+
+ private:
+  // slot_ entries of forced nodes; free nodes hold their index in nodes_.
+  static constexpr int kForcedZero = -1;
+  static constexpr int kForcedOne = -2;
+
+  struct NodeState {
+    std::uint64_t input_color = 0;
+    std::uint64_t threshold = 0;
+    std::uint64_t value = 0;  // digits of completed chunks
+    int known = 0;            // folded-in part of the current chunk's digit
+    int tau = 0;              // threshold digit of the current chunk
+    long double tight = 1.0L;
+    long double less = 0.0L;
+    // Per-chunk caches, see refresh_chunk().
+    long double tail = 0.0L;
+    long double marg_free = 0.0L;
+  };
+  // An edge's endpoints as slot_ entries.
+  struct EdgeSlots {
+    int u;
+    int v;
+  };
+  // Joint DP over completed digits: A = both tight, B = u tight & v less,
+  // C = u less & v tight, D = both less.
+  struct EdgeState {
+    long double A = 1.0L, B = 0.0L, C = 0.0L, D = 0.0L;
+  };
+
+  // For each free node, at the start of chunk t = cur_chunk_:
+  //  * tau       — digit t of the threshold;
+  //  * tail      — Pr[uniform r-bit suffix < threshold's low r bits],
+  //                r = b - t - 1, i.e. (threshold & (2^r - 1)) * 2^-r;
+  //  * marg_free — Pr[value < threshold] while c_t is still free. The
+  //                digit is then a fresh uniform bit whatever the a_t bits
+  //                are, so this holds for every a_t bit of the chunk.
+  void refresh_chunk() {
+    const int t = cur_chunk_;
+    if (t == b_) return;
+    const int r = b_ - t - 1;  // digits after t
+    const std::uint64_t mask_low = (r == 0) ? 0 : ((std::uint64_t{1} << r) - 1);
+    for (NodeState& ns : nodes_) {
+      ns.tau = static_cast<int>(ns.threshold >> (b_ - 1 - t) & 1);
+      ns.tail = ldexpl(static_cast<long double>(ns.threshold & mask_low), -r);
+      // Uniform digit: Pr[digit < tau_t] + Pr[digit == tau_t] * tail.
+      const long double cur = (ns.tau == 1 ? 0.5L : 0.0L) + 0.5L * ns.tail;
+      ns.marg_free = ns.less + ns.tight * cur;
+    }
+  }
+
+  JointDist joint_dist(int e, int cand) const {
+    const int su = edges_[e].u;
+    const int sv = edges_[e].v;
     long double pu;
     long double pv;
     long double p11;
-    if (fu || fv) {
-      pu = fu ? (su.threshold ? 1.0L : 0.0L) : marg_prob(u, cand);
-      pv = fv ? (sv.threshold ? 1.0L : 0.0L) : marg_prob(v, cand);
+    if (su < 0 || sv < 0) {
+      pu = su < 0 ? (su == kForcedOne ? 1.0L : 0.0L) : marg_prob(nodes_[su], cand);
+      pv = sv < 0 ? (sv == kForcedOne ? 1.0L : 0.0L) : marg_prob(nodes_[sv], cand);
       p11 = pu * pv;
     } else {
-      pu = marg_prob(u, cand);
-      pv = marg_prob(v, cand);
-      p11 = joint_prob(e, cand);
+      pu = marg_prob(nodes_[su], cand);
+      pv = marg_prob(nodes_[sv], cand);
+      p11 = joint_prob(nodes_[su], nodes_[sv], edge_state_[e], cand);
     }
     JointDist d;
     d[1][1] = p11;
@@ -112,83 +238,9 @@ class FastBitwisePairProb final : public PairProbEngine {
     return d;
   }
 
-  void fix_next_bit(int bit) override {
-    if (cur_offset_ < w_) {
-      // Fixing a_t[cur_offset_]: folds into `known` of nodes whose color
-      // has that bit set.
-      if (bit) {
-        for (std::size_t v = 0; v < specs_.size(); ++v) {
-          if (specs_[v].input_color >> cur_offset_ & 1) node_state_[v].known ^= 1;
-        }
-      }
-      ++cur_offset_;
-      return;
-    }
-    // Fixing c_t: the digit becomes the constant known ^ bit for every
-    // node. Advance all DP states one digit.
-    const int t = cur_chunk_;
-    const std::uint64_t full = std::uint64_t{1} << b_;
-    for (std::size_t v = 0; v < specs_.size(); ++v) {
-      NodeState& ns = node_state_[v];
-      const int digit = ns.known ^ bit;
-      ns.value = (ns.value << 1) | static_cast<std::uint64_t>(digit);
-      const CoinSpec& s = specs_[v];
-      if (s.threshold != 0 && s.threshold < full) {
-        const int tau_t = static_cast<int>(s.threshold >> (b_ - 1 - t) & 1);
-        if (digit < tau_t) {
-          ns.less += ns.tight;
-          ns.tight = 0.0L;
-        } else if (digit > tau_t) {
-          ns.tight = 0.0L;
-        }
-        // digit == tau_t: stays tight.
-      }
-      ns.known = 0;
-    }
-    for (std::size_t e = 0; e < edges_.size(); ++e) {
-      EdgeState& es = edge_state_[e];
-      const NodeId u = edges_[e].u;
-      const NodeId v = edges_[e].v;
-      const int du = static_cast<int>(node_state_[u].value & 1);
-      const int dv = static_cast<int>(node_state_[v].value & 1);
-      advance_edge(es, specs_[u], specs_[v], t, du, dv);
-    }
-    cur_offset_ = 0;
-    ++cur_chunk_;
-  }
-
-  int coin(NodeId v) const override {
-    assert(cur_chunk_ == b_);
-    const CoinSpec& s = specs_[v];
-    const std::uint64_t full = std::uint64_t{1} << b_;
-    if (s.threshold == 0) return 0;
-    if (s.threshold >= full) return 1;
-    return node_state_[v].value < s.threshold ? 1 : 0;
-  }
-
- private:
-  struct NodeState {
-    int known = 0;            // folded-in part of the current chunk's digit
-    std::uint64_t value = 0;  // digits of completed chunks
-    long double tight = 1.0L;
-    long double less = 0.0L;
-  };
-  // Joint DP over completed digits: A = both tight, B = u tight & v less,
-  // C = u less & v tight, D = both less.
-  struct EdgeState {
-    long double A = 1.0L, B = 0.0L, C = 0.0L, D = 0.0L;
-  };
-
-  void advance_edge(EdgeState& es, const CoinSpec& su, const CoinSpec& sv, int t, int du,
-                    int dv) const {
-    const std::uint64_t full = std::uint64_t{1} << b_;
-    if (su.threshold == 0 || su.threshold >= full || sv.threshold == 0 ||
-        sv.threshold >= full) {
-      return;  // forced coins never consult the edge DP
-    }
-    const int tu = static_cast<int>(su.threshold >> (b_ - 1 - t) & 1);
-    const int tv = static_cast<int>(sv.threshold >> (b_ - 1 - t) & 1);
-    // Point-mass transition at (du, dv).
+  // Point-mass transition of an edge DP at the fixed digits (du, dv),
+  // given the endpoints' threshold digits (tu, tv).
+  static void advance_edge(EdgeState& es, int tu, int tv, int du, int dv) {
     const int u_out = du < tu ? -1 : (du == tu ? 0 : 1);  // -1 less, 0 tight, 1 greater
     const int v_out = dv < tv ? -1 : (dv == tv ? 0 : 1);
     long double nA = 0, nB = 0, nC = 0, nD = es.D;
@@ -206,98 +258,56 @@ class FastBitwisePairProb final : public PairProbEngine {
     es.D = nD;
   }
 
-  // Distribution of the current chunk's digit for node v, given that bit
-  // `cand` is tentatively assigned to the next seed bit. Returns
-  // (p_digit_is_1, determined) — when the chunk is incomplete the digit is
-  // uniform unless all remaining variables vanish (impossible before c_t
-  // is fixed, since c_t is last), except when the tentative bit IS c_t.
-  struct DigitDist {
-    long double p1;
-    bool determined;
-    int value;  // meaningful when determined
-  };
-  DigitDist digit_dist(NodeId v, int cand) const {
-    const NodeState& ns = node_state_[v];
-    if (cur_offset_ == w_) {
-      // Tentative bit is c_t: digit = known ^ cand, a constant.
-      return DigitDist{0.0L, true, ns.known ^ cand};
-    }
-    // c_t still free: digit is a fresh uniform bit regardless of cand.
-    (void)cand;
-    return DigitDist{0.5L, false, 0};
-  }
-
-  // Pr[value_v < tau_v | fixed prefix + cand].
-  long double marg_prob(NodeId v, int cand) const {
-    const CoinSpec& s = specs_[v];
-    const NodeState& ns = node_state_[v];
-    const int t = cur_chunk_;
-    if (t == b_) {
+  // Pr[value < threshold | fixed prefix + cand] for a free node.
+  long double marg_prob(const NodeState& ns, int cand) const {
+    if (cur_chunk_ == b_) {
       // All digits fixed (can happen when edge_joint is queried after the
       // final fix; only coin() should be used then, but be safe).
-      return ns.value < s.threshold ? 1.0L : 0.0L;
+      return ns.value < ns.threshold ? 1.0L : 0.0L;
     }
-    const int tau_t = static_cast<int>(s.threshold >> (b_ - 1 - t) & 1);
-    const int r = b_ - t - 1;  // digits after t
-    const std::uint64_t tau_low = s.threshold & ((r == 0) ? 0 : ((std::uint64_t{1} << r) - 1));
-    const long double tail_tight = ldexpl(static_cast<long double>(tau_low), -r);
-    const DigitDist dd = digit_dist(v, cand);
+    // Before c_t the digit is uniform regardless of cand.
+    if (cur_offset_ < w_) return ns.marg_free;
+    // Tentative bit is c_t: digit = known ^ cand, a constant.
+    const int digit = ns.known ^ cand;
     long double cur;  // Pr[suffix from digit t < tau suffix from digit t]
-    if (dd.determined) {
-      if (dd.value < tau_t) {
-        cur = 1.0L;
-      } else if (dd.value > tau_t) {
-        cur = 0.0L;
-      } else {
-        cur = tail_tight;
-      }
+    if (digit < ns.tau) {
+      cur = 1.0L;
+    } else if (digit > ns.tau) {
+      cur = 0.0L;
     } else {
-      const long double p1 = dd.p1;
-      const long double p0 = 1.0L - p1;
-      cur = (tau_t == 1 ? p0 : 0.0L) + (tau_t == 1 ? p1 : p0) * tail_tight;
+      cur = ns.tail;
     }
     return ns.less + ns.tight * cur;
   }
 
-  // Pr[value_u < tau_u AND value_v < tau_v | fixed prefix + cand].
-  long double joint_prob(int e, int cand) const {
-    const NodeId u = edges_[e].u;
-    const NodeId v = edges_[e].v;
-    const CoinSpec& su = specs_[u];
-    const CoinSpec& sv = specs_[v];
-    const EdgeState& es = edge_state_[e];
-    const int t = cur_chunk_;
-    if (t == b_) {
-      return (node_state_[u].value < su.threshold && node_state_[v].value < sv.threshold)
-                 ? 1.0L
-                 : 0.0L;
+  // Pr[value_u < tau_u AND value_v < tau_v | fixed prefix + cand] for an
+  // edge {u, v} between two free nodes.
+  long double joint_prob(const NodeState& nu, const NodeState& nv, const EdgeState& es,
+                         int cand) const {
+    if (cur_chunk_ == b_) {
+      return (nu.value < nu.threshold && nv.value < nv.threshold) ? 1.0L : 0.0L;
     }
-    const int r = b_ - t - 1;
-    const int tu = static_cast<int>(su.threshold >> (b_ - 1 - t) & 1);
-    const int tv = static_cast<int>(sv.threshold >> (b_ - 1 - t) & 1);
-    const std::uint64_t mask_low = (r == 0) ? 0 : ((std::uint64_t{1} << r) - 1);
-    const long double tail_u = ldexpl(static_cast<long double>(su.threshold & mask_low), -r);
-    const long double tail_v = ldexpl(static_cast<long double>(sv.threshold & mask_low), -r);
+    const int tu = nu.tau;
+    const int tv = nv.tau;
 
     // Joint distribution of the current digit pair given the tentative bit.
     // Colors of adjacent nodes differ; whether the two digit forms share
     // the same remaining variable set decides correlation.
     JointDist q{};
-    const DigitDist dqu = digit_dist(u, cand);
-    const DigitDist dqv = digit_dist(v, cand);
-    if (dqu.determined && dqv.determined) {
-      q[dqu.value][dqv.value] = 1.0L;
+    if (cur_offset_ == w_) {
+      // Tentative bit is c_t: both digits are constants.
+      q[nu.known ^ cand][nv.known ^ cand] = 1.0L;
     } else {
       // c_t is still free for both, so both digits are uniform; they are
       // equal up to the xor of the remaining a_t-part parities. They are
       // perfectly correlated iff the remaining color-bit sets coincide.
       const std::uint64_t rem_mask = cur_offset_ >= 64 ? 0 : (~std::uint64_t{0} << cur_offset_);
-      std::uint64_t rem_u = specs_[u].input_color & rem_mask;
-      std::uint64_t rem_v = specs_[v].input_color & rem_mask;
-      int ku = node_state_[u].known;
-      int kv = node_state_[v].known;
+      std::uint64_t rem_u = nu.input_color & rem_mask;
+      std::uint64_t rem_v = nv.input_color & rem_mask;
+      int ku = nu.known;
+      int kv = nv.known;
       // Account for the tentative bit cand at position cur_offset_ (an
-      // a_t bit, since the determined/determined case above covers c_t).
+      // a_t bit, since the branch above covers c_t).
       if (cand && (rem_u >> cur_offset_ & 1)) ku ^= 1;
       if (cand && (rem_v >> cur_offset_ & 1)) kv ^= 1;
       rem_u &= ~(std::uint64_t{1} << cur_offset_);
@@ -319,12 +329,12 @@ class FastBitwisePairProb final : public PairProbEngine {
     auto fu = [&](int x) -> long double {
       if (x < tu) return 1.0L;
       if (x > tu) return 0.0L;
-      return tail_u;
+      return nu.tail;
     };
     auto fv = [&](int y) -> long double {
       if (y < tv) return 1.0L;
       if (y > tv) return 0.0L;
-      return tail_v;
+      return nv.tail;
     };
     long double both_tail = 0.0L;
     long double u_tail = 0.0L;  // Pr[u suffix < tau_u suffix from digit t]
@@ -344,10 +354,11 @@ class FastBitwisePairProb final : public PairProbEngine {
   int b_;
   int cur_chunk_ = 0;
   int cur_offset_ = 0;
-  std::vector<CoinSpec> specs_;
-  std::vector<ConflictEdge> edges_;
-  std::vector<NodeState> node_state_;
+  std::vector<int> slot_;         // per node: index into nodes_, or kForced*
+  std::vector<NodeState> nodes_;  // free nodes, ascending node id
+  std::vector<EdgeSlots> edges_;  // per edge: endpoint slots
   std::vector<EdgeState> edge_state_;
+  std::vector<int> free_edges_;  // edges between two free nodes, ascending
 };
 
 }  // namespace

@@ -13,11 +13,19 @@
 //    family: once a chunk (one output digit's seed bits) is fully fixed,
 //    that digit is a constant; per-edge/per-node DP states advance one
 //    digit and never revisit it, and the unfixed digits have a closed-form
-//    uniform tail. Cost per (edge, seed bit, candidate): O(1).
+//    uniform tail. Everything that depends only on (threshold, chunk) —
+//    each node's threshold digit, its tail probability, and its marginal
+//    while the chunk's last bit c_t is still free — is cached once per
+//    chunk for the free nodes (0 < threshold < 2^b). Cost: O(1) per
+//    (edge, seed bit, candidate), O(free nodes) per fixed a_t bit, and
+//    O(free nodes + edges) per fixed c_t bit; forced and non-participating
+//    nodes cost nothing after begin_phase.
 //
-// Both engines are exact (up to long-double rounding, see DESIGN.md).
+// Both engines are exact up to long-double rounding (pair_prob_test holds
+// them to 1e-12 of each other on every query).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -45,6 +53,11 @@ class PairProbEngine {
   // Joint distribution of (C_u, C_v) for edge e, conditioned on the fixed
   // prefix extended by one candidate bit `cand`.
   virtual JointDist edge_joint(int e, int cand) = 0;
+
+  // {edge_joint(e, 0), edge_joint(e, 1)}: both candidates in one call.
+  virtual std::array<JointDist, 2> edge_joints(int e) {
+    return {edge_joint(e, 0), edge_joint(e, 1)};
+  }
 
   // Permanently fixes the next seed bit.
   virtual void fix_next_bit(int bit) = 0;

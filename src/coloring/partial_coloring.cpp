@@ -137,13 +137,15 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
     // --- Fix the seed bits one by one (Lemma 2.6).
     const int d = engine->num_seed_bits();
     for (int j = 0; j < d; ++j) {
-      std::fill(x0.begin(), x0.end(), 0.0L);
-      std::fill(x1.begin(), x1.end(), 0.0L);
+      // Edges join active nodes only, so the other entries stay 0.
+      for (NodeId v : active_nodes) {
+        x0[v] = 0.0L;
+        x1[v] = 0.0L;
+      }
       for (std::size_t e = 0; e < edges.size(); ++e) {
         const NodeId u = edges[e].u;
         const NodeId v = edges[e].v;
-        const JointDist J0 = engine->edge_joint(static_cast<int>(e), 0);
-        const JointDist J1 = engine->edge_joint(static_cast<int>(e), 1);
+        const auto [J0, J1] = engine->edge_joints(static_cast<int>(e));
         // Contribution of this edge to E[Phi_l(u)] and E[Phi_l(v)]:
         // Pr[both coins c] weighted by 1/|L_l(endpoint)| after the split.
         const int k1u = k1_of[u], k0u = range[u].size() - k1u;

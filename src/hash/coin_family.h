@@ -20,7 +20,11 @@
 //                        b*(ceil(log K)+1) bits, conditioning in O(b).
 //
 // Both are exactly pairwise independent, so Lemmas 2.2/2.3 hold verbatim;
-// they differ only in seed length (see DESIGN.md, substitution notes).
+// they differ only in seed length. The bitwise family is this repository's
+// substitution for the paper's GF(2^m) family: its b*(ceil(log K)+1)-bit
+// seed is about min(b, log K)/2 times longer than the 2m bits of Theorem
+// 2.4, and every seed bit costs one derandomization step, in exchange for
+// O(1) conditioning per query (src/coloring/pair_prob.h).
 #pragma once
 
 #include <array>

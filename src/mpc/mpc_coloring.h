@@ -22,7 +22,8 @@
 // more than S words; results report honest round counts under that
 // regime. The bitwise coin family's longer seed costs an extra
 // O(log Delta) factor per pass versus the paper's O(log n)-bit seed — the
-// same documented substitution as in the other models (DESIGN.md).
+// same documented substitution as in the other models
+// (src/hash/coin_family.h).
 #pragma once
 
 #include <cstdint>

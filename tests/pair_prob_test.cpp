@@ -1,8 +1,11 @@
 // The fast incremental engine must agree bit-for-bit (up to long-double
 // noise) with the generic CoinFamily-backed engine on every query along
-// arbitrary seed-fixing paths.
+// arbitrary seed-fixing paths, and exactly with itself across the
+// two-candidate call and across padding with non-participating nodes.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "src/coloring/pair_prob.h"
@@ -95,6 +98,134 @@ TEST(FastBitwiseEngine, LawOfTotalProbabilityAlongPath) {
     EXPECT_NEAR(static_cast<double>(sum0), 1.0, 1e-12);
     EXPECT_NEAR(static_cast<double>(sum1), 1.0, 1e-12);
     fast->fix_next_bit(static_cast<int>(rng.next_below(2)));
+  }
+}
+
+// A random phase instance: n nodes with distinct input colors, random
+// thresholds (forced ones included), all pairs as conflict edges.
+struct Instance {
+  std::vector<CoinSpec> specs;
+  std::vector<ConflictEdge> edges;
+};
+
+Instance random_instance(Rng& rng, std::uint64_t K, int b, int n) {
+  Instance inst;
+  inst.specs.resize(n);
+  const std::uint64_t full = std::uint64_t{1} << b;
+  for (int v = 0; v < n; ++v) {
+    inst.specs[v].input_color = static_cast<std::uint64_t>(v) % K;
+    inst.specs[v].threshold = rng.next_below(full + 1);
+  }
+  inst.specs[0].threshold = 0;
+  inst.specs[1].threshold = full;
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) inst.edges.push_back(ConflictEdge{u, v});
+  }
+  return inst;
+}
+
+// The two-candidate call is, exactly, the two single-candidate calls.
+TEST(PairProbEngine, EdgeJointsEqualsTwoEdgeJointCalls) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::uint64_t K = 8 + rng.next_below(60);
+    const int b = 2 + static_cast<int>(rng.next_below(6));
+    auto family = make_bitwise_coin_family(K, b);
+    std::array<std::unique_ptr<PairProbEngine>, 2> engines = {
+        make_generic_pair_prob(*family), make_fast_bitwise_pair_prob(K, b)};
+    const Instance inst = random_instance(rng, K, b, 7);
+    for (auto& eng : engines) eng->begin_phase(inst.specs, inst.edges);
+
+    const int d = engines[0]->num_seed_bits();
+    for (int j = 0; j < d; ++j) {
+      for (auto& eng : engines) {
+        for (std::size_t e = 0; e < inst.edges.size(); ++e) {
+          const std::array<JointDist, 2> both = eng->edge_joints(static_cast<int>(e));
+          ASSERT_EQ(both[0], eng->edge_joint(static_cast<int>(e), 0))
+              << "trial=" << trial << " j=" << j << " e=" << e;
+          ASSERT_EQ(both[1], eng->edge_joint(static_cast<int>(e), 1))
+              << "trial=" << trial << " j=" << j << " e=" << e;
+        }
+      }
+      const int bit = static_cast<int>(rng.next_below(2));
+      for (auto& eng : engines) eng->fix_next_bit(bit);
+    }
+  }
+}
+
+// Nodes that take no part in the conflict graph (threshold 0, threshold
+// 2^b, or on no edge) must not change a single bit of the fast engine's
+// answers for the nodes that do: the padded instance gives exactly the
+// compact instance's joints and coins.
+TEST(FastBitwiseEngine, PaddingWithNonParticipatingNodesIsExact) {
+  Rng rng(99);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::uint64_t K = 8 + rng.next_below(60);
+    const int b = 2 + static_cast<int>(rng.next_below(6));
+    const std::uint64_t full = std::uint64_t{1} << b;
+    const Instance compact = random_instance(rng, K, b, 6);
+    const int n = static_cast<int>(compact.specs.size());
+
+    // Interleave pad nodes before, between and after the compact nodes;
+    // pos[v] is compact node v's id in the padded instance (ascending, so
+    // every edge keeps u < v and its index).
+    const std::vector<CoinSpec> pads = {
+        {0, 0},                     // inactive node
+        {rng.next_below(K), 0},     // threshold 0
+        {rng.next_below(K), full},  // threshold 2^b
+        {rng.next_below(K), full},  // isolated active node, forced coin 1
+        // isolated active node, free coin
+        {rng.next_below(K), 1 + rng.next_below(full - 1)},
+    };
+    Instance padded;
+    std::vector<NodeId> pos(n);
+    std::vector<NodeId> pad_ids;
+    std::size_t next_pad = 0;
+    for (int v = 0; v < n; ++v) {
+      if (v % 2 == 0 && next_pad < pads.size()) {
+        pad_ids.push_back(static_cast<NodeId>(padded.specs.size()));
+        padded.specs.push_back(pads[next_pad++]);
+      }
+      pos[v] = static_cast<NodeId>(padded.specs.size());
+      padded.specs.push_back(compact.specs[v]);
+    }
+    while (next_pad < pads.size()) {
+      pad_ids.push_back(static_cast<NodeId>(padded.specs.size()));
+      padded.specs.push_back(pads[next_pad++]);
+    }
+    for (const ConflictEdge& e : compact.edges) {
+      padded.edges.push_back(ConflictEdge{pos[e.u], pos[e.v]});
+    }
+
+    auto small = make_fast_bitwise_pair_prob(K, b);
+    auto big = make_fast_bitwise_pair_prob(K, b);
+    auto family = make_bitwise_coin_family(K, b);
+    auto reference = make_generic_pair_prob(*family);
+    small->begin_phase(compact.specs, compact.edges);
+    big->begin_phase(padded.specs, padded.edges);
+    reference->begin_phase(padded.specs, padded.edges);
+
+    const int d = small->num_seed_bits();
+    for (int j = 0; j < d; ++j) {
+      for (std::size_t e = 0; e < compact.edges.size(); ++e) {
+        ASSERT_EQ(small->edge_joints(static_cast<int>(e)), big->edge_joints(static_cast<int>(e)))
+            << "trial=" << trial << " j=" << j << " e=" << e;
+      }
+      const int bit = static_cast<int>(rng.next_below(2));
+      small->fix_next_bit(bit);
+      big->fix_next_bit(bit);
+      reference->fix_next_bit(bit);
+    }
+    for (int v = 0; v < n; ++v) {
+      EXPECT_EQ(small->coin(v), big->coin(pos[v])) << "trial=" << trial << " v=" << v;
+    }
+    // Pad coins: forced ones read their threshold, the free isolated one
+    // its hash value; the generic engine evaluates the hash directly.
+    for (NodeId p : pad_ids) {
+      EXPECT_EQ(big->coin(p), reference->coin(p)) << "trial=" << trial << " pad=" << p;
+    }
+    EXPECT_EQ(big->coin(pad_ids[0]), 0);
+    EXPECT_EQ(big->coin(pad_ids[3]), 1);
   }
 }
 
