@@ -50,8 +50,8 @@ inline OneEighthRun run_one_eighth(const Graph& g, std::uint64_t list_seed, bool
   PartialColoringOptions opts;
   opts.avoid_mis = avoid_mis;
   OneEighthRun run;
-  run.stats =
-      color_one_eighth(net, channel, active, inst, colors, lin.coloring, lin.num_colors, opts);
+  NetworkColoringTransport t(net, channel);
+  run.stats = color_one_eighth(t, active, inst, colors, lin.coloring, lin.num_colors, opts);
 
   benchkit::Outcome& o = run.outcome;
   o.n = g.num_nodes();

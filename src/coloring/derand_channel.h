@@ -1,6 +1,7 @@
-// Communication abstractions of the Theorem 1.1 pipeline.
+// Communication abstractions of the seed-fixing pipelines (Theorem 1.1,
+// Corollary 1.2 and the derandomized MIS).
 //
-// Two layers, mirroring the MisTransport split in derand_mis.h:
+// Two layers:
 //
 //  * DerandChannel — the aggregation/broadcast channel used by the
 //    seed-fixing loop (Lemma 2.6). Fixing one seed bit needs (a) a global
@@ -13,10 +14,11 @@
 //
 //  * ColoringTransport — every communication primitive the shared
 //    Lemma 2.1 / Theorem 1.1 core (color_one_eighth, list_color_subset)
-//    issues: the Linial input coloring, the aggregation tree, one-round
-//    exchanges along explicit conflict-edge lists, the seed-fixing
-//    channel ops, and the conflict-resolution MIS. The core is written
-//    once over this interface; congest::Network provides the sequential
+//    and the derandomized MIS core (derandomized_mis_core) issue: the
+//    Linial input coloring, the aggregation tree, one-round exchanges
+//    along explicit target lists, the seed-fixing channel ops, and the
+//    conflict-resolution MIS. Each core is written once over this
+//    interface; congest::Network provides the sequential
 //    reference execution (NetworkColoringTransport below) and
 //    runtime::ParallelEngine the parallel one
 //    (runtime::EngineColoringTransport in src/runtime/theorem11_program.h).

@@ -1,74 +1,24 @@
 #include "src/coloring/derand_mis.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/coloring/pair_prob.h"
-#include "src/congest/bfs_tree.h"
 #include "src/congest/network.h"
 #include "src/graph/properties.h"
 #include "src/hash/bitwise_family.h"
 #include "src/util/bits.h"
 
 namespace dcolor {
-namespace {
 
-// Reference transport: the sequential CONGEST simulator. Every primitive
-// is exactly the call sequence the pre-transport implementation issued,
-// so metrics are unchanged and the parallel engine has a golden model.
-class NetworkMisTransport final : public MisTransport {
- public:
-  explicit NetworkMisTransport(const Graph& g) : g_(&g), net_(g) {}
-
-  LinialResult linial_ids() override {
-    InducedSubgraph all(*g_, std::vector<bool>(g_->num_nodes(), true));
-    return linial_coloring(net_, all);
-  }
-
-  void build_tree(NodeId root) override { tree_ = congest::BfsTree::build(net_, root); }
-
-  void exchange(const std::vector<char>& senders, const std::vector<std::uint64_t>& payloads,
-                int bits, const std::vector<char>& active,
-                std::vector<char>* received) override {
-    const NodeId n = g_->num_nodes();
-    for (NodeId v = 0; v < n; ++v) {
-      if (!senders[v]) continue;
-      for (NodeId u : g_->neighbors(v)) {
-        if (active[u]) net_.send(v, u, payloads[v], bits);
-      }
-    }
-    net_.advance_round();
-    if (received != nullptr) {
-      for (NodeId v = 0; v < n; ++v) (*received)[v] = net_.inbox(v).empty() ? 0 : 1;
-    }
-  }
-
-  std::uint64_t aggregate_fixed_sum(const std::vector<long double>& values) override {
-    return congest::aggregate_fixed_sum(net_, tree_, values);
-  }
-
-  void broadcast(std::uint64_t value, int bits) override { tree_.broadcast(net_, value, bits); }
-
-  void tick(std::int64_t rounds) override { net_.tick(rounds); }
-
-  const congest::Metrics& metrics() const override { return net_.metrics(); }
-
- private:
-  const Graph* g_;
-  congest::Network net_;
-  congest::BfsTree tree_;
-};
-
-}  // namespace
-
-DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
+DerandMisResult derandomized_mis_core(ColoringTransport& t) {
+  const Graph& g = t.graph();
   const NodeId n = g.num_nodes();
   DerandMisResult res;
   res.in_mis.assign(n, false);
   if (n == 0) return res;
 
   // Input coloring for the coins (adjacent nodes must hash independently).
-  LinialResult lin = t.linial_ids();
+  const LinialResult lin = t.linial(InducedSubgraph(g, std::vector<bool>(n, true)), nullptr, 0);
   t.build_tree(0);
 
   std::vector<char> active(n, 1);
@@ -76,7 +26,8 @@ DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
 
   while (remaining > 0) {
     ++res.iterations;
-    // Active degrees; isolated active nodes join immediately.
+    // Active adjacency (ascending, as g's adjacency is): the targets of
+    // every exchange below. Isolated active nodes join immediately.
     std::vector<std::vector<NodeId>> adj(n);
     int delta = 1;
     for (NodeId v = 0; v < n; ++v) {
@@ -124,7 +75,7 @@ DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
           payloads[v] = specs[v].threshold;
         }
       }
-      t.exchange(senders, payloads, b + 1, active, nullptr);
+      t.exchange_along(adj, senders, payloads, b + 1, nullptr);
     }
 
     auto engine =
@@ -170,15 +121,12 @@ DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
         x0[v] += 1.0L;
         x1[v] += 1.0L;
       }
-      // Aggregate both candidate sums over the BFS tree; the leader picks
-      // the MAXIMIZING bit (negated objective of the coloring engine).
-      const std::uint64_t s0 = t.aggregate_fixed_sum(x0);
-      long double sum1 = 0;
-      for (long double x : x1) sum1 += x;
-      t.tick(1);  // second word rides the same wave (pipelined chunk)
-      const long double sum0 = congest::from_fixed(s0);
+      // Aggregate both candidate sums in one wave over the BFS tree; the
+      // leader picks the MAXIMIZING bit (negated objective of the
+      // coloring engine).
+      const auto [sum0, sum1] = t.aggregate_pair(x0, x1);
       const int bit = sum0 >= sum1 ? 0 : 1;
-      t.broadcast(static_cast<std::uint64_t>(bit), 1);
+      t.broadcast_bit(bit);
       engine->fix_next_bit(bit);
     }
 
@@ -190,7 +138,7 @@ DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
     // One round: candidates announce themselves.
     {
       std::vector<std::uint64_t> ones(n, 1);
-      t.exchange(candidate, ones, 1, active, nullptr);
+      t.exchange_along(adj, candidate, ones, 1, nullptr);
     }
     for (NodeId v = 0; v < n; ++v) {
       if (!candidate[v]) continue;
@@ -210,7 +158,7 @@ DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
       t.tick(1);
     }
     // MIS nodes announce; they and their neighbors deactivate.
-    std::vector<char> got(n, 0);
+    std::vector<std::vector<NodeId>> heard(n);
     {
       std::vector<char> senders(n, 0);
       std::vector<std::uint64_t> ones(n, 1);
@@ -218,12 +166,12 @@ DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
         res.in_mis[v] = true;
         senders[v] = 1;
       }
-      t.exchange(senders, ones, 1, active, &got);
+      t.exchange_along(adj, senders, ones, 1, &heard);
     }
     std::vector<char> deact(n, 0);
     for (NodeId v : joined) deact[v] = 1;
     for (NodeId v = 0; v < n; ++v) {
-      if (active[v] && got[v]) deact[v] = 1;
+      if (active[v] && !heard[v].empty()) deact[v] = 1;
     }
     for (NodeId v = 0; v < n; ++v) {
       if (active[v] && deact[v]) {
@@ -238,50 +186,25 @@ DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& t) {
 
 DerandMisResult derandomized_mis_per_component(
     const Graph& g, const std::function<DerandMisResult(const Graph&)>& solve_connected) {
-  const NodeId n = g.num_nodes();
   DerandMisResult res;
-  res.in_mis.assign(n, false);
-  if (n == 0) return res;
-
-  int num_comp = 0;
-  const std::vector<int> comp = connected_components(g, &num_comp);
-  if (num_comp == 1) return solve_connected(g);
-
-  // Components execute in parallel — rounds are the max, messages add up.
-  for (int c = 0; c < num_comp; ++c) {
-    std::vector<NodeId> local(n, -1);
-    std::vector<NodeId> global;
-    for (NodeId v = 0; v < n; ++v) {
-      if (comp[v] == c) {
-        local[v] = static_cast<NodeId>(global.size());
-        global.push_back(v);
-      }
-    }
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    for (NodeId v : global) {
-      for (NodeId u : g.neighbors(v)) {
-        if (comp[u] == c && v < u) edges.emplace_back(local[v], local[u]);
-      }
-    }
-    Graph sub = Graph::from_edges(static_cast<NodeId>(global.size()), std::move(edges));
-    DerandMisResult sub_res = solve_connected(sub);
-    for (std::size_t i = 0; i < global.size(); ++i) {
-      res.in_mis[global[i]] = sub_res.in_mis[i];
-    }
-    res.iterations = std::max(res.iterations, sub_res.iterations);
-    res.metrics.rounds = std::max(res.metrics.rounds, sub_res.metrics.rounds);
-    res.metrics.messages += sub_res.metrics.messages;
-    res.metrics.total_bits += sub_res.metrics.total_bits;
-    res.metrics.max_message_bits =
-        std::max(res.metrics.max_message_bits, sub_res.metrics.max_message_bits);
-  }
+  res.in_mis.assign(g.num_nodes(), false);
+  if (g.num_nodes() == 0) return res;
+  const bool split =
+      for_each_component(g, [&](const Graph& sub, const std::vector<NodeId>& global) {
+        const DerandMisResult part = solve_connected(sub);
+        for (std::size_t i = 0; i < global.size(); ++i) res.in_mis[global[i]] = part.in_mis[i];
+        res.metrics.merge_parallel(part.metrics);
+        res.iterations = std::max(res.iterations, part.iterations);
+      });
+  if (!split) return solve_connected(g);
   return res;
 }
 
 DerandMisResult derandomized_mis(const Graph& g) {
   return derandomized_mis_per_component(g, [](const Graph& sub) {
-    NetworkMisTransport transport(sub);
-    return derandomized_mis_core(sub, transport);
+    congest::Network net(sub);
+    NetworkColoringTransport transport(net);
+    return derandomized_mis_core(transport);
   });
 }
 

@@ -19,16 +19,20 @@
 // iterations (the simple Luby-A rate; [CPS17] achieves O~(D) with a
 // sharper estimator, which we trade for reuse of the existing engine).
 //
-// The algorithm core is written once over the MisTransport abstraction;
-// congest::Network provides the sequential reference execution and
-// runtime::ParallelEngine (src/runtime/mis_program.h) the parallel one.
+// The algorithm core is written once over ColoringTransport, the same
+// transport interface the Theorem 1.1 pipeline runs on: Linial coin
+// coloring, a BFS aggregation tree, one-round exchanges along the active
+// adjacency, and per seed bit one aggregate_pair of the two candidate
+// sums plus one broadcast_bit. congest::Network provides the sequential
+// reference execution (NetworkColoringTransport) and
+// runtime::ParallelEngine the parallel one (src/runtime/mis_program.h).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "src/coloring/linial.h"
+#include "src/coloring/derand_channel.h"
 #include "src/congest/metrics.h"
 #include "src/graph/graph.h"
 
@@ -40,44 +44,9 @@ struct DerandMisResult {
   congest::Metrics metrics;
 };
 
-// The communication primitives the derandomized MIS core needs, so the
-// same core can drive either simulator. Implementations must charge
-// identical CONGEST costs for identical call sequences — the parity
-// tests in tests/runtime_engine_test.cpp hold them to it.
-class MisTransport {
- public:
-  virtual ~MisTransport() = default;
-
-  // Proper coloring of the whole graph from ids (the coin keys),
-  // Linial-style.
-  virtual LinialResult linial_ids() = 0;
-
-  // Build the BFS aggregation tree rooted at `root` (graph must be
-  // connected); later aggregate/broadcast calls use it.
-  virtual void build_tree(NodeId root) = 0;
-
-  // One round: every node v with senders[v] != 0 sends payloads[v]
-  // (declared `bits` wide) to each neighbor u with active[u] != 0. If
-  // `received` is non-null, (*received)[v] is set to 1 iff v got at
-  // least one message, else 0.
-  virtual void exchange(const std::vector<char>& senders,
-                        const std::vector<std::uint64_t>& payloads, int bits,
-                        const std::vector<char>& active, std::vector<char>* received) = 0;
-
-  // Tree aggregation of the (saturating) sum of Q32.32 encodings.
-  virtual std::uint64_t aggregate_fixed_sum(const std::vector<long double>& values) = 0;
-
-  // Root-to-all broadcast of one `bits`-bit value over the tree.
-  virtual void broadcast(std::uint64_t value, int bits) = 0;
-
-  // Charged idle rounds (pipelined chunks, conservative accounting).
-  virtual void tick(std::int64_t rounds) = 0;
-
-  virtual const congest::Metrics& metrics() const = 0;
-};
-
-// The derandomized MIS core over any transport; `g` must be connected.
-DerandMisResult derandomized_mis_core(const Graph& g, MisTransport& transport);
+// The derandomized MIS core over any transport; the transport's graph
+// must be connected (build_tree spans it).
+DerandMisResult derandomized_mis_core(ColoringTransport& transport);
 
 // Per-component driver: splits `g` into connected components, solves
 // each with `solve_connected` (components execute in parallel — rounds

@@ -274,13 +274,4 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
   return stats;
 }
 
-PartialColoringStats color_one_eighth(congest::Network& net, DerandChannel& channel,
-                                      InducedSubgraph& active, ListInstance& inst,
-                                      std::vector<Color>& colors,
-                                      const std::vector<std::int64_t>& input_coloring,
-                                      std::int64_t K, const PartialColoringOptions& opts) {
-  NetworkColoringTransport transport(net, channel);
-  return color_one_eighth(transport, active, inst, colors, input_coloring, K, opts);
-}
-
 }  // namespace dcolor

@@ -75,14 +75,6 @@ PartialColoringStats color_one_eighth(ColoringTransport& transport, InducedSubgr
                                       const std::vector<std::int64_t>& input_coloring,
                                       std::int64_t K, const PartialColoringOptions& opts);
 
-// Convenience overload for callers that hold a Network + DerandChannel
-// pair (the pre-transport API): wraps them in a NetworkColoringTransport.
-PartialColoringStats color_one_eighth(congest::Network& net, DerandChannel& channel,
-                                      InducedSubgraph& active, ListInstance& inst,
-                                      std::vector<Color>& colors,
-                                      const std::vector<std::int64_t>& input_coloring,
-                                      std::int64_t K, const PartialColoringOptions& opts);
-
 // The coin precision the algorithm uses: b = ceil(log2(10 * Delta *
 // ceil(logC))) — or with an extra (Delta+1) factor for avoid_mis (§4).
 int precision_bits_for(int max_degree, int color_bits, bool avoid_mis);

@@ -39,15 +39,6 @@ int list_color_subset(ColoringTransport& t, InducedSubgraph& active, ListInstanc
   return iterations;
 }
 
-int list_color_subset(congest::Network& net, DerandChannel& channel, InducedSubgraph& active,
-                      ListInstance& inst, std::vector<Color>& colors,
-                      const std::vector<std::int64_t>& input_coloring, std::int64_t K,
-                      const PartialColoringOptions& opts,
-                      std::vector<PartialColoringStats>* stats) {
-  NetworkColoringTransport transport(net, channel);
-  return list_color_subset(transport, active, inst, colors, input_coloring, K, opts, stats);
-}
-
 Theorem11Result theorem11_run(ColoringTransport& t, ListInstance inst,
                               const PartialColoringOptions& opts) {
   Theorem11Result res;
@@ -90,43 +81,20 @@ Theorem11Result theorem11_solve(const Graph& g, ListInstance inst,
 Theorem11Result theorem11_solve_components(
     const Graph& g, ListInstance inst,
     const std::function<Theorem11Result(const Graph&, ListInstance)>& solve_connected) {
-  int num_comp = 0;
-  const std::vector<int> comp = connected_components(g, &num_comp);
-  if (num_comp <= 1) return solve_connected(g, std::move(inst));
-
   Theorem11Result res;
   res.colors.assign(g.num_nodes(), kUncolored);
-  for (int c = 0; c < num_comp; ++c) {
-    // Build the component's graph with local ids.
-    std::vector<NodeId> local(g.num_nodes(), -1);
-    std::vector<NodeId> global;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (comp[v] == c) {
-        local[v] = static_cast<NodeId>(global.size());
-        global.push_back(v);
-      }
-    }
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    for (NodeId v : global) {
-      for (NodeId u : g.neighbors(v)) {
-        if (comp[u] == c && v < u) edges.emplace_back(local[v], local[u]);
-      }
-    }
-    Graph sub = Graph::from_edges(static_cast<NodeId>(global.size()), std::move(edges));
-    std::vector<std::vector<Color>> lists(global.size());
-    for (std::size_t i = 0; i < global.size(); ++i) lists[i] = inst.list(global[i]);
-    ListInstance sub_inst(sub, inst.color_space(), std::move(lists));
-    Theorem11Result sub_res = solve_connected(sub, std::move(sub_inst));
-    for (std::size_t i = 0; i < global.size(); ++i) res.colors[global[i]] = sub_res.colors[i];
-    // Components run in parallel: round count is the max, traffic adds up.
-    res.metrics.rounds = std::max(res.metrics.rounds, sub_res.metrics.rounds);
-    res.metrics.messages += sub_res.metrics.messages;
-    res.metrics.total_bits += sub_res.metrics.total_bits;
-    res.metrics.max_message_bits =
-        std::max(res.metrics.max_message_bits, sub_res.metrics.max_message_bits);
-    res.iterations = std::max(res.iterations, sub_res.iterations);
-    res.input_colors = std::max(res.input_colors, sub_res.input_colors);
-  }
+  const bool split =
+      for_each_component(g, [&](const Graph& sub, const std::vector<NodeId>& global) {
+        std::vector<std::vector<Color>> lists(global.size());
+        for (std::size_t i = 0; i < global.size(); ++i) lists[i] = inst.list(global[i]);
+        const Theorem11Result part =
+            solve_connected(sub, ListInstance(sub, inst.color_space(), std::move(lists)));
+        for (std::size_t i = 0; i < global.size(); ++i) res.colors[global[i]] = part.colors[i];
+        res.metrics.merge_parallel(part.metrics);
+        res.iterations = std::max(res.iterations, part.iterations);
+        res.input_colors = std::max(res.input_colors, part.input_colors);
+      });
+  if (!split) return solve_connected(g, std::move(inst));
   return res;
 }
 

@@ -42,14 +42,6 @@ int list_color_subset(ColoringTransport& transport, InducedSubgraph& active,
                       const PartialColoringOptions& opts,
                       std::vector<PartialColoringStats>* stats = nullptr);
 
-// Convenience overload for callers that hold a Network + DerandChannel
-// pair (the pre-transport API): wraps them in a NetworkColoringTransport.
-int list_color_subset(congest::Network& net, DerandChannel& channel, InducedSubgraph& active,
-                      ListInstance& inst, std::vector<Color>& colors,
-                      const std::vector<std::int64_t>& input_coloring, std::int64_t K,
-                      const PartialColoringOptions& opts,
-                      std::vector<PartialColoringStats>* stats = nullptr);
-
 // The full Theorem 1.1 pipeline (Linial input coloring, aggregation tree
 // at node 0, the Lemma 2.1 loop) over any transport. The transport's
 // graph must be connected (build_tree spans it).
@@ -62,10 +54,10 @@ Theorem11Result theorem11_run(ColoringTransport& transport, ListInstance inst,
 Theorem11Result theorem11_solve(const Graph& g, ListInstance inst,
                                 const PartialColoringOptions& opts = {});
 
-// Per-component splitter shared by the Network and engine drivers: builds
-// each connected component's graph/instance with local ids, solves it
-// with `solve_connected`, and merges (components run in parallel — rounds
-// and iterations are maxima, traffic adds up).
+// Per-component driver shared by the Network and engine drivers: builds
+// each connected component's graph (for_each_component) and instance with
+// local ids, solves it with `solve_connected`, and merges (components run
+// in parallel — rounds and iterations are maxima, traffic adds up).
 Theorem11Result theorem11_solve_components(
     const Graph& g, ListInstance inst,
     const std::function<Theorem11Result(const Graph&, ListInstance)>& solve_connected);

@@ -18,6 +18,15 @@ struct Metrics {
     total_bits += o.total_bits;
     max_message_bits = std::max(max_message_bits, o.max_message_bits);
   }
+
+  // Folds in a run that executed concurrently on disjoint nodes (another
+  // connected component): rounds are the max, traffic adds up.
+  void merge_parallel(const Metrics& o) {
+    rounds = std::max(rounds, o.rounds);
+    messages += o.messages;
+    total_bits += o.total_bits;
+    max_message_bits = std::max(max_message_bits, o.max_message_bits);
+  }
 };
 
 }  // namespace dcolor::congest

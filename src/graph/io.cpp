@@ -1,6 +1,7 @@
 #include "src/graph/io.h"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 
 namespace dcolor {
@@ -44,8 +45,9 @@ void write_edge_list(std::ostream& os, const Graph& g) {
 std::optional<Graph> read_edge_list(std::istream& is) {
   std::int64_t n = 0, m = 0;
   if (!(is >> n >> m) || n < 0 || m < 0) return std::nullopt;
+  if (n > std::numeric_limits<NodeId>::max()) return std::nullopt;
+  // m is untrusted: the list grows only with the edges actually read.
   std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(static_cast<std::size_t>(m));
   for (std::int64_t i = 0; i < m; ++i) {
     std::int64_t u = 0, v = 0;
     if (!(is >> u >> v) || u < 0 || v < 0 || u >= n || v >= n) return std::nullopt;

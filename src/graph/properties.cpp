@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 namespace dcolor {
 
@@ -77,6 +78,32 @@ bool is_connected(const Graph& g) {
   int k = 0;
   connected_components(g, &k);
   return k == 1;
+}
+
+bool for_each_component(
+    const Graph& g,
+    const std::function<void(const Graph& sub, const std::vector<NodeId>& global)>& fn) {
+  int num_comp = 0;
+  const std::vector<int> comp = connected_components(g, &num_comp);
+  if (num_comp <= 1) return false;
+
+  // Members ascending per component; a node's local id is its rank there.
+  std::vector<std::vector<NodeId>> members(static_cast<std::size_t>(num_comp));
+  std::vector<NodeId> local(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    local[v] = static_cast<NodeId>(members[comp[v]].size());
+    members[comp[v]].push_back(v);
+  }
+  for (const std::vector<NodeId>& global : members) {
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (NodeId v : global) {
+      for (NodeId u : g.neighbors(v)) {
+        if (v < u) edges.emplace_back(local[v], local[u]);
+      }
+    }
+    fn(Graph::from_edges(static_cast<NodeId>(global.size()), std::move(edges)), global);
+  }
+  return true;
 }
 
 int degeneracy(const Graph& g) {

@@ -1,6 +1,7 @@
 // Structural graph properties needed by experiments and validity checks.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -22,6 +23,16 @@ int diameter_double_sweep(const Graph& g);
 std::vector<int> connected_components(const Graph& g, int* num_components);
 
 bool is_connected(const Graph& g);
+
+// Per-component splitter for drivers that need a connected communication
+// graph. Calls fn(sub, global) once per connected component, in component
+// id order: `sub` is the component's graph with local ids, its node i
+// being node global[i] of g (ascending). Returns false without calling
+// fn when g has at most one component, so the caller runs on g itself,
+// uncopied. O(n + m) over all components.
+bool for_each_component(
+    const Graph& g,
+    const std::function<void(const Graph& sub, const std::vector<NodeId>& global)>& fn);
 
 // Degeneracy (max over subgraphs of min degree) via peeling.
 int degeneracy(const Graph& g);

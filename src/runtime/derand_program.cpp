@@ -313,18 +313,6 @@ void tree_broadcast(ParallelEngine& eng, const TreeData& tree, std::uint64_t val
   if (chunks > 1) eng.tick(chunks - 1);
 }
 
-void ExchangeProgram::init(NodeId v, Outbox& out) {
-  if (!(*senders_)[v]) return;
-  const auto nb = g_->neighbors(v);
-  for (std::size_t j = 0; j < nb.size(); ++j) {
-    if ((*active_)[nb[j]]) out.send_nth(static_cast<int>(j), (*payloads_)[v], bits_);
-  }
-}
-
-void ExchangeProgram::on_round(std::int64_t, NodeId v, const Inbox& in, Outbox&) {
-  if (received_ != nullptr) (*received_)[v] = in.empty() ? 0 : 1;
-}
-
 void AlongExchangeProgram::init(NodeId v, Outbox& out) {
   if (!(*senders_)[v]) return;
   // Two-pointer merge over the sorted adjacency: targets[v] is an

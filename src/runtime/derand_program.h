@@ -1,15 +1,17 @@
 // Shared derandomization NodePrograms: the engine-side building blocks of
 // every seed-fixing pipeline (the derandomized MIS and the Theorem 1.1
-// list coloring) — BFS-tree construction, level-synchronous tree
-// aggregation and broadcast, one-round exchanges, the color-class MIS,
+// list coloring, both over runtime::EngineColoringTransport) — BFS-tree
+// construction, level-synchronous tree aggregation and broadcast, the
+// one-round exchange along explicit target lists, the color-class MIS,
 // and the EngineChannel counterpart of DerandChannel.
 //
 // Each program is the NodeProgram form of one congest::Network primitive
 // and charges the exact CONGEST costs of its reference implementation
-// (congest::BfsTree, the Network exchange loops, mis_by_color_classes):
-// identical rounds, messages, bit totals and max message size — the
-// property the conformance suite in tests/derand_channel_test.cpp and
-// the parity suite in tests/runtime_engine_test.cpp enforce.
+// (congest::BfsTree, NetworkColoringTransport::exchange_along,
+// mis_by_color_classes): identical rounds, messages, bit totals and max
+// message size — the property the conformance suite in
+// tests/derand_channel_test.cpp and the parity suite in
+// tests/runtime_engine_test.cpp enforce.
 #pragma once
 
 #include <cstdint>
@@ -111,29 +113,6 @@ std::pair<std::uint64_t, std::uint64_t> aggregate_fixed_pair_sum(
 // (same charging; the value is globally known to the caller, so receivers
 // never read the payload).
 void tree_broadcast(ParallelEngine& eng, const TreeData& tree, std::uint64_t value, int bits);
-
-// One round of scatter: sender nodes deliver their payload to every
-// neighbor passing the `active` filter; optionally records who received.
-class ExchangeProgram final : public NodeProgram {
- public:
-  ExchangeProgram(const Graph& g, const std::vector<char>& senders,
-                  const std::vector<std::uint64_t>& payloads, int bits,
-                  const std::vector<char>& active, std::vector<char>* received)
-      : g_(&g), senders_(&senders), payloads_(&payloads), bits_(bits), active_(&active),
-        received_(received) {}
-
-  void init(NodeId v, Outbox& out) override;
-  void on_round(std::int64_t round, NodeId v, const Inbox& in, Outbox& out) override;
-  bool done(std::int64_t rounds) override { return rounds == 1; }
-
- private:
-  const Graph* g_;
-  const std::vector<char>* senders_;
-  const std::vector<std::uint64_t>* payloads_;
-  int bits_;
-  const std::vector<char>* active_;
-  std::vector<char>* received_;
-};
 
 // One round of scatter along explicit per-node target lists (the alive
 // conflict edges of a Lemma 2.1 phase): each sender v delivers the first

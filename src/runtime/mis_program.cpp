@@ -1,41 +1,13 @@
 #include "src/runtime/mis_program.h"
 
-#include "src/runtime/linial_program.h"
+#include "src/runtime/theorem11_program.h"
 
 namespace dcolor::runtime {
 
-EngineMisTransport::EngineMisTransport(const Graph& g, int num_threads)
-    : g_(&g), eng_(g, num_threads) {}
-
-LinialResult EngineMisTransport::linial_ids() {
-  InducedSubgraph all(*g_, std::vector<bool>(g_->num_nodes(), true));
-  return linial_coloring(eng_, all);
-}
-
-void EngineMisTransport::build_tree(NodeId root) {
-  build_tree_data(eng_, root, &tree_);
-}
-
-void EngineMisTransport::exchange(const std::vector<char>& senders,
-                                  const std::vector<std::uint64_t>& payloads, int bits,
-                                  const std::vector<char>& active,
-                                  std::vector<char>* received) {
-  ExchangeProgram prog(*g_, senders, payloads, bits, active, received);
-  eng_.run(prog);
-}
-
-std::uint64_t EngineMisTransport::aggregate_fixed_sum(const std::vector<long double>& values) {
-  return runtime::aggregate_fixed_sum(eng_, tree_, values, &scratch_);
-}
-
-void EngineMisTransport::broadcast(std::uint64_t value, int bits) {
-  tree_broadcast(eng_, tree_, value, bits);
-}
-
 DerandMisResult derandomized_mis(const Graph& g, int num_threads) {
   return derandomized_mis_per_component(g, [num_threads](const Graph& sub) {
-    EngineMisTransport transport(sub, num_threads);
-    return derandomized_mis_core(sub, transport);
+    EngineColoringTransport transport(sub, num_threads);
+    return derandomized_mis_core(transport);
   });
 }
 

@@ -1,45 +1,14 @@
-// Derandomized MIS on the parallel engine: an MisTransport whose
-// primitives (Linial coin coloring, BFS-tree build, one-round exchanges,
-// tree aggregation/broadcast) are the shared derandomization NodePrograms
-// (derand_program.h) executed by the ParallelEngine, charging the exact
-// CONGEST costs of the congest::Network reference transport. Combined
-// with the shared core in src/coloring/derand_mis.cpp this yields
-// bit-identical MIS results, iteration counts and Metrics at every
-// thread count.
+// Derandomized MIS on the parallel engine: the shared core in
+// src/coloring/derand_mis.cpp run over runtime::EngineColoringTransport
+// (src/runtime/theorem11_program.h), the same transport Theorem 1.1 uses.
+// It charges the exact CONGEST costs of the NetworkColoringTransport
+// reference, so MIS results, iteration counts and Metrics are
+// bit-identical to dcolor::derandomized_mis at every thread count.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "src/coloring/derand_mis.h"
-#include "src/runtime/derand_program.h"
-#include "src/runtime/parallel_engine.h"
 
 namespace dcolor::runtime {
-
-class EngineMisTransport final : public MisTransport {
- public:
-  EngineMisTransport(const Graph& g, int num_threads);
-
-  LinialResult linial_ids() override;
-  void build_tree(NodeId root) override;
-  void exchange(const std::vector<char>& senders, const std::vector<std::uint64_t>& payloads,
-                int bits, const std::vector<char>& active,
-                std::vector<char>* received) override;
-  std::uint64_t aggregate_fixed_sum(const std::vector<long double>& values) override;
-  void broadcast(std::uint64_t value, int bits) override;
-  void tick(std::int64_t rounds) override { eng_.tick(rounds); }
-  const congest::Metrics& metrics() const override { return eng_.metrics(); }
-
-  ParallelEngine& engine() { return eng_; }
-  const TreeData& tree() const { return tree_; }
-
- private:
-  const Graph* g_;
-  ParallelEngine eng_;
-  TreeData tree_;
-  AggregateScratch scratch_;
-};
 
 // Deterministic MIS on the communication graph, executed by the parallel
 // engine at the given thread count. Produces results and Metrics

@@ -153,8 +153,9 @@ TEST_P(PartialColoringTest, LemmaGuarantees) {
   PartialColoringOptions opts;
   opts.family = fam;
   opts.avoid_mis = avoid_mis;
-  PartialColoringStats st = color_one_eighth(net, channel, active, inst, colors, lin.coloring,
-                                             lin.num_colors, opts);
+  NetworkColoringTransport t(net, channel);
+  PartialColoringStats st =
+      color_one_eighth(t, active, inst, colors, lin.coloring, lin.num_colors, opts);
 
   // (1) Progress: at least ceil(n/8) colored.
   EXPECT_GE(st.newly_colored, (n + 7) / 8) << "scenario " << scenario;

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "src/benchkit/verify.h"
 #include "src/coloring/derand_mis.h"
 #include "src/coloring/mis.h"
+#include "src/coloring/theorem11.h"
 #include "src/graph/generators.h"
+#include "src/graph/properties.h"
 #include "tests/test_support.h"
 
 namespace dcolor {
@@ -58,6 +62,71 @@ TEST(DerandMis, StarPicksLeavesOrCenter) {
   } else {
     for (NodeId v = 1; v < 10; ++v) EXPECT_TRUE(res.in_mis[v]);
   }
+}
+
+// ---- golden pins ----
+//
+// Exact outputs and CONGEST charges of the reference drivers. The
+// Network-vs-engine parity tests cannot see a charging change that hits
+// both executors alike, and the bench baseline gate only reports drift;
+// these pins fail on it. A deliberate change to the algorithm or its
+// charging must update them in the same commit and say so.
+
+struct Pin {
+  std::uint64_t output_hash;
+  std::int64_t iterations;
+  std::int64_t rounds;
+  std::int64_t messages;
+  std::int64_t total_bits;
+  int max_message_bits;
+};
+
+void expect_pin(const Pin& want, std::uint64_t output_hash, std::int64_t iterations,
+                const congest::Metrics& m, const std::string& name) {
+  EXPECT_EQ(output_hash, want.output_hash) << name;
+  EXPECT_EQ(iterations, want.iterations) << name;
+  EXPECT_EQ(m.rounds, want.rounds) << name;
+  EXPECT_EQ(m.messages, want.messages) << name;
+  EXPECT_EQ(m.total_bits, want.total_bits) << name;
+  EXPECT_EQ(m.max_message_bits, want.max_message_bits) << name;
+}
+
+// Cycle(10) + path(8) + one isolated node: three components.
+Graph cycle_path_isolated() {
+  std::vector<std::pair<NodeId, NodeId>> e;
+  for (NodeId i = 0; i < 10; ++i) e.emplace_back(i, (i + 1) % 10);
+  for (NodeId i = 10; i + 1 < 18; ++i) e.emplace_back(i, i + 1);
+  return Graph::from_edges(20, std::move(e));
+}
+
+TEST(DerandMisGolden, ReferenceOutputsAndCharges) {
+  struct Case {
+    std::string name;
+    Graph g;
+    Pin pin;
+  };
+  const std::vector<Case> cases = {
+      {"gnp48", make_gnp(48, 0.12, 9),
+       {13542679930715747113ull, 3, 2401, 21030, 301593, 28}},
+      {"grid7x9", make_grid(7, 9), {5843086109646082066ull, 1, 2188, 9340, 129820, 28}},
+      {"cycle_path_isolated", cycle_path_isolated(),
+       {14981516196893197110ull, 1, 555, 1270, 14628, 24}},
+  };
+  ASSERT_TRUE(is_connected(cases[0].g));
+  for (const Case& c : cases) {
+    const DerandMisResult res = derandomized_mis(c.g);
+    expect_pin(c.pin, benchkit::checksum_bits(res.in_mis), res.iterations, res.metrics, c.name);
+  }
+}
+
+TEST(Theorem11Golden, PerComponentOutputsAndCharges) {
+  const Graph g = cycle_path_isolated();
+  const Theorem11Result res = theorem11_solve_per_component(
+      g, ListInstance::random_lists(g, 3 * (g.max_degree() + 2), 7));
+  expect_pin({5225853816301086775ull, 1, 1930, 4274, 50304, 24},
+             benchkit::checksum_values(res.colors), res.iterations, res.metrics,
+             "cycle_path_isolated");
+  EXPECT_EQ(res.input_colors, 10);
 }
 
 }  // namespace

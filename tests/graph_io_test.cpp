@@ -65,6 +65,10 @@ TEST(GraphIo, RejectsMoreMalformedShapes) {
   EXPECT_FALSE(read_edge_list(c).has_value());
   std::stringstream d("2 1\nx y\n");  // non-numeric endpoints
   EXPECT_FALSE(read_edge_list(d).has_value());
+  std::stringstream e("4294967297 1\n0 1\n");  // n beyond the largest NodeId
+  EXPECT_FALSE(read_edge_list(e).has_value());
+  std::stringstream f("3 1000000000000000000\n");  // huge m, no edges follow
+  EXPECT_FALSE(read_edge_list(f).has_value());
 }
 
 TEST(GraphIo, DotContainsNodesAndEdges) {

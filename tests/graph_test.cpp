@@ -115,6 +115,31 @@ TEST(Properties, ComponentsAndConnectivity) {
   EXPECT_EQ(diameter(g), -1);
 }
 
+TEST(Properties, ForEachComponentUsesLocalIds) {
+  // Interleaved ids: {0,2,4} is a path 4-0-2, {1,3} an edge, {5} isolated.
+  auto g = Graph::from_edges(6, {{0, 2}, {0, 4}, {1, 3}});
+  std::vector<std::vector<NodeId>> globals;
+  std::vector<std::int64_t> edges;
+  const bool split =
+      for_each_component(g, [&](const Graph& sub, const std::vector<NodeId>& global) {
+        globals.push_back(global);
+        edges.push_back(sub.num_edges());
+        for (NodeId i = 0; i < sub.num_nodes(); ++i) {
+          for (NodeId j : sub.neighbors(i)) EXPECT_TRUE(g.has_edge(global[i], global[j]));
+        }
+      });
+  EXPECT_TRUE(split);
+  EXPECT_EQ(globals, (std::vector<std::vector<NodeId>>{{0, 2, 4}, {1, 3}, {5}}));
+  EXPECT_EQ(edges, (std::vector<std::int64_t>{2, 1, 0}));
+
+  // Connected or empty graphs are left to the caller, fn never runs.
+  int calls = 0;
+  auto count = [&](const Graph&, const std::vector<NodeId>&) { ++calls; };
+  EXPECT_FALSE(for_each_component(make_cycle(5), count));
+  EXPECT_FALSE(for_each_component(Graph::from_edges(0, {}), count));
+  EXPECT_EQ(calls, 0);
+}
+
 TEST(Properties, Degeneracy) {
   EXPECT_EQ(degeneracy(make_complete(5)), 4);
   EXPECT_EQ(degeneracy(make_cycle(9)), 2);
