@@ -1,8 +1,10 @@
 #include "src/coloring/pair_prob.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 
 #include "src/util/bits.h"
 
@@ -35,6 +37,12 @@ class GenericPairProb final : public PairProbEngine {
   }
 
   void fix_next_bit(int bit) override { fixed_.push_back(static_cast<std::uint8_t>(bit)); }
+
+  // The reference makes no structural claim: every edge, every bit.
+  void changed_edges(std::vector<int>* out) const override {
+    out->resize(edges_.size());
+    std::iota(out->begin(), out->end(), 0);
+  }
 
   int coin(NodeId v) const override {
     assert(static_cast<int>(fixed_.size()) == family_->seed_length());
@@ -73,6 +81,13 @@ class GenericPairProb final : public PairProbEngine {
 // operations in the same order as the per-query code they replace. The
 // queries read them instead of recomputing them, so every returned
 // probability is bit-identical to evaluating the formulas per query.
+//
+// Changed edges (see pair_prob.h for the argument): a free node is live
+// while tight != 0 and settled after; liveness only ever goes from live to
+// settled, at a c_t fix. The engine keeps the edges with a live endpoint
+// (live_edges_) and, bucketed by h = highest set bit of psi_u ^ psi_v, the
+// edges with two live endpoints and distinct input colors (pair_*_), both
+// rebuilt once per chunk; changed_ is the set for the next query.
 class FastBitwisePairProb final : public PairProbEngine {
  public:
   FastBitwisePairProb(std::uint64_t num_input_colors, int b)
@@ -103,14 +118,17 @@ class FastBitwisePairProb final : public PairProbEngine {
       }
     }
     edges_.resize(edges.size());
-    free_edges_.clear();
-    free_edges_.reserve(edges.size());
+    live_edges_.clear();
     for (std::size_t e = 0; e < edges.size(); ++e) {
       edges_[e] = EdgeSlots{slot_[edges[e].u], slot_[edges[e].v]};
-      if (edges_[e].u >= 0 && edges_[e].v >= 0) free_edges_.push_back(static_cast<int>(e));
+      // Free nodes all start tight, so every edge with a free end is live.
+      if (edges_[e].u >= 0 || edges_[e].v >= 0) live_edges_.push_back(static_cast<int>(e));
     }
     edge_state_.assign(edges.size(), EdgeState{});
     refresh_chunk();
+    changed_.resize(edges.size());  // at the first bit every edge is new
+    std::iota(changed_.begin(), changed_.end(), 0);
+    bucket_live_pairs();
   }
 
   int num_seed_bits() const override { return b_ * (w_ + 1); }
@@ -131,6 +149,17 @@ class FastBitwisePairProb final : public PairProbEngine {
         }
       }
       ++cur_offset_;
+      if (cur_offset_ < w_) {
+        // Only live pairs with h == cur_offset_ (q turns cand-dependent)
+        // or h == cur_offset_ - 1 (q turns fixed-correlated) can move.
+        changed_.clear();
+        for (int h : {cur_offset_, cur_offset_ - 1}) {
+          changed_.insert(changed_.end(), pair_edges_.begin() + pair_off_[h],
+                          pair_edges_.begin() + pair_off_[h + 1]);
+        }
+      } else {
+        changed_.assign(live_edges_.begin(), live_edges_.end());  // c_t is next
+      }
       return;
     }
     // Fixing c_t: the digit becomes the constant known ^ bit for every
@@ -140,14 +169,17 @@ class FastBitwisePairProb final : public PairProbEngine {
       ns.value = (ns.value << 1) | static_cast<std::uint64_t>(digit);
       if (digit < ns.tau) {
         ns.less += ns.tight;
-        ns.tight = 0.0L;
+        ns.tight = 0;
       } else if (digit > ns.tau) {
-        ns.tight = 0.0L;
+        ns.tight = 0;
       }
       // digit == tau_t: stays tight.
       ns.known = 0;
     }
-    for (int e : free_edges_) {
+    // Only free-free edges carry a DP, and one between two settled nodes
+    // holds A = B = C = 0, which the transition maps to itself.
+    for (int e : live_edges_) {
+      if (edges_[e].u < 0 || edges_[e].v < 0) continue;
       const NodeState& nu = nodes_[edges_[e].u];
       const NodeState& nv = nodes_[edges_[e].v];
       advance_edge(edge_state_[e], nu.tau, nv.tau, static_cast<int>(nu.value & 1),
@@ -156,6 +188,17 @@ class FastBitwisePairProb final : public PairProbEngine {
     cur_offset_ = 0;
     ++cur_chunk_;
     refresh_chunk();
+    // Offset 0 of the next chunk: every edge live during the chunk just
+    // completed (new tau/tail/marginal, advanced DP, or newly settled).
+    changed_.assign(live_edges_.begin(), live_edges_.end());
+    std::erase_if(live_edges_, [&](int e) {
+      return !is_live(edges_[e].u) && !is_live(edges_[e].v);
+    });
+    bucket_live_pairs();
+  }
+
+  void changed_edges(std::vector<int>* out) const override {
+    out->assign(changed_.begin(), changed_.end());
   }
 
   int coin(NodeId v) const override {
@@ -177,8 +220,10 @@ class FastBitwisePairProb final : public PairProbEngine {
     std::uint64_t value = 0;  // digits of completed chunks
     int known = 0;            // folded-in part of the current chunk's digit
     int tau = 0;              // threshold digit of the current chunk
-    long double tight = 1.0L;
-    long double less = 0.0L;
+    // Pr[tie so far] and Pr[already below]: every completed digit is a
+    // point mass, so both are exactly 0 or 1.
+    std::uint8_t tight = 1;
+    std::uint8_t less = 0;
     // Per-chunk caches, see refresh_chunk().
     long double tail = 0.0L;
     long double marg_free = 0.0L;
@@ -189,10 +234,40 @@ class FastBitwisePairProb final : public PairProbEngine {
     int v;
   };
   // Joint DP over completed digits: A = both tight, B = u tight & v less,
-  // C = u less & v tight, D = both less.
+  // C = u less & v tight, D = both less. Point masses like the node
+  // states: at most one of them is 1, the rest 0.
   struct EdgeState {
-    long double A = 1.0L, B = 0.0L, C = 0.0L, D = 0.0L;
+    std::uint8_t A = 1, B = 0, C = 0, D = 0;
   };
+
+  // A free node whose value still ties its threshold on every completed
+  // digit; forced slots and settled nodes (tight == 0) are not live.
+  bool is_live(int slot) const { return slot >= 0 && nodes_[slot].tight != 0; }
+
+  // Counting sort of the edges with two live endpoints by h =
+  // bit_width(psi_u ^ psi_v) - 1. Equal colors have no h, and colors that
+  // differ only at or above bit w_ keep q uniform at every a_t offset;
+  // neither kind is ever listed at an a_t offset.
+  void bucket_live_pairs() {
+    pair_off_.assign(static_cast<std::size_t>(w_) + 1, 0);
+    auto h_of = [&](int e) {
+      if (!is_live(edges_[e].u) || !is_live(edges_[e].v)) return -1;
+      const std::uint64_t x = nodes_[edges_[e].u].input_color ^ nodes_[edges_[e].v].input_color;
+      const int h = static_cast<int>(std::bit_width(x)) - 1;
+      return h < w_ ? h : -1;
+    };
+    for (int e : live_edges_) {
+      const int h = h_of(e);
+      if (h >= 0) ++pair_off_[h + 1];
+    }
+    for (int h = 0; h < w_; ++h) pair_off_[h + 1] += pair_off_[h];
+    pair_edges_.resize(pair_off_[w_]);
+    pair_cursor_.assign(pair_off_.begin(), pair_off_.end() - 1);
+    for (int e : live_edges_) {
+      const int h = h_of(e);
+      if (h >= 0) pair_edges_[pair_cursor_[h]++] = e;
+    }
+  }
 
   // For each free node, at the start of chunk t = cur_chunk_:
   //  * tau       — digit t of the threshold;
@@ -243,7 +318,7 @@ class FastBitwisePairProb final : public PairProbEngine {
   static void advance_edge(EdgeState& es, int tu, int tv, int du, int dv) {
     const int u_out = du < tu ? -1 : (du == tu ? 0 : 1);  // -1 less, 0 tight, 1 greater
     const int v_out = dv < tv ? -1 : (dv == tv ? 0 : 1);
-    long double nA = 0, nB = 0, nC = 0, nD = es.D;
+    std::uint8_t nA = 0, nB = 0, nC = 0, nD = es.D;
     if (u_out == 0 && v_out == 0) nA = es.A;
     if (u_out == 0 && v_out == -1) nB += es.A;
     if (u_out == -1 && v_out == 0) nC += es.A;
@@ -358,7 +433,11 @@ class FastBitwisePairProb final : public PairProbEngine {
   std::vector<NodeState> nodes_;  // free nodes, ascending node id
   std::vector<EdgeSlots> edges_;  // per edge: endpoint slots
   std::vector<EdgeState> edge_state_;
-  std::vector<int> free_edges_;  // edges between two free nodes, ascending
+  std::vector<int> changed_;     // changed_edges() answer for the next query
+  std::vector<int> live_edges_;  // edges with a live endpoint this chunk
+  std::vector<int> pair_off_;    // w_+1 offsets into pair_edges_, by h
+  std::vector<int> pair_edges_;  // live pairs with distinct colors, by h
+  std::vector<int> pair_cursor_;
 };
 
 }  // namespace

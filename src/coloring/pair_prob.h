@@ -17,9 +17,34 @@
 //    each node's threshold digit, its tail probability, and its marginal
 //    while the chunk's last bit c_t is still free — is cached once per
 //    chunk for the free nodes (0 < threshold < 2^b). Cost: O(1) per
-//    (edge, seed bit, candidate), O(free nodes) per fixed a_t bit, and
-//    O(free nodes + edges) per fixed c_t bit; forced and non-participating
-//    nodes cost nothing after begin_phase.
+//    (edge, candidate) query; O(free nodes + listed edges) per fixed a_t
+//    bit; O(free nodes + edges with a live endpoint) per fixed c_t bit.
+//    Forced and non-participating nodes cost nothing after begin_phase.
+//    changed_edges() lists, per seed bit, only the edges whose joint can
+//    have moved, so a caller that keeps the previous joints re-queries
+//    only those (6% of edge-bits on perfbench c12-clusters, 17% on
+//    t11-longpath).
+//
+// Why an unlisted edge is constant (FastBitwisePairProb). Every fixed
+// digit is a point mass, so each free node's `tight`/`less` and each
+// edge DP's A/B/C/D mass are exactly 0 or 1. Call a free node live while
+// tight == 1 and settled once tight == 0 (its marginal is then `less`
+// bit for bit, and the A/B/C masses of its edges on its side are 0, so
+// every cand- or chunk-dependent factor is multiplied by an exact 0). So
+//  * an edge whose endpoints are each forced or settled never changes;
+//  * an edge with a live endpoint changes only at chunk offset 0 (new
+//    threshold digit, tail and marginal, advanced DP) and at c_t (the
+//    digit becomes known ^ cand). At the other a_t offsets a lone live
+//    endpoint's marginal is the cached marg_free and its q marginal is
+//    exactly 1/2;
+//  * an edge with two live endpoints also changes at the a_t offsets h
+//    and h+1, h = highest set bit of psi_u ^ psi_v. Below h the
+//    remaining variable sets differ (q uniform); at h the tentative bit
+//    enters one digit only (q cand-dependent); from h+1 on it enters both
+//    or neither, so q is the fixed-correlated form, constant after h+1.
+//    Equal input colors have no h: q is correlated at every offset.
+// Liveness only decays, so at offset 0 the engine lists the edges that
+// were live during the previous chunk.
 //
 // Both engines are exact up to long-double rounding (pair_prob_test holds
 // them to 1e-12 of each other on every query).
@@ -58,6 +83,13 @@ class PairProbEngine {
   virtual std::array<JointDist, 2> edge_joints(int e) {
     return {edge_joint(e, 0), edge_joint(e, 1)};
   }
+
+  // Sets *out to a superset of the edges e whose edge_joints(e) can
+  // differ from its value before the last fix_next_bit, each listed once,
+  // in no particular order. Every edge at the first bit after
+  // begin_phase. An unlisted edge's joints are equal (==) to the previous
+  // bit's. GenericPairProb always lists every edge.
+  virtual void changed_edges(std::vector<int>* out) const = 0;
 
   // Permanently fixes the next seed bit.
   virtual void fix_next_bit(int bit) = 0;

@@ -1,6 +1,7 @@
 #include "src/coloring/partial_coloring.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "src/hash/bitwise_family.h"
@@ -95,6 +96,19 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
   std::vector<CoinSpec> specs(n);
   std::vector<int> k1_of(n, 0);
   std::vector<long double> x0(n), x1(n);
+  std::vector<ConflictEdge> edges;
+  // Incremental node sums: each edge's four used joint entries
+  // {J0[0][0], J0[1][1], J1[0][0], J1[1][1]}, refreshed only when the
+  // engine lists the edge as changed; a flat incidence CSR over the
+  // phase's conflict edges, each node's edges ascending by index; and the
+  // nodes whose sums need re-adding this bit (deduplicated by stamp).
+  std::vector<std::array<long double, 4>> joints;
+  std::vector<std::int32_t> inc_off(static_cast<std::size_t>(n) + 1);
+  std::vector<std::int32_t> inc_edge;
+  std::vector<int> changed;
+  std::vector<NodeId> dirty;
+  std::vector<std::int32_t> dirty_stamp(n, 0);
+  std::int32_t stamp = 0;
 
   // --- ceil(logC) prefix-extension phases.
   for (int l = 0; l < width; ++l) {
@@ -126,7 +140,7 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
     }
 
     // Conflict edge list (u < v) for this phase.
-    std::vector<ConflictEdge> edges;
+    edges.clear();
     for (NodeId v : active_nodes) {
       for (NodeId u : alive[v]) {
         if (v < u) edges.push_back(ConflictEdge{v, u});
@@ -134,38 +148,63 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
     }
     engine->begin_phase(specs, edges);
 
+    // Incidence CSR by counting sort over the edges in index order.
+    std::fill(inc_off.begin(), inc_off.end(), 0);
+    for (const ConflictEdge& e : edges) {
+      ++inc_off[static_cast<std::size_t>(e.u) + 1];
+      ++inc_off[static_cast<std::size_t>(e.v) + 1];
+    }
+    for (NodeId v = 0; v < n; ++v) inc_off[v + 1] += inc_off[v];
+    inc_edge.resize(2 * edges.size());
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      inc_edge[inc_off[edges[e].u]++] = static_cast<std::int32_t>(e);
+      inc_edge[inc_off[edges[e].v]++] = static_cast<std::int32_t>(e);
+    }
+    for (NodeId v = n; v > 0; --v) inc_off[v] = inc_off[v - 1];  // undo the cursors
+    inc_off[0] = 0;
+    joints.resize(edges.size());
+    // A node on no conflict edge is never re-summed: its sums stay 0.
+    for (NodeId v : active_nodes) {
+      x0[v] = 0.0L;
+      x1[v] = 0.0L;
+    }
+
     // --- Fix the seed bits one by one (Lemma 2.6).
     const int d = engine->num_seed_bits();
     for (int j = 0; j < d; ++j) {
-      // Edges join active nodes only, so the other entries stay 0.
-      for (NodeId v : active_nodes) {
-        x0[v] = 0.0L;
-        x1[v] = 0.0L;
+      ++stamp;
+      dirty.clear();
+      engine->changed_edges(&changed);
+      for (const int e : changed) {
+        const auto [J0, J1] = engine->edge_joints(e);
+        joints[e] = {J0[0][0], J0[1][1], J1[0][0], J1[1][1]};
+        for (const NodeId w : {edges[e].u, edges[e].v}) {
+          if (dirty_stamp[w] == stamp) continue;
+          dirty_stamp[w] = stamp;
+          dirty.push_back(w);
+        }
       }
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        const NodeId u = edges[e].u;
-        const NodeId v = edges[e].v;
-        const auto [J0, J1] = engine->edge_joints(static_cast<int>(e));
-        // Contribution of this edge to E[Phi_l(u)] and E[Phi_l(v)]:
-        // Pr[both coins c] weighted by 1/|L_l(endpoint)| after the split.
-        const int k1u = k1_of[u], k0u = range[u].size() - k1u;
-        const int k1v = k1_of[v], k0v = range[v].size() - k1v;
-        if (k0u > 0) {
-          x0[u] += J0[0][0] / k0u;
-          x1[u] += J1[0][0] / k0u;
+      // Contribution of each edge to E[Phi_l(w)]: Pr[both coins c]
+      // weighted by 1/|L_l(w)| after the split. A node's sums are re-added
+      // from 0 over its edges in ascending index order, the exact long
+      // double addition sequence of one pass over all edges.
+      for (const NodeId w : dirty) {
+        const int k1 = k1_of[w], k0 = range[w].size() - k1;
+        long double s0 = 0.0L;
+        long double s1 = 0.0L;
+        for (std::int32_t i = inc_off[w]; i < inc_off[w + 1]; ++i) {
+          const std::array<long double, 4>& q = joints[inc_edge[i]];
+          if (k0 > 0) {
+            s0 += q[0] / k0;
+            s1 += q[2] / k0;
+          }
+          if (k1 > 0) {
+            s0 += q[1] / k1;
+            s1 += q[3] / k1;
+          }
         }
-        if (k1u > 0) {
-          x0[u] += J0[1][1] / k1u;
-          x1[u] += J1[1][1] / k1u;
-        }
-        if (k0v > 0) {
-          x0[v] += J0[0][0] / k0v;
-          x1[v] += J1[0][0] / k0v;
-        }
-        if (k1v > 0) {
-          x0[v] += J0[1][1] / k1v;
-          x1[v] += J1[1][1] / k1v;
-        }
+        x0[w] = s0;
+        x1[w] = s1;
       }
       const auto [sum0, sum1] = t.aggregate_pair(x0, x1);
       const int bit = sum0 <= sum1 ? 0 : 1;

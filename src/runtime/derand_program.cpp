@@ -17,13 +17,16 @@ namespace {
 // eccentricity(root) + 1 rounds, one send_all per node.
 class BfsBuildProgram final : public NodeProgram {
  public:
-  BfsBuildProgram(const Graph& g, NodeId root, TreeData* out) : root_(root), out_(out) {
+  BfsBuildProgram(const Graph& g, NodeId root, TreeData* out) : g_(&g), root_(root), out_(out) {
     out_->root = root;
     out_->depth = 0;
     out_->level.assign(g.num_nodes(), -1);
     out_->parent.assign(g.num_nodes(), -1);
     out_->level[root] = 0;
     id_bits_ = bit_width_of(static_cast<std::uint64_t>(g.num_nodes()));
+    seen_round_.assign(static_cast<std::size_t>(g.num_nodes()), -1);
+    frontier_.reserve(static_cast<std::size_t>(g.num_nodes()));
+    next_.reserve(static_cast<std::size_t>(g.num_nodes()));
   }
 
   void init(NodeId v, Outbox& out) override {
@@ -48,11 +51,38 @@ class BfsBuildProgram final : public NodeProgram {
 
   bool done(std::int64_t) override { return !progress_.exchange(false); }
 
+  // Init runs the root alone. Round r can only reach the unjoined
+  // neighbours of round r-1's joiners (nobody else has a message), and
+  // those joiners are the nodes of round r-1's roster at level r-1.
+  Roster roster(std::int64_t round) override {
+    if (round == 0) {
+      frontier_.assign(1, root_);
+      return Roster::of(frontier_);
+    }
+    next_.clear();
+    for (const NodeId u : frontier_) {
+      if (out_->level[u] != round - 1) continue;
+      for (const NodeId w : g_->neighbors(u)) {
+        if (out_->level[w] >= 0 || seen_round_[static_cast<std::size_t>(w)] == round) continue;
+        seen_round_[static_cast<std::size_t>(w)] = round;
+        next_.push_back(w);
+      }
+    }
+    std::sort(next_.begin(), next_.end());
+    frontier_.swap(next_);
+    return Roster::of(frontier_);
+  }
+
  private:
+  const Graph* g_;
   NodeId root_;
   TreeData* out_;
   int id_bits_ = 0;
   std::atomic<bool> progress_{false};
+  // Roster scratch, reserve(n) so the per-round builds never allocate.
+  std::vector<NodeId> frontier_;
+  std::vector<NodeId> next_;
+  std::vector<std::int64_t> seen_round_;  // roster dedupe stamps
 };
 
 // Level-synchronous convergecast (the NodeProgram form of

@@ -9,11 +9,14 @@
 // collection, and the conflict-resolution MIS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/coloring/derand_channel.h"
 #include "src/coloring/linial.h"
+#include "src/congest/bfs_tree.h"
 #include "src/congest/network.h"
 #include "src/graph/generators.h"
 #include "src/runtime/theorem11_program.h"
@@ -30,14 +33,52 @@ void expect_metrics_eq(const congest::Metrics& a, const congest::Metrics& b,
   EXPECT_EQ(a.max_message_bits, b.max_message_bits) << where;
 }
 
+// Root 0 alone on layer 0, then `layers` layers of `width` nodes with
+// shuffled ids; each node links to three nodes of the layer above, so
+// most nodes have several equidistant candidate parents and the
+// smallest-id rule decides.
+Graph equidistant_parents_graph(int layers, int width) {
+  auto rng = test::make_rng(0xe9d1);
+  const NodeId n = 1 + static_cast<NodeId>(layers) * width;
+  std::vector<NodeId> ids(static_cast<std::size_t>(n) - 1);
+  for (NodeId i = 0; i + 1 < n; ++i) ids[static_cast<std::size_t>(i)] = i + 1;
+  for (std::size_t i = ids.size(); i > 1; --i) std::swap(ids[i - 1], ids[rng.next_below(i)]);
+  auto node = [&](int layer, int k) {
+    return layer == 0 ? NodeId{0} : ids[static_cast<std::size_t>((layer - 1) * width + k)];
+  };
+  std::vector<std::pair<NodeId, NodeId>> e;
+  for (int l = 1; l <= layers; ++l) {
+    const int above = l == 1 ? 1 : width;
+    for (int k = 0; k < width; ++k) {
+      std::vector<int> picked;
+      while (static_cast<int>(picked.size()) < std::min(3, above)) {
+        const int p = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(above)));
+        if (std::find(picked.begin(), picked.end(), p) == picked.end()) picked.push_back(p);
+      }
+      for (const int p : picked) e.emplace_back(node(l - 1, p), node(l, k));
+    }
+  }
+  return Graph::from_edges(n, std::move(e));
+}
+
+// A star whose center is the last id, so the root 0 is a leaf.
+Graph leaf_rooted_star(NodeId n) {
+  std::vector<std::pair<NodeId, NodeId>> e;
+  for (NodeId i = 0; i + 1 < n; ++i) e.emplace_back(i, n - 1);
+  return Graph::from_edges(n, std::move(e));
+}
+
 // Connected graphs only: build_tree floods a spanning BFS tree.
 std::vector<test::NamedGraph> connected_corpus() {
   std::vector<test::NamedGraph> v;
   v.push_back({"cycle64", make_cycle(64)});
   v.push_back({"grid6x8", make_grid(6, 8)});
+  v.push_back({"grid4x256", make_grid(4, 256)});
   v.push_back({"tree63", make_binary_tree(63)});
   v.push_back({"cliquepath6x5", make_path_of_cliques(6, 5)});
   v.push_back({"star24", make_star(24)});
+  v.push_back({"leafstar300", leaf_rooted_star(300)});
+  v.push_back({"equidistant6x12", equidistant_parents_graph(6, 12)});
   return v;
 }
 
@@ -54,6 +95,18 @@ TEST(TransportConformance, SeedFixingScenarioMatches) {
       ref.build_tree(0);
       eng.build_tree(0);
       expect_metrics_eq(ref.metrics(), eng.metrics(), name + " after build_tree");
+      {
+        // The engine's tree is congest::BfsTree::build's, node by node.
+        congest::Network bfs_net(g);
+        const congest::BfsTree bfs = congest::BfsTree::build(bfs_net, 0);
+        expect_metrics_eq(bfs_net.metrics(), eng.metrics(), name + " BfsTree::build");
+        const runtime::TreeData& tree = eng.tree();
+        EXPECT_EQ(tree.depth, bfs.depth()) << name;
+        for (NodeId v = 0; v < n; ++v) {
+          ASSERT_EQ(tree.level[v], bfs.levels()[v]) << name << " v=" << v;
+          ASSERT_EQ(tree.parent[v], bfs.parent(v)) << name << " v=" << v;
+        }
+      }
 
       // The same deterministic seed-fixing scenario on both transports:
       // per "seed bit" both sides aggregate a pair of per-node

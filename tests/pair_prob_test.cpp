@@ -153,6 +153,85 @@ TEST(PairProbEngine, EdgeJointsEqualsTwoEdgeJointCalls) {
   }
 }
 
+// changed_edges() is a superset of the edges whose joints move: at every
+// seed bit, an unlisted edge's edge_joints(e) equals (==) its value at the
+// previous bit. Covers forced (0, 2^b) and free thresholds, w = 1..12
+// (K = 2..4096) and, on the fast engine, endpoints with equal input colors
+// (psi_u ^ psi_v = 0; the generic family requires distinct colors).
+TEST(PairProbEngine, ChangedEdgesIsSound) {
+  Rng rng(1414);
+  int quiet_checks = 0;
+  for (int w = 1; w <= 12; ++w) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const std::uint64_t lo = (std::uint64_t{1} << (w - 1)) + 1;
+      const std::uint64_t K = w == 1 ? 2 : lo + rng.next_below((std::uint64_t{1} << w) - lo + 1);
+      const int b = 1 + static_cast<int>(rng.next_below(7));
+      const std::uint64_t full = std::uint64_t{1} << b;
+      auto family = make_bitwise_coin_family(K, b);
+
+      const int n = 8;
+      std::vector<CoinSpec> specs(n);
+      for (int v = 0; v < n; ++v) {
+        specs[v].input_color = rng.next_below(K);
+        const std::uint64_t kind = rng.next_below(4);
+        specs[v].threshold = kind == 0 ? 0 : kind == 1 ? full : 1 + rng.next_below(full - 1);
+      }
+      specs[1].input_color = specs[0].input_color;  // edge {0, 1} has xor 0
+      std::vector<ConflictEdge> all_pairs;
+      std::vector<ConflictEdge> distinct_pairs;
+      for (int u = 0; u < n; ++u) {
+        for (int v = u + 1; v < n; ++v) {
+          all_pairs.push_back(ConflictEdge{u, v});
+          if (specs[u].input_color != specs[v].input_color) {
+            distinct_pairs.push_back(ConflictEdge{u, v});
+          }
+        }
+      }
+      struct Side {
+        std::unique_ptr<PairProbEngine> eng;
+        int m;
+        bool lists_all;
+        std::vector<std::array<JointDist, 2>> prev;
+      };
+      std::array<Side, 2> sides = {
+          Side{make_generic_pair_prob(*family), static_cast<int>(distinct_pairs.size()), true, {}},
+          Side{make_fast_bitwise_pair_prob(K, b), static_cast<int>(all_pairs.size()), false, {}}};
+      sides[0].eng->begin_phase(specs, distinct_pairs);
+      sides[1].eng->begin_phase(specs, all_pairs);
+
+      std::vector<int> listed;
+      const int d = sides[0].eng->num_seed_bits();
+      for (int j = 0; j < d; ++j) {
+        for (Side& side : sides) {
+          side.eng->changed_edges(&listed);
+          std::vector<char> in(side.m, 0);
+          for (const int e : listed) {
+            ASSERT_TRUE(e >= 0 && e < side.m) << "e=" << e;
+            ASSERT_FALSE(in[e]) << "edge " << e << " listed twice";
+            in[e] = 1;
+          }
+          if (j == 0 || side.lists_all) {
+            ASSERT_EQ(static_cast<int>(listed.size()), side.m) << "every edge, j=" << j;
+          }
+          std::vector<std::array<JointDist, 2>> cur(side.m);
+          for (int e = 0; e < side.m; ++e) {
+            cur[e] = side.eng->edge_joints(e);
+            if (j > 0 && !in[e]) {
+              ++quiet_checks;
+              ASSERT_EQ(cur[e], side.prev[e]) << "unlisted edge moved: K=" << K << " b=" << b
+                                              << " trial=" << trial << " j=" << j << " e=" << e;
+            }
+          }
+          side.prev = std::move(cur);
+        }
+        const int bit = static_cast<int>(rng.next_below(2));
+        for (Side& side : sides) side.eng->fix_next_bit(bit);
+      }
+    }
+  }
+  EXPECT_GT(quiet_checks, 0);
+}
+
 // Nodes that take no part in the conflict graph (threshold 0, threshold
 // 2^b, or on no edge) must not change a single bit of the fast engine's
 // answers for the nodes that do: the padded instance gives exactly the
