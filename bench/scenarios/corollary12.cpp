@@ -2,7 +2,7 @@
 // coloring through a network decomposition — polylog rounds independent
 // of diameter — on the clustered family the decomposition experiments
 // care about and on a grid, through both the sequential Network backend
-// and the ParallelEngine backend (cluster-tree ClusterEngineChannel).
+// and the ParallelEngine backend (transports bound to cluster trees).
 // The shared corollary12_run driver accounts full traffic, so these
 // records carry message/bit totals, and the Network/engine pairs share a
 // parity key: the CLI enforces identical checksums AND Metrics.

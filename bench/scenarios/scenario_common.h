@@ -44,13 +44,12 @@ inline OneEighthRun run_one_eighth(const Graph& g, std::uint64_t list_seed, bool
   congest::Network net(g);
   InducedSubgraph active(g, std::vector<bool>(g.num_nodes(), true));
   const LinialResult lin = linial_coloring(net, active);
-  congest::BfsTree tree = congest::BfsTree::build(net, 0);
-  BfsChannel channel(tree);
   std::vector<Color> colors(g.num_nodes(), kUncolored);
   PartialColoringOptions opts;
   opts.avoid_mis = avoid_mis;
   OneEighthRun run;
-  NetworkColoringTransport t(net, channel);
+  NetworkColoringTransport t(net);
+  t.build_tree(0);
   run.stats = color_one_eighth(t, active, inst, colors, lin.coloring, lin.num_colors, opts);
 
   benchkit::Outcome& o = run.outcome;

@@ -2,10 +2,10 @@
 """Render a markdown dashboard from a directory of BENCH_*.json records.
 
 Reads every BENCH_*.json emitted by `dcolor-bench --json-dir` (schema
-dcolor-bench/1, /2 or /3, see docs/BENCH_SCHEMA.md), and writes a
-markdown report: a summary table (wall-clock medians, throughput,
-verification flags), the per-phase wall-time breakdown that /2+ records
-carry, the per-phase latency percentiles from /3 histograms, and an
+dcolor-bench/3, see docs/BENCH_SCHEMA.md), and writes a markdown
+report: a summary table (wall-clock medians, throughput, verification
+flags), the per-phase wall-time breakdown, the per-phase latency
+percentiles from the histograms, and an
 optional median-vs-baseline comparison column. CI runs it after the
 bench gate and uploads the result as an artifact next to the raw
 records; it is equally usable locally:
@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-KNOWN_SCHEMAS = ("dcolor-bench/1", "dcolor-bench/2", "dcolor-bench/3")
+KNOWN_SCHEMAS = ("dcolor-bench/3",)
 
 
 def load_records(directory: Path):
@@ -43,14 +43,8 @@ def load_records(directory: Path):
 
 
 def throughput(rec):
-    """nodes*rounds/s; derived for /1 records, which predate the field."""
-    v = rec.get("nodes_rounds_per_sec", 0.0)
-    if v:
-        return float(v)
-    wall, rounds = rec.get("wall_ms", 0.0), rec.get("rounds", 0)
-    if wall and rounds:
-        return rec.get("n", 0) * rounds * 1000.0 / wall
-    return 0.0
+    """nodes*rounds/s, as the record states it."""
+    return float(rec.get("nodes_rounds_per_sec", 0.0))
 
 
 def fmt_throughput(v):
@@ -149,7 +143,7 @@ def phase_tables(records, out):
     """Per-record phase breakdown plus a cross-record aggregate."""
     with_phases = [r for r in records if r.get("phase_wall_ms")]
     if not with_phases:
-        out.append("_No per-phase data (dcolor-bench/1 records, or tracing-free runs)._")
+        out.append("_No per-phase data (tracing-free runs)._")
         return
     totals = {}
     out.append("| instance | phase breakdown (ms) |")
@@ -172,7 +166,7 @@ def phase_tables(records, out):
 
 
 def percentile_table(records, out):
-    """Per-phase latency percentiles from the /3 histogram snapshots.
+    """Per-phase latency percentiles from the histogram snapshots.
 
     The phase breakdown above shows WHERE time went in total; this table
     shows the SHAPE — a phase whose p99 pulls far away from its p50 has
@@ -197,7 +191,7 @@ def percentile_table(records, out):
         if rec.get("dropped_events", 0) > 0:
             dropped.append((instance_label(rec), rec["dropped_events"]))
     if not rows:
-        out.append("_No phase histograms (pre-/3 records, or tracing-free runs)._")
+        out.append("_No phase histograms (tracing-free runs)._")
         return
     out.append("| phase | spans | p50 | p90 | p99 | max |")
     out.append("|---|---|---|---|---|---|")
@@ -264,7 +258,7 @@ def main():
     out.append("## Phase latency percentiles")
     out.append("")
     out.append("Worst per-record percentile estimate per phase, in ms, from "
-               "the /3 histogram snapshots (log-bucketed upper bounds — "
+               "the histogram snapshots (log-bucketed upper bounds — "
                "see docs/BENCH_SCHEMA.md).")
     out.append("")
     percentile_table(records, out)

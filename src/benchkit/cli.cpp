@@ -42,7 +42,7 @@ constexpr const char* kUsage =
     "  --trace DIR          write one TRACE_<scenario>.json Chrome trace (open in\n"
     "                       Perfetto / chrome://tracing) per instance to DIR\n"
     "  --baseline DIR       compare medians against DIR/BENCH_*.json; regression\n"
-    "                       => exit 2\n"
+    "                       => exit 2; checksum/rounds/messages/bits drift => exit 1\n"
     "  --threshold PCT      regression threshold in percent [15]\n"
     "  --abs-slack-ms MS    absolute slack added to every limit [2.0]\n"
     "  --no-calibrate       compare raw medians (default: machine-speed\n"
@@ -285,7 +285,8 @@ int run_cli(int argc, char** argv, std::FILE* out) {
       }
       std::fprintf(out, "  %-44s %9.2f ms vs %9.2f ms  ratio %5.2f  limit %9.2f %s%s%s\n",
                    line.file.c_str(), line.current_ms, line.baseline_ms, line.ratio,
-                   line.limit_ms, line.regressed ? "REGRESSION" : "ok",
+                   line.limit_ms,
+                   line.regressed ? "REGRESSION" : (line.drifted ? "DRIFT" : "ok"),
                    line.drift.empty() ? "" : "  ", line.drift.c_str());
       // Regressed lines carry the ranked phase-attribution table — the
       // gate names the slow phase so failures start half-diagnosed.
@@ -311,6 +312,13 @@ int run_cli(int argc, char** argv, std::FILE* out) {
                    "this machine is slower than the baseline recorder or a change slowed "
                    "most scenarios; inspect the per-scenario ratios\n",
                    report.calibration);
+    }
+    if (report.drifted > 0) {
+      std::fprintf(stderr,
+                   "dcolor-bench: %d record(s) drifted from their baseline in checksum or "
+                   "charged cost\n",
+                   report.drifted);
+      if (exit_code == kExitOk || exit_code == kExitRegression) exit_code = kExitVerifyFailure;
     }
     if (report.regressions > 0) {
       std::fprintf(stderr, "dcolor-bench: %d scenario(s) regressed beyond %+.0f%%\n",

@@ -8,8 +8,9 @@
 //                [--reps R] [--warmup W] [--seed S] [--min-scenarios N]
 //                [--no-parity] [--help]
 //
-// Exit codes: 0 success; 1 verification / parity / registry failure;
-// 2 baseline regression; 3 usage error.
+// Exit codes: 0 success; 1 verification / parity / registry failure or
+// determinism drift from a baseline; 2 baseline wall-time regression;
+// 3 usage error.
 #pragma once
 
 #include <cstdio>

@@ -162,7 +162,7 @@ bool parse_record(const std::string& json_text, Record* out, std::string* err) {
     return false;
   }
   const std::string schema = v.string_or("schema", "");
-  if (schema != kRecordSchema && schema != kRecordSchemaV2 && schema != kRecordSchemaV1) {
+  if (schema != kRecordSchema) {
     if (err) *err = "unexpected schema '" + schema + "'";
     return false;
   }
@@ -190,7 +190,6 @@ bool parse_record(const std::string& json_text, Record* out, std::string* err) {
   out->verified = v.bool_or("verified", false);
   out->checksum_stable = v.bool_or("checksum_stable", false);
   out->rss_peak_kb = static_cast<std::int64_t>(v.number_or("rss_peak_kb", 0));
-  // /2-only fields; a /1 record keeps the defaults (0 / empty).
   out->nodes_rounds_per_sec = v.number_or("nodes_rounds_per_sec", 0);
   if (const JsonValue* phases = v.find("phase_wall_ms");
       phases != nullptr && phases->kind == JsonValue::Kind::kObject) {
@@ -200,7 +199,6 @@ bool parse_record(const std::string& json_text, Record* out, std::string* err) {
       }
     }
   }
-  // /3-only fields; /1 and /2 records keep the defaults (0 / empty).
   out->dropped_events = static_cast<std::int64_t>(v.number_or("dropped_events", 0));
   if (const JsonValue* hists = v.find("histograms");
       hists != nullptr && hists->kind == JsonValue::Kind::kObject) {
@@ -325,14 +323,20 @@ BaselineReport compare_with_baseline(const std::vector<Record>& current,
         line.attribution = obs::format_phase_diff(pd, "      ");
       }
     }
-    // Determinism drift is reported, not gated: a legitimate algorithm
-    // change shifts rounds/messages/checksum and is handled by refreshing
-    // the baselines, while the wall gate stays the hard failure.
+    // Determinism drift fails the gate: results are a pure function of
+    // the instance, so a changed checksum or charged cost is a behaviour
+    // change. A deliberate one re-baselines in the same change.
     std::string drift;
     if (current[i].rounds != base.rounds) drift += " rounds";
     if (current[i].messages != base.messages) drift += " messages";
+    if (current[i].total_bits != base.total_bits) drift += " total_bits";
+    if (current[i].max_message_bits != base.max_message_bits) drift += " max_message_bits";
     if (!base.checksum.empty() && current[i].checksum != base.checksum) drift += " checksum";
-    if (!drift.empty()) line.drift = "drift vs baseline:" + drift;
+    if (!drift.empty()) {
+      line.drift = "drift vs baseline:" + drift;
+      line.drifted = true;
+      ++report.drifted;
+    }
   }
   return report;
 }

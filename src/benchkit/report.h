@@ -13,11 +13,6 @@
 //   max, p50, p90, p99, buckets:{bit_width: count}}} from the profiled
 //   rep — see docs/BENCH_SCHEMA.md), git
 //
-// The parser also accepts "dcolor-bench/2" (no dropped_events /
-// histograms) and "dcolor-bench/1" (everything up to rss_peak_kb + git)
-// records, defaulting the newer fields — so a /3 run still gates against
-// checked-in older baselines during a schema transition.
-//
 // Baseline comparison is CALIBRATED by default: with ratios r_i =
 // current_i / baseline_i, the median ratio estimates the machine-speed
 // difference between the two runs, and a scenario regresses only when its
@@ -37,12 +32,8 @@
 namespace dcolor::benchkit {
 
 inline constexpr const char* kRecordSchema = "dcolor-bench/3";
-// Previous schemas, still accepted by parse_record (read-only
-// back-compat; the writer always emits kRecordSchema).
-inline constexpr const char* kRecordSchemaV2 = "dcolor-bench/2";
-inline constexpr const char* kRecordSchemaV1 = "dcolor-bench/1";
 
-// One serialized histogram of a /3 record: the obs::HistogramSnapshot
+// One serialized histogram of a record: the obs::HistogramSnapshot
 // for key "cat/name", with write-time percentile estimates and the
 // non-empty buckets as (bit_width, count) pairs in ascending bucket
 // order (see obs::histogram_bucket for the bucket boundaries).
@@ -82,18 +73,17 @@ struct Record {
   bool verified = false;
   bool checksum_stable = false;
   std::int64_t rss_peak_kb = 0;
-  // /2: throughput in node-rounds per second — n * rounds / wall seconds,
+  // Throughput in node-rounds per second — n * rounds / wall seconds,
   // the engine-loop work rate the ROADMAP asks to track (0 when wall or
-  // rounds is 0, and on parsed /1 records).
+  // rounds is 0).
   double nodes_rounds_per_sec = 0.0;
-  // /2: per-phase wall-time totals (ms) from the profiled rep, sorted by
+  // Per-phase wall-time totals (ms) from the profiled rep, sorted by
   // phase name. Phases may nest or run concurrently, so this is span time
-  // per phase, not a partition of wall_ms. Empty on parsed /1 records.
+  // per phase, not a partition of wall_ms.
   std::vector<std::pair<std::string, double>> phase_wall_ms;
-  // /3: ring events the profiled rep dropped (0 on older records).
+  // Ring events the profiled rep dropped.
   std::int64_t dropped_events = 0;
-  // /3: the profiled rep's merged histograms, sorted by key. Empty on
-  // parsed /1 and /2 records.
+  // The profiled rep's merged histograms, sorted by key.
   std::vector<RecordHistogram> histograms;
   std::string git;
 };
@@ -111,7 +101,7 @@ std::string trace_filename(const Record& r);
 std::string record_json(const Record& r);
 
 // Parses one record; returns false with a diagnostic on malformed input
-// or a schema mismatch.
+// or any schema other than kRecordSchema.
 bool parse_record(const std::string& json_text, Record* out, std::string* err);
 bool read_record_file(const std::string& path, Record* out, std::string* err);
 
@@ -127,7 +117,10 @@ struct BaselineLine {
   double limit_ms = 0.0;     // the wall the current median had to stay under
   bool missing = false;      // no baseline record (new scenario — not a failure)
   bool regressed = false;
-  std::string drift;         // non-wall divergence vs baseline (rounds/messages/checksum)
+  // Determinism drift: checksum, rounds, messages, total_bits or
+  // max_message_bits differ from the baseline. A failure, like verify.
+  bool drifted = false;
+  std::string drift;         // the drifted fields, or why the baseline is incomparable
   // Regressed lines only: the ranked per-phase attribution table
   // ("#1 phase X ... +Y ms (N% of delta)") from obs::diff_phases over the
   // two records' phase_wall_ms, pre-formatted for console output. Empty
@@ -139,6 +132,7 @@ struct BaselineReport {
   std::vector<BaselineLine> lines;
   double calibration = 1.0;  // median current/baseline ratio (1.0 uncalibrated)
   int regressions = 0;
+  int drifted = 0;
   int missing = 0;
 };
 

@@ -4,29 +4,9 @@
 #include <cassert>
 
 #include "src/coloring/mis.h"
+#include "src/util/bits.h"
 
 namespace dcolor {
-
-std::pair<long double, long double> BfsChannel::aggregate_pair(
-    congest::Network& net, const std::vector<long double>& values0,
-    const std::vector<long double>& values1) {
-  // One convergecast wave carries both sums; the second 64-bit word rides
-  // the pipelined chunk accounted inside BfsTree::aggregate (128-bit
-  // payload => ceil(128/B) chunks).
-  const long double s0 =
-      congest::from_fixed(congest::aggregate_fixed_sum(net, *tree_, values0));
-  // The second aggregation shares the wave: charge only the extra
-  // pipelining (1 round), not a full tree pass. We emulate this by
-  // summing in-memory and ticking one round.
-  long double s1 = 0.0L;
-  for (long double v : values1) s1 += v;
-  net.tick(1);
-  return {s0, s1};
-}
-
-void BfsChannel::broadcast_bit(congest::Network& net, int bit) {
-  tree_->broadcast(net, static_cast<std::uint64_t>(bit), 1);
-}
 
 LinialResult NetworkColoringTransport::linial(const InducedSubgraph& active,
                                               const std::vector<std::int64_t>* initial,
@@ -35,10 +15,26 @@ LinialResult NetworkColoringTransport::linial(const InducedSubgraph& active,
 }
 
 void NetworkColoringTransport::build_tree(NodeId root) {
-  assert(channel_ == nullptr || owned_channel_.has_value());
+  cluster_ = nullptr;
   tree_ = congest::BfsTree::build(*net_, root);
-  owned_channel_.emplace(*tree_);
-  channel_ = &*owned_channel_;
+}
+
+void NetworkColoringTransport::bind_cluster(const Cluster& cluster) {
+  tree_.reset();
+  cluster_ = &cluster;
+  cluster_depth_ = cluster.tree_depth;
+  const NodeId n = net_->graph().num_nodes();
+  cluster_level_.assign(n, -1);
+  cluster_parent_.assign(n, -1);
+  // Recompute depths from parents (tree_nodes are in insertion order, so a
+  // parent always precedes its children).
+  for (std::size_t i = 0; i < cluster.tree_nodes.size(); ++i) {
+    const NodeId v = cluster.tree_nodes[i];
+    const NodeId p = cluster.tree_parent[i];
+    cluster_parent_[v] = p;
+    cluster_level_[v] = (p < 0) ? 0 : cluster_level_[p] + 1;
+    cluster_depth_ = std::max(cluster_depth_, cluster_level_[v]);
+  }
 }
 
 void NetworkColoringTransport::exchange_along(const std::vector<std::vector<NodeId>>& targets,
@@ -69,13 +65,69 @@ void NetworkColoringTransport::exchange_along(const std::vector<std::vector<Node
 
 std::pair<long double, long double> NetworkColoringTransport::aggregate_pair(
     const std::vector<long double>& values0, const std::vector<long double>& values1) {
-  assert(channel_ != nullptr && "build_tree first (or construct with a channel)");
-  return channel_->aggregate_pair(*net_, values0, values1);
+  if (cluster_ != nullptr) return aggregate_cluster_pair(values0, values1);
+  assert(tree_.has_value() && "build_tree or bind_cluster first");
+  // BFS-tree form: the first word is aggregated over the tree, the
+  // second rides the same wave as one extra pipelined chunk (summed in
+  // memory, one charged round). This under-charges a 128-bit wave and
+  // leaves the second sum unquantized — the accounting gap documented at
+  // EngineColoringTransport::aggregate_pair (ROADMAP item 4).
+  const long double s0 =
+      congest::from_fixed(congest::aggregate_fixed_sum(*net_, *tree_, values0));
+  long double s1 = 0.0L;
+  for (long double v : values1) s1 += v;
+  net_->tick(1);
+  return {s0, s1};
 }
 
 void NetworkColoringTransport::broadcast_bit(int bit) {
-  assert(channel_ != nullptr && "build_tree first (or construct with a channel)");
-  channel_->broadcast_bit(*net_, bit);
+  if (cluster_ != nullptr) return broadcast_cluster_bit(bit);
+  assert(tree_.has_value() && "build_tree or bind_cluster first");
+  tree_->broadcast(*net_, static_cast<std::uint64_t>(bit), 1);
+}
+
+std::pair<long double, long double> NetworkColoringTransport::aggregate_cluster_pair(
+    const std::vector<long double>& values0, const std::vector<long double>& values1) {
+  congest::Network& net = *net_;
+  // Convergecast over the cluster tree: one wave, both sums (the second
+  // 64-bit word rides pipelined chunks, charged below).
+  std::vector<std::uint64_t> acc0(net.graph().num_nodes(), 0);
+  std::vector<std::uint64_t> acc1(net.graph().num_nodes(), 0);
+  for (NodeId v : cluster_->tree_nodes) {
+    acc0[v] = congest::to_fixed(values0[v]);
+    acc1[v] = congest::to_fixed(values1[v]);
+  }
+  const int bw = net.bandwidth_bits();
+  const int chunks = (128 + bw - 1) / bw;
+  for (int lev = cluster_depth_; lev >= 1; --lev) {
+    for (NodeId v : cluster_->tree_nodes) {
+      if (cluster_level_[v] != lev) continue;
+      const int first_bits = std::min(64, bw);
+      const std::uint64_t first =
+          first_bits >= 64 ? acc0[v] : (acc0[v] & ((std::uint64_t{1} << first_bits) - 1));
+      net.send(v, cluster_parent_[v], first, first_bits);
+    }
+    net.advance_round();
+    for (NodeId v : cluster_->tree_nodes) {
+      if (cluster_level_[v] != lev) continue;
+      const NodeId p = cluster_parent_[v];
+      acc0[p] = sat_add_u64(acc0[p], acc0[v]);
+      acc1[p] = sat_add_u64(acc1[p], acc1[v]);
+    }
+  }
+  if (chunks > 1) net.tick(chunks - 1);
+  const NodeId root = cluster_->root;
+  return {congest::from_fixed(acc0[root]), congest::from_fixed(acc1[root])};
+}
+
+void NetworkColoringTransport::broadcast_cluster_bit(int bit) {
+  for (int lev = 0; lev < cluster_depth_; ++lev) {
+    for (NodeId v : cluster_->tree_nodes) {
+      if (cluster_level_[v] != lev + 1) continue;
+      net_->send(cluster_parent_[v], v, static_cast<std::uint64_t>(bit), 1);
+    }
+    net_->advance_round();
+  }
 }
 
 std::vector<bool> NetworkColoringTransport::conflict_mis(

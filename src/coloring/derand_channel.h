@@ -1,30 +1,27 @@
-// Communication abstractions of the seed-fixing pipelines (Theorem 1.1,
+// The communication interface of the seed-fixing pipelines (Theorem 1.1,
 // Corollary 1.2 and the derandomized MIS).
 //
-// Two layers:
+// ColoringTransport carries every communication primitive the shared
+// Lemma 2.1 / Theorem 1.1 core (color_one_eighth, list_color_subset) and
+// the derandomized MIS core (derandomized_mis_core) issue: the Linial
+// input coloring, one-round exchanges along explicit target lists, the
+// Lemma 2.6 seed-fixing ops, and the conflict-resolution MIS. Each core is
+// written once over this interface; congest::Network provides the
+// sequential reference execution (NetworkColoringTransport below) and
+// runtime::ParallelEngine the parallel one
+// (runtime::EngineColoringTransport in src/runtime/theorem11_program.h).
+// Implementations must charge identical CONGEST costs for identical call
+// sequences — the conformance suite in tests/derand_channel_test.cpp
+// holds them to it.
 //
-//  * DerandChannel — the aggregation/broadcast channel used by the
-//    seed-fixing loop (Lemma 2.6). Fixing one seed bit needs (a) a global
-//    sum of two per-node conditional expectations and (b) a one-bit
-//    broadcast of the chosen value. Theorem 1.1 runs this over a BFS tree
-//    of the whole communication graph (O(D) rounds per bit); Corollary
-//    1.2 runs it over the associated tree of a network-decomposition
-//    cluster (O(log^3 n) rounds per bit, with the decomposition's
-//    congestion factor charged by the caller).
-//
-//  * ColoringTransport — every communication primitive the shared
-//    Lemma 2.1 / Theorem 1.1 core (color_one_eighth, list_color_subset)
-//    and the derandomized MIS core (derandomized_mis_core) issue: the
-//    Linial input coloring, the aggregation tree, one-round exchanges
-//    along explicit target lists, the seed-fixing channel ops, and the
-//    conflict-resolution MIS. Each core is written once over this
-//    interface; congest::Network provides the sequential
-//    reference execution (NetworkColoringTransport below) and
-//    runtime::ParallelEngine the parallel one
-//    (runtime::EngineColoringTransport in src/runtime/theorem11_program.h).
-//    Implementations must charge identical CONGEST costs for identical
-//    call sequences — the conformance suite in
-//    tests/derand_channel_test.cpp holds them to it.
+// Fixing one seed bit (Lemma 2.6) needs (a) a sum of two per-node
+// conditional expectations and (b) a one-bit broadcast of the chosen
+// value, both over a rooted tree that each transport owns as plain state:
+// build_tree binds a BFS tree of the whole communication graph (Theorem
+// 1.1, O(D) rounds per bit); the concrete transports' bind_cluster binds
+// a network-decomposition cluster's associated tree instead (Corollary
+// 1.2, O(log^3 n) rounds per bit, with the decomposition's congestion
+// factor charged by the caller).
 #pragma once
 
 #include <cstdint>
@@ -35,36 +32,9 @@
 #include "src/coloring/linial.h"
 #include "src/congest/bfs_tree.h"
 #include "src/congest/network.h"
+#include "src/decomposition/netdecomp.h"
 
 namespace dcolor {
-
-class DerandChannel {
- public:
-  virtual ~DerandChannel() = default;
-
-  // Sums values0 and values1 over all participating nodes, moving both in
-  // one convergecast wave (two Q32.32 words -> 128 bits, pipelined).
-  virtual std::pair<long double, long double> aggregate_pair(
-      congest::Network& net, const std::vector<long double>& values0,
-      const std::vector<long double>& values1) = 0;
-
-  virtual void broadcast_bit(congest::Network& net, int bit) = 0;
-};
-
-// Channel over a BFS tree of the (connected) communication graph.
-class BfsChannel final : public DerandChannel {
- public:
-  explicit BfsChannel(const congest::BfsTree& tree) : tree_(&tree) {}
-
-  std::pair<long double, long double> aggregate_pair(
-      congest::Network& net, const std::vector<long double>& values0,
-      const std::vector<long double>& values1) override;
-
-  void broadcast_bit(congest::Network& net, int bit) override;
-
- private:
-  const congest::BfsTree* tree_;
-};
 
 class ColoringTransport {
  public:
@@ -81,8 +51,8 @@ class ColoringTransport {
 
   // Build the aggregation tree rooted at `root` (graph must be
   // connected); later aggregate_pair/broadcast_bit calls run over it.
-  // Transports constructed around an external channel (a cluster tree)
-  // already have one and must not be asked to build another.
+  // Cluster-scoped transports (Corollary 1.2) are bound to their
+  // cluster's tree instead and are never asked to build one.
   virtual void build_tree(NodeId root) = 0;
 
   // One round: every node v with senders[v] != 0 sends payloads[v],
@@ -97,8 +67,8 @@ class ColoringTransport {
                               const std::vector<std::uint64_t>& payloads, int bits,
                               std::vector<std::vector<NodeId>>* from) = 0;
 
-  // Seed-fixing channel ops (Lemma 2.6), over the tree from build_tree
-  // (or the externally supplied channel).
+  // Seed-fixing ops (Lemma 2.6), over the bound tree (build_tree, or
+  // the cluster tree of a cluster-scoped transport).
   virtual std::pair<long double, long double> aggregate_pair(
       const std::vector<long double>& values0, const std::vector<long double>& values1) = 0;
   virtual void broadcast_bit(int bit) = 0;
@@ -123,22 +93,19 @@ class ColoringTransport {
 // so metrics are unchanged and the parallel engine has a golden model.
 class NetworkColoringTransport final : public ColoringTransport {
  public:
-  // Self-managed aggregation: build_tree floods a BFS tree and installs a
-  // BfsChannel over it (the Theorem 1.1 configuration).
   explicit NetworkColoringTransport(congest::Network& net) : net_(&net) {}
-
-  // External aggregation channel (e.g. a ClusterChannel over a network-
-  // decomposition tree, as in Corollary 1.2); build_tree must not be
-  // called.
-  NetworkColoringTransport(congest::Network& net, DerandChannel& channel)
-      : net_(&net), channel_(&channel) {}
 
   const Graph& graph() const override { return net_->graph(); }
   int bandwidth_bits() const override { return net_->bandwidth_bits(); }
 
   LinialResult linial(const InducedSubgraph& active, const std::vector<std::int64_t>* initial,
                       std::int64_t initial_colors) override;
+  // Floods a BFS tree from `root` and binds it (the Theorem 1.1
+  // configuration).
   void build_tree(NodeId root) override;
+  // Binds `cluster`'s associated tree (the Corollary 1.2 configuration);
+  // issues no communication. `cluster` must outlive the binding.
+  void bind_cluster(const Cluster& cluster);
   void exchange_along(const std::vector<std::vector<NodeId>>& targets,
                       const std::vector<char>& senders,
                       const std::vector<std::uint64_t>& payloads, int bits,
@@ -155,10 +122,18 @@ class NetworkColoringTransport final : public ColoringTransport {
   congest::Network& network() { return *net_; }
 
  private:
+  std::pair<long double, long double> aggregate_cluster_pair(
+      const std::vector<long double>& values0, const std::vector<long double>& values1);
+  void broadcast_cluster_bit(int bit);
+
   congest::Network* net_;
-  DerandChannel* channel_ = nullptr;
-  std::optional<congest::BfsTree> tree_;       // when self-built
-  std::optional<BfsChannel> owned_channel_;    // channel over tree_
+  // The bound Lemma 2.6 tree: a BFS tree (build_tree) or a cluster tree
+  // (bind_cluster); binding one unbinds the other.
+  std::optional<congest::BfsTree> tree_;
+  const Cluster* cluster_ = nullptr;
+  int cluster_depth_ = 0;
+  std::vector<int> cluster_level_;      // node -> tree depth (-1 if not in tree)
+  std::vector<NodeId> cluster_parent_;  // node -> tree parent
 };
 
 }  // namespace dcolor

@@ -8,7 +8,7 @@
 //   * Each phase derandomizes Algorithm 1 (the randomized one-bit prefix
 //     extension) by producing the nodes' biased coins from a shared seed
 //     (Lemma 2.5) and fixing the seed bit-by-bit with the method of
-//     conditional expectations over an aggregation channel (Lemma 2.6).
+//     conditional expectations over an aggregation tree (Lemma 2.6).
 //   * Afterwards every node holds a single candidate color; nodes with at
 //     most 3 conflicting neighbors form a subgraph of max degree 3 on
 //     which an MIS (via Linial + color classes) selects the nodes that
@@ -63,7 +63,7 @@ struct PartialColoringStats {
 // Runs one invocation of Lemma 2.1 on the subgraph induced by `active`,
 // over an arbitrary transport (whose graph is the ORIGINAL graph G).
 //
-//  * transport      — communication primitives + aggregation channel.
+//  * transport      — communication primitives + bound aggregation tree.
 //  * active         — current uncolored nodes; colored ones are removed.
 //  * inst           — list instance; colored nodes' colors are pruned from
 //                     neighbors' lists.

@@ -222,8 +222,8 @@ std::string format_phase_diff(const PhaseDiff& d, const std::string& indent, int
                "(delta %+.2f ms, calibration %.3f)\n",
           indent.c_str(), d.current_wall_ms, d.baseline_wall_ms, d.delta_ms, d.calibration);
   if (!d.has_phases) {
-    appendf(out, "%s  (no phase breakdown on both sides — rerun with profiling, or refresh "
-                 "the baseline with a /2+ record)\n",
+    appendf(out, "%s  (no phase breakdown on both sides — rerun with profiling, or give "
+                 "the scenario phase spans)\n",
             indent.c_str());
     return out;
   }

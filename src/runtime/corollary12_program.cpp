@@ -1,51 +1,8 @@
 #include "src/runtime/corollary12_program.h"
 
-#include <algorithm>
 #include <memory>
 
-#include "src/congest/bfs_tree.h"  // to_fixed/from_fixed codec
-
 namespace dcolor::runtime {
-
-void cluster_tree_data(const Graph& g, const Cluster& cluster, TreeData* out) {
-  const NodeId n = g.num_nodes();
-  out->root = cluster.root;
-  out->depth = cluster.tree_depth;
-  // Resize-once, never reset: rebinding writes only the new tree's
-  // entries (see TreeData — stale entries are unreachable through the
-  // rosters and children CSR).
-  if (static_cast<NodeId>(out->level.size()) != n) {
-    out->level.resize(static_cast<std::size_t>(n));
-    out->parent.resize(static_cast<std::size_t>(n));
-  }
-  // tree_nodes lists a parent before its children, so one forward sweep
-  // settles every level (mirroring ClusterChannel's constructor).
-  for (std::size_t i = 0; i < cluster.tree_nodes.size(); ++i) {
-    const NodeId v = cluster.tree_nodes[i];
-    const NodeId p = cluster.tree_parent[i];
-    out->parent[static_cast<std::size_t>(v)] = p;
-    const int lv = (p < 0) ? 0 : out->level[static_cast<std::size_t>(p)] + 1;
-    out->level[static_cast<std::size_t>(v)] = lv;
-    out->depth = std::max(out->depth, lv);
-  }
-  out->sorted_scratch.assign(cluster.tree_nodes.begin(), cluster.tree_nodes.end());
-  std::sort(out->sorted_scratch.begin(), out->sorted_scratch.end());
-  finalize_tree_positions(g, out, out->sorted_scratch);
-}
-
-std::pair<long double, long double> ClusterEngineChannel::aggregate_pair(
-    ParallelEngine& eng, const std::vector<long double>& values0,
-    const std::vector<long double>& values1) {
-  const auto [sum0, sum1] = aggregate_fixed_pair_sum(eng, tree_, values0, values1, &scratch_);
-  return {congest::from_fixed(sum0), congest::from_fixed(sum1)};
-}
-
-void ClusterEngineChannel::broadcast_bit(ParallelEngine& eng, int bit) {
-  // The rostered tree broadcast already matches ClusterChannel's
-  // charging: depth rounds, one 1-bit message per tree edge (a 1-bit
-  // payload never needs extra pipelined chunks).
-  tree_broadcast(eng, tree_, static_cast<std::uint64_t>(bit), 1);
-}
 
 EngineCorollary12Transports::EngineCorollary12Transports(const Graph& g, int num_threads,
                                                          int bandwidth_bits)
@@ -53,29 +10,27 @@ EngineCorollary12Transports::EngineCorollary12Transports(const Graph& g, int num
   cluster_pool_.resize(static_cast<std::size_t>(global_.engine().pool().num_threads()));
 }
 
-EngineCorollary12Transports::ClusterSlot& EngineCorollary12Transports::slot(int worker) {
-  ClusterSlot& s = cluster_pool_[static_cast<std::size_t>(worker)];
-  if (!s.transport) {
+EngineColoringTransport& EngineCorollary12Transports::slot(int worker) {
+  std::unique_ptr<EngineColoringTransport>& t = cluster_pool_[static_cast<std::size_t>(worker)];
+  if (!t) {
     // Built once, then reused for every later cluster this worker runs:
     // ParallelEngine::run is reusable (each run gets a fresh stamp
     // space) and resetting Metrics cannot alias stale inbox stamps, so
-    // rebinding the channel + zeroing the counters gives a bit-identical
+    // rebinding the tree + zeroing the counters gives a bit-identical
     // fresh transport without rebuilding the CSR buffers or respawning
-    // threads per cluster. The channel (and its TreeData + scratch) is
-    // likewise reused: rebind touches only the new cluster's nodes.
-    s.transport = std::make_unique<EngineColoringTransport>(*g_, 1, global_.bandwidth_bits());
-    s.channel = std::make_unique<ClusterEngineChannel>();
-    s.transport->set_channel(s.channel.get());
+    // threads per cluster. bind_cluster touches only the new cluster's
+    // nodes.
+    t = std::make_unique<EngineColoringTransport>(*g_, 1, global_.bandwidth_bits());
   } else {
-    s.transport->engine().reset_metrics();
+    t->engine().reset_metrics();
   }
-  return s;
+  return *t;
 }
 
 ColoringTransport& EngineCorollary12Transports::cluster(const Cluster& c) {
-  ClusterSlot& s = slot(0);
-  s.channel->rebind(*g_, c);
-  return *s.transport;
+  EngineColoringTransport& t = slot(0);
+  t.bind_cluster(c);
+  return t;
 }
 
 void EngineCorollary12Transports::run_cluster_class(const std::vector<const Cluster*>& batch,
@@ -90,10 +45,10 @@ void EngineCorollary12Transports::run_cluster_class(const std::vector<const Clus
   // assignment never shows in colors, rounds or Metrics.
   out_metrics->assign(batch.size(), congest::Metrics{});
   global_.engine().pool().run_tasks(batch.size(), [&](std::size_t i, int worker) {
-    ClusterSlot& s = slot(worker);
-    s.channel->rebind(*g_, *batch[i]);
-    work(*batch[i], *s.transport);
-    (*out_metrics)[i] = s.transport->metrics();
+    EngineColoringTransport& t = slot(worker);
+    t.bind_cluster(*batch[i]);
+    work(*batch[i], t);
+    (*out_metrics)[i] = t.metrics();
   });
 }
 

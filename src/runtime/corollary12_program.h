@@ -1,76 +1,30 @@
-// Corollary 1.2 on the parallel engine: the cluster-scoped EngineChannel
-// (engine counterpart of dcolor::ClusterChannel) that aggregates and
-// broadcasts over one network-decomposition cluster's associated tree,
-// and the Corollary12Transports backend that injects it into per-cluster
-// EngineColoringTransports via set_channel (build_tree is never called —
-// the decomposition already supplies the tree) and runs the clusters of
-// one decomposition color class CONCURRENTLY over the shared thread pool.
+// Corollary 1.2 on the parallel engine: the Corollary12Transports backend
+// whose per-cluster EngineColoringTransports are bound to their clusters'
+// associated trees via bind_cluster (build_tree is never called — the
+// decomposition already supplies the tree), running the clusters of one
+// decomposition color class CONCURRENTLY over the shared thread pool.
 //
 // Every program charges the exact CONGEST costs of the Network reference
-// (ClusterChannel): identical rounds, messages, bit totals and max
-// message size. Combined with the shared driver corollary12_run this
-// yields runtime::corollary12_coloring with bit-identical colors,
-// decomposition, round accounting (including the kappa congestion factor
-// and the per-class global pruning round) and Metrics at every thread
-// count — tests/corollary12_engine_test.cpp holds it to that.
+// (NetworkColoringTransport::bind_cluster): identical rounds, messages,
+// bit totals and max message size. Combined with the shared driver
+// corollary12_run this yields runtime::corollary12_coloring with
+// bit-identical colors, decomposition, round accounting (including the
+// kappa congestion factor and the per-class global pruning round) and
+// Metrics at every thread count — tests/corollary12_engine_test.cpp
+// holds it to that.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/decomposition/corollary12.h"
-#include "src/runtime/derand_program.h"
 #include "src/runtime/theorem11_program.h"
 
 namespace dcolor::runtime {
 
-// (Re)binds `out` to a cluster's associated tree: levels recomputed from
-// the parent arrays (a parent always precedes its children in
-// tree_nodes), rosters/CSR positions restricted to the tree's nodes so
-// the level-synchronous waves skip the rest of the graph. Steiner nodes
-// are tree nodes like any other. Depth mirrors ClusterChannel:
-// max(cluster.tree_depth, deepest level). Rebinding touches only
-// O(cluster size log cluster size) work — the n-sized TreeData arrays
-// are written only at the new tree's nodes and never reset (see
-// TreeData), which is what makes one TreeData reusable across the
-// thousands of clusters a decomposition produces.
-void cluster_tree_data(const Graph& g, const Cluster& cluster, TreeData* out);
-
-// EngineChannel over a cluster tree — the engine mirror of
-// ClusterChannel, with identical charging: aggregate_pair runs one
-// convergecast wave (depth rounds, one min(64,B)-bit message per tree
-// edge) carrying both Q32.32 saturating sums, plus ceil(128/B)-1 charged
-// pipelined rounds; broadcast_bit runs depth rounds of 1-bit flag-plane
-// messages down the tree. Default-constructible and rebindable: one
-// channel per pool worker serves every cluster that worker runs, reusing
-// its TreeData and aggregation scratch.
-class ClusterEngineChannel final : public EngineChannel {
- public:
-  ClusterEngineChannel() = default;
-  ClusterEngineChannel(const Graph& g, const Cluster& cluster) { rebind(g, cluster); }
-
-  void rebind(const Graph& g, const Cluster& cluster) { cluster_tree_data(g, cluster, &tree_); }
-
-  std::pair<long double, long double> aggregate_pair(
-      ParallelEngine& eng, const std::vector<long double>& values0,
-      const std::vector<long double>& values1) override;
-
-  void broadcast_bit(ParallelEngine& eng, int bit) override;
-
-  int depth() const { return tree_.depth; }
-  const TreeData& tree() const { return tree_; }
-
- private:
-  TreeData tree_;
-  AggregateScratch scratch_;
-};
-
 // Parallel backend for corollary12_run: an EngineColoringTransport over
 // the whole graph for the global phases (Linial + pruning exchanges) and
-// per-cluster EngineColoringTransports whose channels are
-// ClusterEngineChannels over the clusters' trees.
+// per-cluster EngineColoringTransports bound to the clusters' trees.
 //
 // Clusters of one decomposition color class actually run concurrently:
 // run_cluster_class dispatches the class over the global engine's thread
@@ -92,25 +46,19 @@ class EngineCorollary12Transports final : public Corollary12Transports {
                          std::vector<congest::Metrics>* out_metrics) override;
 
  private:
-  // One single-threaded per-cluster transport + rebindable channel per
-  // pool worker: parallelism comes from running many independent
-  // clusters at once, not from splitting one (small) cluster across
-  // threads. The channel's TreeData and AggregateScratch persist across
-  // clusters, so the steady state allocates nothing per cluster.
-  struct ClusterSlot {
-    std::unique_ptr<EngineColoringTransport> transport;
-    std::unique_ptr<ClusterEngineChannel> channel;
-  };
-
-  // Worker `worker`'s reusable slot, metrics reset; built on first use.
-  // Each pool worker owns its slot for a whole run_cluster_class call,
-  // so slots never contend.
-  ClusterSlot& slot(int worker);
+  // Worker `worker`'s reusable single-threaded cluster transport,
+  // metrics reset; built on first use. Parallelism comes from running
+  // many independent clusters at once, not from splitting one (small)
+  // cluster across threads. Each pool worker owns its transport for a
+  // whole run_cluster_class call, so transports never contend, and their
+  // TreeData and AggregateScratch persist across clusters, so the steady
+  // state allocates nothing per cluster.
+  EngineColoringTransport& slot(int worker);
 
   const Graph* g_;
   int num_threads_;
   EngineColoringTransport global_;
-  std::vector<ClusterSlot> cluster_pool_;
+  std::vector<std::unique_ptr<EngineColoringTransport>> cluster_pool_;
 };
 
 // Drop-in parallel counterpart of dcolor::corollary12_solve (same

@@ -94,7 +94,7 @@ class BfsBuildProgram final : public NodeProgram {
 // the staged messages stay for CONGEST accounting and contract checks),
 // and every further word/chunk is charged by the caller via tick —
 // exactly the accounting the Network implementations use
-// (BfsTree::aggregate at K=1, ClusterChannel::aggregate_pair at K=2).
+// (BfsTree::aggregate at K=1, the cluster-tree aggregate_pair at K=2).
 // `plain_sums` (see aggregate_fixed_sum) swaps the saturating adds for
 // plain uint64_t adds when the encode-time overflow bound proved them
 // bit-identical.
@@ -304,6 +304,32 @@ void finalize_tree_positions(const Graph& g, TreeData* out, const std::vector<No
   out->level_off[0] = 0;
 }
 
+void cluster_tree_data(const Graph& g, const Cluster& cluster, TreeData* out) {
+  const NodeId n = g.num_nodes();
+  out->root = cluster.root;
+  out->depth = cluster.tree_depth;
+  // Resize-once, never reset: rebinding writes only the new tree's
+  // entries (see TreeData — stale entries are unreachable through the
+  // rosters and children CSR).
+  if (static_cast<NodeId>(out->level.size()) != n) {
+    out->level.resize(static_cast<std::size_t>(n));
+    out->parent.resize(static_cast<std::size_t>(n));
+  }
+  // tree_nodes lists a parent before its children, so one forward sweep
+  // settles every level (mirroring the Network transport's bind_cluster).
+  for (std::size_t i = 0; i < cluster.tree_nodes.size(); ++i) {
+    const NodeId v = cluster.tree_nodes[i];
+    const NodeId p = cluster.tree_parent[i];
+    out->parent[static_cast<std::size_t>(v)] = p;
+    const int lv = (p < 0) ? 0 : out->level[static_cast<std::size_t>(p)] + 1;
+    out->level[static_cast<std::size_t>(v)] = lv;
+    out->depth = std::max(out->depth, lv);
+  }
+  out->sorted_scratch.assign(cluster.tree_nodes.begin(), cluster.tree_nodes.end());
+  std::sort(out->sorted_scratch.begin(), out->sorted_scratch.end());
+  finalize_tree_positions(g, out, out->sorted_scratch);
+}
+
 std::uint64_t aggregate_fixed_sum(ParallelEngine& eng, const TreeData& tree,
                                   const std::vector<long double>& values,
                                   AggregateScratch* scratch) {
@@ -461,25 +487,6 @@ std::vector<bool> MisColorClassesProgram::in_mis() const {
   std::vector<bool> out(in_mis_.size());
   for (std::size_t v = 0; v < in_mis_.size(); ++v) out[v] = in_mis_[v] != 0;
   return out;
-}
-
-std::pair<long double, long double> TreeEngineChannel::aggregate_pair(
-    ParallelEngine& eng, const std::vector<long double>& values0,
-    const std::vector<long double>& values1) {
-  // One convergecast wave carries both sums, exactly as BfsChannel: the
-  // first word is aggregated over the tree, the second rides the same
-  // wave as one extra pipelined chunk (summed in-memory, one charged
-  // round).
-  const long double s0 =
-      congest::from_fixed(aggregate_fixed_sum(eng, *tree_, values0, &scratch_));
-  long double s1 = 0.0L;
-  for (long double v : values1) s1 += v;
-  eng.tick(1);
-  return {s0, s1};
-}
-
-void TreeEngineChannel::broadcast_bit(ParallelEngine& eng, int bit) {
-  tree_broadcast(eng, *tree_, static_cast<std::uint64_t>(bit), 1);
 }
 
 }  // namespace dcolor::runtime

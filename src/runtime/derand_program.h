@@ -1,15 +1,16 @@
 // Shared derandomization NodePrograms: the engine-side building blocks of
-// every seed-fixing pipeline (the derandomized MIS and the Theorem 1.1
-// list coloring, both over runtime::EngineColoringTransport) — BFS-tree
-// construction, level-synchronous tree aggregation and broadcast, the
-// one-round exchange along explicit target lists, the color-class MIS,
-// and the EngineChannel counterpart of DerandChannel.
+// every seed-fixing pipeline (the derandomized MIS, the Theorem 1.1 list
+// coloring and the Corollary 1.2 per-cluster runs, all over
+// runtime::EngineColoringTransport) — BFS-tree construction, binding a
+// network-decomposition cluster's tree, level-synchronous tree
+// aggregation and broadcast, the one-round exchange along explicit target
+// lists, and the color-class MIS.
 //
 // Each program is the NodeProgram form of one congest::Network primitive
 // and charges the exact CONGEST costs of its reference implementation
-// (congest::BfsTree, NetworkColoringTransport::exchange_along,
-// mis_by_color_classes): identical rounds, messages, bit totals and max
-// message size — the property the conformance suite in
+// (congest::BfsTree, NetworkColoringTransport's exchange and cluster-tree
+// loops, mis_by_color_classes): identical rounds, messages, bit totals
+// and max message size — the property the conformance suite in
 // tests/derand_channel_test.cpp and the parity suite in
 // tests/runtime_engine_test.cpp enforce.
 #pragma once
@@ -18,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/decomposition/netdecomp.h"
 #include "src/graph/graph.h"
 #include "src/runtime/parallel_engine.h"
 
@@ -69,6 +71,18 @@ struct TreeData {
 // send_all per node — exactly congest::BfsTree::build.
 void build_tree_data(ParallelEngine& eng, NodeId root, TreeData* out);
 
+// (Re)binds `out` to a cluster's associated tree: levels recomputed from
+// the parent arrays (a parent always precedes its children in
+// tree_nodes), rosters/CSR positions restricted to the tree's nodes so
+// the level-synchronous waves skip the rest of the graph. Steiner nodes
+// are tree nodes like any other. Depth mirrors the Network transport's
+// bind_cluster: max(cluster.tree_depth, deepest level). Rebinding touches
+// only O(cluster size log cluster size) work — the n-sized TreeData
+// arrays are written only at the new tree's nodes and never reset (see
+// TreeData), which is what makes one TreeData reusable across the
+// thousands of clusters a decomposition produces. Charges nothing.
+void cluster_tree_data(const Graph& g, const Cluster& cluster, TreeData* out);
+
 // Fills the dispatch accelerators (per-level rosters, parent/children
 // CSR positions) of a TreeData whose root/depth/level/parent are already
 // set for every node in `nodes` (ascending ids, the full tree). Nodes
@@ -79,8 +93,8 @@ void build_tree_data(ParallelEngine& eng, NodeId root, TreeData* out);
 void finalize_tree_positions(const Graph& g, TreeData* out, const std::vector<NodeId>& nodes);
 
 // Reusable O(n) encode buffers for the aggregations below: owned by the
-// channels/transports so the per-seed-bit convergecasts of the Lemma 2.6
-// loop allocate nothing in the steady state.
+// transports so the per-seed-bit convergecasts of the Lemma 2.6 loop
+// allocate nothing in the steady state.
 struct AggregateScratch {
   std::vector<std::uint64_t> acc0, acc1;
 };
@@ -98,7 +112,8 @@ std::uint64_t aggregate_fixed_sum(ParallelEngine& eng, const TreeData& tree,
                                   AggregateScratch* scratch = nullptr);
 
 // Convergecast of the saturating sums of TWO Q32.32 encodings in ONE
-// wave over the tree (the engine form of ClusterChannel::aggregate_pair):
+// wave over the tree (the engine form of the Network transport's
+// cluster-tree aggregate_pair):
 // depth rounds plus ceil(128/B)-1 charged pipelined rounds, one
 // min(64,B)-bit message per tree edge carrying the first word's first
 // chunk — the second word rides the charged pipelined chunks, summed
@@ -189,39 +204,6 @@ class MisColorClassesProgram final : public NodeProgram {
   std::vector<NodeId> by_color_nodes_;
   std::vector<NodeId> roster_scratch_;      // reserve(n): zero-alloc rosters
   std::vector<std::int64_t> seen_round_;    // roster dedupe stamps
-};
-
-// Engine-side counterpart of DerandChannel: the aggregation/broadcast
-// pair of the seed-fixing loop (Lemma 2.6), as NodeProgram runs. The
-// BFS-tree instance below serves Theorem 1.1; a cluster-tree instance
-// over a network-decomposition cluster (Corollary 1.2) implements the
-// same interface against a cluster's associated tree.
-class EngineChannel {
- public:
-  virtual ~EngineChannel() = default;
-
-  virtual std::pair<long double, long double> aggregate_pair(
-      ParallelEngine& eng, const std::vector<long double>& values0,
-      const std::vector<long double>& values1) = 0;
-
-  virtual void broadcast_bit(ParallelEngine& eng, int bit) = 0;
-};
-
-// Channel over a BFS TreeData of the (connected) communication graph —
-// the engine mirror of BfsChannel, with identical charging.
-class TreeEngineChannel final : public EngineChannel {
- public:
-  explicit TreeEngineChannel(const TreeData& tree) : tree_(&tree) {}
-
-  std::pair<long double, long double> aggregate_pair(
-      ParallelEngine& eng, const std::vector<long double>& values0,
-      const std::vector<long double>& values1) override;
-
-  void broadcast_bit(ParallelEngine& eng, int bit) override;
-
- private:
-  const TreeData* tree_;
-  AggregateScratch scratch_;
 };
 
 }  // namespace dcolor::runtime

@@ -1,6 +1,6 @@
 // Theorem 1.1 on the parallel engine: a ColoringTransport whose
-// primitives (Linial input coloring, BFS aggregation tree, conflict-edge
-// exchanges, the Lemma 2.6 seed-fixing channel, the color-class MIS of
+// primitives (Linial input coloring, conflict-edge exchanges, the Lemma
+// 2.6 seed-fixing ops over a BFS or cluster tree, the color-class MIS of
 // the conflict-resolution step) are the shared derandomization
 // NodePrograms (derand_program.h) executed by the ParallelEngine,
 // charging the exact CONGEST costs of the NetworkColoringTransport
@@ -21,11 +21,6 @@ namespace dcolor::runtime {
 
 class EngineColoringTransport final : public ColoringTransport {
  public:
-  // Self-managed aggregation: build_tree floods a BFS TreeData and
-  // installs a TreeEngineChannel over it (the Theorem 1.1
-  // configuration). A cluster-scoped transport (Corollary 1.2) instead
-  // injects its cluster-tree channel via set_channel and skips
-  // build_tree.
   EngineColoringTransport(const Graph& g, int num_threads, int bandwidth_bits = 0);
 
   const Graph& graph() const override { return *g_; }
@@ -33,7 +28,14 @@ class EngineColoringTransport final : public ColoringTransport {
 
   LinialResult linial(const InducedSubgraph& active, const std::vector<std::int64_t>* initial,
                       std::int64_t initial_colors) override;
+  // Floods a BFS tree from `root` into the transport's TreeData and binds
+  // it (the Theorem 1.1 configuration).
   void build_tree(NodeId root) override;
+  // Rebinds the same TreeData to `cluster`'s associated tree (the
+  // Corollary 1.2 configuration); issues no communication. Touches only
+  // the cluster's nodes, so one transport serves every cluster a pool
+  // worker runs without allocating in the steady state.
+  void bind_cluster(const Cluster& cluster);
   void exchange_along(const std::vector<std::vector<NodeId>>& targets,
                       const std::vector<char>& senders,
                       const std::vector<std::uint64_t>& payloads, int bits,
@@ -47,23 +49,19 @@ class EngineColoringTransport final : public ColoringTransport {
   void tick(std::int64_t rounds) override { eng_.tick(rounds); }
   const congest::Metrics& metrics() const override { return eng_.metrics(); }
 
-  // Point the transport at an externally owned aggregation channel (a
-  // rebindable ClusterEngineChannel for the per-cluster transports of
-  // EngineCorollary12Transports). Non-owning: the caller keeps the
-  // channel alive, which is what lets one channel + TreeData be reused
-  // across every cluster a pool worker runs.
-  void set_channel(EngineChannel* channel) { channel_ = channel; }
-
   ParallelEngine& engine() { return eng_; }
   const TreeData& tree() const { return tree_; }
 
  private:
+  // Which tree tree_ holds; each has its own aggregate_pair form.
+  enum class TreeForm : char { kUnbound, kBfs, kCluster };
+
   const Graph* g_;
   int num_threads_;
   ParallelEngine eng_;
   TreeData tree_;
-  TreeEngineChannel bfs_channel_{tree_};  // bound by build_tree
-  EngineChannel* channel_ = nullptr;
+  TreeForm form_ = TreeForm::kUnbound;
+  AggregateScratch scratch_;
 };
 
 // Drop-in parallel counterpart of dcolor::theorem11_solve_per_component

@@ -2,7 +2,7 @@
 // global operator new verifies that, once warm, the hot paths of the
 // derandomization pipelines allocate NOTHING per round — the engine's
 // dispatch (serial fast path and pool path), the Lemma 2.6
-// aggregate/broadcast channel ops over BFS and cluster trees (including
+// aggregate/broadcast ops over BFS and cluster trees (including
 // cluster rebinds), a full Linial run, and a full color-class MIS run.
 // Guards tentpole (c) of the round-loop optimization PR: any hot-path
 // heap traffic reintroduced later fails here, not in a profiler.
@@ -67,11 +67,11 @@ namespace {
 
 std::uint64_t allocs() { return g_news.load(std::memory_order_relaxed); }
 
-// The Lemma 2.6 channel ops (pair aggregation + bit broadcast) over a
+// The Lemma 2.6 tree ops (pair aggregation + bit broadcast) over a
 // BFS tree: the innermost loop of every Theorem 1.1 seed-fixing
 // iteration. After one warm call per op, repeated calls must not touch
 // the heap — at 1 thread (serial fast path) and at 2 (pool dispatch).
-TEST(AllocAudit, BfsChannelOpsSteadyState) {
+TEST(AllocAudit, BfsTreeOpsSteadyState) {
   const Graph g = make_grid(12, 12);
   std::vector<long double> v0(static_cast<std::size_t>(g.num_nodes()), 0.25L);
   std::vector<long double> v1(static_cast<std::size_t>(g.num_nodes()), 0.5L);
@@ -94,7 +94,7 @@ TEST(AllocAudit, BfsChannelOpsSteadyState) {
       tree_broadcast(eng, tree, 0x1abc, 13); // slot-plane broadcast
     }
     const std::uint64_t delta = allocs() - before;
-    EXPECT_EQ(delta, 0u) << "channel ops allocated at threads=" << threads;
+    EXPECT_EQ(delta, 0u) << "tree ops allocated at threads=" << threads;
   }
 }
 
@@ -137,24 +137,23 @@ TEST(AllocAudit, MisRunSteadyState) {
   }
 }
 
-// The Corollary 1.2 per-cluster loop: one ClusterEngineChannel rebinding
+// The Corollary 1.2 per-cluster loop: one transport rebinding its tree
 // across every cluster of a real network decomposition, running the
-// channel ops each time. After one warm pass over all clusters (TreeData
-// and scratch capacities reach their high-water marks), further passes —
-// rebinds included — must not allocate.
+// seed-fixing ops each time. After one warm pass over all clusters
+// (TreeData and scratch capacities reach their high-water marks), further
+// passes — rebinds included — must not allocate.
 TEST(AllocAudit, ClusterRebindSteadyState) {
   const Graph g = make_clustered(6, 12, 0.5, 0.02, test::kTestSeed + 2);
   const NetworkDecomposition d = decompose(g);
   ASSERT_GT(d.clusters.size(), 1u);
   std::vector<long double> v0(static_cast<std::size_t>(g.num_nodes()), 0.125L);
   std::vector<long double> v1(static_cast<std::size_t>(g.num_nodes()), 0.375L);
-  ParallelEngine eng(g, 1);
-  ClusterEngineChannel ch;
+  EngineColoringTransport t(g, 1);
   auto pass = [&] {
     for (const Cluster& c : d.clusters) {
-      ch.rebind(g, c);
-      ch.aggregate_pair(eng, v0, v1);
-      ch.broadcast_bit(eng, 1);
+      t.bind_cluster(c);
+      t.aggregate_pair(v0, v1);
+      t.broadcast_bit(1);
     }
   };
   pass();  // warm

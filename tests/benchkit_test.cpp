@@ -2,11 +2,12 @@
 // trips, the canonical table writer's numbers-as-numbers output, the
 // scenario registry, and the dcolor-bench CLI driven through run_cli with
 // test-local scenarios — quick runs emitting schema-complete BENCH_*.json
-// (dcolor-bench/3, with /1 and /2 back-compat parsing), histogram and
+// (dcolor-bench/3; every other schema rejected), histogram and
 // dropped-events round trips, stable checksums, the verification and
-// parity failure paths, the --trace Chrome-trace emission, and the
+// parity failure paths, the --trace Chrome-trace emission, the
 // --baseline regression gate tripping on an injected slowdown with a
-// phase-attribution table naming the guilty phase.
+// phase-attribution table naming the guilty phase, and the same gate
+// failing on determinism drift (checksum or charged cost).
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -350,53 +351,30 @@ TEST(BenchkitRunner, QuickRunEmitsSchemaCompleteRecords) {
   }
 }
 
-// Schema transition: the parser accepts the previous dcolor-bench/1
-// schema (defaulting the /2 fields) but still rejects unknown schemas —
-// checked-in /1 baselines stay readable until the refresh lands.
-TEST(BenchkitReport, V1RecordsStillParse) {
+// The parser reads the current schema only: an older or unknown schema
+// is a diagnostic, never a record with silently defaulted fields.
+TEST(BenchkitReport, RejectsEveryOtherSchema) {
   Record r;
-  r.scenario = "testkit.v1compat";
+  r.scenario = "testkit.schema";
   r.wall_ms = 5.0;
-  r.nodes_rounds_per_sec = 123.0;
-  r.phase_wall_ms = {{"phase.a", 1.5}};
-  std::string text = record_json(r);
-
-  const std::string v2 = kRecordSchema;
-  const std::string v1 = kRecordSchemaV1;
-  ASSERT_NE(text.find(v2), std::string::npos);
-  text.replace(text.find(v2), v2.size(), v1);
-
-  Record parsed;
-  std::string err;
-  ASSERT_TRUE(parse_record(text, &parsed, &err)) << err;
-  EXPECT_EQ(parsed.scenario, "testkit.v1compat");
-  EXPECT_DOUBLE_EQ(parsed.wall_ms, 5.0);
-  // The /2 fields in the doctored text are still read (tolerant reader);
-  // a real /1 record simply lacks them and keeps the defaults.
-  text.replace(text.find(v1), v1.size(), "dcolor-bench/0");
-  EXPECT_FALSE(parse_record(text, &parsed, &err));
-}
-
-TEST(BenchkitReport, V2RecordsStillParse) {
-  Record r;
-  r.scenario = "testkit.v2compat";
-  r.wall_ms = 5.0;
-  std::string text = record_json(r);
+  const std::string text = record_json(r);
   const std::string cur = kRecordSchema;
   ASSERT_NE(text.find(cur), std::string::npos);
-  text.replace(text.find(cur), cur.size(), kRecordSchemaV2);
 
   Record parsed;
   std::string err;
   ASSERT_TRUE(parse_record(text, &parsed, &err)) << err;
-  EXPECT_EQ(parsed.scenario, "testkit.v2compat");
-  EXPECT_DOUBLE_EQ(parsed.wall_ms, 5.0);
-  EXPECT_EQ(parsed.dropped_events, 0);
-  EXPECT_TRUE(parsed.histograms.empty());
+  for (const char* other : {"dcolor-bench/0", "dcolor-bench/1", "dcolor-bench/2"}) {
+    std::string doctored = text;
+    doctored.replace(doctored.find(cur), cur.size(), other);
+    err.clear();
+    EXPECT_FALSE(parse_record(doctored, &parsed, &err)) << other;
+    EXPECT_NE(err.find("unexpected schema"), std::string::npos) << other << ": " << err;
+  }
 }
 
-// The /3 additions survive a writer -> parser round trip field by field,
-// including the sparse bucket list.
+// Histograms and dropped events survive a writer -> parser round trip
+// field by field, including the sparse bucket list.
 TEST(BenchkitReport, V3HistogramsAndDroppedEventsRoundTrip) {
   Record r;
   r.scenario = "testkit.v3roundtrip";
@@ -462,29 +440,6 @@ TEST(BenchkitRunner, RecordsCarryProfiledHistograms) {
   }
   EXPECT_TRUE(saw_slow);
   EXPECT_EQ(rec.dropped_events, 0);
-}
-
-// The regression gate compares /1 baselines against /2 records without
-// spurious failures: matching is by filename + wall_ms, not schema.
-TEST(BenchkitBaseline, V1BaselinesGateV2RecordsWithoutSpuriousFailures) {
-  const fs::path current = fresh_dir("v1_transition_current");
-  ASSERT_EQ(cli({"--quick", "--reps", "2", "--filter", "testkit.busy", "--json-dir",
-                 current.string()}),
-            kExitOk);
-  const fs::path v1_base = fresh_dir("v1_transition_base");
-  for (const char* leaf : {"BENCH_testkit_busy_a.json", "BENCH_testkit_busy_b.json"}) {
-    std::string text = slurp(current / leaf);
-    const std::string v2 = kRecordSchema;
-    const std::size_t at = text.find(v2);
-    ASSERT_NE(at, std::string::npos) << leaf;
-    text.replace(at, v2.size(), kRecordSchemaV1);
-    std::ofstream out(v1_base / leaf);
-    out << text;
-    ASSERT_TRUE(out.good()) << leaf;
-  }
-  EXPECT_EQ(cli({"--quick", "--reps", "2", "--filter", "testkit.busy", "--baseline",
-                 v1_base.string(), "--threshold", "400", "--abs-slack-ms", "5"}),
-            kExitOk);
 }
 
 TEST(BenchkitRunner, ProfiledRepRecordsPhaseBreakdownAndTrace) {
@@ -749,6 +704,46 @@ TEST(BenchkitBaseline, PartialMissingToleratedAllMissingFails) {
   EXPECT_EQ(cli({"--reps", "1", "--filter", "testkit.busy", "--baseline", partial.string(),
                  "--threshold", "400"}),
             kExitUsage);
+}
+
+// Determinism drift fails the gate with the verification exit code: a
+// baseline whose checksum, or whose total_bits, differs from a fresh run
+// of the same scenario names the drifted field, even though every wall
+// time is well inside its limit.
+TEST(BenchkitBaseline, DriftFromBaselineFailsLikeVerification) {
+  const fs::path current = fresh_dir("drift_current");
+  ASSERT_EQ(cli({"--quick", "--reps", "1", "--filter", "testkit.busy", "--json-dir",
+                 current.string()}),
+            kExitOk);
+  struct Doctor {
+    const char* leaf;
+    const char* field;
+    void (*apply)(Record*);
+  };
+  const Doctor doctors[] = {
+      {"checksum", "checksum", [](Record* r) { r->checksum = "0x0000000000000bad"; }},
+      {"total_bits", "total_bits", [](Record* r) { r->total_bits += 1; }},
+  };
+  for (const Doctor& d : doctors) {
+    const fs::path doctored = fresh_dir(std::string("drift_") + d.leaf);
+    for (const char* leaf : {"BENCH_testkit_busy_a.json", "BENCH_testkit_busy_b.json"}) {
+      Record rec;
+      std::string err;
+      ASSERT_TRUE(read_record_file((current / leaf).string(), &rec, &err)) << err;
+      if (std::string(leaf) == "BENCH_testkit_busy_b.json") d.apply(&rec);
+      ASSERT_TRUE(write_record_file(doctored.string(), rec, &err)) << err;
+    }
+    const auto [code, out] =
+        cli_capture({"--quick", "--reps", "1", "--filter", "testkit.busy", "--baseline",
+                     doctored.string(), "--threshold", "400", "--abs-slack-ms", "5"});
+    EXPECT_EQ(code, kExitVerifyFailure) << d.field << "\n" << out;
+    const std::size_t at = out.find("BENCH_testkit_busy_b.json");
+    ASSERT_NE(at, std::string::npos) << out;
+    const std::string line = out.substr(at, out.find('\n', at) - at);
+    EXPECT_NE(line.find("DRIFT"), std::string::npos) << line;
+    EXPECT_NE(line.find(std::string("drift vs baseline: ") + d.field), std::string::npos)
+        << line;
+  }
 }
 
 TEST(BenchkitBaseline, CalibrationNeutralizesUniformMachineSpeedChange) {

@@ -146,14 +146,13 @@ TEST_P(PartialColoringTest, LemmaGuarantees) {
   congest::Network net(g);
   InducedSubgraph active = test::all_active(g);
   LinialResult lin = linial_coloring(net, active);
-  congest::BfsTree tree = congest::BfsTree::build(net, 0);
-  BfsChannel channel(tree);
   std::vector<Color> colors(n, kUncolored);
 
   PartialColoringOptions opts;
   opts.family = fam;
   opts.avoid_mis = avoid_mis;
-  NetworkColoringTransport t(net, channel);
+  NetworkColoringTransport t(net);
+  t.build_tree(0);
   PartialColoringStats st =
       color_one_eighth(t, active, inst, colors, lin.coloring, lin.num_colors, opts);
 

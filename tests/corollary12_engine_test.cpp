@@ -1,8 +1,9 @@
 // Corollary 1.2 on the parallel engine, tested head-on:
-//  1. Channel parity — ClusterEngineChannel charges exactly what
-//     ClusterChannel charges (depth, rounds, messages, bit totals) and
-//     computes the identical saturating Q32.32 pair sums and broadcasts,
-//     per cluster, across the decomposition corpus, at 1 and N threads.
+//  1. Cluster-tree parity — after bind_cluster, the engine transport's
+//     seed-fixing ops charge exactly what the Network transport's charge
+//     (depth, rounds, messages, bit totals) and compute the identical
+//     saturating Q32.32 pair sums and broadcasts, per cluster, across
+//     the decomposition corpus, at 1 and N threads.
 //  2. Execution parity — runtime::corollary12_coloring is bit-identical
 //     to corollary12_solve (colors, decomposition, round accounting
 //     including the kappa congestion factor and the per-class pruning
@@ -12,6 +13,7 @@
 //     OS threads stay deterministic (the TSan CI job runs this suite).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,8 +28,7 @@
 namespace dcolor {
 namespace {
 
-using runtime::ClusterEngineChannel;
-using runtime::ParallelEngine;
+using runtime::EngineColoringTransport;
 
 std::vector<test::NamedGraph> decomposition_corpus() {
   std::vector<test::NamedGraph> v = test::stress_corpus();
@@ -43,40 +44,59 @@ void expect_metrics_eq(const congest::Metrics& a, const congest::Metrics& b,
   EXPECT_EQ(a.max_message_bits, b.max_message_bits) << where;
 }
 
-TEST(ClusterEngineChannelParity, AggregateAndBroadcastMatchOnCorpus) {
+// A cluster tree's depth as both transports must bind it: the deepest
+// level recomputed from the parent arrays, never below tree_depth.
+int expected_depth(const Graph& g, const Cluster& c) {
+  std::vector<int> level(static_cast<std::size_t>(g.num_nodes()), -1);
+  int depth = c.tree_depth;
+  for (std::size_t i = 0; i < c.tree_nodes.size(); ++i) {
+    const NodeId p = c.tree_parent[i];
+    const int lv = p < 0 ? 0 : level[static_cast<std::size_t>(p)] + 1;
+    level[static_cast<std::size_t>(c.tree_nodes[i])] = lv;
+    depth = std::max(depth, lv);
+  }
+  return depth;
+}
+
+TEST(ClusterTreeParity, AggregateAndBroadcastMatchOnCorpus) {
   for (const auto& [name, g] : decomposition_corpus()) {
     const auto d = decompose(g);
-    // Node values everywhere: the channels must restrict the sums to the
-    // cluster's tree nodes (Steiner nodes included) on their own.
+    // Node values everywhere: the transports must restrict the sums to
+    // the cluster's tree nodes (Steiner nodes included) on their own.
     std::vector<long double> v0(g.num_nodes()), v1(g.num_nodes());
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       v0[v] = 0.125L * (v % 17) + 0.25L;
       v1[v] = 1.0L / (1.0L + v);
     }
     for (const Cluster& c : d.clusters) {
+      const int depth = expected_depth(g, c);
       congest::Network net(g);
-      ClusterChannel ref(g, c);
-      const auto [r0, r1] = ref.aggregate_pair(net, v0, v1);
-      ref.broadcast_bit(net, 1);
+      NetworkColoringTransport ref(net);
+      ref.bind_cluster(c);
+      const auto [r0, r1] = ref.aggregate_pair(v0, v1);
+      const std::int64_t before_broadcast = net.metrics().rounds;
+      ref.broadcast_bit(1);
+      // A 1-bit broadcast costs exactly one round per tree level.
+      EXPECT_EQ(net.metrics().rounds - before_broadcast, depth) << name;
       for (int threads : {1, 3}) {
         const std::string where =
             name + " cluster root=" + std::to_string(c.root) + " t=" + std::to_string(threads);
-        ParallelEngine eng(g, threads);
-        ClusterEngineChannel chan(g, c);
-        EXPECT_EQ(chan.depth(), ref.depth()) << where;
-        const auto [e0, e1] = chan.aggregate_pair(eng, v0, v1);
+        EngineColoringTransport eng(g, threads);
+        eng.bind_cluster(c);
+        EXPECT_EQ(eng.tree().depth, depth) << where;
+        const auto [e0, e1] = eng.aggregate_pair(v0, v1);
         // Both sides sum identical Q32.32 encodings with saturating
         // adds, so the results are bit-identical, not merely close.
         EXPECT_EQ(e0, r0) << where;
         EXPECT_EQ(e1, r1) << where;
-        chan.broadcast_bit(eng, 1);
+        eng.broadcast_bit(1);
         expect_metrics_eq(eng.metrics(), net.metrics(), where);
       }
     }
   }
 }
 
-TEST(ClusterEngineChannelParity, ThreadCountCannotPerturbCharges) {
+TEST(ClusterTreeParity, ThreadCountCannotPerturbCharges) {
   auto g = make_clustered(5, 12, 0.5, 10, test::kTestSeed + 2);
   const auto d = decompose(g);
   const Cluster* big = &d.clusters[0];
@@ -84,13 +104,14 @@ TEST(ClusterEngineChannelParity, ThreadCountCannotPerturbCharges) {
     if (c.tree_nodes.size() > big->tree_nodes.size()) big = &c;
   }
   std::vector<long double> v0(g.num_nodes(), 0.5L), v1(g.num_nodes(), 0.25L);
-  ParallelEngine eng1(g, 1);
-  ClusterEngineChannel chan1(g, *big);
-  const auto ref = chan1.aggregate_pair(eng1, v0, v1);
+  EngineColoringTransport eng1(g, 1);
+  eng1.bind_cluster(*big);
+  const auto ref = eng1.aggregate_pair(v0, v1);
   for (int threads : {2, 4, 8}) {
-    ParallelEngine eng(g, threads);
-    ClusterEngineChannel chan(g, *big);
-    const auto got = chan.aggregate_pair(eng, v0, v1);
+    EngineColoringTransport eng(g, threads);
+    eng.bind_cluster(*big);
+    EXPECT_EQ(eng.tree().depth, eng1.tree().depth) << threads;
+    const auto got = eng.aggregate_pair(v0, v1);
     EXPECT_EQ(got.first, ref.first) << threads;
     EXPECT_EQ(got.second, ref.second) << threads;
     expect_metrics_eq(eng.metrics(), eng1.metrics(), "t=" + std::to_string(threads));
@@ -177,7 +198,7 @@ TEST(Corollary12EngineStress, InterleavedConcurrentRunsStayDeterministic) {
 
 TEST(Corollary12EngineParity, NarrowBandwidthReroutesChunkedPaths) {
   // A narrow bandwidth forces multi-chunk pipelining through the cluster
-  // channel (ceil(128/B)-1 charged rounds) and the exchanges; parity
+  // tree waves (ceil(128/B)-1 charged rounds) and the exchanges; parity
   // must survive the rerouted accounting.
   auto g = make_clustered(4, 10, 0.5, 8, test::kTestSeed + 3);
   PartialColoringOptions opts;

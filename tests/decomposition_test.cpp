@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "src/benchkit/verify.h"
 #include "src/decomposition/corollary12.h"
 #include "src/decomposition/netdecomp.h"
 #include "src/graph/generators.h"
@@ -103,7 +107,7 @@ TEST(Corollary12, RoundsIndependentOfDiameterShape) {
   EXPECT_LT(res.total_rounds, t11.metrics.rounds / 4);
 }
 
-TEST(ClusterChannelTest, AggregatesOverTree) {
+TEST(ClusterTreeTest, AggregatesOverTree) {
   auto g = make_path(6);
   auto d = decompose(g);
   // Find the largest cluster and aggregate over its tree.
@@ -112,7 +116,8 @@ TEST(ClusterChannelTest, AggregatesOverTree) {
     if (c.members.size() > big->members.size()) big = &c;
   }
   congest::Network net(g);
-  ClusterChannel chan(g, *big);
+  NetworkColoringTransport t(net);
+  t.bind_cluster(*big);
   std::vector<long double> v0(6, 0.0L), v1(6, 0.0L);
   long double e0 = 0, e1 = 0;
   for (NodeId v : big->tree_nodes) {
@@ -121,10 +126,61 @@ TEST(ClusterChannelTest, AggregatesOverTree) {
     e0 += v0[v];
     e1 += v1[v];
   }
-  auto [s0, s1] = chan.aggregate_pair(net, v0, v1);
+  auto [s0, s1] = t.aggregate_pair(v0, v1);
   EXPECT_NEAR(static_cast<double>(s0), static_cast<double>(e0), 1e-8);
   EXPECT_NEAR(static_cast<double>(s1), static_cast<double>(e1), 1e-8);
-  chan.broadcast_bit(net, 1);  // must not throw / violate bandwidth
+  t.broadcast_bit(1);  // must not throw / violate bandwidth
+}
+
+// Reference outputs and charges of the sequential Corollary 1.2 solver,
+// pinned so that a slip shared by both backends (which the Network-vs-
+// engine parity suites cannot see) still fails: colours, the split of
+// charged rounds, and the full Metrics, at the default bandwidth and at
+// B = 12 (multi-chunk pipelining on every cluster-tree wave).
+TEST(Corollary12Golden, ReferenceOutputsAndCharges) {
+  struct Pin {
+    std::uint64_t colors_hash;
+    std::int64_t decomposition_rounds;
+    std::int64_t coloring_rounds;
+    std::int64_t total_rounds;
+    std::int64_t rounds;
+    std::int64_t messages;
+    std::int64_t total_bits;
+    int max_message_bits;
+  };
+  struct Case {
+    std::string name;
+    Graph g;
+    int bandwidth_bits;
+    Pin pin;
+  };
+  const Graph clustered = make_clustered(4, 10, 0.5, 8, test::kTestSeed + 3);
+  const Graph grid = make_grid(6, 7);
+  const std::vector<Case> cases = {
+      {"clustered", clustered, 0,
+       {6945496203001865173ull, 68, 5064, 5132, 5132, 26068, 364387, 28}},
+      {"clustered_b12", clustered, 12,
+       {6945496203001865173ull, 68, 6954, 7022, 7022, 26068, 167827, 12}},
+      {"grid6x7", grid, 0,
+       {11486874383797544485ull, 120, 5196, 5316, 5316, 18106, 255300, 28}},
+      {"grid6x7_b12", grid, 12,
+       {11486874383797544485ull, 120, 7716, 7836, 7836, 18106, 116420, 12}},
+  };
+  for (const Case& c : cases) {
+    PartialColoringOptions opts;
+    opts.bandwidth_bits = c.bandwidth_bits;
+    const Corollary12Result res = corollary12_solve(
+        c.g, ListInstance::random_lists(c.g, 2 * (c.g.max_degree() + 1), 13), opts);
+    const Pin& want = c.pin;
+    EXPECT_EQ(benchkit::checksum_values(res.colors), want.colors_hash) << c.name;
+    EXPECT_EQ(res.decomposition_rounds, want.decomposition_rounds) << c.name;
+    EXPECT_EQ(res.coloring_rounds, want.coloring_rounds) << c.name;
+    EXPECT_EQ(res.total_rounds, want.total_rounds) << c.name;
+    EXPECT_EQ(res.metrics.rounds, want.rounds) << c.name;
+    EXPECT_EQ(res.metrics.messages, want.messages) << c.name;
+    EXPECT_EQ(res.metrics.total_bits, want.total_bits) << c.name;
+    EXPECT_EQ(res.metrics.max_message_bits, want.max_message_bits) << c.name;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Edge cases and property sweeps for Linial's algorithm, list instances
-// and the derandomization channel — the corners the main suites skip.
+// and the seed-fixing ops — the corners the main suites skip.
 #include <gtest/gtest.h>
 
 #include "src/coloring/derand_channel.h"
@@ -92,11 +92,14 @@ TEST(ListInstanceEdge, TrimKeepsFeasibility) {
   EXPECT_EQ(inst.list(0).size(), 5u);
 }
 
-TEST(DerandChannelEdge, AggregatePairMatchesDirectSums) {
+TEST(SeedFixingEdge, AggregatePairMatchesDirectSums) {
   auto g = make_binary_tree(31);
   congest::Network net(g);
-  congest::BfsTree tree = congest::BfsTree::build(net, 0);
-  BfsChannel chan(tree);
+  NetworkColoringTransport t(net);
+  t.build_tree(0);
+  // The depth of the tree build_tree floods, from a throwaway simulator.
+  congest::Network probe(g);
+  const int depth = congest::BfsTree::build(probe, 0).depth();
   std::vector<long double> v0(31), v1(31);
   long double e0 = 0, e1 = 0;
   for (int i = 0; i < 31; ++i) {
@@ -106,14 +109,14 @@ TEST(DerandChannelEdge, AggregatePairMatchesDirectSums) {
     e1 += v1[i];
   }
   const auto before = net.metrics().rounds;
-  auto [s0, s1] = chan.aggregate_pair(net, v0, v1);
+  auto [s0, s1] = t.aggregate_pair(v0, v1);
   EXPECT_NEAR(static_cast<double>(s0), static_cast<double>(e0), 1e-7);
   EXPECT_NEAR(static_cast<double>(s1), static_cast<double>(e1), 1e-7);
   // One tree pass (64-bit values pipelined into ceil(64/B) chunks) plus
   // one extra pipelined round for the second word.
   const int chunks = (64 + net.bandwidth_bits() - 1) / net.bandwidth_bits();
-  EXPECT_EQ(net.metrics().rounds - before, tree.depth() + (chunks - 1) + 1);
-  chan.broadcast_bit(net, 1);
+  EXPECT_EQ(net.metrics().rounds - before, depth + (chunks - 1) + 1);
+  t.broadcast_bit(1);
 }
 
 TEST(Theorem11Edge, AlreadyTrivialInstances) {
