@@ -1,19 +1,14 @@
-// Round-loop microbenchmarks: tiny per-round work over MANY rounds, so
+// Round-loop microbenchmark: tiny per-round work over MANY rounds, so
 // the engine's fixed per-round costs (roster dispatch, inbox epoch
 // checks, flag-plane delivery, barrier + metrics merge) dominate the
-// clock instead of algorithmic work. Two workloads:
-//
-//   engine.roundloop.convergecast — repeated Q32.32 pair-sum
-//     convergecasts over a BFS tree of a connected G(n,p): the Lemma 2.6
-//     inner loop in isolation (dense per-wave rosters, vectorizable
-//     per-node sums, pipelined-chunk charging).
+// clock instead of algorithmic work.
 //
 //   engine.roundloop.bitbroadcast — a color-class MIS from the identity
 //     coloring (every class a single node): n rounds of near-empty
 //     rosters whose only traffic is 1-bit flag-plane joins — the purest
 //     per-round overhead probe the pipeline has.
 //
-// Both verify against straight sequential recomputation, so a dispatch
+// It verifies against straight sequential recomputation, so a dispatch
 // or flag-plane bug fails the bench rather than shipping as a speedup.
 #include <cstdint>
 #include <memory>
@@ -25,7 +20,6 @@
 #include "src/coloring/mis.h"
 #include "src/runtime/derand_program.h"
 #include "src/runtime/parallel_engine.h"
-#include "src/util/bits.h"
 
 namespace dcolor {
 namespace {
@@ -34,56 +28,6 @@ using benchkit::Outcome;
 using benchkit::Prepared;
 using benchkit::RunConfig;
 using benchkit::Scenario;
-
-// Enough waves that the convergecast loop, not engine setup, is timed.
-constexpr int kWaves = 32;
-
-REGISTER_SCENARIO(Scenario{
-    "engine.roundloop.convergecast",
-    "Repeated Q32.32 pair-sum convergecasts over a BFS tree (Lemma 2.6 inner loop)",
-    "gnp", "roundloop", "engine", /*parity=*/"", /*scalable=*/true,
-    [](const RunConfig& c) {
-      const NodeId n = static_cast<NodeId>(benchkit::pick_n(c, 20000, 4000));
-      auto g = std::make_shared<Graph>(bench_scenarios::connected_gnp(n, 8.0, c.seed));
-      auto eng = std::make_shared<runtime::ParallelEngine>(*g, c.threads);
-      auto tree = std::make_shared<runtime::TreeData>();
-      runtime::build_tree_data(*eng, 0, tree.get());
-      // Two value profiles so consecutive waves do not aggregate the
-      // exact same operands; values in [0, 1) keep every encoding exact.
-      auto v0 = std::make_shared<std::vector<long double>>(static_cast<std::size_t>(n));
-      auto v1 = std::make_shared<std::vector<long double>>(static_cast<std::size_t>(n));
-      for (NodeId v = 0; v < n; ++v) {
-        (*v0)[v] = static_cast<long double>(v % 97) / 128.0L;
-        (*v1)[v] = static_cast<long double>(v % 41) / 64.0L;
-      }
-      // Sequential reference: the saturating grand totals the tree sums
-      // must reproduce bit-for-bit.
-      std::uint64_t want0 = 0, want1 = 0;
-      for (NodeId v = 0; v < n; ++v) {
-        want0 = sat_add_u64(want0, congest::to_fixed((*v0)[v]));
-        want1 = sat_add_u64(want1, congest::to_fixed((*v1)[v]));
-      }
-      return Prepared{[g, eng, tree, v0, v1, want0, want1, seed = c.seed] {
-        eng->reset_metrics();
-        runtime::AggregateScratch scratch;
-        std::uint64_t acc = 0;
-        bool ok = true;
-        for (int w = 0; w < kWaves; ++w) {
-          const auto [s0, s1] =
-              runtime::aggregate_fixed_pair_sum(*eng, *tree, *v0, *v1, &scratch);
-          ok = ok && s0 == want0 && s1 == want1;
-          acc ^= s0 + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(w + 1) + s1;
-        }
-        Outcome o;
-        o.n = g->num_nodes();
-        o.m = g->num_edges();
-        o.seed = seed;
-        o.metrics = eng->metrics();
-        o.checksum = acc;
-        o.verified = ok;
-        return o;
-      }};
-    }});
 
 REGISTER_SCENARIO(Scenario{
     "engine.roundloop.bitbroadcast",

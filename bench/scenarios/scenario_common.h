@@ -9,7 +9,6 @@
 #include "src/coloring/linial.h"
 #include "src/coloring/partial_coloring.h"
 #include "src/coloring/theorem11.h"
-#include "src/congest/bfs_tree.h"
 #include "src/graph/generators.h"
 #include "src/graph/properties.h"
 

@@ -42,7 +42,8 @@ constexpr const char* kUsage =
     "  --trace DIR          write one TRACE_<scenario>.json Chrome trace (open in\n"
     "                       Perfetto / chrome://tracing) per instance to DIR\n"
     "  --baseline DIR       compare medians against DIR/BENCH_*.json; regression\n"
-    "                       => exit 2; checksum/rounds/messages/bits drift => exit 1\n"
+    "                       => exit 2; checksum/rounds/messages/bits or metric/*\n"
+    "                       histogram drift => exit 1\n"
     "  --threshold PCT      regression threshold in percent [15]\n"
     "  --abs-slack-ms MS    absolute slack added to every limit [2.0]\n"
     "  --no-calibrate       compare raw medians (default: machine-speed\n"
@@ -315,8 +316,8 @@ int run_cli(int argc, char** argv, std::FILE* out) {
     }
     if (report.drifted > 0) {
       std::fprintf(stderr,
-                   "dcolor-bench: %d record(s) drifted from their baseline in checksum or "
-                   "charged cost\n",
+                   "dcolor-bench: %d record(s) drifted from their baseline in checksum, "
+                   "charged cost or metric histograms\n",
                    report.drifted);
       if (exit_code == kExitOk || exit_code == kExitRegression) exit_code = kExitVerifyFailure;
     }

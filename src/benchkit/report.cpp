@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "src/benchkit/json.h"
@@ -29,6 +30,35 @@ std::string sanitize(const std::string& name) {
     out += std::isalnum(static_cast<unsigned char>(ch)) ? ch : '_';
   }
   return out;
+}
+
+// The metric/* histograms whose count, total, min or max differ between
+// the two records, or that only one of them has, as " key" entries.
+// metric/engine.serial_cutoff is left out: it echoes the
+// DCOLOR_SERIAL_CUTOFF setting, which picks how an engine round is
+// dispatched, never the work, so a cutoff sweep is not drift.
+std::string metric_histogram_drift(const Record& cur, const Record& base) {
+  auto metric_hists = [](const Record& r) {
+    std::map<std::string, const RecordHistogram*> m;
+    for (const RecordHistogram& h : r.histograms) {
+      if (h.key.rfind("metric/", 0) == 0 && h.key != "metric/engine.serial_cutoff") m[h.key] = &h;
+    }
+    return m;
+  };
+  const auto c = metric_hists(cur);
+  const auto b = metric_hists(base);
+  std::string drift;
+  for (const auto& [key, h] : c) {
+    const auto it = b.find(key);
+    if (it == b.end() || h->count != it->second->count || h->total != it->second->total ||
+        h->min != it->second->min || h->max != it->second->max) {
+      drift += " " + key;
+    }
+  }
+  for (const auto& [key, h] : b) {
+    if (c.count(key) == 0) drift += " " + key;
+  }
+  return drift;
 }
 
 }  // namespace
@@ -325,13 +355,17 @@ BaselineReport compare_with_baseline(const std::vector<Record>& current,
     }
     // Determinism drift fails the gate: results are a pure function of
     // the instance, so a changed checksum or charged cost is a behaviour
-    // change. A deliberate one re-baselines in the same change.
+    // change. So is a changed count-valued metric/* histogram (roster
+    // sizes, message batches, cluster sizes): those reproduce run to run,
+    // and a difference means a probe or the work it samples changed. A
+    // deliberate change re-baselines in the same change.
     std::string drift;
     if (current[i].rounds != base.rounds) drift += " rounds";
     if (current[i].messages != base.messages) drift += " messages";
     if (current[i].total_bits != base.total_bits) drift += " total_bits";
     if (current[i].max_message_bits != base.max_message_bits) drift += " max_message_bits";
     if (!base.checksum.empty() && current[i].checksum != base.checksum) drift += " checksum";
+    drift += metric_histogram_drift(current[i], base);
     if (!drift.empty()) {
       line.drift = "drift vs baseline:" + drift;
       line.drifted = true;

@@ -117,8 +117,9 @@ struct BaselineLine {
   double limit_ms = 0.0;     // the wall the current median had to stay under
   bool missing = false;      // no baseline record (new scenario — not a failure)
   bool regressed = false;
-  // Determinism drift: checksum, rounds, messages, total_bits or
-  // max_message_bits differ from the baseline. A failure, like verify.
+  // Determinism drift: checksum, rounds, messages, total_bits,
+  // max_message_bits, or the count/total/min/max of a metric/* histogram
+  // differ from the baseline. A failure, like verify.
   bool drifted = false;
   std::string drift;         // the drifted fields, or why the baseline is incomparable
   // Regressed lines only: the ranked per-phase attribution table

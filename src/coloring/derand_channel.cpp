@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "src/coloring/mis.h"
-#include "src/util/bits.h"
 
 namespace dcolor {
 
@@ -15,26 +14,13 @@ LinialResult NetworkColoringTransport::linial(const InducedSubgraph& active,
 }
 
 void NetworkColoringTransport::build_tree(NodeId root) {
-  cluster_ = nullptr;
-  tree_ = congest::BfsTree::build(*net_, root);
+  congest::build_tree_data(*net_, root, &tree_);
+  form_ = congest::TreeForm::kBfs;
 }
 
 void NetworkColoringTransport::bind_cluster(const Cluster& cluster) {
-  tree_.reset();
-  cluster_ = &cluster;
-  cluster_depth_ = cluster.tree_depth;
-  const NodeId n = net_->graph().num_nodes();
-  cluster_level_.assign(n, -1);
-  cluster_parent_.assign(n, -1);
-  // Recompute depths from parents (tree_nodes are in insertion order, so a
-  // parent always precedes its children).
-  for (std::size_t i = 0; i < cluster.tree_nodes.size(); ++i) {
-    const NodeId v = cluster.tree_nodes[i];
-    const NodeId p = cluster.tree_parent[i];
-    cluster_parent_[v] = p;
-    cluster_level_[v] = (p < 0) ? 0 : cluster_level_[p] + 1;
-    cluster_depth_ = std::max(cluster_depth_, cluster_level_[v]);
-  }
+  congest::bind_cluster_tree(net_->graph(), cluster, &tree_);
+  form_ = congest::TreeForm::kCluster;
 }
 
 void NetworkColoringTransport::exchange_along(const std::vector<std::vector<NodeId>>& targets,
@@ -65,69 +51,18 @@ void NetworkColoringTransport::exchange_along(const std::vector<std::vector<Node
 
 std::pair<long double, long double> NetworkColoringTransport::aggregate_pair(
     const std::vector<long double>& values0, const std::vector<long double>& values1) {
-  if (cluster_ != nullptr) return aggregate_cluster_pair(values0, values1);
-  assert(tree_.has_value() && "build_tree or bind_cluster first");
-  // BFS-tree form: the first word is aggregated over the tree, the
-  // second rides the same wave as one extra pipelined chunk (summed in
-  // memory, one charged round). This under-charges a 128-bit wave and
-  // leaves the second sum unquantized — the accounting gap documented at
-  // EngineColoringTransport::aggregate_pair (ROADMAP item 4).
-  const long double s0 =
-      congest::from_fixed(congest::aggregate_fixed_sum(*net_, *tree_, values0));
-  long double s1 = 0.0L;
-  for (long double v : values1) s1 += v;
-  net_->tick(1);
-  return {s0, s1};
+  congest::Metrics cost;
+  const auto sums = congest::aggregate_pair_wave(tree_, form_, net_->bandwidth_bits(), values0,
+                                                 values1, &acc_, &cost);
+  net_->charge(cost);
+  return sums;
 }
 
-void NetworkColoringTransport::broadcast_bit(int bit) {
-  if (cluster_ != nullptr) return broadcast_cluster_bit(bit);
-  assert(tree_.has_value() && "build_tree or bind_cluster first");
-  tree_->broadcast(*net_, static_cast<std::uint64_t>(bit), 1);
-}
-
-std::pair<long double, long double> NetworkColoringTransport::aggregate_cluster_pair(
-    const std::vector<long double>& values0, const std::vector<long double>& values1) {
-  congest::Network& net = *net_;
-  // Convergecast over the cluster tree: one wave, both sums (the second
-  // 64-bit word rides pipelined chunks, charged below).
-  std::vector<std::uint64_t> acc0(net.graph().num_nodes(), 0);
-  std::vector<std::uint64_t> acc1(net.graph().num_nodes(), 0);
-  for (NodeId v : cluster_->tree_nodes) {
-    acc0[v] = congest::to_fixed(values0[v]);
-    acc1[v] = congest::to_fixed(values1[v]);
-  }
-  const int bw = net.bandwidth_bits();
-  const int chunks = (128 + bw - 1) / bw;
-  for (int lev = cluster_depth_; lev >= 1; --lev) {
-    for (NodeId v : cluster_->tree_nodes) {
-      if (cluster_level_[v] != lev) continue;
-      const int first_bits = std::min(64, bw);
-      const std::uint64_t first =
-          first_bits >= 64 ? acc0[v] : (acc0[v] & ((std::uint64_t{1} << first_bits) - 1));
-      net.send(v, cluster_parent_[v], first, first_bits);
-    }
-    net.advance_round();
-    for (NodeId v : cluster_->tree_nodes) {
-      if (cluster_level_[v] != lev) continue;
-      const NodeId p = cluster_parent_[v];
-      acc0[p] = sat_add_u64(acc0[p], acc0[v]);
-      acc1[p] = sat_add_u64(acc1[p], acc1[v]);
-    }
-  }
-  if (chunks > 1) net.tick(chunks - 1);
-  const NodeId root = cluster_->root;
-  return {congest::from_fixed(acc0[root]), congest::from_fixed(acc1[root])};
-}
-
-void NetworkColoringTransport::broadcast_cluster_bit(int bit) {
-  for (int lev = 0; lev < cluster_depth_; ++lev) {
-    for (NodeId v : cluster_->tree_nodes) {
-      if (cluster_level_[v] != lev + 1) continue;
-      net_->send(cluster_parent_[v], v, static_cast<std::uint64_t>(bit), 1);
-    }
-    net_->advance_round();
-  }
+void NetworkColoringTransport::broadcast_bit(int) {
+  // The chosen bit goes down every tree edge; the caller already knows
+  // it, so only the charge remains.
+  assert(form_ != congest::TreeForm::kUnbound && "build_tree or bind_cluster first");
+  net_->charge(congest::wave_cost(tree_, 1, net_->bandwidth_bits()));
 }
 
 std::vector<bool> NetworkColoringTransport::conflict_mis(

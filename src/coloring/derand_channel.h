@@ -16,22 +16,23 @@
 //
 // Fixing one seed bit (Lemma 2.6) needs (a) a sum of two per-node
 // conditional expectations and (b) a one-bit broadcast of the chosen
-// value, both over a rooted tree that each transport owns as plain state:
-// build_tree binds a BFS tree of the whole communication graph (Theorem
-// 1.1, O(D) rounds per bit); the concrete transports' bind_cluster binds
-// a network-decomposition cluster's associated tree instead (Corollary
-// 1.2, O(log^3 n) rounds per bit, with the decomposition's congestion
-// factor charged by the caller).
+// value, both over a rooted tree that each transport owns as plain state
+// (a congest::TreeData): build_tree binds a BFS tree of the whole
+// communication graph (Theorem 1.1, O(D) rounds per bit); the concrete
+// transports' bind_cluster binds a network-decomposition cluster's
+// associated tree instead (Corollary 1.2, O(log^3 n) rounds per bit, with
+// the decomposition's congestion factor charged by the caller). Both
+// transports run these waves through one sequential kernel
+// (src/congest/tree.h) and charge its closed-form cost.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/coloring/linial.h"
-#include "src/congest/bfs_tree.h"
 #include "src/congest/network.h"
+#include "src/congest/tree.h"
 #include "src/decomposition/netdecomp.h"
 
 namespace dcolor {
@@ -88,9 +89,9 @@ class ColoringTransport {
   virtual const congest::Metrics& metrics() const = 0;
 };
 
-// Reference transport: the sequential CONGEST simulator. Every primitive
-// is exactly the call sequence the pre-transport implementation issued,
-// so metrics are unchanged and the parallel engine has a golden model.
+// Reference transport: the sequential CONGEST simulator runs Linial, the
+// exchanges and the conflict MIS round by round, the golden model of the
+// parallel engine's programs.
 class NetworkColoringTransport final : public ColoringTransport {
  public:
   explicit NetworkColoringTransport(congest::Network& net) : net_(&net) {}
@@ -104,7 +105,8 @@ class NetworkColoringTransport final : public ColoringTransport {
   // configuration).
   void build_tree(NodeId root) override;
   // Binds `cluster`'s associated tree (the Corollary 1.2 configuration);
-  // issues no communication. `cluster` must outlive the binding.
+  // issues no communication and throws CongestViolation on a tree edge
+  // that is not a graph edge.
   void bind_cluster(const Cluster& cluster);
   void exchange_along(const std::vector<std::vector<NodeId>>& targets,
                       const std::vector<char>& senders,
@@ -122,18 +124,12 @@ class NetworkColoringTransport final : public ColoringTransport {
   congest::Network& network() { return *net_; }
 
  private:
-  std::pair<long double, long double> aggregate_cluster_pair(
-      const std::vector<long double>& values0, const std::vector<long double>& values1);
-  void broadcast_cluster_bit(int bit);
-
   congest::Network* net_;
   // The bound Lemma 2.6 tree: a BFS tree (build_tree) or a cluster tree
-  // (bind_cluster); binding one unbinds the other.
-  std::optional<congest::BfsTree> tree_;
-  const Cluster* cluster_ = nullptr;
-  int cluster_depth_ = 0;
-  std::vector<int> cluster_level_;      // node -> tree depth (-1 if not in tree)
-  std::vector<NodeId> cluster_parent_;  // node -> tree parent
+  // (bind_cluster); binding one replaces the other.
+  congest::TreeData tree_;
+  congest::TreeForm form_ = congest::TreeForm::kUnbound;
+  std::vector<std::uint64_t> acc_;  // wave kernel scratch
 };
 
 }  // namespace dcolor

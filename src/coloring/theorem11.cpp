@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/coloring/linial.h"
-#include "src/congest/bfs_tree.h"
 #include "src/graph/properties.h"
 #include "src/obs/obs.h"
 

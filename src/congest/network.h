@@ -57,6 +57,15 @@ class Network {
   // charged idle time, e.g. conservatively accounted pipelining).
   void tick(std::int64_t rounds);
 
+  // Charges traffic whose cost the caller computed in closed form (a
+  // Lemma 2.6 tree wave, congest::wave_cost). Like tick, no messages may
+  // be staged. The next network.round span and round_messages probe start
+  // after the charge, so the wave's traffic cannot leak into them.
+  void charge(const Metrics& m) {
+    metrics_.merge(m);
+    obs_mark_round_start();
+  }
+
   // Messages received by v in the most recently completed round.
   std::span<const Incoming> inbox(NodeId v) const {
     return {inbox_[v].data(), inbox_[v].size()};

@@ -4,9 +4,11 @@
 // decomposition already supplies the tree), running the clusters of one
 // decomposition color class CONCURRENTLY over the shared thread pool.
 //
-// Every program charges the exact CONGEST costs of the Network reference
-// (NetworkColoringTransport::bind_cluster): identical rounds, messages,
-// bit totals and max message size. Combined with the shared driver
+// Every primitive charges the exact CONGEST costs of the Network
+// reference: the cluster-tree waves run through the same wave kernel
+// (src/congest/tree.h) as NetworkColoringTransport::bind_cluster's, and
+// the other programs charge identical rounds, messages, bit totals and
+// max message size. Combined with the shared driver
 // corollary12_run this yields runtime::corollary12_coloring with
 // bit-identical colors, decomposition, round accounting (including the
 // kappa congestion factor and the per-class global pruning round) and
@@ -51,7 +53,7 @@ class EngineCorollary12Transports final : public Corollary12Transports {
   // many independent clusters at once, not from splitting one (small)
   // cluster across threads. Each pool worker owns its transport for a
   // whole run_cluster_class call, so transports never contend, and their
-  // TreeData and AggregateScratch persist across clusters, so the steady
+  // TreeData and wave scratch persist across clusters, so the steady
   // state allocates nothing per cluster.
   EngineColoringTransport& slot(int worker);
 

@@ -107,6 +107,9 @@ class ParallelEngine {
   // Charged idle rounds (pipelined chunks etc.), as Network::tick.
   void tick(std::int64_t rounds) { metrics_.rounds += rounds; }
 
+  // Charges closed-form traffic (a Lemma 2.6 tree wave), as Network::charge.
+  void charge(const congest::Metrics& m) { metrics_.merge(m); }
+
   const congest::Metrics& metrics() const { return metrics_; }
   // Delivery epochs are monotonic and independent of the round counter,
   // so resetting metrics cannot alias stale inbox stamps.
@@ -115,8 +118,8 @@ class ParallelEngine {
   // Phases dispatching at most this many nodes run inline on the
   // coordinator instead of waking the pool: identical chunks in identical
   // order, so results and Metrics cannot differ — only the condvar
-  // round-trip disappears. Small tree-wave phases (a handful of nodes,
-  // depth-many per aggregate) are the common case this serves.
+  // round-trip disappears. Sparse rostered phases (the MIS classes, the
+  // BFS flood frontier) are the common case this serves.
   static constexpr std::size_t kSerialPhaseCutoff = 2048;
 
   // The cutoff actually in effect for this engine: kSerialPhaseCutoff

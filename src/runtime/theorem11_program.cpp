@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/congest/bfs_tree.h"  // to_fixed/from_fixed codec
 #include "src/runtime/linial_program.h"
 
 namespace dcolor::runtime {
@@ -20,12 +19,12 @@ LinialResult EngineColoringTransport::linial(const InducedSubgraph& active,
 
 void EngineColoringTransport::build_tree(NodeId root) {
   build_tree_data(eng_, root, &tree_);
-  form_ = TreeForm::kBfs;
+  form_ = congest::TreeForm::kBfs;
 }
 
 void EngineColoringTransport::bind_cluster(const Cluster& cluster) {
-  cluster_tree_data(*g_, cluster, &tree_);
-  form_ = TreeForm::kCluster;
+  congest::bind_cluster_tree(*g_, cluster, &tree_);
+  form_ = congest::TreeForm::kCluster;
 }
 
 void EngineColoringTransport::exchange_along(const std::vector<std::vector<NodeId>>& targets,
@@ -43,35 +42,18 @@ void EngineColoringTransport::exchange_along(const std::vector<std::vector<NodeI
 
 std::pair<long double, long double> EngineColoringTransport::aggregate_pair(
     const std::vector<long double>& values0, const std::vector<long double>& values1) {
-  assert(form_ != TreeForm::kUnbound && "build_tree or bind_cluster first");
-  if (form_ == TreeForm::kCluster) {
-    const auto [sum0, sum1] = aggregate_fixed_pair_sum(eng_, tree_, values0, values1, &scratch_);
-    return {congest::from_fixed(sum0), congest::from_fixed(sum1)};
-  }
-  // BFS-tree form, exactly as the Network transport's: the first word is
-  // aggregated over the tree, the second rides the same wave as one extra
-  // pipelined chunk (summed in memory, one charged round).
-  //
-  // Known accounting gap (ROADMAP item 4): that second sum is an
-  // unquantized long double, and the wave is charged ceil(64/B) rounds
-  // beyond the depth where a real 128-bit wave costs ceil(128/B) - 1
-  // (the cluster-tree form above): 2 instead of 3 per seed bit at B=40,
-  // 6 instead of 10 at B=12, one extra round at B>=128. Switching to the
-  // faithful form changes colours and rounds, so it waits for a
-  // deliberate re-baseline.
-  const long double s0 =
-      congest::from_fixed(aggregate_fixed_sum(eng_, tree_, values0, &scratch_));
-  long double s1 = 0.0L;
-  for (long double v : values1) s1 += v;
-  eng_.tick(1);
-  return {s0, s1};
+  congest::Metrics cost;
+  const auto sums = congest::aggregate_pair_wave(tree_, form_, eng_.bandwidth_bits(), values0,
+                                                 values1, &acc_, &cost);
+  eng_.charge(cost);
+  return sums;
 }
 
-void EngineColoringTransport::broadcast_bit(int bit) {
-  assert(form_ != TreeForm::kUnbound && "build_tree or bind_cluster first");
-  // Both tree forms broadcast alike: depth rounds, one 1-bit flag-plane
-  // message per tree edge.
-  tree_broadcast(eng_, tree_, static_cast<std::uint64_t>(bit), 1);
+void EngineColoringTransport::broadcast_bit(int) {
+  // The chosen bit goes down every tree edge; the caller already knows
+  // it, so only the charge remains.
+  assert(form_ != congest::TreeForm::kUnbound && "build_tree or bind_cluster first");
+  eng_.charge(congest::wave_cost(tree_, 1, eng_.bandwidth_bits()));
 }
 
 std::vector<bool> EngineColoringTransport::conflict_mis(

@@ -1,19 +1,21 @@
 // Theorem 1.1 on the parallel engine: a ColoringTransport whose
-// primitives (Linial input coloring, conflict-edge exchanges, the Lemma
-// 2.6 seed-fixing ops over a BFS or cluster tree, the color-class MIS of
-// the conflict-resolution step) are the shared derandomization
-// NodePrograms (derand_program.h) executed by the ParallelEngine,
-// charging the exact CONGEST costs of the NetworkColoringTransport
-// reference. Combined with the shared core in
-// src/coloring/partial_coloring.cpp / theorem11.cpp this yields
-// bit-identical colors, iteration counts, per-iteration stats and
-// Metrics at every thread count.
+// primitives (Linial input coloring, conflict-edge exchanges, the color-
+// class MIS of the conflict-resolution step) are the shared
+// derandomization NodePrograms (derand_program.h) executed by the
+// ParallelEngine, and whose Lemma 2.6 seed-fixing ops over a BFS or
+// cluster tree run through the same sequential wave kernel
+// (src/congest/tree.h) as the NetworkColoringTransport reference. Every
+// primitive charges the reference's exact CONGEST costs. Combined with
+// the shared core in src/coloring/partial_coloring.cpp / theorem11.cpp
+// this yields bit-identical colors, iteration counts, per-iteration stats
+// and Metrics at every thread count.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "src/coloring/theorem11.h"
+#include "src/congest/tree.h"
 #include "src/runtime/derand_program.h"
 #include "src/runtime/parallel_engine.h"
 
@@ -28,13 +30,14 @@ class EngineColoringTransport final : public ColoringTransport {
 
   LinialResult linial(const InducedSubgraph& active, const std::vector<std::int64_t>* initial,
                       std::int64_t initial_colors) override;
-  // Floods a BFS tree from `root` into the transport's TreeData and binds
-  // it (the Theorem 1.1 configuration).
+  // Floods a BFS tree from `root` on the engine and binds it (the
+  // Theorem 1.1 configuration).
   void build_tree(NodeId root) override;
   // Rebinds the same TreeData to `cluster`'s associated tree (the
-  // Corollary 1.2 configuration); issues no communication. Touches only
-  // the cluster's nodes, so one transport serves every cluster a pool
-  // worker runs without allocating in the steady state.
+  // Corollary 1.2 configuration); issues no communication and throws
+  // CongestViolation on a tree edge that is not a graph edge. Touches
+  // only the cluster's nodes, so one transport serves every cluster a
+  // pool worker runs without allocating in the steady state.
   void bind_cluster(const Cluster& cluster);
   void exchange_along(const std::vector<std::vector<NodeId>>& targets,
                       const std::vector<char>& senders,
@@ -50,18 +53,15 @@ class EngineColoringTransport final : public ColoringTransport {
   const congest::Metrics& metrics() const override { return eng_.metrics(); }
 
   ParallelEngine& engine() { return eng_; }
-  const TreeData& tree() const { return tree_; }
+  const congest::TreeData& tree() const { return tree_; }
 
  private:
-  // Which tree tree_ holds; each has its own aggregate_pair form.
-  enum class TreeForm : char { kUnbound, kBfs, kCluster };
-
   const Graph* g_;
   int num_threads_;
   ParallelEngine eng_;
-  TreeData tree_;
-  TreeForm form_ = TreeForm::kUnbound;
-  AggregateScratch scratch_;
+  congest::TreeData tree_;
+  congest::TreeForm form_ = congest::TreeForm::kUnbound;
+  std::vector<std::uint64_t> acc_;  // wave kernel scratch
 };
 
 // Drop-in parallel counterpart of dcolor::theorem11_solve_per_component

@@ -1,9 +1,9 @@
 // Steady-state allocation audit of the engine round loop: a counting
 // global operator new verifies that, once warm, the hot paths of the
 // derandomization pipelines allocate NOTHING per round — the engine's
-// dispatch (serial fast path and pool path), the Lemma 2.6
-// aggregate/broadcast ops over BFS and cluster trees (including
-// cluster rebinds), a full Linial run, and a full color-class MIS run.
+// dispatch (serial fast path and pool path), the Lemma 2.6 wave kernel's
+// aggregate/broadcast ops over BFS and cluster trees (including cluster
+// rebinds), a full Linial run, and a full color-class MIS run.
 // Guards tentpole (c) of the round-loop optimization PR: any hot-path
 // heap traffic reintroduced later fails here, not in a profiler.
 //
@@ -18,9 +18,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/coloring/derand_channel.h"
+#include "src/congest/network.h"
+#include "src/congest/tree.h"
 #include "src/decomposition/netdecomp.h"
 #include "src/graph/generators.h"
 #include "src/runtime/corollary12_program.h"
@@ -70,32 +74,44 @@ std::uint64_t allocs() { return g_news.load(std::memory_order_relaxed); }
 // The Lemma 2.6 tree ops (pair aggregation + bit broadcast) over a
 // BFS tree: the innermost loop of every Theorem 1.1 seed-fixing
 // iteration. After one warm call per op, repeated calls must not touch
-// the heap — at 1 thread (serial fast path) and at 2 (pool dispatch).
+// the heap — through both transports (the wave kernel, with each
+// transport's scratch), on the engine at 1 and 2 threads, and through the
+// kernel's own entry points.
 TEST(AllocAudit, BfsTreeOpsSteadyState) {
   const Graph g = make_grid(12, 12);
   std::vector<long double> v0(static_cast<std::size_t>(g.num_nodes()), 0.25L);
   std::vector<long double> v1(static_cast<std::size_t>(g.num_nodes()), 0.5L);
-  for (const int threads : {1, 2}) {
-    ParallelEngine eng(g, threads);
-    TreeData tree;
-    build_tree_data(eng, 0, &tree);
-    AggregateScratch scratch;
-    // Warm: scratch buffers size themselves, thread_locals materialize.
-    aggregate_fixed_pair_sum(eng, tree, v0, v1, &scratch);
-    aggregate_fixed_sum(eng, tree, v0, &scratch);
-    tree_broadcast(eng, tree, 1, 1);
-    tree_broadcast(eng, tree, 0x1abc, 13);
-
+  auto audit = [&](ColoringTransport& t, const std::string& where) {
+    t.build_tree(0);
+    // Warm: scratch buffers size themselves.
+    t.aggregate_pair(v0, v1);
+    t.broadcast_bit(1);
     const std::uint64_t before = allocs();
     for (int i = 0; i < 5; ++i) {
-      aggregate_fixed_pair_sum(eng, tree, v0, v1, &scratch);
-      aggregate_fixed_sum(eng, tree, v0, &scratch);
-      tree_broadcast(eng, tree, 1, 1);       // flag-plane broadcast
-      tree_broadcast(eng, tree, 0x1abc, 13); // slot-plane broadcast
+      t.aggregate_pair(v0, v1);
+      t.broadcast_bit(1);
     }
-    const std::uint64_t delta = allocs() - before;
-    EXPECT_EQ(delta, 0u) << "tree ops allocated at threads=" << threads;
+    EXPECT_EQ(allocs() - before, 0u) << "tree ops allocated: " << where;
+  };
+  congest::Network net(g);
+  NetworkColoringTransport ref(net);
+  audit(ref, "Network transport");
+  for (const int threads : {1, 2}) {
+    EngineColoringTransport eng(g, threads);
+    audit(eng, "engine transport, threads=" + std::to_string(threads));
   }
+
+  congest::TreeData tree;
+  congest::build_tree_data(net, 0, &tree);
+  std::vector<std::uint64_t> acc;
+  congest::tree_fixed_sum(tree, v0, &acc);
+  const std::uint64_t before = allocs();
+  for (int i = 0; i < 5; ++i) {
+    congest::tree_fixed_sum(tree, v0, &acc);
+    net.charge(congest::wave_cost(tree, 128, net.bandwidth_bits()));
+    net.charge(congest::wave_cost(tree, 13, net.bandwidth_bits()));
+  }
+  EXPECT_EQ(allocs() - before, 0u) << "wave kernel allocated";
 }
 
 // A full Linial run on an engine that has already executed one: the

@@ -7,9 +7,11 @@
 // parity failure paths, the --trace Chrome-trace emission, the
 // --baseline regression gate tripping on an injected slowdown with a
 // phase-attribution table naming the guilty phase, and the same gate
-// failing on determinism drift (checksum or charged cost).
+// failing on determinism drift (checksum, charged cost or a metric/*
+// histogram).
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -25,7 +27,11 @@
 #include "src/benchkit/runner.h"
 #include "src/benchkit/scenario.h"
 #include "src/benchkit/verify.h"
+#include "src/congest/tree.h"
+#include "src/graph/generators.h"
 #include "src/obs/obs.h"
+#include "src/runtime/derand_program.h"
+#include "src/runtime/parallel_engine.h"
 
 namespace dcolor::benchkit {
 namespace {
@@ -49,6 +55,9 @@ Outcome busy_outcome(std::uint64_t salt, const RunConfig& c) {
   o.metrics.max_message_bits = 8;
   o.checksum = checksum_values({static_cast<std::int64_t>(salt), o.n});
   o.verified = true;
+  // A deterministic count-valued probe, so records carry a metric/*
+  // histogram for the baseline gate to compare.
+  obs::value(obs::kCatMetric, "testkit.salt", static_cast<std::int64_t>(salt));
   return o;
 }
 
@@ -119,6 +128,27 @@ REGISTER_SCENARIO(Scenario{
     "testkit.scalable", "thread-expanded test scenario", "synthetic", "testkit", "engine", "",
     /*scalable=*/true, [](const RunConfig& c) {
       return Prepared{[c] { return busy_outcome(7, c); }};
+    }});
+
+// Floods a BFS tree on the parallel engine, so its records carry the
+// engine's metric/* probes (roster, round messages, serial cutoff).
+REGISTER_SCENARIO(Scenario{
+    "testkit.engine", "engine BFS flood test scenario", "grid", "testkit", "engine", "",
+    /*scalable=*/false, [](const RunConfig& c) {
+      return Prepared{[c] {
+        const Graph g = make_grid(6, 6);
+        runtime::ParallelEngine eng(g, 2);
+        congest::TreeData tree;
+        runtime::build_tree_data(eng, 0, &tree);
+        Outcome o;
+        o.n = g.num_nodes();
+        o.m = g.num_edges();
+        o.seed = c.seed;
+        o.metrics = eng.metrics();
+        o.checksum = checksum_values({tree.depth, static_cast<std::int64_t>(tree.level_nodes.size())});
+        o.verified = tree.depth == 10;
+        return o;
+      }};
     }});
 
 // Opens cat="phase" obs spans during its run, so the profiled rep records
@@ -259,7 +289,7 @@ TEST(BenchkitJson, TableWriterEmitsNumbersAsNumbers) {
 // ------------------------------------------------------------ registry
 
 TEST(BenchkitRegistry, TestScenariosRegisteredAndUnique) {
-  EXPECT_EQ(all_scenarios().size(), 10u);  // exactly this suite's scenarios
+  EXPECT_EQ(all_scenarios().size(), 11u);  // exactly this suite's scenarios
 }
 
 // A duplicate name would silently drop a workload; registration aborts
@@ -271,8 +301,8 @@ TEST(BenchkitRegistryDeathTest, DuplicateRegistrationAborts) {
 
 TEST(BenchkitRegistry, ListRespectsMinScenarios) {
   EXPECT_EQ(cli({"--list"}), kExitOk);
-  EXPECT_EQ(cli({"--list", "--min-scenarios", "10"}), kExitOk);
-  EXPECT_EQ(cli({"--list", "--min-scenarios", "11"}), kExitVerifyFailure);
+  EXPECT_EQ(cli({"--list", "--min-scenarios", "11"}), kExitOk);
+  EXPECT_EQ(cli({"--list", "--min-scenarios", "12"}), kExitVerifyFailure);
 }
 
 TEST(BenchkitCli, RejectsInvalidThreadCounts) {
@@ -744,6 +774,107 @@ TEST(BenchkitBaseline, DriftFromBaselineFailsLikeVerification) {
     EXPECT_NE(line.find(std::string("drift vs baseline: ") + d.field), std::string::npos)
         << line;
   }
+}
+
+// The count-valued metric/* histograms are deterministic, so the gate
+// compares them like a checksum: a baseline histogram with a different
+// max, or missing altogether, drifts its record and exits 1. Time-valued
+// histograms are never compared.
+TEST(BenchkitBaseline, MetricHistogramDriftFailsLikeVerification) {
+  const fs::path current = fresh_dir("hist_drift_current");
+  ASSERT_EQ(cli({"--quick", "--reps", "1", "--filter", "testkit.busy", "--json-dir",
+                 current.string()}),
+            kExitOk);
+  struct Doctor {
+    const char* leaf;
+    bool drifts;
+    void (*apply)(Record*);
+  };
+  const Doctor doctors[] = {
+      {"max", true,
+       [](Record* r) {
+         for (RecordHistogram& h : r->histograms) {
+           if (h.key == "metric/testkit.salt") h.max += 1;
+         }
+       }},
+      {"missing", true,
+       [](Record* r) {
+         std::erase_if(r->histograms,
+                       [](const RecordHistogram& h) { return h.key == "metric/testkit.salt"; });
+       }},
+      {"timing", false,
+       [](Record* r) {
+         RecordHistogram h;
+         h.key = "phase/testkit.elsewhere";
+         h.count = 1;
+         h.total = h.min = h.max = 12345;
+         r->histograms.push_back(h);
+       }},
+  };
+  for (const Doctor& d : doctors) {
+    const fs::path doctored = fresh_dir(std::string("hist_drift_") + d.leaf);
+    for (const char* leaf : {"BENCH_testkit_busy_a.json", "BENCH_testkit_busy_b.json"}) {
+      Record rec;
+      std::string err;
+      ASSERT_TRUE(read_record_file((current / leaf).string(), &rec, &err)) << err;
+      if (std::string(leaf) == "BENCH_testkit_busy_b.json") d.apply(&rec);
+      ASSERT_TRUE(write_record_file(doctored.string(), rec, &err)) << err;
+    }
+    const auto [code, out] =
+        cli_capture({"--quick", "--reps", "1", "--filter", "testkit.busy", "--baseline",
+                     doctored.string(), "--threshold", "400", "--abs-slack-ms", "5"});
+    EXPECT_EQ(code, d.drifts ? kExitVerifyFailure : kExitOk) << d.leaf << "\n" << out;
+    const std::size_t at = out.find("BENCH_testkit_busy_b.json");
+    ASSERT_NE(at, std::string::npos) << out;
+    const std::string line = out.substr(at, out.find('\n', at) - at);
+    EXPECT_EQ(line.find("DRIFT") != std::string::npos, d.drifts) << line;
+    if (d.drifts) {
+      EXPECT_NE(line.find("drift vs baseline: metric/testkit.salt"), std::string::npos) << line;
+    }
+  }
+}
+
+// metric/engine.serial_cutoff echoes DCOLOR_SERIAL_CUTOFF, a dispatch
+// setting that never changes the work, so sweeping the cutoff against a
+// baseline recorded at the default is no drift. The work-counting engine
+// probes are still compared.
+TEST(BenchkitBaseline, SerialCutoffSettingIsNotDrift) {
+  ASSERT_EQ(unsetenv("DCOLOR_SERIAL_CUTOFF"), 0);
+  const fs::path base = fresh_dir("cutoff_base");
+  ASSERT_EQ(cli({"--quick", "--reps", "1", "--filter", "testkit.engine", "--json-dir",
+                 base.string()}),
+            kExitOk);
+  Record rec;
+  std::string err;
+  ASSERT_TRUE(read_record_file((base / "BENCH_testkit_engine.json").string(), &rec, &err)) << err;
+  bool has_cutoff = false, has_roster = false;
+  for (const RecordHistogram& h : rec.histograms) {
+    has_cutoff = has_cutoff || h.key == "metric/engine.serial_cutoff";
+    has_roster = has_roster || h.key == "metric/engine.roster";
+  }
+  ASSERT_TRUE(has_cutoff && has_roster);
+
+  for (const char* cutoff : {"0", "1000000"}) {
+    ASSERT_EQ(setenv("DCOLOR_SERIAL_CUTOFF", cutoff, 1), 0);
+    const auto [code, out] =
+        cli_capture({"--quick", "--reps", "1", "--filter", "testkit.engine", "--baseline",
+                     base.string(), "--threshold", "400", "--abs-slack-ms", "50"});
+    EXPECT_EQ(code, kExitOk) << cutoff << "\n" << out;
+    EXPECT_EQ(out.find("DRIFT"), std::string::npos) << cutoff << "\n" << out;
+  }
+  ASSERT_EQ(unsetenv("DCOLOR_SERIAL_CUTOFF"), 0);
+
+  // A doctored work probe still drifts.
+  const fs::path doctored = fresh_dir("cutoff_doctored");
+  for (RecordHistogram& h : rec.histograms) {
+    if (h.key == "metric/engine.roster") h.total += 1;
+  }
+  ASSERT_TRUE(write_record_file(doctored.string(), rec, &err)) << err;
+  const auto [code, out] =
+      cli_capture({"--quick", "--reps", "1", "--filter", "testkit.engine", "--baseline",
+                   doctored.string(), "--threshold", "400", "--abs-slack-ms", "50"});
+  EXPECT_EQ(code, kExitVerifyFailure) << out;
+  EXPECT_NE(out.find("drift vs baseline: metric/engine.roster"), std::string::npos) << out;
 }
 
 TEST(BenchkitBaseline, CalibrationNeutralizesUniformMachineSpeedChange) {

@@ -6,7 +6,6 @@
 #include "src/coloring/list_instance.h"
 #include "src/coloring/mis.h"
 #include "src/coloring/partial_coloring.h"
-#include "src/congest/bfs_tree.h"
 #include "src/graph/generators.h"
 #include "src/graph/properties.h"
 #include "tests/test_support.h"

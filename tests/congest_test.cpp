@@ -1,14 +1,14 @@
 #include <gtest/gtest.h>
 
-#include "src/congest/bfs_tree.h"
 #include "src/congest/network.h"
+#include "src/congest/tree.h"
 #include "src/graph/generators.h"
 #include "src/graph/properties.h"
 
 namespace dcolor {
 namespace {
 
-using congest::BfsTree;
+using congest::TreeData;
 using congest::CongestViolation;
 using congest::Metrics;
 using congest::Network;
@@ -169,11 +169,15 @@ TEST(NetworkViolations, ResetMetricsClearsEdgeStamps) {
 TEST(BfsTreeTest, BuildsCorrectLevels) {
   auto g = make_path(8);
   Network net(g);
-  BfsTree t = BfsTree::build(net, 0);
-  EXPECT_EQ(t.depth(), 7);
-  for (NodeId v = 0; v < 8; ++v) EXPECT_EQ(t.levels()[v], v);
-  EXPECT_EQ(t.parent(3), 2);
-  EXPECT_EQ(t.parent(0), -1);
+  TreeData t;
+  congest::build_tree_data(net, 0, &t);
+  EXPECT_EQ(t.depth, 7);
+  for (NodeId v = 0; v < 8; ++v) EXPECT_EQ(t.level[v], v);
+  EXPECT_EQ(t.parent[3], 2);
+  EXPECT_EQ(t.parent[0], -1);
+  // One node per level, listed level by level.
+  EXPECT_EQ(t.level_off, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(t.level_nodes, (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 6, 7}));
   // Flooding cost: eccentricity + 1 rounds.
   EXPECT_EQ(net.metrics().rounds, 8);
 }
@@ -181,48 +185,87 @@ TEST(BfsTreeTest, BuildsCorrectLevels) {
 TEST(BfsTreeTest, DepthMatchesEccentricityOnGrid) {
   auto g = make_grid(5, 5);
   Network net(g);
-  BfsTree t = BfsTree::build(net, 0);
+  TreeData t;
+  congest::build_tree_data(net, 0, &t);
   auto dist = bfs_distances(g, 0);
   int ecc = 0;
   for (int d : dist) ecc = std::max(ecc, d);
-  EXPECT_EQ(t.depth(), ecc);
+  EXPECT_EQ(t.depth, ecc);
+  // Every level roster holds exactly the nodes at that distance, ascending.
+  for (int l = 0; l <= t.depth; ++l) {
+    std::vector<NodeId> want;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (dist[v] == l) want.push_back(v);
+    }
+    const std::vector<NodeId> got(t.level_nodes.begin() + t.level_off[l],
+                                  t.level_nodes.begin() + t.level_off[l + 1]);
+    EXPECT_EQ(got, want) << "level " << l;
+  }
 }
 
 TEST(BfsTreeTest, AggregateSums) {
   auto g = make_binary_tree(15);
   Network net(g);
-  BfsTree t = BfsTree::build(net, 0);
-  std::vector<std::uint64_t> vals(15);
+  TreeData t;
+  congest::build_tree_data(net, 0, &t);
+  std::vector<long double> vals(15);
   std::uint64_t expect = 0;
   for (int i = 0; i < 15; ++i) {
-    vals[i] = static_cast<std::uint64_t>(i * 3 + 1);
-    expect += vals[i];
+    vals[i] = static_cast<long double>(i * 3 + 1);
+    expect += congest::to_fixed(vals[i]);
   }
-  const auto before = net.metrics().rounds;
-  const std::uint64_t got =
-      t.aggregate(net, vals, 16, [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(got, expect);
-  EXPECT_EQ(net.metrics().rounds - before, t.depth());
+  std::vector<std::uint64_t> acc;
+  EXPECT_EQ(congest::tree_fixed_sum(t, vals, &acc), expect);
+  // Each node's accumulator ends as its subtree's sum: node 1's subtree
+  // in a heap-ordered binary tree is {1, 3, 4, 7, 8, 9, 10}.
+  std::uint64_t sub1 = 0;
+  for (int i : {1, 3, 4, 7, 8, 9, 10}) sub1 += congest::to_fixed(vals[i]);
+  EXPECT_EQ(acc[1], sub1);
+  // A 16-bit value fits one message: depth rounds, one per tree edge.
+  const auto before = net.metrics();
+  net.charge(congest::wave_cost(t, 16, net.bandwidth_bits()));
+  EXPECT_EQ(net.metrics().rounds - before.rounds, t.depth);
+  EXPECT_EQ(net.metrics().messages - before.messages, 14);
+  EXPECT_EQ(net.metrics().total_bits - before.total_bits, 14 * 16);
+}
+
+TEST(BfsTreeTest, AggregateSaturates) {
+  auto g = make_path(3);
+  Network net(g);
+  TreeData t;
+  congest::build_tree_data(net, 0, &t);
+  // Each encoding fits 63 bits, the three together overflow 64: the sum
+  // clamps instead of wrapping.
+  const std::vector<long double> vals(3, 2.0e9L);
+  std::vector<std::uint64_t> acc;
+  EXPECT_EQ(congest::tree_fixed_sum(t, vals, &acc), ~std::uint64_t{0});
 }
 
 TEST(BfsTreeTest, AggregateWideValuesChargePipelining) {
   auto g = make_path(10);
   Network net(g, 20);
-  BfsTree t = BfsTree::build(net, 0);
-  std::vector<std::uint64_t> vals(10, 1);
-  const auto before = net.metrics().rounds;
-  t.aggregate(net, vals, 64, [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  // 64 bits over 20-bit bandwidth = 4 chunks: depth + 3 rounds.
-  EXPECT_EQ(net.metrics().rounds - before, t.depth() + 3);
+  TreeData t;
+  congest::build_tree_data(net, 0, &t);
+  const Metrics cost = congest::wave_cost(t, 64, net.bandwidth_bits());
+  // 64 bits over 20-bit bandwidth = 4 chunks: depth + 3 rounds; the
+  // first 20-bit chunk is the one message per tree edge.
+  EXPECT_EQ(cost.rounds, t.depth + 3);
+  EXPECT_EQ(cost.messages, 9);
+  EXPECT_EQ(cost.total_bits, 9 * 20);
+  EXPECT_EQ(cost.max_message_bits, 20);
 }
 
 TEST(BfsTreeTest, BroadcastReachesAll) {
   auto g = make_grid(4, 4);
   Network net(g);
-  BfsTree t = BfsTree::build(net, 0);
-  const auto before = net.metrics().rounds;
-  t.broadcast(net, 1, 1);
-  EXPECT_EQ(net.metrics().rounds - before, t.depth());
+  TreeData t;
+  congest::build_tree_data(net, 0, &t);
+  const auto before = net.metrics();
+  net.charge(congest::wave_cost(t, 1, net.bandwidth_bits()));
+  EXPECT_EQ(net.metrics().rounds - before.rounds, t.depth);
+  // Every node but the root hears the bit once.
+  EXPECT_EQ(net.metrics().messages - before.messages, 15);
+  EXPECT_EQ(net.metrics().total_bits - before.total_bits, 15);
 }
 
 TEST(FixedPoint, RoundTrip) {
@@ -235,14 +278,16 @@ TEST(FixedPoint, RoundTrip) {
 TEST(FixedPoint, AggregateFixedSumMatches) {
   auto g = make_cycle(12);
   Network net(g);
-  BfsTree t = BfsTree::build(net, 0);
+  TreeData t;
+  congest::build_tree_data(net, 0, &t);
   std::vector<long double> vals(12);
   long double expect = 0;
   for (int i = 0; i < 12; ++i) {
     vals[i] = 1.0L / (i + 1);
     expect += vals[i];
   }
-  const long double got = congest::from_fixed(congest::aggregate_fixed_sum(net, t, vals));
+  std::vector<std::uint64_t> acc;
+  const long double got = congest::from_fixed(congest::tree_fixed_sum(t, vals, &acc));
   EXPECT_NEAR(static_cast<double>(got), static_cast<double>(expect), 1e-8);
 }
 

@@ -16,8 +16,8 @@
 
 #include "src/coloring/derand_channel.h"
 #include "src/coloring/linial.h"
-#include "src/congest/bfs_tree.h"
 #include "src/congest/network.h"
+#include "src/congest/tree.h"
 #include "src/graph/generators.h"
 #include "src/runtime/theorem11_program.h"
 #include "tests/test_support.h"
@@ -96,15 +96,19 @@ TEST(TransportConformance, SeedFixingScenarioMatches) {
       eng.build_tree(0);
       expect_metrics_eq(ref.metrics(), eng.metrics(), name + " after build_tree");
       {
-        // The engine's tree is congest::BfsTree::build's, node by node.
+        // The engine's tree is the Network flood's, node by node and
+        // level roster by level roster.
         congest::Network bfs_net(g);
-        const congest::BfsTree bfs = congest::BfsTree::build(bfs_net, 0);
-        expect_metrics_eq(bfs_net.metrics(), eng.metrics(), name + " BfsTree::build");
-        const runtime::TreeData& tree = eng.tree();
-        EXPECT_EQ(tree.depth, bfs.depth()) << name;
+        congest::TreeData bfs;
+        congest::build_tree_data(bfs_net, 0, &bfs);
+        expect_metrics_eq(bfs_net.metrics(), eng.metrics(), name + " Network flood");
+        const congest::TreeData& tree = eng.tree();
+        EXPECT_EQ(tree.depth, bfs.depth) << name;
+        EXPECT_EQ(tree.level_off, bfs.level_off) << name;
+        EXPECT_EQ(tree.level_nodes, bfs.level_nodes) << name;
         for (NodeId v = 0; v < n; ++v) {
-          ASSERT_EQ(tree.level[v], bfs.levels()[v]) << name << " v=" << v;
-          ASSERT_EQ(tree.parent[v], bfs.parent(v)) << name << " v=" << v;
+          ASSERT_EQ(tree.level[v], bfs.level[v]) << name << " v=" << v;
+          ASSERT_EQ(tree.parent[v], bfs.parent[v]) << name << " v=" << v;
         }
       }
 

@@ -5,7 +5,7 @@
 #include "src/coloring/derand_channel.h"
 #include "src/coloring/linial.h"
 #include "src/coloring/theorem11.h"
-#include "src/congest/bfs_tree.h"
+#include "src/congest/tree.h"
 #include "src/graph/generators.h"
 #include "tests/test_support.h"
 
@@ -99,7 +99,9 @@ TEST(SeedFixingEdge, AggregatePairMatchesDirectSums) {
   t.build_tree(0);
   // The depth of the tree build_tree floods, from a throwaway simulator.
   congest::Network probe(g);
-  const int depth = congest::BfsTree::build(probe, 0).depth();
+  congest::TreeData probe_tree;
+  congest::build_tree_data(probe, 0, &probe_tree);
+  const int depth = probe_tree.depth;
   std::vector<long double> v0(31), v1(31);
   long double e0 = 0, e1 = 0;
   for (int i = 0; i < 31; ++i) {

@@ -17,7 +17,8 @@
 //     Corollary 1.2 pipelines.
 //  4. Histograms — log-bucket boundaries and quantile estimation, capture
 //     from spans/counters/value probes, saturation on pathological
-//     totals, shard-merge determinism (the count-valued metric/*
+//     totals, a charged tree wave staying out of the next network.round
+//     sample, shard-merge determinism (the count-valued metric/*
 //     histograms of an engine workload are bit-identical at every thread
 //     count), and a multi-writer stress test that doubles as the TSan
 //     exercise for the lock-free write path.
@@ -35,6 +36,8 @@
 
 #include "src/benchkit/json.h"
 #include "src/coloring/theorem11.h"
+#include "src/congest/network.h"
+#include "src/congest/tree.h"
 #include "src/decomposition/corollary12.h"
 #include "src/graph/generators.h"
 #include "src/obs/obs.h"
@@ -495,6 +498,54 @@ TEST(ObsHistogram, TotalsSaturateInsteadOfOverflowing) {
   EXPECT_EQ(h->total, std::numeric_limits<std::int64_t>::max());
   EXPECT_EQ(h->max, std::numeric_limits<std::int64_t>::max());
   EXPECT_EQ(h->buckets[63], 2);
+}
+
+// A Lemma 2.6 wave is charged in closed form (Network::charge), not run
+// as rounds. Charged between two real rounds, its traffic must not leak
+// into the second round's network.round span or its
+// metric/network.round_messages sample.
+TEST(ObsHistogram, ChargedWaveStaysOutOfTheNextNetworkRound) {
+  const Graph g = make_path(6);
+  congest::TreeData tree;
+  {
+    congest::Network probe(g);
+    congest::build_tree_data(probe, 0, &tree);
+  }
+  const congest::Metrics wave = congest::wave_cost(tree, 64, 40);
+  ASSERT_EQ(wave.messages, 5);
+
+  obs::TraceSession session;
+  congest::Network net(g, 40);
+  net.send(0, 1, 1, 1);
+  net.advance_round();
+  net.charge(wave);
+  net.send(2, 3, 1, 1);
+  net.send(3, 4, 1, 1);
+  net.advance_round();
+  session.stop();
+  EXPECT_EQ(net.metrics().messages, 1 + 5 + 2);
+
+  const obs::HistogramSnapshot* h =
+      find_hist(session.histograms(), "metric", "network.round_messages");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 2);
+  EXPECT_EQ(h->total, 3);
+  EXPECT_EQ(h->min, 1);
+  EXPECT_EQ(h->max, 2);
+
+  JsonValue v;
+  std::string err;
+  ASSERT_TRUE(json_parse(session.chrome_trace_json(), &v, &err)) << err;
+  std::vector<double> span_messages, span_bits;
+  for (const JsonValue& e : v.find("traceEvents")->array) {
+    if (e.string_or("name", "") != "network.round") continue;
+    const JsonValue* args = e.find("args");
+    ASSERT_NE(args, nullptr);
+    span_messages.push_back(args->number_or("messages", -1));
+    span_bits.push_back(args->number_or("bits", -1));
+  }
+  EXPECT_EQ(span_messages, (std::vector<double>{1, 2}));
+  EXPECT_EQ(span_bits, (std::vector<double>{1, 2}));
 }
 
 void expect_hist_eq(const obs::HistogramSnapshot& a, const obs::HistogramSnapshot& b,
