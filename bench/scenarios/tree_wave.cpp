@@ -7,8 +7,9 @@
 //     run every seed-fixing wave through this kernel, so this times the
 //     inner loop of every theorem11.* and corollary12.* scenario.
 //
-// The sums verify against a straight sequential saturating total, so a
-// fold that drops or double-counts a node fails the bench.
+// The sums verify against a saturating total in node-id order (the
+// kernel sums in level order), so a sweep that drops or double-counts a
+// node fails the bench.
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -55,12 +56,11 @@ REGISTER_SCENARIO(Scenario{
       }
       return Prepared{[g, net, tree, v0, v1, want0, want1, seed = c.seed] {
         net->reset_metrics();
-        std::vector<std::uint64_t> scratch;
         std::uint64_t acc = 0;
         bool ok = true;
         for (int w = 0; w < kWaves; ++w) {
-          const std::uint64_t s0 = congest::tree_fixed_sum(*tree, *v0, &scratch);
-          const std::uint64_t s1 = congest::tree_fixed_sum(*tree, *v1, &scratch);
+          const std::uint64_t s0 = congest::tree_fixed_sum(*tree, *v0);
+          const std::uint64_t s1 = congest::tree_fixed_sum(*tree, *v1);
           net->charge(congest::wave_cost(*tree, 128, net->bandwidth_bits()));
           ok = ok && s0 == want0 && s1 == want1;
           acc ^= s0 + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(w + 1) + s1;

@@ -14,6 +14,19 @@
 #include <cstring>
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+#define DCOLOR_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DCOLOR_ASAN 1
+#endif
+#endif
+#if defined(DCOLOR_ASAN)
+// Drains ASan's free-memory quarantine and returns it to the OS. gcc
+// ships no header declaring it.
+extern "C" void __sanitizer_purge_allocator();
+#endif
+
 namespace dcolor::benchkit {
 
 double median(std::vector<double> values) {
@@ -72,6 +85,11 @@ bool reset_peak_rss() {
 
 RssWindow rss_window_begin() {
   RssWindow w;
+#if defined(DCOLOR_ASAN)
+  // Memory an earlier window freed stays resident in the quarantine and
+  // would count toward this window's peak.
+  __sanitizer_purge_allocator();
+#endif
 #if defined(__linux__)
   if (reset_peak_rss() && vm_hwm_kb() >= 0) {
     w.reset_worked = true;

@@ -53,7 +53,7 @@ std::pair<long double, long double> NetworkColoringTransport::aggregate_pair(
     const std::vector<long double>& values0, const std::vector<long double>& values1) {
   congest::Metrics cost;
   const auto sums = congest::aggregate_pair_wave(tree_, form_, net_->bandwidth_bits(), values0,
-                                                 values1, &acc_, &cost);
+                                                 values1, &cost);
   net_->charge(cost);
   return sums;
 }

@@ -129,7 +129,6 @@ class NetworkColoringTransport final : public ColoringTransport {
   // (bind_cluster); binding one replaces the other.
   congest::TreeData tree_;
   congest::TreeForm form_ = congest::TreeForm::kUnbound;
-  std::vector<std::uint64_t> acc_;  // wave kernel scratch
 };
 
 }  // namespace dcolor

@@ -1,8 +1,11 @@
 #include "src/congest/tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "src/util/bits.h"
@@ -90,19 +93,10 @@ void index_tree_levels(std::span<const NodeId> nodes, TreeData* out) {
   }
 }
 
-std::uint64_t tree_fixed_sum(const TreeData& tree, const std::vector<long double>& values,
-                             std::vector<std::uint64_t>* acc) {
-  // level_nodes read backwards visits all of level l+1 before any node of
-  // level l, so each node's children have landed before it passes its
-  // subtree sum on to its parent.
-  acc->resize(values.size());
-  for (const NodeId v : tree.level_nodes) (*acc)[v] = to_fixed(values[v]);
-  for (std::size_t i = tree.level_nodes.size(); i-- > 1;) {
-    const NodeId v = tree.level_nodes[i];
-    const NodeId p = tree.parent[v];
-    (*acc)[p] = sat_add_u64((*acc)[p], (*acc)[v]);
-  }
-  return (*acc)[tree.root];
+std::uint64_t tree_fixed_sum(const TreeData& tree, const std::vector<long double>& values) {
+  std::uint64_t s = 0;
+  for (const NodeId v : tree.level_nodes) s = sat_add_u64(s, to_fixed(values[v]));
+  return s;
 }
 
 Metrics wave_cost(const TreeData& tree, int value_bits, int bandwidth) {
@@ -120,13 +114,12 @@ std::pair<long double, long double> aggregate_pair_wave(const TreeData& tree, Tr
                                                         int bandwidth,
                                                         const std::vector<long double>& values0,
                                                         const std::vector<long double>& values1,
-                                                        std::vector<std::uint64_t>* acc,
                                                         Metrics* cost) {
   assert(form != TreeForm::kUnbound && "build_tree or bind_cluster first");
-  const long double sum0 = from_fixed(tree_fixed_sum(tree, values0, acc));
+  const long double sum0 = from_fixed(tree_fixed_sum(tree, values0));
   if (form == TreeForm::kCluster) {
     *cost = wave_cost(tree, 128, bandwidth);
-    return {sum0, from_fixed(tree_fixed_sum(tree, values1, acc))};
+    return {sum0, from_fixed(tree_fixed_sum(tree, values1))};
   }
   *cost = wave_cost(tree, 64, bandwidth);
   cost->rounds += 1;
@@ -137,9 +130,30 @@ std::pair<long double, long double> aggregate_pair_wave(const TreeData& tree, Tr
 
 std::uint64_t to_fixed(long double x) {
   assert(x >= 0.0L);
-  const long double scaled = x * 4294967296.0L;  // 2^32
-  if (scaled >= 18446744073709551615.0L) return ~std::uint64_t{0};
-  return static_cast<std::uint64_t>(llroundl(scaled));
+  if constexpr (std::numeric_limits<long double>::digits == 64 &&
+                std::endian::native == std::endian::little) {
+    // x87 extended: a 64-bit significand m with an explicit integer bit,
+    // then sign and a 15-bit exponent e, so x * 2^32 == m * 2^(e - 16414).
+    // Integer decode of the expression below, exact for every finite
+    // non-negative x and +inf: round half away from zero as llroundl
+    // does, 2^63 for scaled values in [2^63, 2^64 - 1), where llroundl
+    // overflows to LLONG_MIN, and ~0 from 2^64 - 1 on.
+    std::uint64_t m = 0;
+    std::uint16_t se = 0;
+    std::memcpy(&m, &x, sizeof m);
+    std::memcpy(&se, reinterpret_cast<const unsigned char*>(&x) + sizeof m, sizeof se);
+    const int exp2 = (se & 0x7fff) - 16414;
+    if (exp2 > 0) return ~std::uint64_t{0};
+    if (exp2 == 0) return m == ~std::uint64_t{0} ? m : std::uint64_t{1} << 63;
+    const int shift = -exp2;
+    if (shift > 64) return 0;
+    const std::uint64_t half = (m >> (shift - 1)) & 1;
+    return (shift == 64 ? 0 : m >> shift) + half;
+  } else {
+    const long double scaled = x * 4294967296.0L;  // 2^32
+    if (scaled >= 18446744073709551615.0L) return ~std::uint64_t{0};
+    return static_cast<std::uint64_t>(llroundl(scaled));
+  }
 }
 
 long double from_fixed(std::uint64_t f) {

@@ -6,10 +6,10 @@
 // graph (Theorem 1.1, O(D) rounds per bit) or a network-decomposition
 // cluster's associated tree (Corollary 1.2). In a wave, what level l
 // sends depends only on what level l+1 sent, so the kernel computes a
-// whole wave in one sequential sweep over the levels and charges its
-// CONGEST cost in closed form (wave_cost). The per-round NodeProgram form
-// of both waves lives on in tests/tree_wave_test.cpp, which holds the
-// kernel to it.
+// whole wave in one sequential pass over the tree's nodes and charges
+// its CONGEST cost in closed form (wave_cost). The per-round NodeProgram
+// form of both waves lives on in tests/tree_wave_test.cpp, which holds
+// the kernel to it.
 #pragma once
 
 #include <cstdint>
@@ -60,14 +60,12 @@ void bind_cluster_tree(const Graph& g, const Cluster& cluster, TreeData* out);
 // The shared tail of the tree builders.
 void index_tree_levels(std::span<const NodeId> nodes, TreeData* out);
 
-// The convergecast of one sum: encodes every tree node's value (Q32.32,
-// to_fixed) into acc, then folds each level into the parents, deepest
-// level first, with saturating adds. Returns the root's sum. Saturating
-// addition of non-negative values is order-independent, so this is bit
-// for bit what the per-round wave delivers to the root. `acc` is per-node
-// scratch the caller owns, so the steady state allocates nothing.
-std::uint64_t tree_fixed_sum(const TreeData& tree, const std::vector<long double>& values,
-                             std::vector<std::uint64_t>* acc);
+// The convergecast of one sum: the saturating sum of every tree node's
+// value, Q32.32-encoded (to_fixed), in one linear pass over level_nodes.
+// A saturating sum of non-negative values is min(sum, 2^64 - 1) under
+// any grouping, so this is bit for bit what the per-round wave, which
+// folds each subtree into its parent, delivers to the root. No scratch.
+std::uint64_t tree_fixed_sum(const TreeData& tree, const std::vector<long double>& values);
 
 // The CONGEST cost of one wave that moves a `value_bits`-bit value over
 // every tree edge, pipelined in bandwidth-sized chunks: depth +
@@ -94,10 +92,12 @@ std::pair<long double, long double> aggregate_pair_wave(const TreeData& tree, Tr
                                                         int bandwidth,
                                                         const std::vector<long double>& values0,
                                                         const std::vector<long double>& values1,
-                                                        std::vector<std::uint64_t>* acc,
                                                         Metrics* cost);
 
 // Fixed-point codec of the aggregated values. 32 fractional bits.
+// to_fixed(x), x >= 0, is llroundl(x * 2^32) below 2^64 - 1 and ~0 from
+// there on; on x87 extended long double it decodes the bits instead of
+// calling llroundl, with the same result for every input.
 std::uint64_t to_fixed(long double x);
 long double from_fixed(std::uint64_t f);
 

@@ -121,8 +121,14 @@ void AlongExchangeProgram::on_round(std::int64_t, NodeId v, const Inbox& in, Out
 }
 
 Roster AlongExchangeProgram::roster(std::int64_t round) {
-  if (round == 1 && from_ == nullptr) return Roster::none();
-  return Roster::all();
+  if (round == 0) {
+    roster_scratch_->clear();
+    for (NodeId v = 0; v < g_->num_nodes(); ++v) {
+      if ((*senders_)[v]) roster_scratch_->push_back(v);
+    }
+    return Roster::of(*roster_scratch_);
+  }
+  return from_ == nullptr ? Roster::none() : Roster::all();
 }
 
 MisColorClassesProgram::MisColorClassesProgram(const InducedSubgraph& active,

@@ -36,14 +36,17 @@ void build_tree_data(ParallelEngine& eng, NodeId root, congest::TreeData* out);
 // targets[v] must be an ascending subset of v's adjacency. If `from` is
 // non-null, (*from)[v] collects the ids v received from, ascending.
 // Callers charge extra pipelined chunks via ParallelEngine::tick.
+// `roster_scratch` holds the round-0 roster (the senders); reserve(n) it
+// once so repeated exchanges never allocate.
 class AlongExchangeProgram final : public NodeProgram {
  public:
   AlongExchangeProgram(const Graph& g, const std::vector<std::vector<NodeId>>& targets,
                        const std::vector<char>& senders,
                        const std::vector<std::uint64_t>& payloads, int first_chunk_bits,
-                       std::vector<std::vector<NodeId>>* from)
+                       std::vector<std::vector<NodeId>>* from,
+                       std::vector<NodeId>* roster_scratch)
       : g_(&g), targets_(&targets), senders_(&senders), payloads_(&payloads),
-        first_chunk_bits_(first_chunk_bits), from_(from) {
+        first_chunk_bits_(first_chunk_bits), from_(from), roster_scratch_(roster_scratch) {
     mask_ = first_chunk_bits_ >= 64 ? ~std::uint64_t{0}
                                     : ((std::uint64_t{1} << first_chunk_bits_) - 1);
   }
@@ -51,8 +54,9 @@ class AlongExchangeProgram final : public NodeProgram {
   void init(NodeId v, Outbox& out) override;
   void on_round(std::int64_t round, NodeId v, const Inbox& in, Outbox& out) override;
   bool done(std::int64_t rounds) override { return rounds == 1; }
-  // Without a collection sink the delivery phase is a no-op for every
-  // node: dispatch nobody.
+  // Init dispatches only the senders. The delivery phase dispatches
+  // everyone when there is a collection sink (each (*from)[v] is
+  // cleared) and nobody otherwise.
   Roster roster(std::int64_t round) override;
 
  private:
@@ -63,6 +67,7 @@ class AlongExchangeProgram final : public NodeProgram {
   int first_chunk_bits_;
   std::uint64_t mask_;
   std::vector<std::vector<NodeId>>* from_;
+  std::vector<NodeId>* roster_scratch_;
 };
 
 // MIS by iterating the color classes of a proper coloring (the engine

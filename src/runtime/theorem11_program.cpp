@@ -9,7 +9,9 @@ namespace dcolor::runtime {
 
 EngineColoringTransport::EngineColoringTransport(const Graph& g, int num_threads,
                                                  int bandwidth_bits)
-    : g_(&g), num_threads_(num_threads), eng_(g, num_threads, bandwidth_bits) {}
+    : g_(&g), num_threads_(num_threads), eng_(g, num_threads, bandwidth_bits) {
+  exchange_roster_.reserve(static_cast<std::size_t>(g.num_nodes()));
+}
 
 LinialResult EngineColoringTransport::linial(const InducedSubgraph& active,
                                              const std::vector<std::int64_t>* initial,
@@ -35,7 +37,8 @@ void EngineColoringTransport::exchange_along(const std::vector<std::vector<NodeI
   const int bw = eng_.bandwidth_bits();
   const int chunks = (bits + bw - 1) / bw;
   const int first_bits = std::min(bits, bw);
-  AlongExchangeProgram prog(*g_, targets, senders, payloads, first_bits, from);
+  AlongExchangeProgram prog(*g_, targets, senders, payloads, first_bits, from,
+                            &exchange_roster_);
   eng_.run(prog);
   if (chunks > 1) eng_.tick(chunks - 1);
 }
@@ -44,7 +47,7 @@ std::pair<long double, long double> EngineColoringTransport::aggregate_pair(
     const std::vector<long double>& values0, const std::vector<long double>& values1) {
   congest::Metrics cost;
   const auto sums = congest::aggregate_pair_wave(tree_, form_, eng_.bandwidth_bits(), values0,
-                                                 values1, &acc_, &cost);
+                                                 values1, &cost);
   eng_.charge(cost);
   return sums;
 }

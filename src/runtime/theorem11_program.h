@@ -61,7 +61,7 @@ class EngineColoringTransport final : public ColoringTransport {
   ParallelEngine eng_;
   congest::TreeData tree_;
   congest::TreeForm form_ = congest::TreeForm::kUnbound;
-  std::vector<std::uint64_t> acc_;  // wave kernel scratch
+  std::vector<NodeId> exchange_roster_;  // exchange senders, reserve(n)
 };
 
 // Drop-in parallel counterpart of dcolor::theorem11_solve_per_component

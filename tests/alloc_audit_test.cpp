@@ -3,7 +3,8 @@
 // derandomization pipelines allocate NOTHING per round — the engine's
 // dispatch (serial fast path and pool path), the Lemma 2.6 wave kernel's
 // aggregate/broadcast ops over BFS and cluster trees (including cluster
-// rebinds), a full Linial run, and a full color-class MIS run.
+// rebinds), the conflict-edge exchanges, a full Linial run, and a full
+// color-class MIS run.
 // Guards tentpole (c) of the round-loop optimization PR: any hot-path
 // heap traffic reintroduced later fails here, not in a profiler.
 //
@@ -74,9 +75,8 @@ std::uint64_t allocs() { return g_news.load(std::memory_order_relaxed); }
 // The Lemma 2.6 tree ops (pair aggregation + bit broadcast) over a
 // BFS tree: the innermost loop of every Theorem 1.1 seed-fixing
 // iteration. After one warm call per op, repeated calls must not touch
-// the heap — through both transports (the wave kernel, with each
-// transport's scratch), on the engine at 1 and 2 threads, and through the
-// kernel's own entry points.
+// the heap — through both transports (the wave kernel), on the engine at
+// 1 and 2 threads, and through the kernel's own entry points.
 TEST(AllocAudit, BfsTreeOpsSteadyState) {
   const Graph g = make_grid(12, 12);
   std::vector<long double> v0(static_cast<std::size_t>(g.num_nodes()), 0.25L);
@@ -103,15 +103,47 @@ TEST(AllocAudit, BfsTreeOpsSteadyState) {
 
   congest::TreeData tree;
   congest::build_tree_data(net, 0, &tree);
-  std::vector<std::uint64_t> acc;
-  congest::tree_fixed_sum(tree, v0, &acc);
   const std::uint64_t before = allocs();
   for (int i = 0; i < 5; ++i) {
-    congest::tree_fixed_sum(tree, v0, &acc);
+    congest::tree_fixed_sum(tree, v0);
     net.charge(congest::wave_cost(tree, 128, net.bandwidth_bits()));
     net.charge(congest::wave_cost(tree, 13, net.bandwidth_bits()));
   }
   EXPECT_EQ(allocs() - before, 0u) << "wave kernel allocated";
+}
+
+// The one-round conflict-edge exchanges of every Lemma 2.1 phase: the
+// transport reserves the sender roster once, so on a warm transport
+// repeated exchanges — with and without a `from` sink — allocate nothing
+// but what the caller's `from` lists need, and those are warm too. The
+// graph is wide enough that the 2-thread delivery phase wakes the pool.
+TEST(AllocAudit, ExchangeAlongSteadyState) {
+  const Graph g = make_grid(48, 48);
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  ASSERT_GT(n, ParallelEngine::kSerialPhaseCutoff);
+  std::vector<std::vector<NodeId>> targets(n);
+  std::vector<char> senders(n, 0);
+  std::vector<std::uint64_t> payloads(n);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto nb = g.neighbors(v);
+    targets[static_cast<std::size_t>(v)].assign(nb.begin(), nb.end());
+    senders[static_cast<std::size_t>(v)] = v % 3 == 0;
+    payloads[static_cast<std::size_t>(v)] = static_cast<std::uint64_t>(v) * 2654435761u;
+  }
+  for (const int threads : {1, 2}) {
+    EngineColoringTransport t(g, threads);
+    std::vector<std::vector<NodeId>> from(n);
+    t.exchange_along(targets, senders, payloads, 64, &from);  // warm
+    t.exchange_along(targets, senders, payloads, 64, nullptr);
+    const std::uint64_t before = allocs();
+    for (int i = 0; i < 5; ++i) {
+      t.exchange_along(targets, senders, payloads, 64, &from);
+      t.exchange_along(targets, senders, payloads, 64, nullptr);
+    }
+    EXPECT_EQ(allocs() - before, 0u) << "exchange allocated at threads=" << threads;
+    ASSERT_EQ(from[1].size(), 1u) << threads;  // node 1 hears sender 0 only
+    EXPECT_EQ(from[1][0], 0) << threads;
+  }
 }
 
 // A full Linial run on an engine that has already executed one: the

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "src/congest/network.h"
 #include "src/congest/tree.h"
 #include "src/graph/generators.h"
@@ -214,13 +219,7 @@ TEST(BfsTreeTest, AggregateSums) {
     vals[i] = static_cast<long double>(i * 3 + 1);
     expect += congest::to_fixed(vals[i]);
   }
-  std::vector<std::uint64_t> acc;
-  EXPECT_EQ(congest::tree_fixed_sum(t, vals, &acc), expect);
-  // Each node's accumulator ends as its subtree's sum: node 1's subtree
-  // in a heap-ordered binary tree is {1, 3, 4, 7, 8, 9, 10}.
-  std::uint64_t sub1 = 0;
-  for (int i : {1, 3, 4, 7, 8, 9, 10}) sub1 += congest::to_fixed(vals[i]);
-  EXPECT_EQ(acc[1], sub1);
+  EXPECT_EQ(congest::tree_fixed_sum(t, vals), expect);
   // A 16-bit value fits one message: depth rounds, one per tree edge.
   const auto before = net.metrics();
   net.charge(congest::wave_cost(t, 16, net.bandwidth_bits()));
@@ -237,8 +236,7 @@ TEST(BfsTreeTest, AggregateSaturates) {
   // Each encoding fits 63 bits, the three together overflow 64: the sum
   // clamps instead of wrapping.
   const std::vector<long double> vals(3, 2.0e9L);
-  std::vector<std::uint64_t> acc;
-  EXPECT_EQ(congest::tree_fixed_sum(t, vals, &acc), ~std::uint64_t{0});
+  EXPECT_EQ(congest::tree_fixed_sum(t, vals), ~std::uint64_t{0});
 }
 
 TEST(BfsTreeTest, AggregateWideValuesChargePipelining) {
@@ -275,6 +273,72 @@ TEST(FixedPoint, RoundTrip) {
   }
 }
 
+// The Q32.32 encode as it reads without the x87 bit decode: llroundl of
+// the scaled value, clamped to ~0 from 2^64 - 1 on.
+std::uint64_t llroundl_to_fixed(long double x) {
+  const long double scaled = x * 4294967296.0L;  // 2^32
+  if (scaled >= 18446744073709551615.0L) return ~std::uint64_t{0};
+  return static_cast<std::uint64_t>(llroundl(scaled));
+}
+
+// to_fixed must equal the llroundl expression on every non-negative
+// input, bit for bit: the seed-fixing sums, and so every colour, depend
+// on it.
+TEST(FixedPoint, ToFixedMatchesLlroundl) {
+  std::vector<long double> xs = {0.0L,
+                                 std::numeric_limits<long double>::denorm_min(),
+                                 std::numeric_limits<long double>::denorm_min() * 12345.0L,
+                                 std::numeric_limits<long double>::min(),
+                                 std::numeric_limits<long double>::min() -
+                                     std::numeric_limits<long double>::denorm_min(),
+                                 std::numeric_limits<long double>::max(),
+                                 std::numeric_limits<long double>::infinity()};
+  auto with_neighbours = [&xs](long double x) {
+    xs.push_back(x);
+    xs.push_back(nextafterl(x, 0.0L));
+    xs.push_back(nextafterl(x, std::numeric_limits<long double>::infinity()));
+  };
+  // Exact halves (k + 1/2) * 2^-32, small k and k up to 2^62.
+  for (std::uint64_t k = 0; k < 2048; ++k) {
+    with_neighbours(ldexpl(static_cast<long double>(k) + 0.5L, -32));
+  }
+  for (int b = 11; b < 63; ++b) {
+    for (const std::uint64_t k : {std::uint64_t{1} << b, (std::uint64_t{1} << b) - 1,
+                                  (std::uint64_t{1} << b) + 1}) {
+      with_neighbours(ldexpl(static_cast<long double>(k) + 0.5L, -32));
+    }
+  }
+  // Scaled values in [0.5, 1), in [2^63, 2^64) and at 2^64 - 1; x >= 2^32.
+  for (int i = 0; i <= 256; ++i) {
+    with_neighbours(ldexpl(0.5L + i / 512.0L, -32));
+    with_neighbours(ldexpl(1.0L + i / 256.0L, 31));
+  }
+  with_neighbours(ldexpl(18446744073709551615.0L, -32));
+  with_neighbours(ldexpl(1.0L, 31));
+  with_neighbours(ldexpl(1.0L, 32));
+  with_neighbours(ldexpl(1.0L, 33));
+  with_neighbours(ldexpl(1.0L, 100));
+  // Random significands at every binary exponent, subnormals included.
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (int e = std::numeric_limits<long double>::min_exponent - 64;
+       e <= std::numeric_limits<long double>::max_exponent; ++e) {
+    for (int i = 0; i < 4; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const std::uint64_t m = (state >> 1) | (std::uint64_t{1} << 63);
+      xs.push_back(ldexpl(static_cast<long double>(m), e - 64));
+    }
+  }
+  std::size_t mismatches = 0;
+  for (const long double x : xs) {
+    ASSERT_GE(x, 0.0L);
+    if (congest::to_fixed(x) != llroundl_to_fixed(x) && ++mismatches <= 5) {
+      ADD_FAILURE() << "to_fixed(" << static_cast<double>(x) << ") = " << congest::to_fixed(x)
+                    << ", llroundl expression = " << llroundl_to_fixed(x);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << xs.size() << " inputs";
+}
+
 TEST(FixedPoint, AggregateFixedSumMatches) {
   auto g = make_cycle(12);
   Network net(g);
@@ -286,8 +350,7 @@ TEST(FixedPoint, AggregateFixedSumMatches) {
     vals[i] = 1.0L / (i + 1);
     expect += vals[i];
   }
-  std::vector<std::uint64_t> acc;
-  const long double got = congest::from_fixed(congest::tree_fixed_sum(t, vals, &acc));
+  const long double got = congest::from_fixed(congest::tree_fixed_sum(t, vals));
   EXPECT_NEAR(static_cast<double>(got), static_cast<double>(expect), 1e-8);
 }
 

@@ -11,9 +11,12 @@
 //    and cluster trees (real decompose() clusters with Steiner nodes, a
 //    single node, a cluster whose tree_depth exceeds its deepest level);
 //  - at bandwidths 12, 40, 64 and 128 bits.
-// A final suite checks that both transports reject, at bind time, a
-// cluster tree whose parent edge is not a graph edge or whose one
-// parentless node is not the cluster's root.
+// The oracle's accumulators are checked to be subtree sums, and a tree
+// with one saturated subtree checks that the kernel's level-order sum
+// and the oracle's subtree fold agree. A final suite checks that both
+// transports reject, at bind time, a cluster tree whose parent edge is
+// not a graph edge or whose one parentless node is not the cluster's
+// root.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -168,10 +171,10 @@ int chunks(int bits, int bandwidth) { return (bits + bandwidth - 1) / bandwidth;
 
 // The oracle convergecast of the Q32.32 saturating sums of each of
 // `values` over the tree, charged as a `value_bits`-bit wave. Returns
-// the root's sums.
-std::vector<std::uint64_t> oracle_aggregate(ParallelEngine& eng, const TreeData& t,
-                                            int value_bits,
-                                            const std::vector<const std::vector<long double>*>& values) {
+// every node's accumulator per value vector: its subtree's sum.
+std::vector<std::vector<std::uint64_t>> oracle_subtree_sums(
+    ParallelEngine& eng, const TreeData& t, int value_bits,
+    const std::vector<const std::vector<long double>*>& values) {
   const NodeId n = eng.graph().num_nodes();
   std::vector<std::vector<std::uint64_t>> acc(values.size(),
                                               std::vector<std::uint64_t>(static_cast<std::size_t>(n)));
@@ -181,8 +184,15 @@ std::vector<std::uint64_t> oracle_aggregate(ParallelEngine& eng, const TreeData&
   TreeAggregateProgram prog(t, &acc, std::min(64, eng.bandwidth_bits()), n);
   eng.run(prog);
   eng.tick(chunks(value_bits, eng.bandwidth_bits()) - 1);
+  return acc;
+}
+
+// The root's sums of oracle_subtree_sums.
+std::vector<std::uint64_t> oracle_aggregate(ParallelEngine& eng, const TreeData& t,
+                                            int value_bits,
+                                            const std::vector<const std::vector<long double>*>& values) {
   std::vector<std::uint64_t> sums;
-  for (const auto& a : acc) sums.push_back(a[t.root]);
+  for (const auto& a : oracle_subtree_sums(eng, t, value_bits, values)) sums.push_back(a[t.root]);
   return sums;
 }
 
@@ -445,7 +455,7 @@ TEST(TreeWaveConformance, EmptyDeepLevelsAreCharged) {
 }
 
 // Sums past 64 bits clamp in the oracle's per-level adds and in the
-// kernel's fold alike.
+// kernel's linear sum alike.
 TEST(TreeWaveConformance, SaturatedSumsMatchOracle) {
   const Graph g = make_star(5);
   const Cluster c = whole_tree_cluster(g, 0, 0);
@@ -456,13 +466,62 @@ TEST(TreeWaveConformance, SaturatedSumsMatchOracle) {
   const auto sums = oracle_aggregate(eng, tree, 128, {&big, &big});
   EXPECT_EQ(sums[0], ~std::uint64_t{0});
   EXPECT_EQ(sums[1], ~std::uint64_t{0});
-  std::vector<std::uint64_t> acc;
-  EXPECT_EQ(congest::tree_fixed_sum(tree, big, &acc), sums[0]);
+  EXPECT_EQ(congest::tree_fixed_sum(tree, big), sums[0]);
   runtime::EngineColoringTransport kernel(g, 1);
   kernel.bind_cluster(c);
   const auto got = kernel.aggregate_pair(big, big);
   EXPECT_EQ(got.first, congest::from_fixed(sums[0]));
   EXPECT_EQ(got.second, congest::from_fixed(sums[1]));
+}
+
+// The oracle's accumulators are subtree sums: after the wave, node 1 of
+// a heap-ordered binary tree holds the sum over its subtree
+// {1, 3, 4, 7, 8, 9, 10}, and the root the kernel's sum.
+TEST(TreeWaveOracle, AccumulatorsHoldSubtreeSums) {
+  const Graph g = make_binary_tree(15);
+  std::vector<long double> vals(15);
+  for (std::size_t i = 0; i < vals.size(); ++i) vals[i] = static_cast<long double>(i * 3 + 1);
+  ParallelEngine eng(g, 1);
+  TreeData tree;
+  bind_oracle(eng, nullptr, &tree);
+  const auto acc = oracle_subtree_sums(eng, tree, 64, {&vals})[0];
+  std::uint64_t sub1 = 0;
+  for (const std::size_t i : {1, 3, 4, 7, 8, 9, 10}) sub1 += congest::to_fixed(vals[i]);
+  EXPECT_EQ(acc[1], sub1);
+  EXPECT_EQ(acc[0], congest::tree_fixed_sum(tree, vals));
+}
+
+// The kernel sums in level order, the oracle subtree by subtree. With
+// only one subtree saturating (node 1's of a heap-ordered binary tree,
+// six nodes holding values whose encodings overflow 64 bits together)
+// and the other far from it, the groupings differ but the sums cannot:
+// a saturating sum of non-negative values is min(sum, 2^64 - 1).
+TEST(TreeWaveConformance, OneSaturatedSubtreeMatchesOracle) {
+  const Graph g = make_binary_tree(15);
+  std::vector<long double> vals(15, 0.75L);
+  for (const std::size_t i : {3, 4, 7, 8, 9, 10}) vals[i] = 2.0e9L;  // < 2^63 each
+  std::vector<long double> small(15, 0.5L);
+  Cluster c = whole_tree_cluster(g, 0, 0);
+  for (const int threads : {1, 3}) {
+    ParallelEngine eng(g, threads);
+    TreeData tree;
+    bind_oracle(eng, &c, &tree);
+    const auto acc = oracle_subtree_sums(eng, tree, 128, {&vals, &small});
+    EXPECT_EQ(acc[0][1], ~std::uint64_t{0}) << threads;
+    EXPECT_LT(acc[0][2], std::uint64_t{1} << 40) << threads;
+    EXPECT_EQ(acc[0][0], ~std::uint64_t{0}) << threads;
+    EXPECT_EQ(congest::tree_fixed_sum(tree, vals), acc[0][0]) << threads;
+    EXPECT_EQ(congest::tree_fixed_sum(tree, small), acc[1][0]) << threads;
+  }
+  congest::Network net(g);
+  NetworkColoringTransport ref(net);
+  runtime::EngineColoringTransport eng_t(g, 1);
+  ref.bind_cluster(c);
+  eng_t.bind_cluster(c);
+  const auto want = std::make_pair(congest::from_fixed(~std::uint64_t{0}),
+                                   congest::from_fixed(15 * congest::to_fixed(0.5L)));
+  EXPECT_EQ(ref.aggregate_pair(vals, small), want);
+  EXPECT_EQ(eng_t.aggregate_pair(vals, small), want);
 }
 
 // Real network-decomposition clusters, Steiner nodes included: every
