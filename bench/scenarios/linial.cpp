@@ -51,7 +51,7 @@ Scenario network_scenario(const std::string& family) {
         return Prepared{[g, seed = c.seed] {
           congest::Network net(*g);
           InducedSubgraph all(*g, std::vector<bool>(g->num_nodes(), true));
-          const LinialResult res = linial_coloring(net, all);
+          const LinialResult res = runtime::linial_coloring(net, all);
           return outcome_of(*g, res, net.metrics(), seed);
         }};
       }};

@@ -6,11 +6,12 @@
 
 #include "src/benchkit/scenario.h"
 #include "src/benchkit/verify.h"
-#include "src/coloring/linial.h"
 #include "src/coloring/partial_coloring.h"
 #include "src/coloring/theorem11.h"
 #include "src/graph/generators.h"
 #include "src/graph/properties.h"
+#include "src/runtime/coloring_transport.h"
+#include "src/runtime/linial_program.h"
 
 namespace dcolor::bench_scenarios {
 
@@ -42,12 +43,12 @@ inline OneEighthRun run_one_eighth(const Graph& g, std::uint64_t list_seed, bool
   auto inst = ListInstance::random_lists(g, 4 * (g.max_degree() + 1), list_seed);
   congest::Network net(g);
   InducedSubgraph active(g, std::vector<bool>(g.num_nodes(), true));
-  const LinialResult lin = linial_coloring(net, active);
+  const LinialResult lin = runtime::linial_coloring(net, active);
   std::vector<Color> colors(g.num_nodes(), kUncolored);
   PartialColoringOptions opts;
   opts.avoid_mis = avoid_mis;
   OneEighthRun run;
-  NetworkColoringTransport t(net);
+  runtime::NetworkColoringTransport t(net);
   t.build_tree(0);
   run.stats = color_one_eighth(t, active, inst, colors, lin.coloring, lin.num_colors, opts);
 

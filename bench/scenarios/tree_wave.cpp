@@ -3,9 +3,10 @@
 //   congest.tree_wave.sum — repeated Q32.32 pair-sum convergecasts over
 //     a BFS tree of a connected G(n,p), each as one cluster-form
 //     aggregate_pair runs it: two tree_fixed_sum sweeps and one
-//     closed-form 128-bit wave charge on the Network. Both transports
-//     run every seed-fixing wave through this kernel, so this times the
-//     inner loop of every theorem11.* and corollary12.* scenario.
+//     closed-form 128-bit wave charge on the Network. The transport
+//     runs every seed-fixing wave through this kernel on both
+//     executors, so this times the inner loop of every theorem11.* and
+//     corollary12.* scenario.
 //
 // The sums verify against a saturating total in node-id order (the
 // kernel sums in level order), so a sweep that drops or double-counts a
@@ -18,6 +19,7 @@
 #include "src/benchkit/scenario.h"
 #include "src/congest/network.h"
 #include "src/congest/tree.h"
+#include "src/runtime/derand_program.h"
 #include "src/util/bits.h"
 
 namespace dcolor {
@@ -40,7 +42,7 @@ REGISTER_SCENARIO(Scenario{
       auto g = std::make_shared<Graph>(bench_scenarios::connected_gnp(n, 8.0, c.seed));
       auto net = std::make_shared<congest::Network>(*g);
       auto tree = std::make_shared<congest::TreeData>();
-      congest::build_tree_data(*net, 0, tree.get());
+      runtime::build_tree_data(*net, 0, tree.get());
       // Two value profiles so consecutive sweeps do not aggregate the
       // exact same operands; values in [0, 1) keep every encoding exact.
       auto v0 = std::make_shared<std::vector<long double>>(static_cast<std::size_t>(n));

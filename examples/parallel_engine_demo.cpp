@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   auto t0 = std::chrono::steady_clock::now();
   congest::Network net(g);
-  const LinialResult ref = linial_coloring(net, all);
+  const LinialResult ref = runtime::linial_coloring(net, all);
   const double net_ms = ms_since(t0);
 
   t0 = std::chrono::steady_clock::now();

@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "src/congest/network.h"
-#include "src/coloring/linial.h"
+#include "src/runtime/linial_program.h"
 #include "src/util/bits.h"
 #include "src/util/rng.h"
 
@@ -103,7 +103,7 @@ ColorReductionResult color_reduction_baseline(const Graph& g) {
   congest::Network net(g);
   InducedSubgraph all(g, std::vector<bool>(n, true));
   // Start from Linial's O(Delta^2 polylog) coloring.
-  LinialResult lin = linial_coloring(net, all);
+  LinialResult lin = runtime::linial_coloring(net, all);
   std::vector<Color> colors(lin.coloring.begin(), lin.coloring.end());
   const int delta = g.max_degree();
   const Color target = delta + 1;

@@ -6,24 +6,25 @@
 // the derandomized MIS core (derandomized_mis_core) issue: the Linial
 // input coloring, one-round exchanges along explicit target lists, the
 // Lemma 2.6 seed-fixing ops, and the conflict-resolution MIS. Each core is
-// written once over this interface; congest::Network provides the
-// sequential reference execution (NetworkColoringTransport below) and
-// runtime::ParallelEngine the parallel one
-// (runtime::EngineColoringTransport in src/runtime/theorem11_program.h).
-// Implementations must charge identical CONGEST costs for identical call
-// sequences — the conformance suite in tests/derand_channel_test.cpp
-// holds them to it.
+// written once over this interface, and one class implements it:
+// runtime::BasicColoringTransport (src/runtime/coloring_transport.h),
+// instantiated for the sequential congest::Network
+// (runtime::NetworkColoringTransport, the reference) and for the
+// runtime::ParallelEngine (runtime::EngineColoringTransport). Both
+// executors must charge identical CONGEST costs for identical call
+// sequences; the parity suites in tests/derand_channel_test.cpp and
+// tests/runtime_engine_test.cpp hold them to it.
 //
 // Fixing one seed bit (Lemma 2.6) needs (a) a sum of two per-node
 // conditional expectations and (b) a one-bit broadcast of the chosen
-// value, both over a rooted tree that each transport owns as plain state
+// value, both over a rooted tree that the transport owns as plain state
 // (a congest::TreeData): build_tree binds a BFS tree of the whole
-// communication graph (Theorem 1.1, O(D) rounds per bit); the concrete
-// transports' bind_cluster binds a network-decomposition cluster's
-// associated tree instead (Corollary 1.2, O(log^3 n) rounds per bit, with
-// the decomposition's congestion factor charged by the caller). Both
-// transports run these waves through one sequential kernel
-// (src/congest/tree.h) and charge its closed-form cost.
+// communication graph (Theorem 1.1, O(D) rounds per bit); the transport's
+// bind_cluster binds a network-decomposition cluster's associated tree
+// instead (Corollary 1.2, O(log^3 n) rounds per bit, with the
+// decomposition's congestion factor charged by the caller). These waves
+// run through one sequential kernel (src/congest/tree.h), which charges
+// their closed-form cost.
 #pragma once
 
 #include <cstdint>
@@ -87,48 +88,6 @@ class ColoringTransport {
   virtual void tick(std::int64_t rounds) = 0;
 
   virtual const congest::Metrics& metrics() const = 0;
-};
-
-// Reference transport: the sequential CONGEST simulator runs Linial, the
-// exchanges and the conflict MIS round by round, the golden model of the
-// parallel engine's programs.
-class NetworkColoringTransport final : public ColoringTransport {
- public:
-  explicit NetworkColoringTransport(congest::Network& net) : net_(&net) {}
-
-  const Graph& graph() const override { return net_->graph(); }
-  int bandwidth_bits() const override { return net_->bandwidth_bits(); }
-
-  LinialResult linial(const InducedSubgraph& active, const std::vector<std::int64_t>* initial,
-                      std::int64_t initial_colors) override;
-  // Floods a BFS tree from `root` and binds it (the Theorem 1.1
-  // configuration).
-  void build_tree(NodeId root) override;
-  // Binds `cluster`'s associated tree (the Corollary 1.2 configuration);
-  // issues no communication and throws CongestViolation on a tree edge
-  // that is not a graph edge.
-  void bind_cluster(const Cluster& cluster);
-  void exchange_along(const std::vector<std::vector<NodeId>>& targets,
-                      const std::vector<char>& senders,
-                      const std::vector<std::uint64_t>& payloads, int bits,
-                      std::vector<std::vector<NodeId>>* from) override;
-  std::pair<long double, long double> aggregate_pair(
-      const std::vector<long double>& values0, const std::vector<long double>& values1) override;
-  void broadcast_bit(int bit) override;
-  std::vector<bool> conflict_mis(const Graph& conf, const std::vector<bool>& membership,
-                                 const std::vector<std::int64_t>& input_coloring,
-                                 std::int64_t input_colors) override;
-  void tick(std::int64_t rounds) override { net_->tick(rounds); }
-  const congest::Metrics& metrics() const override { return net_->metrics(); }
-
-  congest::Network& network() { return *net_; }
-
- private:
-  congest::Network* net_;
-  // The bound Lemma 2.6 tree: a BFS tree (build_tree) or a cluster tree
-  // (bind_cluster); binding one replaces the other.
-  congest::TreeData tree_;
-  congest::TreeForm form_ = congest::TreeForm::kUnbound;
 };
 
 }  // namespace dcolor

@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "src/coloring/pair_prob.h"
-#include "src/congest/network.h"
 #include "src/graph/properties.h"
 #include "src/hash/bitwise_family.h"
+#include "src/runtime/coloring_transport.h"
 #include "src/util/bits.h"
 
 namespace dcolor {
@@ -202,8 +202,7 @@ DerandMisResult derandomized_mis_per_component(
 
 DerandMisResult derandomized_mis(const Graph& g) {
   return derandomized_mis_per_component(g, [](const Graph& sub) {
-    congest::Network net(sub);
-    NetworkColoringTransport transport(net);
+    runtime::NetworkColoringTransport transport(sub);
     return derandomized_mis_core(transport);
   });
 }

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
-#include "src/util/bits.h"
 #include "src/util/prime.h"
 
 namespace dcolor {
@@ -59,71 +57,6 @@ std::int64_t linial_pick_next_color(std::int64_t color, std::span<const std::int
   }
   assert(false && "q > Delta*degree guarantees a free point");
   return 0;
-}
-
-std::int64_t linial_next_palette(std::int64_t k_in, int max_degree) {
-  int degree = 0;
-  const std::int64_t q = linial_field(k_in, std::max(max_degree, 1), &degree);
-  return q * q;
-}
-
-std::int64_t linial_step(congest::Network& net, const InducedSubgraph& active,
-                         std::vector<std::int64_t>& coloring, std::int64_t k_in,
-                         int active_max_degree) {
-  const Graph& g = net.graph();
-  int degree = 0;
-  const std::int64_t q = linial_field(k_in, std::max(active_max_degree, 1), &degree);
-
-  // Exchange current colors with neighbors (one round; log k_in bits).
-  const int color_bits = bit_width_of(static_cast<std::uint64_t>(std::max<std::int64_t>(k_in - 1, 1)));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!active.contains(v)) continue;
-    active.for_each_neighbor(v, [&](NodeId u) {
-      net.send(v, u, static_cast<std::uint64_t>(coloring[v]), color_bits);
-    });
-  }
-  net.advance_round();
-
-  std::vector<std::int64_t> next(coloring.size(), 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (!active.contains(v)) continue;
-    // Collect neighbor colors (restricted to active neighbors).
-    std::vector<std::int64_t> nb_colors;
-    for (const congest::Incoming& m : net.inbox(v)) {
-      nb_colors.push_back(static_cast<std::int64_t>(m.payload));
-    }
-    next[v] = linial_pick_next_color(coloring[v], nb_colors, q, degree);
-  }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (active.contains(v)) coloring[v] = next[v];
-  }
-  return q * q;
-}
-
-LinialResult linial_coloring(congest::Network& net, const InducedSubgraph& active,
-                             const std::vector<std::int64_t>* initial,
-                             std::int64_t initial_colors) {
-  const Graph& g = net.graph();
-  LinialResult res;
-  if (initial != nullptr) {
-    res.coloring = *initial;
-    res.num_colors = initial_colors;
-  } else {
-    res.coloring.resize(g.num_nodes());
-    std::iota(res.coloring.begin(), res.coloring.end(), 0);
-    res.num_colors = g.num_nodes();
-  }
-  int delta = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (active.contains(v)) delta = std::max(delta, active.degree(v));
-  }
-  // Run steps only while they shrink the palette (checking BEFORE the
-  // step: a non-shrinking step would rewrite colors into a larger space).
-  while (linial_next_palette(res.num_colors, delta) < res.num_colors) {
-    res.num_colors = linial_step(net, active, res.coloring, res.num_colors, delta);
-    ++res.iterations;
-  }
-  return res;
 }
 
 }  // namespace dcolor

@@ -11,16 +11,14 @@
 // coloring Lemma 2.1 needs (only log K enters the runtime, so the extra
 // log^2 Delta factor over Linial's O(Delta^2) is immaterial).
 //
-// Works on the subgraph induced by `active` (degrees/conflicts restricted
-// to it) while communicating over the full network.
+// This header holds the arithmetic of one reduction step. The per-node
+// round program that runs it over either executor is
+// runtime::LinialProgram (src/runtime/linial_program.h).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "src/congest/network.h"
-#include "src/graph/graph.h"
 
 namespace dcolor {
 
@@ -32,9 +30,7 @@ struct LinialResult {
 
 // Field parameters of one reduction step: the smallest prime q (with the
 // matching polynomial-degree bound d, written to *poly_degree) such that
-// colors in [k_in] written base q satisfy q > max_degree * d. Exposed so
-// alternative executors (src/runtime) can replay the exact step schedule
-// the Network-driven implementation follows.
+// colors in [k_in] written base q satisfy q > max_degree * d.
 std::int64_t linial_field(std::int64_t k_in, int max_degree, int* poly_degree);
 
 // f_color(alpha) over F_q, where f_color's coefficient vector is the
@@ -44,26 +40,8 @@ std::int64_t linial_eval(std::int64_t color, std::int64_t alpha, std::int64_t q,
 
 // One node's selection: the smallest evaluation point alpha whose pair
 // (alpha, f_color(alpha)) differs from every neighbor polynomial's graph,
-// returned as the pair color alpha*q + f_color(alpha). Shared by the
-// Network driver and the src/runtime engine port so the two executors
-// cannot drift apart (the engine's bit-parity guarantee rests on it).
+// returned as the pair color alpha*q + f_color(alpha).
 std::int64_t linial_pick_next_color(std::int64_t color, std::span<const std::int64_t> nb_colors,
                                     std::int64_t q, int poly_degree);
-
-// Palette size q^2 one Linial step would produce from a k_in-coloring on a
-// subgraph of the given max degree (without running it).
-std::int64_t linial_next_palette(std::int64_t k_in, int max_degree);
-
-// One Linial reduction step: proper `k_in`-coloring -> proper q^2-coloring.
-// Exposed separately for tests. Returns the new number of colors.
-std::int64_t linial_step(congest::Network& net, const InducedSubgraph& active,
-                         std::vector<std::int64_t>& coloring, std::int64_t k_in,
-                         int active_max_degree);
-
-// Full reduction from the given coloring (default: ids) until the number
-// of colors stops shrinking.
-LinialResult linial_coloring(congest::Network& net, const InducedSubgraph& active,
-                             const std::vector<std::int64_t>* initial = nullptr,
-                             std::int64_t initial_colors = 0);
 
 }  // namespace dcolor

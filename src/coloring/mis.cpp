@@ -2,30 +2,6 @@
 
 namespace dcolor {
 
-std::vector<bool> mis_by_color_classes(congest::Network& net, const InducedSubgraph& active,
-                                       const std::vector<std::int64_t>& coloring,
-                                       std::int64_t num_colors) {
-  const Graph& g = net.graph();
-  const NodeId n = g.num_nodes();
-  std::vector<bool> in_mis(n, false);
-  std::vector<bool> dominated(n, false);
-  for (std::int64_t c = 0; c < num_colors; ++c) {
-    // Nodes of color c that are not yet dominated join; announce (1 bit).
-    for (NodeId v = 0; v < n; ++v) {
-      if (!active.contains(v) || dominated[v] || coloring[v] != c) continue;
-      in_mis[v] = true;
-      dominated[v] = true;
-      active.for_each_neighbor(v, [&](NodeId u) { net.send(v, u, 1, 1); });
-    }
-    net.advance_round();
-    for (NodeId v = 0; v < n; ++v) {
-      if (!active.contains(v)) continue;
-      if (!net.inbox(v).empty()) dominated[v] = true;
-    }
-  }
-  return in_mis;
-}
-
 bool is_mis(const InducedSubgraph& active, const std::vector<bool>& in_mis) {
   const Graph& g = active.base();
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

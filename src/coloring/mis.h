@@ -1,23 +1,16 @@
-// Maximal independent set on a (low-degree) subgraph by iterating through
-// the color classes of a proper coloring — the classic reduction used at
-// the end of Lemma 2.1. Cost: one round per color class (plus nothing
-// else), so it is only invoked after Linial has shrunk the palette to
-// O(Delta_sub^2) colors.
+// Maximal independent sets on the active subgraph. The color-class MIS
+// of Lemma 2.1's conflict resolution (one round per color class of a
+// proper coloring, so it runs only after Linial has shrunk the palette
+// to O(Delta_sub^2) colors) is runtime::MisColorClassesProgram, run by
+// either executor through runtime::mis_by_color_classes
+// (src/runtime/derand_program.h).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
-#include "src/congest/network.h"
 #include "src/graph/graph.h"
 
 namespace dcolor {
-
-// `active` defines the subgraph; `coloring` must be proper on it with
-// colors in [num_colors]. Returns the MIS membership indicator.
-std::vector<bool> mis_by_color_classes(congest::Network& net, const InducedSubgraph& active,
-                                       const std::vector<std::int64_t>& coloring,
-                                       std::int64_t num_colors);
 
 // Validation helper: true iff `in_mis` is independent and maximal on the
 // active subgraph.

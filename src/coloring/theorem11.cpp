@@ -7,6 +7,7 @@
 #include "src/coloring/linial.h"
 #include "src/graph/properties.h"
 #include "src/obs/obs.h"
+#include "src/runtime/coloring_transport.h"
 
 namespace dcolor {
 
@@ -72,8 +73,7 @@ Theorem11Result theorem11_run(ColoringTransport& t, ListInstance inst,
 Theorem11Result theorem11_solve(const Graph& g, ListInstance inst,
                                 const PartialColoringOptions& opts) {
   if (g.num_nodes() == 0) return Theorem11Result{};
-  congest::Network net(g, opts.bandwidth_bits);
-  NetworkColoringTransport transport(net);
+  runtime::NetworkColoringTransport transport(g, opts.bandwidth_bits);
   return theorem11_run(transport, std::move(inst), opts);
 }
 

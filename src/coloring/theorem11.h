@@ -8,9 +8,10 @@
 // lists, so the residual instance stays a valid (degree+1) instance.
 //
 // The driver is written once over the ColoringTransport abstraction:
-// theorem11_solve runs it on the sequential congest::Network reference
-// transport; runtime::theorem11_coloring (src/runtime/theorem11_program.h)
-// runs the identical call sequence on the ParallelEngine with bit-identical
+// theorem11_solve runs it on runtime::NetworkColoringTransport, the one
+// transport implementation on the sequential congest::Network;
+// runtime::theorem11_coloring (src/runtime/theorem11_program.h) runs the
+// identical call sequence on the ParallelEngine with bit-identical
 // colors, iteration counts, per-iteration stats, and Metrics.
 #pragma once
 

@@ -6,43 +6,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <numeric>
 
 #include "src/util/bits.h"
 
 namespace dcolor::congest {
-
-void build_tree_data(Network& net, NodeId root, TreeData* out) {
-  const NodeId n = net.graph().num_nodes();
-  out->root = root;
-  out->depth = 0;
-  out->level.assign(n, -1);
-  out->parent.assign(n, -1);
-  out->level[root] = 0;
-  const int id_bits = bit_width_of(static_cast<std::uint64_t>(n));
-  std::vector<NodeId> frontier = {root};
-  for (int level = 1; !frontier.empty(); ++level) {
-    for (const NodeId v : frontier) net.send_all(v, static_cast<std::uint64_t>(v), id_bits);
-    net.advance_round();
-    frontier.clear();
-    for (NodeId v = 0; v < n; ++v) {
-      if (out->level[v] >= 0) continue;
-      NodeId best_parent = -1;
-      for (const Incoming& msg : net.inbox(v)) {
-        const NodeId from = static_cast<NodeId>(msg.payload);
-        if (best_parent < 0 || from < best_parent) best_parent = from;
-      }
-      if (best_parent >= 0) {
-        out->level[v] = level;
-        out->parent[v] = best_parent;
-        frontier.push_back(v);
-      }
-    }
-  }
-  std::vector<NodeId> all(static_cast<std::size_t>(n));
-  std::iota(all.begin(), all.end(), NodeId{0});
-  index_tree_levels(all, out);
-}
 
 void bind_cluster_tree(const Graph& g, const Cluster& cluster, TreeData* out) {
   std::size_t roots = 0;

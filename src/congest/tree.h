@@ -24,7 +24,9 @@
 
 namespace dcolor::congest {
 
-// A rooted tree over some of the graph's nodes. `level` and `parent` have
+// A rooted tree over some of the graph's nodes: a BFS tree flooded by
+// runtime::build_tree_data (src/runtime/derand_program.h), or a cluster
+// tree bound by bind_cluster_tree. `level` and `parent` have
 // one entry per graph node, but only the tree's entries are meaningful: a
 // rebind writes the new tree's entries and leaves the others stale, so
 // one TreeData serves every cluster of a decomposition without clearing
@@ -39,12 +41,6 @@ struct TreeData {
   std::vector<std::int64_t> level_off;  // depth + 2 entries
   std::vector<NodeId> level_nodes;
 };
-
-// Floods a BFS tree from `root` over the network's graph, which must be
-// connected: a node joins the round it first hears a joined neighbour
-// (smallest sender id wins) and floods its own id once. Charges
-// eccentricity(root) + 1 rounds, one send_all per node.
-void build_tree_data(Network& net, NodeId root, TreeData* out);
 
 // (Re)binds `out` to a cluster's associated tree, Steiner nodes
 // included. Levels are recomputed from the parents (tree_nodes lists a

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 
 #include "src/coloring/linial.h"
 #include "src/obs/obs.h"
+#include "src/runtime/coloring_transport.h"
 
 namespace dcolor {
 
@@ -159,29 +159,25 @@ Corollary12Result corollary12_run(const Graph& g, ListInstance inst,
 namespace {
 
 // Sequential reference backend: a congest::Network over the whole graph
-// for the global phases, and per cluster a private Network whose
-// transport is bound to the cluster's associated tree.
+// for the global phases, and one more for the clusters, which run one
+// after another, each from zeroed Metrics and bound to its cluster's
+// associated tree.
 class NetworkCorollary12Transports final : public Corollary12Transports {
  public:
   NetworkCorollary12Transports(const Graph& g, int bandwidth_bits)
-      : g_(&g), gnet_(g, bandwidth_bits), global_(gnet_) {}
+      : global_(g, bandwidth_bits), cluster_(g, global_.bandwidth_bits()) {}
 
   ColoringTransport& global() override { return global_; }
 
   ColoringTransport& cluster(const Cluster& c) override {
-    cluster_transport_.reset();
-    cluster_net_.emplace(*g_, gnet_.bandwidth_bits());
-    cluster_transport_.emplace(*cluster_net_);
-    cluster_transport_->bind_cluster(c);
-    return *cluster_transport_;
+    cluster_.executor().reset_metrics();
+    cluster_.bind_cluster(c);
+    return cluster_;
   }
 
  private:
-  const Graph* g_;
-  congest::Network gnet_;
-  NetworkColoringTransport global_;
-  std::optional<congest::Network> cluster_net_;
-  std::optional<NetworkColoringTransport> cluster_transport_;
+  runtime::NetworkColoringTransport global_;
+  runtime::NetworkColoringTransport cluster_;
 };
 
 }  // namespace

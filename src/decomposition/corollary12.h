@@ -18,12 +18,14 @@
 // ColoringTransport abstraction: corollary12_run issues every
 // communication step (global Linial, per-cluster Lemma 2.1 loops whose
 // seed-fixing ops run over the cluster's tree, the cross-cluster pruning
-// exchange) through
-// transports supplied by a Corollary12Transports backend.
-// corollary12_solve runs it on the sequential congest::Network backend;
-// runtime::corollary12_coloring (src/runtime/corollary12_program.h) runs
-// the identical call sequence on the ParallelEngine with bit-identical
-// colors, decomposition, round accounting and Metrics.
+// exchange) through transports supplied by a Corollary12Transports
+// backend. Both backends hold the one transport implementation
+// (runtime::BasicColoringTransport) and differ only in their executor
+// and in how they schedule clusters: corollary12_solve runs one cluster
+// after another on congest::Network, and runtime::corollary12_coloring
+// (src/runtime/corollary12_program.h) runs a class's clusters
+// concurrently on the ParallelEngine, with bit-identical colors,
+// decomposition, round accounting and Metrics.
 #pragma once
 
 #include <functional>

@@ -1,14 +1,22 @@
 #include "src/graph/graph.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace dcolor {
 
 Graph Graph::from_edges(NodeId n, std::vector<std::pair<NodeId, NodeId>> edges) {
-  // Normalize, dedupe, drop self loops.
+  if (n < 0) {
+    throw std::out_of_range("Graph::from_edges: negative node count " + std::to_string(n));
+  }
+  // Check endpoints, normalize, dedupe, drop self loops.
   for (auto& [u, v] : edges) {
-    assert(u >= 0 && u < n && v >= 0 && v < n);
+    if (u < 0 || u >= n || v < 0 || v >= n) {
+      throw std::out_of_range("Graph::from_edges: edge (" + std::to_string(u) + ", " +
+                              std::to_string(v) + ") has an endpoint outside [0, " +
+                              std::to_string(n) + ")");
+    }
     if (u > v) std::swap(u, v);
   }
   std::sort(edges.begin(), edges.end());

@@ -19,8 +19,9 @@ class Graph {
  public:
   Graph() = default;
 
-  // Builds from an edge list; duplicate edges and self loops are rejected
-  // via assertions in debug builds and deduplicated defensively otherwise.
+  // Builds from an edge list, merging duplicate edges and dropping self
+  // loops. Throws std::out_of_range when n < 0 or an edge has an endpoint
+  // outside [0, n).
   static Graph from_edges(NodeId n, std::vector<std::pair<NodeId, NodeId>> edges);
 
   NodeId num_nodes() const { return n_; }

@@ -6,8 +6,8 @@ namespace dcolor::runtime {
 
 EngineCorollary12Transports::EngineCorollary12Transports(const Graph& g, int num_threads,
                                                          int bandwidth_bits)
-    : g_(&g), num_threads_(num_threads), global_(g, num_threads, bandwidth_bits) {
-  cluster_pool_.resize(static_cast<std::size_t>(global_.engine().pool().num_threads()));
+    : g_(&g), global_(g, num_threads, bandwidth_bits) {
+  cluster_pool_.resize(static_cast<std::size_t>(global_.executor().pool().num_threads()));
 }
 
 EngineColoringTransport& EngineCorollary12Transports::slot(int worker) {
@@ -22,7 +22,7 @@ EngineColoringTransport& EngineCorollary12Transports::slot(int worker) {
     // nodes.
     t = std::make_unique<EngineColoringTransport>(*g_, 1, global_.bandwidth_bits());
   } else {
-    t->engine().reset_metrics();
+    t->executor().reset_metrics();
   }
   return *t;
 }
@@ -44,7 +44,7 @@ void EngineCorollary12Transports::run_cluster_class(const std::vector<const Clus
   // lands at its batch index, so the timing-dependent task→worker
   // assignment never shows in colors, rounds or Metrics.
   out_metrics->assign(batch.size(), congest::Metrics{});
-  global_.engine().pool().run_tasks(batch.size(), [&](std::size_t i, int worker) {
+  global_.executor().pool().run_tasks(batch.size(), [&](std::size_t i, int worker) {
     EngineColoringTransport& t = slot(worker);
     t.bind_cluster(*batch[i]);
     work(*batch[i], t);

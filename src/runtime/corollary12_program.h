@@ -4,11 +4,10 @@
 // decomposition already supplies the tree), running the clusters of one
 // decomposition color class CONCURRENTLY over the shared thread pool.
 //
-// Every primitive charges the exact CONGEST costs of the Network
-// reference: the cluster-tree waves run through the same wave kernel
-// (src/congest/tree.h) as NetworkColoringTransport::bind_cluster's, and
-// the other programs charge identical rounds, messages, bit totals and
-// max message size. Combined with the shared driver
+// The transports are the one ColoringTransport implementation
+// (coloring_transport.h) on the engine, so every primitive runs the
+// program or wave kernel the Network reference runs and charges its
+// exact CONGEST costs. Combined with the shared driver
 // corollary12_run this yields runtime::corollary12_coloring with
 // bit-identical colors, decomposition, round accounting (including the
 // kappa congestion factor and the per-class global pruning round) and
@@ -20,7 +19,7 @@
 #include <vector>
 
 #include "src/decomposition/corollary12.h"
-#include "src/runtime/theorem11_program.h"
+#include "src/runtime/coloring_transport.h"
 
 namespace dcolor::runtime {
 
@@ -58,7 +57,6 @@ class EngineCorollary12Transports final : public Corollary12Transports {
   EngineColoringTransport& slot(int worker);
 
   const Graph* g_;
-  int num_threads_;
   EngineColoringTransport global_;
   std::vector<std::unique_ptr<EngineColoringTransport>> cluster_pool_;
 };

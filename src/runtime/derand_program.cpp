@@ -9,10 +9,7 @@
 namespace dcolor::runtime {
 namespace {
 
-// Synchronous flooding, the NodeProgram form of congest::build_tree_data:
-// a node joins the tree the round it first hears a joined neighbor
-// (smallest sender id wins) and floods its own id once. Charges
-// eccentricity(root) + 1 rounds, one send_all per node.
+// Synchronous flooding (see build_tree_data).
 class BfsBuildProgram final : public NodeProgram {
  public:
   BfsBuildProgram(const Graph& g, NodeId root, congest::TreeData* out)
@@ -86,21 +83,24 @@ class BfsBuildProgram final : public NodeProgram {
 
 }  // namespace
 
-void build_tree_data(ParallelEngine& eng, NodeId root, congest::TreeData* out) {
-  BfsBuildProgram prog(eng.graph(), root, out);
-  eng.run(prog);
-  std::vector<NodeId> all(static_cast<std::size_t>(eng.graph().num_nodes()));
+template <typename Exec>
+void build_tree_data(Exec& exec, NodeId root, congest::TreeData* out) {
+  BfsBuildProgram prog(exec.graph(), root, out);
+  run(exec, prog);
+  std::vector<NodeId> all(static_cast<std::size_t>(exec.graph().num_nodes()));
   std::iota(all.begin(), all.end(), NodeId{0});
   congest::index_tree_levels(all, out);
 }
+
+template void build_tree_data(congest::Network&, NodeId, congest::TreeData*);
+template void build_tree_data(ParallelEngine&, NodeId, congest::TreeData*);
 
 void AlongExchangeProgram::init(NodeId v, Outbox& out) {
   if (!(*senders_)[v]) return;
   // Two-pointer merge over the sorted adjacency: targets[v] is an
   // ascending subset of it, so each send is O(1) instead of the O(log
   // deg) edge lookup of Outbox::send. A target outside the adjacency is
-  // a non-edge send and must throw exactly as the Network transport
-  // does, not silently hit a neighboring slot.
+  // a non-edge send and must throw, not silently hit a neighboring slot.
   const auto nb = g_->neighbors(v);
   std::size_t j = 0;
   for (NodeId u : (*targets_)[v]) {
@@ -219,5 +219,19 @@ std::vector<bool> MisColorClassesProgram::in_mis() const {
   for (std::size_t v = 0; v < in_mis_.size(); ++v) out[v] = in_mis_[v] != 0;
   return out;
 }
+
+template <typename Exec>
+std::vector<bool> mis_by_color_classes(Exec& exec, const InducedSubgraph& active,
+                                       const std::vector<std::int64_t>& coloring,
+                                       std::int64_t num_colors) {
+  MisColorClassesProgram prog(active, coloring, num_colors);
+  run(exec, prog);
+  return prog.in_mis();
+}
+
+template std::vector<bool> mis_by_color_classes(congest::Network&, const InducedSubgraph&,
+                                                const std::vector<std::int64_t>&, std::int64_t);
+template std::vector<bool> mis_by_color_classes(ParallelEngine&, const InducedSubgraph&,
+                                                const std::vector<std::int64_t>&, std::int64_t);
 
 }  // namespace dcolor::runtime

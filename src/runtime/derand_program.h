@@ -1,18 +1,17 @@
-// Shared derandomization NodePrograms: the engine-side building blocks of
-// every seed-fixing pipeline (the derandomized MIS, the Theorem 1.1 list
-// coloring and the Corollary 1.2 per-cluster runs, all over
-// runtime::EngineColoringTransport) — the BFS-tree flood, the one-round
-// exchange along explicit target lists, and the color-class MIS. The
-// Lemma 2.6 tree waves are not programs: both transports run them through
-// the sequential kernel in src/congest/tree.h.
+// The derandomization building blocks of every seed-fixing pipeline (the
+// derandomized MIS, the Theorem 1.1 list coloring and the Corollary 1.2
+// per-cluster runs): the BFS-tree flood, the one-round exchange along
+// explicit target lists, and the color-class MIS. Each is one
+// NodeProgram, and both executors run it: congest::Network through
+// runtime::run, and the ParallelEngine. The Lemma 2.6 tree waves are not
+// programs: the transports run them through the sequential kernel in
+// src/congest/tree.h.
 //
-// Each program is the NodeProgram form of one congest::Network primitive
-// and charges the exact CONGEST costs of its reference implementation
-// (congest::build_tree_data, NetworkColoringTransport's exchange,
-// mis_by_color_classes): identical rounds, messages, bit totals and max
-// message size — the property the conformance suite in
-// tests/derand_channel_test.cpp and the parity suite in
-// tests/runtime_engine_test.cpp enforce.
+// The adapters below are templates over the executor, explicitly
+// instantiated for congest::Network and ParallelEngine. The golden pins
+// in tests/network_primitive_golden_test.cpp fix what the Network runs,
+// and the parity suites hold the engine to identical results, rounds,
+// messages, bit totals and max message size.
 #pragma once
 
 #include <cstdint>
@@ -25,17 +24,19 @@
 
 namespace dcolor::runtime {
 
-// Builds `out` by synchronous flooding from `root` on the engine's graph
-// (must be connected), charging eccentricity(root) + 1 rounds and one
-// send_all per node — exactly the Network flood congest::build_tree_data.
-void build_tree_data(ParallelEngine& eng, NodeId root, congest::TreeData* out);
+// Builds `out` by synchronous flooding from `root` on the executor's
+// graph, which must be connected: a node joins the round it first hears
+// a joined neighbour (smallest sender id wins) and floods its own id
+// once. Charges eccentricity(root) + 1 rounds, one send_all per node.
+template <typename Exec>
+void build_tree_data(Exec& exec, NodeId root, congest::TreeData* out);
 
 // One round of scatter along explicit per-node target lists (the alive
 // conflict edges of a Lemma 2.1 phase): each sender v delivers the first
 // bandwidth-sized chunk of payloads[v] to every u in targets[v]. Each
 // targets[v] must be an ascending subset of v's adjacency. If `from` is
 // non-null, (*from)[v] collects the ids v received from, ascending.
-// Callers charge extra pipelined chunks via ParallelEngine::tick.
+// Callers charge extra pipelined chunks with the executor's tick.
 // `roster_scratch` holds the round-0 roster (the senders); reserve(n) it
 // once so repeated exchanges never allocate.
 class AlongExchangeProgram final : public NodeProgram {
@@ -70,9 +71,9 @@ class AlongExchangeProgram final : public NodeProgram {
   std::vector<NodeId>* roster_scratch_;
 };
 
-// MIS by iterating the color classes of a proper coloring (the engine
-// form of dcolor::mis_by_color_classes): class c joins in phase c and
-// announces with a 1-bit flag-plane message; num_colors rounds total.
+// MIS by iterating the color classes of a proper coloring: class c joins
+// in phase c and announces with a 1-bit flag-plane message; num_colors
+// rounds total.
 // Phases are rostered: round r dispatches exactly class r plus the
 // active neighbors of the previous round's joiners (the only possible
 // receivers), computed on the coordinator into reusable scratch — total
@@ -111,5 +112,12 @@ class MisColorClassesProgram final : public NodeProgram {
   std::vector<NodeId> roster_scratch_;      // reserve(n): zero-alloc rosters
   std::vector<std::int64_t> seen_round_;    // roster dedupe stamps
 };
+
+// Runs MisColorClassesProgram on `exec`: the MIS of the subgraph `active`
+// from `coloring`, proper on it with colors in [num_colors].
+template <typename Exec>
+std::vector<bool> mis_by_color_classes(Exec& exec, const InducedSubgraph& active,
+                                       const std::vector<std::int64_t>& coloring,
+                                       std::int64_t num_colors);
 
 }  // namespace dcolor::runtime

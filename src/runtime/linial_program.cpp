@@ -11,8 +11,8 @@ namespace dcolor::runtime {
 LinialSchedule plan_linial(std::int64_t initial_colors, int active_max_degree) {
   LinialSchedule s;
   std::int64_t k = initial_colors;
-  // Mirror of the linial_coloring driver loop: run a step only while it
-  // shrinks the palette.
+  // Run a step only while it shrinks the palette (checking BEFORE the
+  // step: a non-shrinking step would rewrite colors into a larger space).
   for (;;) {
     int degree = 0;
     const std::int64_t q = linial_field(k, std::max(active_max_degree, 1), &degree);
@@ -57,8 +57,7 @@ void LinialProgram::on_round(std::int64_t round, NodeId v, const Inbox& in, Outb
   const std::int64_t my_color = coloring_[v];
 
   // Gather neighbor colors into per-thread scratch: no steady-state
-  // allocation, and the alpha scan below matches linial_step exactly
-  // (result is independent of gather order).
+  // allocation (the result is independent of gather order).
   static thread_local std::vector<std::int64_t> nb_colors;
   nb_colors.clear();
   in.for_each(
@@ -73,10 +72,11 @@ void LinialProgram::on_round(std::int64_t round, NodeId v, const Inbox& in, Outb
   }
 }
 
-LinialResult linial_coloring(ParallelEngine& eng, const InducedSubgraph& active,
+template <typename Exec>
+LinialResult linial_coloring(Exec& exec, const InducedSubgraph& active,
                              const std::vector<std::int64_t>* initial,
                              std::int64_t initial_colors) {
-  const Graph& g = eng.graph();
+  const Graph& g = exec.graph();
   std::vector<std::int64_t> coloring;
   std::int64_t k = 0;
   if (initial != nullptr) {
@@ -88,12 +88,17 @@ LinialResult linial_coloring(ParallelEngine& eng, const InducedSubgraph& active,
     k = g.num_nodes();
   }
   LinialProgram prog(active, std::move(coloring), k);
-  eng.run(prog);
+  run(exec, prog);
   LinialResult res;
   res.coloring = std::move(prog.coloring());
   res.num_colors = prog.schedule().final_colors;
   res.iterations = static_cast<int>(prog.schedule().steps.size());
   return res;
 }
+
+template LinialResult linial_coloring(congest::Network&, const InducedSubgraph&,
+                                      const std::vector<std::int64_t>*, std::int64_t);
+template LinialResult linial_coloring(ParallelEngine&, const InducedSubgraph&,
+                                      const std::vector<std::int64_t>*, std::int64_t);
 
 }  // namespace dcolor::runtime

@@ -1,10 +1,9 @@
-// Linial color reduction in NodeProgram form, executed by the
-// ParallelEngine. The step schedule (field size q, polynomial degree,
-// message width per iteration) depends only on the initial palette and
-// the active max degree, so it is planned up front and replayed exactly
-// as the congest::Network implementation would: the adapter below
-// produces bit-identical colorings and Metrics to
-// dcolor::linial_coloring at every thread count.
+// Linial color reduction as one NodeProgram, run by either executor
+// (congest::Network through runtime::run, or the ParallelEngine). The
+// step schedule (field size q, polynomial degree, message width per
+// iteration) depends only on the initial palette and the active max
+// degree, so it is planned up front; both executors then produce
+// bit-identical colorings and Metrics at every thread count.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +25,8 @@ struct LinialSchedule {
   std::int64_t final_colors = 0;
 };
 
-// The exact sequence of steps dcolor::linial_coloring would run from a
-// k-coloring on a subgraph of the given max degree.
+// The steps Linial runs from a k-coloring on a subgraph of the given max
+// degree: one per palette-shrinking reduction.
 LinialSchedule plan_linial(std::int64_t initial_colors, int active_max_degree);
 
 class LinialProgram final : public NodeProgram {
@@ -54,9 +53,12 @@ class LinialProgram final : public NodeProgram {
   std::vector<std::int64_t> coloring_;
 };
 
-// Drop-in parallel counterpart of dcolor::linial_coloring (same
-// defaults, same results, same Metrics), executed on `eng`.
-LinialResult linial_coloring(ParallelEngine& eng, const InducedSubgraph& active,
+// Full reduction on `exec`, a congest::Network or a ParallelEngine, from
+// the given coloring (default: ids) until the number of colors stops
+// shrinking. Works on the subgraph induced by `active` while
+// communicating over the whole network.
+template <typename Exec>
+LinialResult linial_coloring(Exec& exec, const InducedSubgraph& active,
                              const std::vector<std::int64_t>* initial = nullptr,
                              std::int64_t initial_colors = 0);
 

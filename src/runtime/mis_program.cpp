@@ -1,6 +1,6 @@
 #include "src/runtime/mis_program.h"
 
-#include "src/runtime/theorem11_program.h"
+#include "src/runtime/coloring_transport.h"
 
 namespace dcolor::runtime {
 

@@ -1,9 +1,9 @@
 // Derandomized MIS on the parallel engine: the shared core in
 // src/coloring/derand_mis.cpp run over runtime::EngineColoringTransport
-// (src/runtime/theorem11_program.h), the same transport Theorem 1.1 uses.
-// It charges the exact CONGEST costs of the NetworkColoringTransport
-// reference, so MIS results, iteration counts and Metrics are
-// bit-identical to dcolor::derandomized_mis at every thread count.
+// (src/runtime/coloring_transport.h), the transport that
+// dcolor::derandomized_mis runs on congest::Network. MIS results,
+// iteration counts and Metrics are bit-identical to it at every thread
+// count.
 #pragma once
 
 #include "src/coloring/derand_mis.h"

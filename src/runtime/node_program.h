@@ -1,4 +1,5 @@
-// Vertex-program interface for the parallel deterministic CONGEST engine.
+// Vertex-program interface of the CONGEST executors: the ParallelEngine,
+// and runtime::run over congest::Network (parallel_engine.h).
 //
 // A NodeProgram is the per-node half of a round-synchronous algorithm:
 // `init` runs once per node before any round and may stage messages;

@@ -166,6 +166,7 @@ void ParallelEngine::clear_flag_buf(FlagBuf& b) {
 }
 
 void Outbox::send(NodeId to, std::uint64_t payload, int bits) {
+  if (net_ != nullptr) return net_->send(self_, to, payload, bits);
   const auto nb = eng_->g_->neighbors(self_);
   const auto it = std::lower_bound(nb.begin(), nb.end(), to);
   if (it == nb.end() || *it != to) {
@@ -176,17 +177,20 @@ void Outbox::send(NodeId to, std::uint64_t payload, int bits) {
 }
 
 void Outbox::send_nth(int nth, std::uint64_t payload, int bits) {
+  if (net_ != nullptr) return net_->send(self_, net_->graph().neighbors(self_)[nth], payload, bits);
   assert(nth >= 0 && nth < eng_->g_->degree(self_));
   eng_->stage(self_, nth, payload, bits, *static_cast<ParallelEngine::WorkerState*>(worker_));
 }
 
 void Outbox::send_all(std::uint64_t payload, int bits) {
+  if (net_ != nullptr) return net_->send_all(self_, payload, bits);
   const int deg = eng_->g_->degree(self_);
   auto& ws = *static_cast<ParallelEngine::WorkerState*>(worker_);
   for (int j = 0; j < deg; ++j) eng_->stage(self_, j, payload, bits, ws);
 }
 
 void Outbox::send_flag_nth(int nth) {
+  if (net_ != nullptr) return send_nth(nth, 1, 1);
   assert(nth >= 0 && nth < eng_->g_->degree(self_));
   eng_->stage_flag(self_, nth, *static_cast<ParallelEngine::WorkerState*>(worker_));
 }
@@ -353,5 +357,7 @@ std::int64_t ParallelEngine::run(NodeProgram& program) {
   }
   return rounds;
 }
+
+std::int64_t run(ParallelEngine& eng, NodeProgram& program) { return eng.run(program); }
 
 }  // namespace dcolor::runtime

@@ -1,16 +1,17 @@
 // Parallel deterministic executor for NodeProgram-form CONGEST algorithms.
 //
-// Where congest::Network is driven from the outside (the algorithm loops
-// over nodes and calls send/advance_round), the ParallelEngine inverts
-// control: it owns the round loop and calls the program's per-node hooks
-// over a fixed thread pool. Inboxes are CSR-backed and double-buffered —
-// one pre-sized slot per directed edge, each slot written only by its one
-// sender — so a send is a lock-free write to the receiver's owned slot
-// and delivery is a buffer swap (stamps make clearing unnecessary). A
-// second, bitset-backed message plane carries 1-bit presence messages
-// (Outbox::send_flag_nth): 64 directed edges per word, staged with one
-// fetch_or, delivered by the same buffer swap — the fast path of 1-bit
-// broadcast rounds, where inbox occupancy is the whole message.
+// It is one of the two executors of a NodeProgram; the other,
+// runtime::run over congest::Network (declared below), is the strict
+// sequential reference. The ParallelEngine owns the round loop and calls
+// the program's per-node hooks over a fixed thread pool. Inboxes are
+// CSR-backed and double-buffered — one pre-sized slot per directed edge,
+// each slot written only by its one sender — so a send is a lock-free
+// write to the receiver's owned slot and delivery is a buffer swap
+// (stamps make clearing unnecessary). A second, bitset-backed message
+// plane carries 1-bit presence messages (Outbox::send_flag_nth): 64
+// directed edges per word, staged with one fetch_or, delivered by the
+// same buffer swap — the fast path of 1-bit broadcast rounds, where inbox
+// occupancy is the whole message.
 //
 // The engine enforces the same CONGEST contract as congest::Network
 // (bandwidth ceiling, declared-bits-cover-payload, non-edge rejection,
@@ -46,8 +47,25 @@ namespace dcolor::runtime {
 
 class ParallelEngine;
 
+// Runs `program` to completion on the sequential simulator, with the
+// contract of ParallelEngine::run: an init phase, then one
+// Network::advance_round and one on_round phase per round until
+// program.done(), and std::logic_error for sends staged in the phase
+// after which done() fires. Every node is dispatched in every phase, in
+// ascending id order, and roster() is never called, so a program whose
+// roster leaves out a live node gives different results on the two
+// executors. Each send goes through Network::send and its checks; each
+// Inbox is built from Network::inbox(v). Charges exactly what the
+// engine charges. Returns the number of rounds the run charged.
+std::int64_t run(congest::Network& net, NodeProgram& program);
+
+// ParallelEngine::run, so that code over either executor can call run().
+std::int64_t run(ParallelEngine& eng, NodeProgram& program);
+
 // Per-node send handle passed to NodeProgram hooks; valid only for the
-// duration of the hook invocation it was handed to.
+// duration of the hook invocation it was handed to. Sends go to the
+// engine's inbox slots, or through Network::send under the Network
+// runner.
 class Outbox {
  public:
   // Stage a message to neighbor `to` (O(log deg) edge validation, like
@@ -69,10 +87,13 @@ class Outbox {
 
  private:
   friend class ParallelEngine;
+  friend std::int64_t run(congest::Network& net, NodeProgram& program);
   Outbox(ParallelEngine* eng, void* worker) : eng_(eng), worker_(worker) {}
+  explicit Outbox(congest::Network* net) : net_(net) {}
 
-  ParallelEngine* eng_;
-  void* worker_;  // ParallelEngine::WorkerState of the executing worker
+  ParallelEngine* eng_ = nullptr;
+  void* worker_ = nullptr;  // ParallelEngine::WorkerState of the executing worker
+  congest::Network* net_ = nullptr;  // set under the Network runner only
   NodeId self_ = 0;
 };
 

@@ -75,8 +75,9 @@ std::uint64_t allocs() { return g_news.load(std::memory_order_relaxed); }
 // The Lemma 2.6 tree ops (pair aggregation + bit broadcast) over a
 // BFS tree: the innermost loop of every Theorem 1.1 seed-fixing
 // iteration. After one warm call per op, repeated calls must not touch
-// the heap — through both transports (the wave kernel), on the engine at
-// 1 and 2 threads, and through the kernel's own entry points.
+// the heap — through the transport on both executors (the wave kernel),
+// on the engine at 1 and 2 threads, and through the kernel's own entry
+// points.
 TEST(AllocAudit, BfsTreeOpsSteadyState) {
   const Graph g = make_grid(12, 12);
   std::vector<long double> v0(static_cast<std::size_t>(g.num_nodes()), 0.25L);
@@ -102,7 +103,7 @@ TEST(AllocAudit, BfsTreeOpsSteadyState) {
   }
 
   congest::TreeData tree;
-  congest::build_tree_data(net, 0, &tree);
+  build_tree_data(net, 0, &tree);
   const std::uint64_t before = allocs();
   for (int i = 0; i < 5; ++i) {
     congest::tree_fixed_sum(tree, v0);

@@ -8,6 +8,9 @@
 #include "src/coloring/partial_coloring.h"
 #include "src/graph/generators.h"
 #include "src/graph/properties.h"
+#include "src/runtime/coloring_transport.h"
+#include "src/runtime/derand_program.h"
+#include "src/runtime/linial_program.h"
 #include "tests/test_support.h"
 
 namespace dcolor {
@@ -21,7 +24,7 @@ TEST(Linial, ReducesToPolyDeltaColors) {
                          std::pair{make_gnp(100, 0.08, 11), "gnp"}}) {
     congest::Network net(g);
     InducedSubgraph all = test::all_active(g);
-    LinialResult r = linial_coloring(net, all);
+    LinialResult r = runtime::linial_coloring(net, all);
     EXPECT_TRUE(proper_on_active(all, r.coloring)) << name;
     const std::int64_t delta = g.max_degree();
     // O(Delta^2 polylog Delta): generous explicit cap.
@@ -42,7 +45,7 @@ TEST(Linial, WorksOnSubgraph) {
   for (int v = 0; v < 12; v += 2) memb[v] = true;  // 6-clique on even nodes
   congest::Network net(g);
   InducedSubgraph sub(g, memb);
-  LinialResult r = linial_coloring(net, sub);
+  LinialResult r = runtime::linial_coloring(net, sub);
   EXPECT_TRUE(proper_on_active(sub, r.coloring));
 }
 
@@ -50,8 +53,8 @@ TEST(Mis, ValidOnVariousGraphs) {
   for (auto g : {make_cycle(30), make_path(17), make_grid(5, 6), make_gnp(60, 0.1, 3)}) {
     congest::Network net(g);
     InducedSubgraph all = test::all_active(g);
-    LinialResult lin = linial_coloring(net, all);
-    auto mis = mis_by_color_classes(net, all, lin.coloring, lin.num_colors);
+    LinialResult lin = runtime::linial_coloring(net, all);
+    auto mis = runtime::mis_by_color_classes(net, all, lin.coloring, lin.num_colors);
     EXPECT_TRUE(test::valid_mis(all, mis));
   }
 }
@@ -60,7 +63,7 @@ TEST(Mis, SingletonAndEmpty) {
   auto g = Graph::from_edges(1, {});
   congest::Network net(g);
   InducedSubgraph all = test::all_active(g);
-  auto mis = mis_by_color_classes(net, all, {0}, 1);
+  auto mis = runtime::mis_by_color_classes(net, all, {0}, 1);
   EXPECT_TRUE(mis[0]);
 }
 
@@ -144,13 +147,13 @@ TEST_P(PartialColoringTest, LemmaGuarantees) {
 
   congest::Network net(g);
   InducedSubgraph active = test::all_active(g);
-  LinialResult lin = linial_coloring(net, active);
+  LinialResult lin = runtime::linial_coloring(net, active);
   std::vector<Color> colors(n, kUncolored);
 
   PartialColoringOptions opts;
   opts.family = fam;
   opts.avoid_mis = avoid_mis;
-  NetworkColoringTransport t(net);
+  runtime::NetworkColoringTransport t(net);
   t.build_tree(0);
   PartialColoringStats st =
       color_one_eighth(t, active, inst, colors, lin.coloring, lin.num_colors, opts);

@@ -9,6 +9,7 @@
 #include "src/congest/tree.h"
 #include "src/graph/generators.h"
 #include "src/graph/properties.h"
+#include "src/runtime/derand_program.h"
 
 namespace dcolor {
 namespace {
@@ -175,7 +176,7 @@ TEST(BfsTreeTest, BuildsCorrectLevels) {
   auto g = make_path(8);
   Network net(g);
   TreeData t;
-  congest::build_tree_data(net, 0, &t);
+  runtime::build_tree_data(net, 0, &t);
   EXPECT_EQ(t.depth, 7);
   for (NodeId v = 0; v < 8; ++v) EXPECT_EQ(t.level[v], v);
   EXPECT_EQ(t.parent[3], 2);
@@ -191,7 +192,7 @@ TEST(BfsTreeTest, DepthMatchesEccentricityOnGrid) {
   auto g = make_grid(5, 5);
   Network net(g);
   TreeData t;
-  congest::build_tree_data(net, 0, &t);
+  runtime::build_tree_data(net, 0, &t);
   auto dist = bfs_distances(g, 0);
   int ecc = 0;
   for (int d : dist) ecc = std::max(ecc, d);
@@ -212,7 +213,7 @@ TEST(BfsTreeTest, AggregateSums) {
   auto g = make_binary_tree(15);
   Network net(g);
   TreeData t;
-  congest::build_tree_data(net, 0, &t);
+  runtime::build_tree_data(net, 0, &t);
   std::vector<long double> vals(15);
   std::uint64_t expect = 0;
   for (int i = 0; i < 15; ++i) {
@@ -232,7 +233,7 @@ TEST(BfsTreeTest, AggregateSaturates) {
   auto g = make_path(3);
   Network net(g);
   TreeData t;
-  congest::build_tree_data(net, 0, &t);
+  runtime::build_tree_data(net, 0, &t);
   // Each encoding fits 63 bits, the three together overflow 64: the sum
   // clamps instead of wrapping.
   const std::vector<long double> vals(3, 2.0e9L);
@@ -243,7 +244,7 @@ TEST(BfsTreeTest, AggregateWideValuesChargePipelining) {
   auto g = make_path(10);
   Network net(g, 20);
   TreeData t;
-  congest::build_tree_data(net, 0, &t);
+  runtime::build_tree_data(net, 0, &t);
   const Metrics cost = congest::wave_cost(t, 64, net.bandwidth_bits());
   // 64 bits over 20-bit bandwidth = 4 chunks: depth + 3 rounds; the
   // first 20-bit chunk is the one message per tree edge.
@@ -257,7 +258,7 @@ TEST(BfsTreeTest, BroadcastReachesAll) {
   auto g = make_grid(4, 4);
   Network net(g);
   TreeData t;
-  congest::build_tree_data(net, 0, &t);
+  runtime::build_tree_data(net, 0, &t);
   const auto before = net.metrics();
   net.charge(congest::wave_cost(t, 1, net.bandwidth_bits()));
   EXPECT_EQ(net.metrics().rounds - before.rounds, t.depth);
@@ -343,7 +344,7 @@ TEST(FixedPoint, AggregateFixedSumMatches) {
   auto g = make_cycle(12);
   Network net(g);
   TreeData t;
-  congest::build_tree_data(net, 0, &t);
+  runtime::build_tree_data(net, 0, &t);
   std::vector<long double> vals(12);
   long double expect = 0;
   for (int i = 0; i < 12; ++i) {

@@ -12,6 +12,7 @@
 #include "src/decomposition/netdecomp.h"
 #include "src/graph/generators.h"
 #include "src/graph/properties.h"
+#include "src/runtime/coloring_transport.h"
 #include "tests/test_support.h"
 
 namespace dcolor {
@@ -116,7 +117,7 @@ TEST(ClusterTreeTest, AggregatesOverTree) {
     if (c.members.size() > big->members.size()) big = &c;
   }
   congest::Network net(g);
-  NetworkColoringTransport t(net);
+  runtime::NetworkColoringTransport t(net);
   t.bind_cluster(*big);
   std::vector<long double> v0(6, 0.0L), v1(6, 0.0L);
   long double e0 = 0, e1 = 0;

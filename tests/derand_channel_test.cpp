@@ -1,12 +1,14 @@
-// ColoringTransport conformance: the sequential reference transport
-// (congest::Network + NetworkColoringTransport) and the parallel engine
-// transport (runtime::EngineColoringTransport) must charge identical
-// CONGEST costs and produce identical values for identical call
-// sequences — the property the Theorem 1.1 port rests on. The suite
-// replays each primitive head-on: tree construction, the Lemma 2.6
-// seed-fixing scenario (aggregate_pair + broadcast_bit per bit, chosen
-// seeds compared), conflict-edge exchanges with and without payload
-// collection, and the conflict-resolution MIS.
+// ColoringTransport executor parity: the one transport implementation on
+// the sequential congest::Network (runtime::NetworkColoringTransport)
+// and on the parallel engine at 1 and 3 threads
+// (runtime::EngineColoringTransport) must charge identical CONGEST costs
+// and produce identical values for identical call sequences, the
+// property the Theorem 1.1 port rests on. The suite replays each
+// primitive that runs as a NodeProgram head-on: the BFS tree flood,
+// conflict-edge exchanges with and without payload collection, the
+// conflict-resolution MIS and Linial. The Lemma 2.6 waves run through
+// one sequential kernel on both executors; tests/tree_wave_test.cpp
+// holds that kernel to a per-round oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +21,7 @@
 #include "src/congest/network.h"
 #include "src/congest/tree.h"
 #include "src/graph/generators.h"
-#include "src/runtime/theorem11_program.h"
+#include "src/runtime/coloring_transport.h"
 #include "tests/test_support.h"
 
 namespace dcolor {
@@ -82,67 +84,25 @@ std::vector<test::NamedGraph> connected_corpus() {
   return v;
 }
 
-TEST(TransportConformance, SeedFixingScenarioMatches) {
+TEST(TransportConformance, BuildTreeMatches) {
   for (const auto& [name, g] : connected_corpus()) {
     const NodeId n = g.num_nodes();
-    congest::Network net(g);
-    NetworkColoringTransport ref(net);
+    runtime::NetworkColoringTransport ref(g);
+    ref.build_tree(0);
     for (int threads : {1, 3}) {
       runtime::EngineColoringTransport eng(g, threads);
-      ref.network().reset_metrics();
-      eng.engine().reset_metrics();
-
-      ref.build_tree(0);
       eng.build_tree(0);
       expect_metrics_eq(ref.metrics(), eng.metrics(), name + " after build_tree");
-      {
-        // The engine's tree is the Network flood's, node by node and
-        // level roster by level roster.
-        congest::Network bfs_net(g);
-        congest::TreeData bfs;
-        congest::build_tree_data(bfs_net, 0, &bfs);
-        expect_metrics_eq(bfs_net.metrics(), eng.metrics(), name + " Network flood");
-        const congest::TreeData& tree = eng.tree();
-        EXPECT_EQ(tree.depth, bfs.depth) << name;
-        EXPECT_EQ(tree.level_off, bfs.level_off) << name;
-        EXPECT_EQ(tree.level_nodes, bfs.level_nodes) << name;
-        for (NodeId v = 0; v < n; ++v) {
-          ASSERT_EQ(tree.level[v], bfs.level[v]) << name << " v=" << v;
-          ASSERT_EQ(tree.parent[v], bfs.parent[v]) << name << " v=" << v;
-        }
-      }
-
-      // The same deterministic seed-fixing scenario on both transports:
-      // per "seed bit" both sides aggregate a pair of per-node
-      // conditional-expectation vectors, pick the minimizing bit, and
-      // broadcast it. The values evolve with the chosen bits so any
-      // divergence compounds and cannot cancel.
-      auto rng = test::make_rng(0x5eedf1f);
-      std::vector<long double> x0(n), x1(n);
+      // The same tree, node by node and level roster by level roster.
+      const congest::TreeData& want = ref.tree();
+      const congest::TreeData& got = eng.tree();
+      EXPECT_EQ(got.depth, want.depth) << name;
+      EXPECT_EQ(got.level_off, want.level_off) << name;
+      EXPECT_EQ(got.level_nodes, want.level_nodes) << name;
       for (NodeId v = 0; v < n; ++v) {
-        x0[v] = static_cast<long double>(rng.next_u64() % 1024) / 64.0L;
-        x1[v] = static_cast<long double>(rng.next_u64() % 1024) / 64.0L;
+        ASSERT_EQ(got.level[v], want.level[v]) << name << " v=" << v;
+        ASSERT_EQ(got.parent[v], want.parent[v]) << name << " v=" << v;
       }
-      std::vector<int> ref_bits, eng_bits;
-      for (int j = 0; j < 24; ++j) {
-        const auto [r0, r1] = ref.aggregate_pair(x0, x1);
-        const auto [e0, e1] = eng.aggregate_pair(x0, x1);
-        EXPECT_EQ(static_cast<double>(r0), static_cast<double>(e0)) << name << " bit " << j;
-        EXPECT_EQ(static_cast<double>(r1), static_cast<double>(e1)) << name << " bit " << j;
-        const int rb = r0 <= r1 ? 0 : 1;
-        const int eb = e0 <= e1 ? 0 : 1;
-        ref_bits.push_back(rb);
-        eng_bits.push_back(eb);
-        ref.broadcast_bit(rb);
-        eng.broadcast_bit(eb);
-        // Deterministic evolution driven by the chosen bit.
-        for (NodeId v = 0; v < n; ++v) {
-          x0[v] = rb ? x0[v] * 0.5L + x1[v] : x0[v] + 0.25L * v;
-          x1[v] = rb ? x1[v] + 1.0L / (1 + v) : x1[v] * 0.75L;
-        }
-      }
-      EXPECT_EQ(ref_bits, eng_bits) << name << " threads=" << threads;
-      expect_metrics_eq(ref.metrics(), eng.metrics(), name + " after seed fixing");
     }
   }
 }
@@ -166,10 +126,10 @@ TEST(TransportConformance, ExchangeAlongMatches) {
   }
 
   congest::Network net(g);
-  NetworkColoringTransport ref(net);
-  for (int threads : {1, 4}) {
+  runtime::NetworkColoringTransport ref(net);
+  for (int threads : {1, 3}) {
     runtime::EngineColoringTransport eng(g, threads);
-    ref.network().reset_metrics();
+    net.reset_metrics();
 
     // Without collection, narrow payloads.
     ref.exchange_along(targets, senders, payloads, 12, nullptr);
@@ -210,8 +170,7 @@ TEST(TransportConformance, ConflictMisMatches) {
   std::vector<std::int64_t> ids(n);
   for (NodeId v = 0; v < n; ++v) ids[v] = v;
 
-  congest::Network net(base);
-  NetworkColoringTransport ref(net);
+  runtime::NetworkColoringTransport ref(base);
   const std::vector<bool> ref_mis = ref.conflict_mis(conf, memb, ids, n);
   for (int threads : {1, 3}) {
     runtime::EngineColoringTransport eng(base, threads);
@@ -225,15 +184,16 @@ TEST(TransportConformance, ConflictMisMatches) {
 
 TEST(TransportConformance, LinialPrimitiveMatches) {
   for (const auto& [name, g] : connected_corpus()) {
-    congest::Network net(g);
-    NetworkColoringTransport ref(net);
-    runtime::EngineColoringTransport eng(g, 2);
+    runtime::NetworkColoringTransport ref(g);
     const InducedSubgraph all = test::all_active(g);
     const LinialResult a = ref.linial(all, nullptr, 0);
-    const LinialResult b = eng.linial(all, nullptr, 0);
-    EXPECT_EQ(a.coloring, b.coloring) << name;
-    EXPECT_EQ(a.num_colors, b.num_colors) << name;
-    expect_metrics_eq(ref.metrics(), eng.metrics(), name + " linial");
+    for (int threads : {1, 3}) {
+      runtime::EngineColoringTransport eng(g, threads);
+      const LinialResult b = eng.linial(all, nullptr, 0);
+      EXPECT_EQ(a.coloring, b.coloring) << name;
+      EXPECT_EQ(a.num_colors, b.num_colors) << name;
+      expect_metrics_eq(ref.metrics(), eng.metrics(), name + " linial");
+    }
   }
 }
 

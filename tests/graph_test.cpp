@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/graph/properties.h"
@@ -16,6 +21,25 @@ TEST(Graph, FromEdgesDedupes) {
   EXPECT_FALSE(g.has_edge(0, 2));
   EXPECT_EQ(g.degree(1), 2);
   EXPECT_EQ(g.max_degree(), 2);
+}
+
+TEST(Graph, FromEdgesRejectsOutOfRangeEndpoints) {
+  // Every bad endpoint throws in every build type, before any write
+  // into the CSR arrays, and the message names the edge.
+  for (const auto& bad : std::vector<std::pair<NodeId, NodeId>>{{0, 5}, {3, 1}, {-1, 2}, {1, -7}}) {
+    try {
+      Graph::from_edges(3, {{0, 1}, bad});
+      ADD_FAILURE() << "accepted (" << bad.first << ", " << bad.second << ")";
+    } catch (const std::out_of_range& e) {
+      const std::string want =
+          "(" + std::to_string(bad.first) + ", " + std::to_string(bad.second) + ")";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(Graph::from_edges(-1, {}), std::out_of_range);
+  EXPECT_THROW(Graph::from_edges(0, {{0, 0}}), std::out_of_range);
+  EXPECT_EQ(Graph::from_edges(0, {}).num_nodes(), 0);
+  EXPECT_EQ(Graph::from_edges(3, {{2, 2}}).num_edges(), 0);  // self loop dropped
 }
 
 TEST(Graph, EdgeListRoundTrip) {

@@ -7,6 +7,8 @@
 #include "src/coloring/theorem11.h"
 #include "src/congest/tree.h"
 #include "src/graph/generators.h"
+#include "src/runtime/coloring_transport.h"
+#include "src/runtime/linial_program.h"
 #include "tests/test_support.h"
 
 namespace dcolor {
@@ -15,12 +17,14 @@ namespace {
 TEST(LinialEdge, NextPaletteMonotoneAndQuadratic) {
   // q^2 with q = O(Delta log k): palette shrinks whenever k >> Delta^2.
   for (int delta : {2, 4, 16, 64}) {
+    const runtime::LinialSchedule s = runtime::plan_linial(1 << 20, delta);
+    ASSERT_LT(s.steps.size(), 10u) << "log* convergence violated";
     std::int64_t k = 1 << 20;
-    int guard = 0;
-    while (linial_next_palette(k, delta) < k) {
-      k = linial_next_palette(k, delta);
-      ASSERT_LT(++guard, 10) << "log* convergence violated";
+    for (const runtime::LinialStep& st : s.steps) {
+      EXPECT_LT(st.q * st.q, k) << delta;
+      k = st.q * st.q;
     }
+    EXPECT_EQ(k, s.final_colors) << delta;
     // Fixed point is O(Delta^2 polylog Delta).
     EXPECT_LE(k, 64ll * delta * delta * 64) << delta;
     EXPECT_GE(k, delta) << delta;
@@ -28,16 +32,18 @@ TEST(LinialEdge, NextPaletteMonotoneAndQuadratic) {
 }
 
 TEST(LinialEdge, StepPreservesProperness) {
+  // Spread ids over a 2^20 palette, so that the reduction takes steps.
   auto g = make_gnp(40, 0.2, 9);
   congest::Network net(g);
   InducedSubgraph all = test::all_active(g);
   std::vector<std::int64_t> coloring(40);
-  for (int v = 0; v < 40; ++v) coloring[v] = v;
-  const std::int64_t k_out = linial_step(net, all, coloring, 40, g.max_degree());
+  for (int v = 0; v < 40; ++v) coloring[v] = 26000 * v + 7;
+  const LinialResult r = runtime::linial_coloring(net, all, &coloring, 1 << 20);
+  EXPECT_GE(r.iterations, 1);
   for (NodeId v = 0; v < 40; ++v) {
-    EXPECT_GE(coloring[v], 0);
-    EXPECT_LT(coloring[v], k_out);
-    for (NodeId u : g.neighbors(v)) EXPECT_NE(coloring[u], coloring[v]);
+    EXPECT_GE(r.coloring[v], 0);
+    EXPECT_LT(r.coloring[v], r.num_colors);
+    for (NodeId u : g.neighbors(v)) EXPECT_NE(r.coloring[u], r.coloring[v]);
   }
 }
 
@@ -45,7 +51,7 @@ TEST(LinialEdge, IsolatedNodesAndSingletons) {
   auto g = Graph::from_edges(5, {});  // edgeless
   congest::Network net(g);
   InducedSubgraph all = test::all_active(g);
-  LinialResult r = linial_coloring(net, all);
+  LinialResult r = runtime::linial_coloring(net, all);
   EXPECT_LE(r.num_colors, 5);
 }
 
@@ -95,13 +101,9 @@ TEST(ListInstanceEdge, TrimKeepsFeasibility) {
 TEST(SeedFixingEdge, AggregatePairMatchesDirectSums) {
   auto g = make_binary_tree(31);
   congest::Network net(g);
-  NetworkColoringTransport t(net);
+  runtime::NetworkColoringTransport t(net);
   t.build_tree(0);
-  // The depth of the tree build_tree floods, from a throwaway simulator.
-  congest::Network probe(g);
-  congest::TreeData probe_tree;
-  congest::build_tree_data(probe, 0, &probe_tree);
-  const int depth = probe_tree.depth;
+  const int depth = t.tree().depth;
   std::vector<long double> v0(31), v1(31);
   long double e0 = 0, e1 = 0;
   for (int i = 0; i < 31; ++i) {

@@ -42,6 +42,7 @@
 #include "src/graph/generators.h"
 #include "src/obs/obs.h"
 #include "src/runtime/corollary12_program.h"
+#include "src/runtime/derand_program.h"
 #include "src/runtime/theorem11_program.h"
 #include "tests/test_support.h"
 
@@ -509,7 +510,7 @@ TEST(ObsHistogram, ChargedWaveStaysOutOfTheNextNetworkRound) {
   congest::TreeData tree;
   {
     congest::Network probe(g);
-    congest::build_tree_data(probe, 0, &tree);
+    runtime::build_tree_data(probe, 0, &tree);
   }
   const congest::Metrics wave = congest::wave_cost(tree, 64, 40);
   ASSERT_EQ(wave.messages, 5);

@@ -1,17 +1,21 @@
-// The parallel engine's two core promises, tested head-on:
-//  1. CONGEST-contract parity — the engine rejects exactly the cheats
+// The two executors of a NodeProgram, tested head-on:
+//  1. CONGEST-contract parity — the engine and the Network runner
+//     (runtime::run over congest::Network) reject exactly the cheats
 //     congest::Network rejects (the violation corpus from
-//     tests/congest_test.cpp, replayed as NodePrograms).
-//  2. Execution parity — the Linial and derandomized-MIS ports produce
-//     bit-identical colorings/MIS sets AND bit-identical Metrics (rounds,
-//     messages, total_bits, max_message_bits) to the Network-driven
-//     implementations at 1 and N threads.
+//     tests/congest_test.cpp, replayed as NodePrograms), with the same
+//     CongestViolation, and charge the same Metrics for the legal
+//     counterparts.
+//  2. Execution parity — Linial, the derandomized MIS and Theorem 1.1
+//     produce bit-identical colorings/MIS sets AND bit-identical Metrics
+//     (rounds, messages, total_bits, max_message_bits) on the engine at
+//     1 and N threads and on the Network runner.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/coloring/derand_mis.h"
@@ -91,14 +95,27 @@ TEST(ParallelEngine, StaleSlotsDoNotLeakAcrossRounds) {
   EXPECT_EQ(eng.metrics().rounds, 3);
 }
 
-// ---- violation corpus, engine side (mirrors tests/congest_test.cpp) ----
+// ---- violation corpus, both executors (mirrors tests/congest_test.cpp) ----
+
+// The CongestViolation message `run_it` throws, or "" if it returns.
+std::string violation_of(const std::function<void()>& run_it) {
+  try {
+    run_it();
+  } catch (const CongestViolation& e) {
+    return e.what();
+  }
+  return "";
+}
 
 void expect_violation(const Graph& g, int bandwidth, int threads,
                       std::function<void(NodeId, Outbox&)> init_fn) {
   ParallelEngine eng(g, threads, bandwidth);
+  congest::Network net(g, bandwidth);
   ScriptProgram p;
   p.on_init = std::move(init_fn);
-  EXPECT_THROW(eng.run(p), CongestViolation);
+  const std::string on_engine = violation_of([&] { eng.run(p); });
+  EXPECT_FALSE(on_engine.empty()) << "threads=" << threads;
+  EXPECT_EQ(violation_of([&] { runtime::run(net, p); }), on_engine);
 }
 
 TEST(ParallelEngineViolations, MatchesNetworkCorpus) {
@@ -138,10 +155,19 @@ TEST(ParallelEngineViolations, MatchesNetworkCorpus) {
   }
 }
 
+void expect_metrics_eq(const congest::Metrics& a, const congest::Metrics& b) {
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.total_bits, b.total_bits);
+  EXPECT_EQ(a.max_message_bits, b.max_message_bits);
+}
+
 TEST(ParallelEngineViolations, LegalCorpusCounterpartsPass) {
-  // The allowed halves of the corpus cases must not throw.
+  // The allowed halves of the corpus cases must not throw, and both
+  // executors charge them alike.
   auto path3 = make_path(3);
   ParallelEngine eng(path3, 2, 8);
+  congest::Network net(path3, 8);
   ScriptProgram p;
   p.on_init = [](NodeId v, Outbox& out) {
     if (v == 0) out.send(1, 255, 8);  // exactly at the budget
@@ -150,9 +176,12 @@ TEST(ParallelEngineViolations, LegalCorpusCounterpartsPass) {
   EXPECT_NO_THROW(eng.run(p));
   EXPECT_EQ(eng.metrics().messages, 2);
   EXPECT_EQ(eng.metrics().max_message_bits, 8);
+  EXPECT_NO_THROW(runtime::run(net, p));
+  expect_metrics_eq(net.metrics(), eng.metrics());
 
   // The same edge is free again the next round.
   ParallelEngine eng2(path3, 2);
+  congest::Network net2(path3);
   ScriptProgram p2;
   p2.rounds_wanted = 2;
   p2.on_init = [](NodeId v, Outbox& out) {
@@ -163,6 +192,8 @@ TEST(ParallelEngineViolations, LegalCorpusCounterpartsPass) {
   };
   EXPECT_NO_THROW(eng2.run(p2));
   EXPECT_EQ(eng2.metrics().messages, 2);
+  EXPECT_NO_THROW(runtime::run(net2, p2));
+  expect_metrics_eq(net2.metrics(), eng2.metrics());
 }
 
 TEST(ParallelEngine, FinalPhaseSendsAreRejectedAndDoNotPoisonReuse) {
@@ -190,20 +221,94 @@ TEST(ParallelEngine, FinalPhaseSendsAreRejectedAndDoNotPoisonReuse) {
   EXPECT_EQ(delivered, 1);
 }
 
-// ---- Linial parity ----
+// ---- the Network runner ----
 
-void expect_metrics_eq(const congest::Metrics& a, const congest::Metrics& b) {
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.total_bits, b.total_bits);
-  EXPECT_EQ(a.max_message_bits, b.max_message_bits);
+TEST(NetworkRunner, DeliversToTheRightSlots) {
+  auto g = make_path(3);  // 0-1-2
+  congest::Network net(g);
+  std::vector<std::vector<std::pair<NodeId, std::uint64_t>>> got(3);
+  ScriptProgram p;
+  p.rounds_wanted = 2;
+  p.on_init = [](NodeId v, Outbox& out) {
+    if (v == 2) out.send(1, 7, 3);
+    if (v == 0) out.send_flag_nth(0);
+  };
+  p.on_round_fn = [&](std::int64_t r, NodeId v, const Inbox& in, Outbox&) {
+    in.for_each([&](NodeId from, std::uint64_t payload) { got[v].emplace_back(from, payload); });
+    if (r == 2) {
+      EXPECT_TRUE(in.empty()) << "round 1's messages leaked into round 2";
+    }
+  };
+  EXPECT_EQ(runtime::run(net, p), 2);
+  ASSERT_EQ(got[1].size(), 2u);
+  // CSR order: slot 0 is neighbor 0 (its flag reads as 1), slot 1 is 2.
+  EXPECT_EQ(got[1][0], (std::pair<NodeId, std::uint64_t>{0, 1}));
+  EXPECT_EQ(got[1][1], (std::pair<NodeId, std::uint64_t>{2, 7}));
+  EXPECT_TRUE(got[0].empty());
+  EXPECT_EQ(net.metrics().rounds, 2);
+  EXPECT_EQ(net.metrics().total_bits, 4);
 }
+
+TEST(NetworkRunner, FinalPhaseSendsAreRejected) {
+  auto g = make_path(2);
+  ScriptProgram bad;
+  bad.rounds_wanted = 1;
+  bad.on_round_fn = [](std::int64_t, NodeId v, const Inbox&, Outbox& out) {
+    if (v == 0) out.send(1, 1, 1);
+  };
+  congest::Network net(g);
+  EXPECT_THROW(runtime::run(net, bad), std::logic_error);
+  // A send staged in init of a program that is done at once has no
+  // delivery round either.
+  ScriptProgram bad_init;
+  bad_init.rounds_wanted = 0;
+  bad_init.on_init = [](NodeId v, Outbox& out) {
+    if (v == 1) out.send(0, 1, 1);
+  };
+  congest::Network net2(g);
+  EXPECT_THROW(runtime::run(net2, bad_init), std::logic_error);
+  ParallelEngine eng(g, 2);
+  EXPECT_THROW(eng.run(bad_init), std::logic_error);
+}
+
+// The engine trusts roster(); the Network runner ignores it. A program
+// whose roster leaves out a sending node therefore gives different
+// results on the two executors, which is what lets the parity suites
+// catch a broken roster.
+TEST(NetworkRunner, BrokenRosterShowsAsDivergence) {
+  struct LeavesOutASender final : runtime::NodeProgram {
+    std::vector<std::uint64_t> heard = std::vector<std::uint64_t>(3, 0);
+    const NodeId only_zero = 0;
+    void init(NodeId v, Outbox& out) override {
+      if (v != 1) out.send(1, static_cast<std::uint64_t>(v) + 1, 2);
+    }
+    void on_round(std::int64_t, NodeId v, const Inbox& in, Outbox&) override {
+      in.for_each([&](NodeId, std::uint64_t payload) { heard[v] += payload; });
+    }
+    bool done(std::int64_t rounds) override { return rounds == 1; }
+    runtime::Roster roster(std::int64_t round) override {
+      // Broken: node 2 also sends in init.
+      return round == 0 ? runtime::Roster::of(&only_zero, 1) : runtime::Roster::all();
+    }
+  };
+  auto g = make_path(3);
+  LeavesOutASender on_engine, on_network;
+  ParallelEngine eng(g, 1);
+  congest::Network net(g);
+  eng.run(on_engine);
+  runtime::run(net, on_network);
+  EXPECT_EQ(on_engine.heard[1], 1u);
+  EXPECT_EQ(on_network.heard[1], 4u);
+  EXPECT_NE(eng.metrics().messages, net.metrics().messages);
+}
+
+// ---- Linial parity ----
 
 TEST(EngineParity, LinialMatchesNetworkOnCorpus) {
   for (const auto& [name, g] : test::small_corpus()) {
     const InducedSubgraph all = test::all_active(g);
     congest::Network net(g);
-    const LinialResult ref = linial_coloring(net, all);
+    const LinialResult ref = runtime::linial_coloring(net, all);
     for (int threads : {1, 2, 4}) {
       ParallelEngine eng(g, threads);
       const LinialResult got = runtime::linial_coloring(eng, all);
@@ -222,7 +327,7 @@ TEST(EngineParity, LinialMatchesOnActiveSubgraph) {
   for (NodeId v = 0; v < g.num_nodes(); v += 2) member[v] = true;  // sparse active set
   const InducedSubgraph active(g, member);
   congest::Network net(g);
-  const LinialResult ref = linial_coloring(net, active);
+  const LinialResult ref = runtime::linial_coloring(net, active);
   ParallelEngine eng(g, 3);
   const LinialResult got = runtime::linial_coloring(eng, active);
   EXPECT_EQ(got.coloring, ref.coloring);

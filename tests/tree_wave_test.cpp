@@ -1,11 +1,12 @@
 // The Lemma 2.6 wave kernel (src/congest/tree.h) against its per-round
-// oracle. Both ColoringTransports run every seed-fixing convergecast and
-// broadcast as one sequential sweep with a closed-form charge; the oracle
+// oracle. The ColoringTransport runs every seed-fixing convergecast and
+// broadcast as one sequential sweep with a closed-form charge, on either
+// executor; the oracle
 // below runs the same waves as NodePrograms, one ParallelEngine round per
 // tree level with real messages on every tree edge. The suites check the
 // bound trees against a test-local recomputation, and compare the sums
-// and the full Metrics of the kernel, run through both transports
-// (congest::Network and the parallel engine), against the oracle on the
+// and the full Metrics of the kernel, run through the transport on both
+// executors (congest::Network and the parallel engine), against the oracle on the
 // engine at 1 and 3 threads:
 //  - over BFS trees (paths, stars, grids, random trees, a single node)
 //    and cluster trees (real decompose() clusters with Steiner nodes, a
@@ -13,8 +14,8 @@
 //  - at bandwidths 12, 40, 64 and 128 bits.
 // The oracle's accumulators are checked to be subtree sums, and a tree
 // with one saturated subtree checks that the kernel's level-order sum
-// and the oracle's subtree fold agree. A final suite checks that both
-// transports reject, at bind time, a cluster tree whose parent edge is
+// and the oracle's subtree fold agree. A final suite checks that the
+// transport rejects on both executors, at bind time, a cluster tree whose parent edge is
 // not a graph edge or whose one parentless node is not the cluster's
 // root.
 #include <gtest/gtest.h>
@@ -31,8 +32,9 @@
 #include "src/congest/tree.h"
 #include "src/decomposition/netdecomp.h"
 #include "src/graph/generators.h"
+#include "src/runtime/coloring_transport.h"
+#include "src/runtime/derand_program.h"
 #include "src/runtime/parallel_engine.h"
-#include "src/runtime/theorem11_program.h"
 #include "src/util/bits.h"
 #include "tests/test_support.h"
 
@@ -274,11 +276,12 @@ std::vector<long double> node_values(NodeId n, std::uint64_t salt) {
   return x;
 }
 
-// The tree both transports must bind, recomputed here without the
-// library's tree builders: for a BFS tree from node 0 (`cluster` null),
-// hop distances and, as parent, the smallest-id neighbour one level up;
-// for a cluster, its own parents and the levels they imply. depth is the
-// deepest level, never below the cluster's tree_depth.
+// The tree the transport must bind on both executors, recomputed here
+// without the library's tree builders: for a BFS tree from node 0
+// (`cluster` null), hop distances and, as parent, the smallest-id
+// neighbour one level up; for a cluster, its own parents and the levels
+// they imply. depth is the deepest level, never below the cluster's
+// tree_depth.
 struct ExpectedTree {
   std::vector<NodeId> nodes;
   std::vector<int> level;
@@ -343,16 +346,17 @@ void bind_oracle(ParallelEngine& eng, const Cluster* cluster, TreeData* tree) {
 }
 
 // One seed bit on every executor: the oracle on the engine at 1 and 3
-// threads against the kernel through both transports — aggregate_pair
-// sums and Metrics, then broadcast_bit Metrics — plus a 13-bit broadcast
-// charged by wave_cost against the oracle's slot-plane broadcast.
+// threads against the kernel through the transport on both executors —
+// aggregate_pair sums and Metrics, then broadcast_bit Metrics — plus a
+// 13-bit broadcast charged by wave_cost against the oracle's slot-plane
+// broadcast.
 void check_tree(const Graph& g, const Cluster* cluster, const std::string& name) {
   const NodeId n = g.num_nodes();
   const std::vector<long double> v0 = node_values(n, 0xa0), v1 = node_values(n, 0xa1);
   const ExpectedTree want_tree = expected_tree(g, cluster);
   for (const int bw : kBandwidths) {
     congest::Network net(g, bw);
-    NetworkColoringTransport ref(net);
+    runtime::NetworkColoringTransport ref(net);
     runtime::EngineColoringTransport eng_t(g, 1, bw);
     if (cluster == nullptr) {
       ref.build_tree(0);
@@ -362,12 +366,12 @@ void check_tree(const Graph& g, const Cluster* cluster, const std::string& name)
       eng_t.bind_cluster(*cluster);
     }
     net.reset_metrics();
-    eng_t.engine().reset_metrics();
+    eng_t.executor().reset_metrics();
     const auto net_sums = ref.aggregate_pair(v0, v1);
     const auto eng_sums = eng_t.aggregate_pair(v0, v1);
     const Metrics net_agg = net.metrics(), eng_agg = eng_t.metrics();
     net.reset_metrics();
-    eng_t.engine().reset_metrics();
+    eng_t.executor().reset_metrics();
     ref.broadcast_bit(1);
     eng_t.broadcast_bit(1);
     const Metrics net_bc = net.metrics(), eng_bc = eng_t.metrics();
@@ -514,7 +518,7 @@ TEST(TreeWaveConformance, OneSaturatedSubtreeMatchesOracle) {
     EXPECT_EQ(congest::tree_fixed_sum(tree, small), acc[1][0]) << threads;
   }
   congest::Network net(g);
-  NetworkColoringTransport ref(net);
+  runtime::NetworkColoringTransport ref(net);
   runtime::EngineColoringTransport eng_t(g, 1);
   ref.bind_cluster(c);
   eng_t.bind_cluster(c);
@@ -579,7 +583,7 @@ TEST(BindCluster, RejectsTreeParentThatIsNotANeighbour) {
   bad.members = bad.tree_nodes = {0, 1, 2, 3};
   bad.tree_parent = {-1, 0, 1, 0};
   congest::Network net(g);
-  NetworkColoringTransport ref(net);
+  runtime::NetworkColoringTransport ref(net);
   runtime::EngineColoringTransport eng(g, 1);
   EXPECT_THROW(ref.bind_cluster(bad), congest::CongestViolation);
   EXPECT_THROW(eng.bind_cluster(bad), congest::CongestViolation);
