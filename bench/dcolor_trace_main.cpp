@@ -8,9 +8,9 @@
 //   dcolor-trace diff CUR_DIR BASE_DIR phase-by-phase attribution between
 //                                      two BENCH_*.json record sets —
 //                                      "phase X contributed Y ms of the
-//                                      Z ms delta", calibrated by the
-//                                      median wall ratio exactly like the
-//                                      benchkit baseline gate.
+//                                      Z ms delta", paired and calibrated
+//                                      by the baseline gate's own
+//                                      benchkit::pair_with_baseline.
 //
 // The PERFORMANCE.md playbook runs `dcolor-trace diff` FIRST on any
 // regression: it usually names the guilty phase before anyone reaches
@@ -100,51 +100,32 @@ int run_diff(const std::string& cur_dir, const std::string& base_dir) {
     return 1;
   }
 
-  struct Pair {
-    std::string file;
-    dcolor::benchkit::Record current;
-    dcolor::benchkit::Record baseline;
-  };
-  std::vector<Pair> pairs;
-  std::vector<double> ratios;
-  int unmatched = 0;
-  for (const std::string& name : names) {
-    Pair p;
-    p.file = name;
-    std::string rerr;
-    if (!dcolor::benchkit::read_record_file(cur_dir + "/" + name, &p.current, &rerr)) {
-      std::fprintf(stderr, "dcolor-trace: %s\n", rerr.c_str());
+  std::vector<dcolor::benchkit::Record> current(names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (!dcolor::benchkit::read_record_file(cur_dir + "/" + names[i], &current[i], &err)) {
+      std::fprintf(stderr, "dcolor-trace: %s\n", err.c_str());
       return 1;
     }
-    if (!dcolor::benchkit::read_record_file(base_dir + "/" + name, &p.baseline, &rerr) ||
-        p.baseline.wall_ms <= 0) {
-      ++unmatched;
-      continue;
-    }
-    if (p.baseline.n != p.current.n || p.baseline.quick != p.current.quick ||
-        p.baseline.seed != p.current.seed) {
-      ++unmatched;  // incomparable instance — same rule as the gate
-      continue;
-    }
-    ratios.push_back(p.current.wall_ms / p.baseline.wall_ms);
-    pairs.push_back(std::move(p));
   }
-  if (pairs.empty()) {
+  const dcolor::benchkit::BaselinePairing pairing =
+      dcolor::benchkit::pair_with_baseline(current, base_dir, /*calibrate=*/true);
+  const std::size_t pairs = current.size() - static_cast<std::size_t>(pairing.unmatched);
+  if (pairs == 0) {
     std::fprintf(stderr, "dcolor-trace: no comparable record pair between %s and %s\n",
                  cur_dir.c_str(), base_dir.c_str());
     return 1;
   }
-
-  double calibration = dcolor::benchkit::median(ratios);
-  if (calibration <= 0) calibration = 1.0;
   std::printf("phase attribution: %s vs %s — %zu pair(s), %d unmatched, calibration %.3f\n\n",
-              cur_dir.c_str(), base_dir.c_str(), pairs.size(), unmatched, calibration);
+              cur_dir.c_str(), base_dir.c_str(), pairs, pairing.unmatched,
+              pairing.calibration);
 
-  for (const Pair& p : pairs) {
+  for (std::size_t i = 0; i < current.size(); ++i) {
+    const dcolor::benchkit::BaselineMatch& m = pairing.matches[i];
+    if (!m.matched) continue;
     const dcolor::obs::PhaseDiff d = dcolor::obs::diff_phases(
-        p.current.phase_wall_ms, p.baseline.phase_wall_ms, p.current.wall_ms,
-        p.baseline.wall_ms, calibration);
-    std::printf("== %s ==\n", p.file.c_str());
+        current[i].phase_wall_ms, m.baseline.phase_wall_ms, current[i].wall_ms,
+        m.baseline.wall_ms, pairing.calibration);
+    std::printf("== %s ==\n", names[i].c_str());
     std::fputs(dcolor::obs::format_phase_diff(d, "  ").c_str(), stdout);
     std::printf("\n");
   }

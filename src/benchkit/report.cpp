@@ -295,50 +295,56 @@ bool write_record_file(const std::string& dir, const Record& r, std::string* err
   return true;
 }
 
+BaselinePairing pair_with_baseline(const std::vector<Record>& current,
+                                   const std::string& baseline_dir, bool calibrate) {
+  BaselinePairing pairing;
+  pairing.matches.resize(current.size());
+  std::vector<double> ratios;
+  for (std::size_t i = 0; i < current.size(); ++i) {
+    BaselineMatch& m = pairing.matches[i];
+    std::string err;
+    if (!read_record_file(baseline_dir + "/" + record_filename(current[i]), &m.baseline, &err) ||
+        m.baseline.wall_ms <= 0) {
+      ++pairing.unmatched;
+      continue;
+    }
+    // Same-instance guard: a full-size run against quick baselines (or a
+    // changed seed) would compare nonsense ratios; such records are
+    // incomparable, not regressed.
+    if (m.baseline.n != current[i].n || m.baseline.quick != current[i].quick ||
+        m.baseline.seed != current[i].seed) {
+      m.incomparable = true;
+      ++pairing.unmatched;
+      continue;
+    }
+    m.matched = true;
+    ratios.push_back(current[i].wall_ms / m.baseline.wall_ms);
+  }
+  pairing.calibration = (calibrate && !ratios.empty()) ? median(ratios) : 1.0;
+  if (pairing.calibration <= 0) pairing.calibration = 1.0;
+  return pairing;
+}
+
 BaselineReport compare_with_baseline(const std::vector<Record>& current,
                                      const std::string& baseline_dir, double threshold_frac,
                                      double abs_slack_ms, bool calibrate) {
+  const BaselinePairing pairing = pair_with_baseline(current, baseline_dir, calibrate);
   BaselineReport report;
-  std::vector<Record> baselines(current.size());
-  std::vector<char> have(current.size(), 0);
-  std::vector<double> ratios;
-
+  report.calibration = pairing.calibration;
+  report.missing = pairing.unmatched;
   for (std::size_t i = 0; i < current.size(); ++i) {
-    BaselineLine line;
+    BaselineLine& line = report.lines.emplace_back();
     line.file = record_filename(current[i]);
     line.current_ms = current[i].wall_ms;
-    std::string err;
-    Record base;
-    if (read_record_file(baseline_dir + "/" + line.file, &base, &err) && base.wall_ms > 0) {
-      // Same-instance guard: a full-size run against quick baselines (or
-      // a changed seed) would gate on nonsense ratios; such records are
-      // incomparable, not regressed.
-      if (base.n != current[i].n || base.quick != current[i].quick ||
-          base.seed != current[i].seed) {
-        line.missing = true;
-        line.drift = "incomparable baseline (n/quick/seed differ)";
-        ++report.missing;
-      } else {
-        baselines[i] = base;
-        have[i] = 1;
-        line.baseline_ms = base.wall_ms;
-        line.ratio = current[i].wall_ms / base.wall_ms;
-        ratios.push_back(line.ratio);
-      }
-    } else {
+    const BaselineMatch& match = pairing.matches[i];
+    if (!match.matched) {
       line.missing = true;
-      ++report.missing;
+      if (match.incomparable) line.drift = "incomparable baseline (n/quick/seed differ)";
+      continue;
     }
-    report.lines.push_back(line);
-  }
-
-  report.calibration = (calibrate && !ratios.empty()) ? median(ratios) : 1.0;
-  if (report.calibration <= 0) report.calibration = 1.0;
-
-  for (std::size_t i = 0; i < current.size(); ++i) {
-    BaselineLine& line = report.lines[i];
-    if (line.missing) continue;
-    const Record& base = baselines[i];
+    const Record& base = match.baseline;
+    line.baseline_ms = base.wall_ms;
+    line.ratio = line.current_ms / line.baseline_ms;
     line.limit_ms = base.wall_ms * report.calibration * (1.0 + threshold_frac) + abs_slack_ms;
     if (line.current_ms > line.limit_ms) {
       line.regressed = true;

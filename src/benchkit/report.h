@@ -109,6 +109,26 @@ bool read_record_file(const std::string& path, Record* out, std::string* err);
 // Returns false with a diagnostic on I/O failure.
 bool write_record_file(const std::string& dir, const Record& r, std::string* err);
 
+// One current record's baseline: baseline_dir/record_filename(current),
+// used only when it describes the same instance (n, quick and seed equal)
+// and has a positive wall_ms.
+struct BaselineMatch {
+  bool matched = false;
+  bool incomparable = false;  // a baseline exists, but n/quick/seed differ
+  Record baseline;            // valid when matched
+};
+
+struct BaselinePairing {
+  std::vector<BaselineMatch> matches;  // parallel to the current records
+  double calibration = 1.0;  // median current/baseline wall ratio over the matches
+  int unmatched = 0;
+};
+
+// The pairing and calibration behind both compare_with_baseline and
+// `dcolor-trace diff`. calibrate = false pins the calibration to 1.0.
+BaselinePairing pair_with_baseline(const std::vector<Record>& current,
+                                   const std::string& baseline_dir, bool calibrate);
+
 struct BaselineLine {
   std::string file;
   double current_ms = 0.0;

@@ -1,36 +1,54 @@
 #include "src/clique/clique_coloring.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 
 #include "src/coloring/baselines.h"
 #include "src/coloring/segment_derand.h"
-#include "src/hash/coin_family.h"
 #include "src/util/bits.h"
 
 namespace dcolor::clique {
 namespace {
 
-// --- Coin structure (bitwise family with ids as input colors) -----------
-//
-// Hash digit t of node v: <a_t, bits(id_v)> ^ c_t over seed chunk t
-// (w = ceil(log n) bits of a_t plus one bit c_t). Digits of fully fixed
-// chunks are deterministic; the digit of a partially fixed chunk is either
-// determined (no free variables left) or uniform; digits of future chunks
-// are independent uniform across distinct ids.
+// Theorem 1.3's charges for one Section-4 commit cycle.
+class CliqueCosts final : public Section4Costs {
+ public:
+  CliqueCosts(CliqueNetwork& net, const Graph& g, int cbits) : net_(net), g_(g), cbits_(cbits) {}
 
-// --- Algorithm state -----------------------------------------------------
+  // Lenzen routing: 2^i values per conflict neighbor fit the budget at
+  // this stage.
+  void count_exchange(const std::vector<MultiwaySpec>& specs,
+                      const std::vector<std::vector<NodeId>>& conflict, int b) override {
+    std::vector<CliqueNetwork::RoutedMessage> msgs;
+    for (NodeId v = 0; v < g_.num_nodes(); ++v) {
+      if (!specs[v].active) continue;
+      for (NodeId u : conflict[v]) {
+        for (std::size_t k = 1; k < specs[v].bounds.size(); ++k) {
+          msgs.push_back({v, u, specs[v].bounds[k], b + 1});
+        }
+      }
+    }
+    net_.route(msgs);
+  }
 
-struct NodeState {
-  bool active = false;     // still uncolored
-  int range_lo = 0;        // candidate range within the (sorted) list
-  int range_hi = 0;
-  std::uint64_t hash_prefix = 0;  // determined digits of h(id)
-  // Current multiway step: cumulative interval boundaries t_0..t_{2^i}
-  // over [2^b] (t_g - t_{g-1} ~ k_g/|L| * 2^b) and subrange splits.
-  std::vector<std::uint64_t> bounds;
-  std::vector<int> splits;  // list indices delimiting the 2^i subranges
+  // Three direct rounds: x-values to the 2^lambda responsible nodes,
+  // their sums to the leader, the leader's broadcast of the segment.
+  void fixed_segment() override { net_.tick(3); }
+
+  // One direct round: each newly colored node tells its active neighbors.
+  void commit_announcement(const std::vector<NodeId>& newly, const std::vector<Color>& colors,
+                           const std::vector<bool>& active) override {
+    for (NodeId v : newly) {
+      for (NodeId u : g_.neighbors(v)) {
+        if (u != v && active[u]) net_.send(v, u, static_cast<std::uint64_t>(colors[v]), cbits_);
+      }
+    }
+    net_.advance_round();
+  }
+
+ private:
+  CliqueNetwork& net_;
+  const Graph& g_;
+  int cbits_;
 };
 
 }  // namespace
@@ -41,214 +59,54 @@ CliqueColoringResult clique_list_coloring(const Graph& g, ListInstance inst) {
   res.colors.assign(n, kUncolored);
   if (n == 0) return res;
   CliqueNetwork net(n);
-  const int W = inst.color_bits();
-  const int w = ceil_log2(std::max<std::uint64_t>(static_cast<std::uint64_t>(n), 2));
-  const int cbits = std::max(W, 1);
-  const NodeId leader = 0;
-
-  std::vector<NodeState> st(n);
-  std::vector<std::vector<NodeId>> conflict(n);  // alive conflict adjacency
-  NodeId uncolored = n;
-  for (NodeId v = 0; v < n; ++v) st[v].active = true;
-
+  const int cbits = std::max(inst.color_bits(), 1);
   const int id_bits = bit_width_of(static_cast<std::uint64_t>(n));
+  const int lambda = std::max(1, floor_log2(static_cast<std::uint64_t>(n)));
+  const NodeId leader = 0;
+  CliqueCosts costs(net, g, cbits);
 
-  while (uncolored > 0) {
-    // --- Final stage: ship the residual instance to the leader.
-    const int delta_g = std::max(g.max_degree(), 2);
-    if (uncolored <= std::max<NodeId>(1, n / delta_g)) {
-      res.final_subgraph_size = uncolored;
-      std::vector<CliqueNetwork::RoutedMessage> edge_msgs, list_msgs;
-      for (NodeId v = 0; v < n; ++v) {
-        if (!st[v].active) continue;
-        for (NodeId u : g.neighbors(v)) {
-          if (st[u].active && v < u) {
-            edge_msgs.push_back({v, leader, (static_cast<std::uint64_t>(v) << id_bits) |
-                                                static_cast<std::uint64_t>(u),
-                                 2 * id_bits});
-          }
-        }
-        for (Color c : inst.list(v)) {
-          list_msgs.push_back({v, leader, (static_cast<std::uint64_t>(v) << cbits) |
-                                              static_cast<std::uint64_t>(c),
-                               id_bits + cbits});
-        }
-      }
-      net.route(edge_msgs);
-      net.route(list_msgs);
-      // Leader solves the residual instance greedily (a (degree+1) list
-      // instance restricted to the active set, with pruned lists).
-      for (NodeId v = 0; v < n; ++v) {
-        if (!st[v].active) continue;
-        for (Color c : inst.list(v)) {
-          bool taken = false;
-          for (NodeId u : g.neighbors(v)) {
-            if (res.colors[u] == c) {
-              taken = true;
-              break;
-            }
-          }
-          if (!taken) {
-            res.colors[v] = c;
-            break;
-          }
-        }
-        assert(res.colors[v] != kUncolored);
-        st[v].active = false;
-      }
-      // Leader announces the colors: one round, <= n-1 direct messages.
-      for (NodeId v = 1; v < n; ++v) {
-        net.send(leader, v, static_cast<std::uint64_t>(std::max<Color>(res.colors[v], 0)),
-                 cbits);
-      }
-      net.advance_round();
-      uncolored = 0;
-      break;
-    }
-
-    // --- One commit cycle: pick candidate colors with i-bit steps.
+  std::vector<bool> active(n, true);
+  NodeId uncolored = n;
+  const int delta_g = std::max(g.max_degree(), 2);
+  while (uncolored > std::max<NodeId>(1, n / delta_g)) {
+    // One commit cycle with i-bit passes: once at most n/2^i nodes are
+    // uncolored, each pass fixes i candidate bits.
     ++res.commit_cycles;
     const int i_bits = std::max(
         1, std::min<int>(floor_log2(static_cast<std::uint64_t>(
                std::max<NodeId>(2, n / std::max<NodeId>(uncolored, 1)))) + 1, 6));
+    uncolored -= section4_commit_cycle(g, inst, active, res.colors, i_bits, lambda, costs,
+                                       &res.derand_passes);
+  }
 
-    // Conflict graph starts as the active subgraph; trim lists for the
-    // Section-4 (avoid-MIS) potential bound.
-    int delta_c = 0;
+  if (uncolored > 0) {
+    // Final stage: ship the residual instance to the leader.
+    res.final_subgraph_size = uncolored;
+    std::vector<CliqueNetwork::RoutedMessage> edge_msgs, list_msgs;
     for (NodeId v = 0; v < n; ++v) {
-      conflict[v].clear();
-      if (!st[v].active) continue;
+      if (!active[v]) continue;
       for (NodeId u : g.neighbors(v)) {
-        if (st[u].active) conflict[v].push_back(u);
-      }
-      delta_c = std::max(delta_c, static_cast<int>(conflict[v].size()));
-      inst.trim_list(v, conflict[v].size() + 1);
-      st[v].range_lo = 0;
-      st[v].range_hi = static_cast<int>(inst.list(v).size());
-      st[v].hash_prefix = 0;
-    }
-    const int b = std::max(
-        4, ceil_log2(10ull * std::max(delta_c, 1) * (std::max(delta_c, 1) + 1) *
-                     std::max(W, 1)));
-
-    int ell = 0;
-    while (ell < W) {
-      ++res.derand_passes;
-      const int step = std::min(i_bits, W - ell);
-      const int fanout = 1 << step;
-
-      // Per-node subrange splits and interval boundaries.
-      for (NodeId v = 0; v < n; ++v) {
-        if (!st[v].active) continue;
-        const auto& L = inst.list(v);
-        auto& s = st[v];
-        s.splits.assign(fanout + 1, s.range_lo);
-        int cursor = s.range_lo;
-        for (int gval = 0; gval < fanout; ++gval) {
-          // Entries whose bits [ell, ell+step) equal gval form a
-          // contiguous block (list sorted, shared prefix of length ell).
-          while (cursor < s.range_hi &&
-                 msb_prefix(static_cast<std::uint64_t>(L[cursor]), ell + step, W) ==
-                     ((msb_prefix(static_cast<std::uint64_t>(L[s.range_lo]), ell, W) << step) |
-                      static_cast<std::uint64_t>(gval))) {
-            ++cursor;
-          }
-          s.splits[gval + 1] = cursor;
-        }
-        assert(cursor == s.range_hi);
-        const std::uint64_t size = static_cast<std::uint64_t>(s.range_hi - s.range_lo);
-        s.bounds.assign(fanout + 1, 0);
-        std::uint64_t cum = 0;
-        for (int gval = 0; gval < fanout; ++gval) {
-          cum += static_cast<std::uint64_t>(s.splits[gval + 1] - s.splits[gval]);
-          s.bounds[gval + 1] = threshold_for(cum, size, b);
+        if (active[u] && v < u) {
+          edge_msgs.push_back({v, leader, (static_cast<std::uint64_t>(v) << id_bits) |
+                                              static_cast<std::uint64_t>(u),
+                               2 * id_bits});
         }
       }
-
-      // Exchange subrange counts along conflict edges (Lenzen routing:
-      // 2^i values per conflict neighbor fit the budget at this stage).
-      {
-        std::vector<CliqueNetwork::RoutedMessage> msgs;
-        for (NodeId v = 0; v < n; ++v) {
-          if (!st[v].active) continue;
-          for (NodeId u : conflict[v]) {
-            for (int gval = 0; gval < fanout; ++gval) {
-              msgs.push_back({v, u, st[v].bounds[gval + 1], b + 1});
-            }
-          }
-        }
-        net.route(msgs);
-      }
-
-      // --- Derandomize the seed, chunk by chunk, segment by segment
-      // (shared math in src/coloring/segment_derand.h). Each fixed
-      // segment costs 3 clique rounds: x-values to responsible nodes,
-      // responsible sums to the leader, leader broadcast.
-      std::vector<MultiwaySpec> specs(n);
-      for (NodeId v = 0; v < n; ++v) {
-        specs[v].active = st[v].active;
-        specs[v].id = static_cast<std::uint64_t>(v);
-        if (!st[v].active) continue;
-        specs[v].bounds = st[v].bounds;
-        specs[v].counts.resize(fanout);
-        for (int gval = 0; gval < fanout; ++gval) {
-          specs[v].counts[gval] = st[v].splits[gval + 1] - st[v].splits[gval];
-        }
-      }
-      const int lam = std::max(1, floor_log2(static_cast<std::uint64_t>(n)));
-      SegmentDerandResult der =
-          segment_derand_step(specs, conflict, w, b, lam, [&] { net.tick(3); });
-
-      // --- Apply: the seed determines every node's subrange; conflict
-      // edges survive only on equal digits (computable locally: counts
-      // and seed are public -- no extra rounds).
-      std::vector<int> digit(n, -1);
-      for (NodeId v = 0; v < n; ++v) {
-        if (!st[v].active) continue;
-        auto& s = st[v];
-        const int gsel = der.selected[v];
-        assert(gsel >= 0 && s.splits[gsel + 1] > s.splits[gsel]);
-        digit[v] = gsel;
-        s.range_lo = s.splits[gsel];
-        s.range_hi = s.splits[gsel + 1];
-      }
-      for (NodeId v = 0; v < n; ++v) {
-        if (!st[v].active) continue;
-        std::erase_if(conflict[v], [&](NodeId u) { return digit[u] != digit[v]; });
-      }
-      ell += step;
-    }
-
-    // --- Commit (Section-4 rule): 0 conflicts keep; 1 conflict, higher
-    // id keeps. One announcement round prunes neighbors' lists.
-    std::vector<NodeId> newly;
-    for (NodeId v = 0; v < n; ++v) {
-      if (!st[v].active) continue;
-      assert(st[v].range_hi - st[v].range_lo == 1);
-      if (conflict[v].empty() || (conflict[v].size() == 1 && v > conflict[v][0])) {
-        newly.push_back(v);
+      for (Color c : inst.list(v)) {
+        list_msgs.push_back({v, leader, (static_cast<std::uint64_t>(v) << cbits) |
+                                            static_cast<std::uint64_t>(c),
+                             id_bits + cbits});
       }
     }
-    if (newly.empty()) {
-      throw std::logic_error("clique coloring made no progress (potential bound violated)");
-    }
-    for (NodeId v : newly) {
-      res.colors[v] = inst.list(v)[st[v].range_lo];
-      st[v].active = false;
-    }
-    for (NodeId v : newly) {
-      for (NodeId u : g.neighbors(v)) {
-        if (u != v && st[u].active) net.send(v, u, static_cast<std::uint64_t>(res.colors[v]), cbits);
-      }
+    net.route(edge_msgs);
+    net.route(list_msgs);
+    // The leader solves the residual (degree+1) instance with the pruned
+    // lists, then announces the colors: one round, <= n-1 direct messages.
+    greedy_color_uncolored(g, inst, res.colors);
+    for (NodeId v = 1; v < n; ++v) {
+      net.send(leader, v, static_cast<std::uint64_t>(std::max<Color>(res.colors[v], 0)), cbits);
     }
     net.advance_round();
-    for (NodeId v = 0; v < n; ++v) {
-      if (!st[v].active) continue;
-      for (const Incoming& m : net.inbox(v)) {
-        inst.remove_color(v, static_cast<Color>(m.payload));
-      }
-    }
-    uncolored -= static_cast<NodeId>(newly.size());
   }
   res.metrics = net.metrics();
   return res;

@@ -19,12 +19,15 @@
 //  * Once <= n/Delta nodes remain uncolored, the residual subgraph and
 //    lists are shipped to a leader via Lenzen routing and solved locally.
 //
-// Segment-granular conditioning is cheap because all previously fixed
-// chunks make the corresponding hash digits deterministic integers:
-// conditional interval probabilities are plain interval intersections
-// (see the .cpp). The bitwise coin family's longer seed costs an extra
-// O(logDelta) factor per pass relative to the paper's O(log n)-bit seed —
-// the same documented substitution as in CONGEST (src/hash/coin_family.h).
+// The commit cycle itself is the Section-4 core shared with MPC
+// (src/coloring/segment_derand.h); this model supplies the i-bit schedule,
+// the segment length lambda = floor(log n), its costs over CliqueNetwork
+// (Lenzen-routed counts, 3 rounds per fixed segment, one direct
+// announcement round) and the leader shipment.
+//
+// The bitwise coin family's longer seed costs an extra O(logDelta) factor
+// per pass relative to the paper's O(log n)-bit seed — the same
+// documented substitution as in CONGEST (src/hash/coin_family.h).
 #pragma once
 
 #include <cstdint>

@@ -12,9 +12,14 @@
 namespace dcolor {
 
 std::vector<Color> greedy_list_coloring(const ListInstance& inst) {
-  const Graph& g = inst.graph();
-  std::vector<Color> colors(g.num_nodes(), kUncolored);
+  std::vector<Color> colors(inst.graph().num_nodes(), kUncolored);
+  greedy_color_uncolored(inst.graph(), inst, colors);
+  return colors;
+}
+
+void greedy_color_uncolored(const Graph& g, const ListInstance& inst, std::vector<Color>& colors) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (colors[v] != kUncolored) continue;
     for (Color c : inst.list(v)) {
       bool taken = false;
       for (NodeId u : g.neighbors(v)) {
@@ -30,7 +35,6 @@ std::vector<Color> greedy_list_coloring(const ListInstance& inst) {
     }
     assert(colors[v] != kUncolored && "degree+1 lists make greedy succeed");
   }
-  return colors;
 }
 
 RandomizedColoringResult randomized_list_coloring(const Graph& g, ListInstance inst,

@@ -15,6 +15,13 @@ namespace dcolor {
 // (degree+1) instance.
 std::vector<Color> greedy_list_coloring(const ListInstance& inst);
 
+// The greedy finisher behind greedy_list_coloring and the clique and MPC
+// one-machine stages: colors every node of g still kUncolored, in id
+// order, with the first entry of its current list that no neighbor holds.
+// Always succeeds when every such list is longer than the node's
+// uncolored degree and holds no colored neighbor's color.
+void greedy_color_uncolored(const Graph& g, const ListInstance& inst, std::vector<Color>& colors);
+
 struct RandomizedColoringResult {
   std::vector<Color> colors;
   congest::Metrics metrics;

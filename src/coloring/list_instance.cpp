@@ -1,7 +1,8 @@
 #include "src/coloring/list_instance.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "src/util/bits.h"
 
@@ -13,13 +14,24 @@ ListInstance::ListInstance(const Graph& g, std::int64_t color_space,
       color_space_(color_space),
       color_bits_(ceil_log2(std::max<std::uint64_t>(static_cast<std::uint64_t>(color_space), 2))),
       lists_(std::move(lists)) {
-  assert(static_cast<NodeId>(lists_.size()) == g.num_nodes());
+  if (static_cast<std::int64_t>(lists_.size()) != g.num_nodes()) {
+    throw std::invalid_argument("ListInstance: " + std::to_string(lists_.size()) +
+                                " lists for " + std::to_string(g.num_nodes()) + " nodes");
+  }
+  auto reject = [](NodeId v, const std::string& what) {
+    throw std::invalid_argument("ListInstance: node " + std::to_string(v) + " " + what);
+  };
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     auto& L = lists_[v];
     std::sort(L.begin(), L.end());
-    assert(std::unique(L.begin(), L.end()) == L.end());
-    assert(static_cast<int>(L.size()) >= g.degree(v) + 1);
-    assert(L.empty() || (L.front() >= 0 && L.back() < color_space));
+    if (static_cast<std::int64_t>(L.size()) < g.degree(v) + 1) {
+      reject(v, "has " + std::to_string(L.size()) + " colors, fewer than deg+1 = " +
+                    std::to_string(g.degree(v) + 1));
+    }
+    if (L.front() < 0 || L.back() >= color_space) {
+      reject(v, "has a color outside [0, " + std::to_string(color_space) + ")");
+    }
+    if (std::adjacent_find(L.begin(), L.end()) != L.end()) reject(v, "lists a color twice");
   }
 }
 
@@ -38,7 +50,11 @@ ListInstance ListInstance::random_lists(const Graph& g, std::int64_t color_space
   std::vector<std::vector<Color>> lists(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const int need = g.degree(v) + 1;
-    assert(color_space >= need);
+    if (color_space < need) {
+      throw std::invalid_argument("ListInstance::random_lists: node " + std::to_string(v) +
+                                  " needs " + std::to_string(need) + " colors, color space is " +
+                                  std::to_string(color_space));
+    }
     // Floyd's algorithm for a uniform random subset of size `need`.
     std::vector<Color> sample;
     for (std::int64_t j = color_space - need; j < color_space; ++j) {
@@ -56,7 +72,6 @@ ListInstance ListInstance::random_lists(const Graph& g, std::int64_t color_space
 
 ListInstance ListInstance::shared_pool_lists(const Graph& g, std::int64_t pool_size,
                                              std::uint64_t seed) {
-  assert(pool_size >= g.max_degree() + 1);
   return random_lists(g, pool_size, seed);
 }
 

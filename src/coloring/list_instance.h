@@ -21,13 +21,17 @@ constexpr Color kUncolored = -1;
 
 class ListInstance {
  public:
+  // Sorts every list. Throws std::invalid_argument, naming the node, when
+  // the list count is not n or a list is shorter than deg(v)+1, holds a
+  // color outside [0, color_space) or holds a color twice.
   ListInstance(const Graph& g, std::int64_t color_space, std::vector<std::vector<Color>> lists);
 
   // The canonical (Delta+1)-coloring instance: L(v) = {0..deg(v)}
   // (Observation 4.1's reduction).
   static ListInstance delta_plus_one(const Graph& g);
 
-  // Random lists of size deg(v)+1 drawn from [C]; requires C >= Delta+1.
+  // Random lists of size deg(v)+1 drawn from [C]; throws
+  // std::invalid_argument, naming the node, when C < deg(v)+1.
   static ListInstance random_lists(const Graph& g, std::int64_t color_space, std::uint64_t seed);
 
   // Adversarial-ish instance: all lists drawn from a small shared pool so

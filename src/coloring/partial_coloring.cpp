@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 
+#include "src/coloring/segment_derand.h"
 #include "src/hash/bitwise_family.h"
 #include "src/hash/gf_family.h"
 #include "src/util/bits.h"
@@ -68,7 +69,7 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
   std::unique_ptr<CoinFamily> family =
       make_coin_family(opts.family, static_cast<std::uint64_t>(K), b);
   std::unique_ptr<PairProbEngine> engine =
-      (opts.family == CoinFamilyKind::kBitwise && opts.fast_engine)
+      opts.family == CoinFamilyKind::kBitwise
           ? make_fast_bitwise_pair_prob(static_cast<std::uint64_t>(K), b)
           : make_generic_pair_prob(*family);
   stats.seed_bits = engine->num_seed_bits();
@@ -257,13 +258,7 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
   if (opts.avoid_mis) {
     // Section 4: with the extra accuracy, at least half the active nodes
     // have at most one conflict; the higher id wins a 1-conflict pair.
-    for (NodeId v : active_nodes) {
-      if (alive[v].empty()) {
-        keep[v] = true;
-      } else if (alive[v].size() == 1 && v > alive[v][0]) {
-        keep[v] = true;
-      }
-    }
+    for (NodeId v : active_nodes) keep[v] = section4_keeps(v, alive[v]);
     t.tick(1);  // the id-comparison round
   } else {
     // V_{<4}: conflict degree <= 3; the induced conflict graph has max

@@ -37,10 +37,9 @@
 namespace dcolor {
 
 struct PartialColoringOptions {
+  // The bitwise family runs on the fast incremental conditional-probability
+  // engine, the GF family on the generic one.
   CoinFamilyKind family = CoinFamilyKind::kBitwise;
-  // Use the fast incremental conditional-probability engine (only valid
-  // for the bitwise family; the GF family always uses the generic one).
-  bool fast_engine = true;
   // Section-4 variant: higher accuracy, no MIS at the end.
   bool avoid_mis = false;
   // Override the simulator's message size (0 = the default Theta(log n)).

@@ -1,9 +1,14 @@
 #include "src/coloring/segment_derand.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
-#include "src/hash/coin_family.h"  // threshold_for
+#include "src/coloring/partial_coloring.h"  // precision_bits_for
+#include "src/hash/coin_family.h"           // threshold_for
+#include "src/obs/obs.h"
+#include "src/util/bits.h"
 
 namespace dcolor {
 namespace {
@@ -49,11 +54,14 @@ std::vector<std::uint64_t> multiway_bounds(const std::vector<int>& counts, int b
   return bounds;
 }
 
-SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
-                                        const std::vector<std::vector<NodeId>>& conflict,
-                                        int w, int b, int lambda,
-                                        const std::function<void()>& on_segment,
-                                        const EdgePairsFn& edge_pairs) {
+namespace {
+
+// The body of segment_derand_step, out of line so that the phase span
+// around it leaves the code generated for these loops unchanged.
+[[gnu::noinline]] SegmentDerandResult fix_seed_segments(
+    const std::vector<MultiwaySpec>& specs, const std::vector<std::vector<NodeId>>& conflict,
+    int w, int b, int lambda, const std::function<void()>& on_segment,
+    const EdgePairsFn& edge_pairs) {
   const NodeId n = static_cast<NodeId>(specs.size());
   SegmentDerandResult res;
   res.selected.assign(n, -1);
@@ -157,6 +165,119 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
     assert(res.selected[v] >= 0 && specs[v].counts[res.selected[v]] > 0);
   }
   return res;
+}
+
+}  // namespace
+
+SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
+                                        const std::vector<std::vector<NodeId>>& conflict,
+                                        int w, int b, int lambda,
+                                        const std::function<void()>& on_segment,
+                                        const EdgePairsFn& edge_pairs) {
+  obs::Span span(obs::kCatPhase, "derand.math");
+  return fix_seed_segments(specs, conflict, w, b, lambda, on_segment, edge_pairs);
+}
+
+int section4_conflicts(const Graph& g, const std::vector<bool>& active, ListInstance& inst,
+                       std::vector<std::vector<NodeId>>& conflict) {
+  const NodeId n = g.num_nodes();
+  conflict.assign(n, {});
+  int delta_c = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (!active[v]) continue;
+    for (NodeId u : g.neighbors(v)) {
+      if (active[u]) conflict[v].push_back(u);
+    }
+    delta_c = std::max(delta_c, static_cast<int>(conflict[v].size()));
+    inst.trim_list(v, conflict[v].size() + 1);
+  }
+  return delta_c;
+}
+
+int section4_precision_bits(int max_degree, int width) {
+  return std::max(4, precision_bits_for(max_degree, width, /*avoid_mis=*/true));
+}
+
+NodeId section4_commit(const Graph& g, ListInstance& inst,
+                       const std::vector<std::vector<NodeId>>& conflict,
+                       const std::vector<Color>& candidate, std::vector<bool>& active,
+                       std::vector<Color>& colors, Section4Costs& costs) {
+  std::vector<NodeId> newly;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (active[v] && section4_keeps(v, conflict[v])) newly.push_back(v);
+  }
+  if (newly.empty()) {
+    throw std::logic_error("Section-4 commit made no progress (potential bound violated)");
+  }
+  for (NodeId v : newly) {
+    colors[v] = candidate[v];
+    active[v] = false;
+  }
+  costs.commit_announcement(newly, colors, active);
+  for (NodeId v : newly) {
+    for (NodeId u : g.neighbors(v)) {
+      if (active[u]) inst.remove_color(u, colors[v]);
+    }
+  }
+  return static_cast<NodeId>(newly.size());
+}
+
+NodeId section4_commit_cycle(const Graph& g, ListInstance& inst, std::vector<bool>& active,
+                             std::vector<Color>& colors, int step_bits, int lambda,
+                             Section4Costs& costs, int* derand_passes) {
+  const NodeId n = g.num_nodes();
+  const int W = inst.color_bits();
+  const int w = ceil_log2(std::max<std::uint64_t>(static_cast<std::uint64_t>(n), 2));
+  std::vector<std::vector<NodeId>> conflict;
+  const int b = section4_precision_bits(section4_conflicts(g, active, inst, conflict), W);
+
+  // Candidate range [lo, hi) of each active node's sorted list: the
+  // entries sharing the prefix fixed so far.
+  std::vector<int> lo(n, 0), hi(n, 0);
+  std::vector<MultiwaySpec> specs(n);
+  for (NodeId v = 0; v < n; ++v) {
+    specs[v].active = active[v];
+    specs[v].id = static_cast<std::uint64_t>(v);
+    if (active[v]) hi[v] = static_cast<int>(inst.list(v).size());
+  }
+  for (int ell = 0; ell < W;) {
+    ++*derand_passes;
+    const int step = std::min(step_bits, W - ell);
+    // Subrange g holds the range's entries whose next `step` bits are g.
+    for (NodeId v = 0; v < n; ++v) {
+      if (!active[v]) continue;
+      const auto& L = inst.list(v);
+      const std::uint64_t first =
+          msb_prefix(static_cast<std::uint64_t>(L[lo[v]]), ell, W) << step;
+      specs[v].counts.assign(std::size_t{1} << step, 0);
+      for (int i = lo[v]; i < hi[v]; ++i) {
+        ++specs[v].counts[msb_prefix(static_cast<std::uint64_t>(L[i]), ell + step, W) - first];
+      }
+      specs[v].bounds = multiway_bounds(specs[v].counts, b);
+    }
+    costs.count_exchange(specs, conflict, b);
+    const SegmentDerandResult der =
+        segment_derand_step(specs, conflict, w, b, lambda, [&costs] { costs.fixed_segment(); });
+
+    // The seed is public and so are the exchanged counts: every node
+    // applies its own and its conflict neighbors' digits locally.
+    for (NodeId v = 0; v < n; ++v) {
+      if (!active[v]) continue;
+      const int sel = der.selected[v];
+      for (int g_below = 0; g_below < sel; ++g_below) lo[v] += specs[v].counts[g_below];
+      hi[v] = lo[v] + specs[v].counts[sel];
+      std::erase_if(conflict[v], [&](NodeId u) { return der.selected[u] != sel; });
+    }
+    ell += step;
+  }
+
+  std::vector<Color> candidate(n, kUncolored);
+  for (NodeId v = 0; v < n; ++v) {
+    if (!active[v]) continue;
+    assert(hi[v] - lo[v] == 1);
+    candidate[v] = inst.list(v)[lo[v]];
+  }
+  return section4_commit(g, inst, conflict, candidate, active, colors, costs);
 }
 
 }  // namespace dcolor

@@ -1,23 +1,29 @@
-// Segment-granular derandomization of one multiway prefix-extension step.
+// The Section-4 variant of Lemma 2.1, written once for the CONGESTED
+// CLIQUE (Theorem 1.3) and MPC (Theorems 1.4/1.5).
 //
-// Shared by the CONGESTED CLIQUE (Theorem 1.3) and MPC (Theorems 1.4/1.5)
-// algorithms: both fix whole SEGMENTS of the seed at once (a segment is a
-// block of consecutive bits inside one seed chunk), choosing for each
-// segment the assignment minimizing the conditional expectation of the
-// potential. Because a fully fixed chunk makes the corresponding hash
-// digit a deterministic integer, and unfixed future chunks contribute
-// independent uniform digits (distinct input ids), conditional interval
-// probabilities reduce to O(1) interval-intersection arithmetic.
+// Both models run the same commit cycle: candidate prefixes grow by one
+// or more bits per pass, each pass fixes whole SEGMENTS of the seed at
+// once (a segment is a block of consecutive bits inside one seed chunk,
+// chosen to minimize the conditional expectation of the potential), and
+// the final conflict resolution is a single id comparison instead of an
+// MIS. The models differ only in what each step costs, so the cycle
+// (`section4_commit_cycle`) takes the step size and segment length from
+// the caller and charges through three hooks (`Section4Costs`) that each
+// model implements once: the clique over `CliqueNetwork`, the MPC over
+// machine exchanges and its aggregation tree.
 //
-// This module is pure math — no communication. The caller owns round
-// accounting and invokes `on_segment` once per fixed segment (clique: 3
-// direct rounds; MPC: one aggregation-tree pass).
+// Seed fixing (`segment_derand_step`) is pure math. Because a fully fixed
+// chunk makes the corresponding hash digit a deterministic integer, and
+// unfixed future chunks contribute independent uniform digits (distinct
+// input ids), conditional interval probabilities reduce to O(1)
+// interval-intersection arithmetic.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "src/coloring/list_instance.h"
 #include "src/graph/graph.h"
 
 namespace dcolor {
@@ -67,5 +73,61 @@ SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
 // Builds interval boundaries for a node's subrange counts:
 // bounds[g] = ceil(cum_g / size * 2^b), exactly 0/2^b at the extremes.
 std::vector<std::uint64_t> multiway_bounds(const std::vector<int>& counts, int b);
+
+// --- The Section-4 commit cycle -------------------------------------------
+
+// What one model charges for the communication of a commit cycle.
+class Section4Costs {
+ public:
+  virtual ~Section4Costs() = default;
+  // Before a pass's seed is fixed, every active node ships its subrange
+  // boundaries specs[v].bounds[1..] (b+1 bits each) to each neighbor in
+  // conflict[v].
+  virtual void count_exchange(const std::vector<MultiwaySpec>& specs,
+                              const std::vector<std::vector<NodeId>>& conflict, int b) = 0;
+  // One seed segment has been fixed.
+  virtual void fixed_segment() = 0;
+  // The `newly` colored nodes announce colors[v] to their neighbors;
+  // `active` already excludes them.
+  virtual void commit_announcement(const std::vector<NodeId>& newly,
+                                   const std::vector<Color>& colors,
+                                   const std::vector<bool>& active) = 0;
+};
+
+// The Section-4 keep rule: v keeps its candidate when no neighbor
+// conflicts with it, or exactly one does and v has the higher id.
+inline bool section4_keeps(NodeId v, const std::vector<NodeId>& conflicting) {
+  return conflicting.empty() || (conflicting.size() == 1 && v > conflicting[0]);
+}
+
+// Builds the active conflict graph (each active node's active neighbors)
+// and trims every active list to deg+1, the precondition of the Section-4
+// potential bound. Returns the conflict graph's max degree.
+int section4_conflicts(const Graph& g, const std::vector<bool>& active, ListInstance& inst,
+                       std::vector<std::vector<NodeId>>& conflict);
+
+// The coin precision of the Section-4 variant: precision_bits_for's
+// avoid-MIS value for (max_degree, width), and at least 4.
+int section4_precision_bits(int max_degree, int width);
+
+// Commits the active nodes the keep rule selects on the candidate-equal
+// conflict graph `conflict`: colors them with candidate[v], deactivates
+// them, charges the announcement, and removes their colors from their
+// active neighbors' lists. Returns how many it colored; throws
+// std::logic_error when none (the potential bound was violated).
+NodeId section4_commit(const Graph& g, ListInstance& inst,
+                       const std::vector<std::vector<NodeId>>& conflict,
+                       const std::vector<Color>& candidate, std::vector<bool>& active,
+                       std::vector<Color>& colors, Section4Costs& costs);
+
+// One commit cycle over the active nodes. Each pass splits every candidate
+// range into 2^step subranges by the next `step_bits` color bits (fewer in
+// the last pass), fixes the seed segment by segment (at most `lambda` bits
+// each), narrows the ranges and drops conflict edges whose digits differ;
+// the surviving full-width candidates are then committed. Counts its passes
+// into *derand_passes and returns how many nodes it colored.
+NodeId section4_commit_cycle(const Graph& g, ListInstance& inst, std::vector<bool>& active,
+                             std::vector<Color>& colors, int step_bits, int lambda,
+                             Section4Costs& costs, int* derand_passes);
 
 }  // namespace dcolor

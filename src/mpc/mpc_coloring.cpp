@@ -1,9 +1,9 @@
 #include "src/mpc/mpc_coloring.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
+#include "src/coloring/baselines.h"
 #include "src/coloring/segment_derand.h"
 #include "src/mpc/primitives.h"
 #include "src/util/bits.h"
@@ -30,175 +30,95 @@ void charged_exchange(MpcSystem& sys, const std::vector<std::int64_t>& out,
   }
 }
 
-// Shared core of both regimes.
-struct Shared {
-  const Graph* g;
-  ListInstance* inst;
-  MpcSystem* sys;
-  AggregationTree* tree;
-  std::vector<int> machine_of;  // node -> home machine (linear) / first machine
-  int W;                        // color bits
-  int w;                        // id bits
-};
+// Theorems 1.4/1.5's charges for one Section-4 commit cycle: machine
+// exchanges split to the S-word budget, and one aggregation + broadcast
+// over the machine tree per fixed segment.
+class MpcCosts final : public Section4Costs {
+ public:
+  MpcCosts(MpcSystem& sys, const AggregationTree& tree, const Graph& g,
+           const std::vector<int>& machine_of, int rounds_per_exchange)
+      : sys_(sys),
+        tree_(tree),
+        g_(g),
+        machine_of_(machine_of),
+        rounds_per_exchange_(rounds_per_exchange) {}
 
-// One commit cycle: fix all W candidate bits (one per pass), then commit
-// nodes with <= 1 conflict. Returns the number of newly colored nodes and
-// accumulates pass counts.
-NodeId commit_cycle(Shared& sh, std::vector<bool>& active, std::vector<Color>& colors,
-                    int* derand_passes, int rounds_per_exchange) {
-  const Graph& g = *sh.g;
-  const NodeId n = g.num_nodes();
-  MpcSystem& sys = *sh.sys;
-
-  std::vector<std::vector<NodeId>> conflict(n);
-  int delta_c = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    for (NodeId u : g.neighbors(v)) {
-      if (active[u]) conflict[v].push_back(u);
+  // (k1, |L|) across edge partners: 2 words per directed edge.
+  void count_exchange(const std::vector<MultiwaySpec>& specs,
+                      const std::vector<std::vector<NodeId>>& conflict, int /*b*/) override {
+    std::vector<std::int64_t> out(sys_.num_machines(), 0), in(sys_.num_machines(), 0);
+    for (NodeId v = 0; v < g_.num_nodes(); ++v) {
+      if (!specs[v].active) continue;
+      out[machine_of_[v]] += 2 * static_cast<std::int64_t>(conflict[v].size());
+      for (NodeId u : conflict[v]) in[machine_of_[u]] += 2;
     }
-    delta_c = std::max(delta_c, static_cast<int>(conflict[v].size()));
-    sh.inst->trim_list(v, conflict[v].size() + 1);
-  }
-  const int b = std::max(4, ceil_log2(10ull * std::max(delta_c, 1) *
-                                      (std::max(delta_c, 1) + 1) * std::max(sh.W, 1)));
-  const int lam = std::max(
-      1, std::min<int>(sh.w + 1, floor_log2(static_cast<std::uint64_t>(sys.memory_words()))));
-
-  std::vector<int> range_lo(n, 0), range_hi(n, 0);
-  for (NodeId v = 0; v < n; ++v) range_hi[v] = static_cast<int>(sh.inst->list(v).size());
-
-  for (int ell = 0; ell < sh.W; ++ell) {
-    ++*derand_passes;
-    // Subrange counts (k0, k1) per node + interval bounds.
-    std::vector<MultiwaySpec> specs(n);
-    std::vector<int> splits(n, 0);
-    for (NodeId v = 0; v < n; ++v) {
-      specs[v].active = active[v];
-      specs[v].id = static_cast<std::uint64_t>(v);
-      if (!active[v]) continue;
-      const auto& L = sh.inst->list(v);
-      const auto first1 = std::partition_point(
-          L.begin() + range_lo[v], L.begin() + range_hi[v], [&](Color c) {
-            return msb_bit(static_cast<std::uint64_t>(c), ell, sh.W) == 0;
-          });
-      splits[v] = static_cast<int>(first1 - L.begin());
-      specs[v].counts = {splits[v] - range_lo[v], range_hi[v] - splits[v]};
-      specs[v].bounds = multiway_bounds(specs[v].counts, b);
-    }
-
-    // Exchange (k1, |L|) across edge partners: 2 words per directed edge.
-    {
-      std::vector<std::int64_t> out(sys.num_machines(), 0), in(sys.num_machines(), 0);
-      for (NodeId v = 0; v < n; ++v) {
-        if (!active[v]) continue;
-        out[sh.machine_of[v]] += 2 * static_cast<std::int64_t>(conflict[v].size());
-        for (NodeId u : conflict[v]) in[sh.machine_of[u]] += 2;
-      }
-      charged_exchange(sys, out, in);
-      sys.tick(rounds_per_exchange - 1);  // per-node aggregation trees (sublinear)
-    }
-
-    // Segment derandomization: one aggregation + one broadcast per segment.
-    SegmentDerandResult der =
-        segment_derand_step(specs, conflict, sh.w, b, lam, [&] {
-          std::vector<std::uint64_t> zero(sys.num_machines(), 0);
-          sh.tree->aggregate(sys, zero,
-                             [](std::uint64_t a, std::uint64_t c) { return a + c; }, 2);
-          sh.tree->broadcast(sys, 1);
-        });
-
-    // Apply digits locally (counts and seed are public to edge partners).
-    for (NodeId v = 0; v < n; ++v) {
-      if (!active[v]) continue;
-      if (der.selected[v] == 0) {
-        range_hi[v] = splits[v];
-      } else {
-        range_lo[v] = splits[v];
-      }
-    }
-    std::vector<int> digit = der.selected;
-    for (NodeId v = 0; v < n; ++v) {
-      if (!active[v]) continue;
-      std::erase_if(conflict[v], [&](NodeId u) { return digit[u] != digit[v]; });
-    }
+    charged_exchange(sys_, out, in);
+    sys_.tick(rounds_per_exchange_ - 1);  // per-node aggregation trees (sublinear)
   }
 
-  // Commit: <=1 conflict, higher id wins; announce + prune (one exchange).
-  std::vector<NodeId> newly;
-  for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    assert(range_hi[v] - range_lo[v] == 1);
-    if (conflict[v].empty() || (conflict[v].size() == 1 && v > conflict[v][0])) {
-      newly.push_back(v);
-    }
+  void fixed_segment() override {
+    const std::vector<std::uint64_t> zero(sys_.num_machines(), 0);
+    tree_.aggregate(sys_, zero, [](std::uint64_t a, std::uint64_t c) { return a + c; }, 2);
+    tree_.broadcast(sys_, 1);
   }
-  if (newly.empty()) {
-    throw MpcViolation("MPC coloring made no progress (potential bound violated)");
-  }
-  {
-    std::vector<std::int64_t> out(sys.num_machines(), 0), in(sys.num_machines(), 0);
+
+  // One exchange: each newly colored node's color to all its neighbors.
+  void commit_announcement(const std::vector<NodeId>& newly, const std::vector<Color>& /*colors*/,
+                           const std::vector<bool>& /*active*/) override {
+    std::vector<std::int64_t> out(sys_.num_machines(), 0), in(sys_.num_machines(), 0);
     for (NodeId v : newly) {
-      colors[v] = sh.inst->list(v)[range_lo[v]];
-      out[sh.machine_of[v]] += static_cast<std::int64_t>(g.degree(v));
-      for (NodeId u : g.neighbors(v)) in[sh.machine_of[u]] += 1;
+      out[machine_of_[v]] += static_cast<std::int64_t>(g_.degree(v));
+      for (NodeId u : g_.neighbors(v)) in[machine_of_[u]] += 1;
     }
-    charged_exchange(sys, out, in);
+    charged_exchange(sys_, out, in);
   }
-  for (NodeId v : newly) active[v] = false;
-  for (NodeId v : newly) {
-    for (NodeId u : g.neighbors(v)) {
-      if (active[u]) sh.inst->remove_color(u, colors[v]);
+
+  // Lemma 4.2: edge machines need both endpoint lists (its Omega(n
+  // Delta^2) total memory assumption), a list-sized exchange.
+  void list_exchange(const ListInstance& inst,
+                     const std::vector<std::vector<NodeId>>& conflict) const {
+    std::vector<std::int64_t> out(sys_.num_machines(), 0), in(sys_.num_machines(), 0);
+    for (NodeId v = 0; v < g_.num_nodes(); ++v) {
+      if (conflict[v].empty()) continue;
+      const std::int64_t lv = static_cast<std::int64_t>(inst.list(v).size());
+      out[machine_of_[v]] += lv * static_cast<std::int64_t>(conflict[v].size());
+      for (NodeId u : conflict[v]) in[machine_of_[u]] += lv;
     }
+    charged_exchange(sys_, out, in);
   }
-  return static_cast<NodeId>(newly.size());
-}
+
+ private:
+  MpcSystem& sys_;
+  const AggregationTree& tree_;
+  const Graph& g_;
+  const std::vector<int>& machine_of_;
+  int rounds_per_exchange_;
+};
 
 // Lemma 4.2: one multiway pass chooses a full color per node (fanout =
 // whole list, unit counts); repeated until everyone is colored.
-NodeId lemma42_pass(Shared& sh, std::vector<bool>& active, std::vector<Color>& colors) {
-  const Graph& g = *sh.g;
+NodeId lemma42_pass(const Graph& g, ListInstance& inst, std::vector<bool>& active,
+                    std::vector<Color>& colors, MpcCosts& costs, int id_bits, int lambda) {
   const NodeId n = g.num_nodes();
-  MpcSystem& sys = *sh.sys;
-
-  std::vector<std::vector<NodeId>> conflict(n);
-  int delta_c = 0;
+  std::vector<std::vector<NodeId>> conflict;
+  const int delta_c = section4_conflicts(g, active, inst, conflict);
   std::size_t max_list = 1;
   for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    for (NodeId u : g.neighbors(v)) {
-      if (active[u]) conflict[v].push_back(u);
-    }
-    delta_c = std::max(delta_c, static_cast<int>(conflict[v].size()));
-    sh.inst->trim_list(v, conflict[v].size() + 1);
-    max_list = std::max(max_list, sh.inst->list(v).size());
+    if (active[v]) max_list = std::max(max_list, inst.list(v).size());
   }
-  const int b = std::max(
-      4, ceil_log2(10ull * std::max(delta_c, 1) * (std::max(delta_c, 1) + 1) *
-                   static_cast<std::uint64_t>(std::max<std::size_t>(max_list, 2))));
-  const int lam = std::max(
-      1, std::min<int>(sh.w + 1, floor_log2(static_cast<std::uint64_t>(sys.memory_words()))));
+  // The precision's color-bits factor becomes the list size: one pass
+  // picks among whole lists.
+  const int b = section4_precision_bits(delta_c, static_cast<int>(std::max<std::size_t>(max_list, 2)));
 
   std::vector<MultiwaySpec> specs(n);
   for (NodeId v = 0; v < n; ++v) {
     specs[v].active = active[v];
     specs[v].id = static_cast<std::uint64_t>(v);
     if (!active[v]) continue;
-    specs[v].counts.assign(sh.inst->list(v).size(), 1);
+    specs[v].counts.assign(inst.list(v).size(), 1);
     specs[v].bounds = multiway_bounds(specs[v].counts, b);
   }
-  // Edge machines need both endpoint lists (Lemma 4.2's Omega(n Delta^2)
-  // total memory assumption): list-sized exchange.
-  {
-    std::vector<std::int64_t> out(sys.num_machines(), 0), in(sys.num_machines(), 0);
-    for (NodeId v = 0; v < n; ++v) {
-      if (!active[v]) continue;
-      const std::int64_t lv = static_cast<std::int64_t>(sh.inst->list(v).size());
-      out[sh.machine_of[v]] += lv * static_cast<std::int64_t>(conflict[v].size());
-      for (NodeId u : conflict[v]) in[sh.machine_of[u]] += lv;
-    }
-    charged_exchange(sys, out, in);
-  }
+  costs.list_exchange(inst, conflict);
 
   // Conflicts occur on equal COLOR VALUES (not equal list indices): the
   // derandomization objective is E[#conflicts] = sum over edges and over
@@ -208,9 +128,9 @@ NodeId lemma42_pass(Shared& sh, std::vector<bool>& active, std::vector<Color>& c
   for (NodeId v = 0; v < n; ++v) {
     if (!active[v]) continue;
     pairs[v].resize(conflict[v].size());
-    const auto& Lv = sh.inst->list(v);
+    const auto& Lv = inst.list(v);
     for (std::size_t j = 0; j < conflict[v].size(); ++j) {
-      const auto& Lu = sh.inst->list(conflict[v][j]);
+      const auto& Lu = inst.list(conflict[v][j]);
       std::size_t a = 0, c = 0;
       while (a < Lv.size() && c < Lu.size()) {
         if (Lv[a] < Lu[c]) {
@@ -230,51 +150,16 @@ NodeId lemma42_pass(Shared& sh, std::vector<bool>& active, std::vector<Color>& c
     return pairs[v][j];
   };
 
-  SegmentDerandResult der = segment_derand_step(
-      specs, conflict, sh.w, b, lam,
-      [&] {
-        std::vector<std::uint64_t> zero(sys.num_machines(), 0);
-        sh.tree->aggregate(sys, zero, [](std::uint64_t a, std::uint64_t c) { return a + c; },
-                           2);
-        sh.tree->broadcast(sys, 1);
-      },
-      pairs_fn);
+  const SegmentDerandResult der = segment_derand_step(
+      specs, conflict, id_bits, b, lambda, [&costs] { costs.fixed_segment(); }, pairs_fn);
   std::vector<Color> trial(n, kUncolored);
   for (NodeId v = 0; v < n; ++v) {
-    if (active[v]) trial[v] = sh.inst->list(v)[der.selected[v]];
+    if (active[v]) trial[v] = inst.list(v)[der.selected[v]];
   }
-  std::vector<NodeId> newly;
   for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    int conflicts = 0;
-    NodeId rival = -1;
-    for (NodeId u : conflict[v]) {
-      if (trial[u] == trial[v]) {
-        ++conflicts;
-        rival = u;
-      }
-    }
-    if (conflicts == 0 || (conflicts == 1 && v > rival)) newly.push_back(v);
+    std::erase_if(conflict[v], [&](NodeId u) { return trial[u] != trial[v]; });
   }
-  if (newly.empty()) {
-    throw MpcViolation("Lemma 4.2 pass made no progress");
-  }
-  {
-    std::vector<std::int64_t> out(sys.num_machines(), 0), in(sys.num_machines(), 0);
-    for (NodeId v : newly) {
-      colors[v] = trial[v];
-      out[sh.machine_of[v]] += static_cast<std::int64_t>(g.degree(v));
-      for (NodeId u : g.neighbors(v)) in[sh.machine_of[u]] += 1;
-    }
-    charged_exchange(sys, out, in);
-  }
-  for (NodeId v : newly) active[v] = false;
-  for (NodeId v : newly) {
-    for (NodeId u : g.neighbors(v)) {
-      if (active[u]) sh.inst->remove_color(u, colors[v]);
-    }
-  }
-  return static_cast<NodeId>(newly.size());
+  return section4_commit(g, inst, conflict, trial, active, colors, costs);
 }
 
 MpcColoringResult run(const Graph& g, ListInstance inst, std::int64_t S, bool linear) {
@@ -331,50 +216,35 @@ MpcColoringResult run(const Graph& g, ListInstance inst, std::int64_t S, bool li
     }
   }
 
-  Shared sh{&g, &inst, &sys, &tree, machine_of, inst.color_bits(),
-            ceil_log2(std::max<std::uint64_t>(static_cast<std::uint64_t>(n), 2))};
   std::vector<bool> active(n, true);
   NodeId uncolored = n;
   const int delta = std::max(g.max_degree(), 2);
   const int rounds_per_exchange = linear ? 1 : std::max(1, tree.depth());
+  const int id_bits = ceil_log2(std::max<std::uint64_t>(static_cast<std::uint64_t>(n), 2));
+  const int lambda =
+      std::max(1, std::min<int>(id_bits + 1, floor_log2(static_cast<std::uint64_t>(S))));
+  MpcCosts costs(sys, tree, g, machine_of, rounds_per_exchange);
 
   while (uncolored > 0) {
     if (linear) {
       // Final stage: residual fits one machine once <= n/Delta^2 nodes
       // (then <= n/Delta edges) remain.
+      std::vector<std::int64_t> out(M, 0), in(M, 0);
       std::int64_t residual_words = 0;
       for (NodeId v = 0; v < n; ++v) {
         if (!active[v]) continue;
-        residual_words += static_cast<std::int64_t>(inst.list(v).size());
-        for (NodeId u : g.neighbors(v)) residual_words += active[u] ? 2 : 0;
+        std::int64_t words = static_cast<std::int64_t>(inst.list(v).size());
+        for (NodeId u : g.neighbors(v)) words += active[u] ? 2 : 0;
+        out[machine_of[v]] += words;
+        residual_words += words;
       }
       if (uncolored <= std::max<NodeId>(1, n / (delta * delta)) && residual_words <= S) {
         res.finished_on_one_machine = true;
-        std::vector<std::int64_t> out(M, 0), in(M, 0);
-        for (NodeId v = 0; v < n; ++v) {
-          if (!active[v]) continue;
-          std::int64_t words = static_cast<std::int64_t>(inst.list(v).size());
-          for (NodeId u : g.neighbors(v)) words += active[u] ? 2 : 0;
-          out[machine_of[v]] += words;
-        }
         in[0] = residual_words;
         charged_exchange(sys, out, in);
         sys.check_storage(0, residual_words);
-        for (NodeId v = 0; v < n; ++v) {
-          if (!active[v]) continue;
-          for (Color c : inst.list(v)) {
-            bool taken = false;
-            for (NodeId u : g.neighbors(v)) taken |= res.colors[u] == c;
-            if (!taken) {
-              res.colors[v] = c;
-              break;
-            }
-          }
-          assert(res.colors[v] != kUncolored);
-          active[v] = false;
-        }
+        greedy_color_uncolored(g, inst, res.colors);
         sys.tick(1);  // distribute the output
-        uncolored = 0;
         break;
       }
     } else {
@@ -387,13 +257,14 @@ MpcColoringResult run(const Graph& g, ListInstance inst, std::int64_t S, bool li
            res.commit_cycles >= cycles_budget)) {
         while (uncolored > 0) {
           ++res.lemma42_passes;
-          uncolored -= lemma42_pass(sh, active, res.colors);
+          uncolored -= lemma42_pass(g, inst, active, res.colors, costs, id_bits, lambda);
         }
         break;
       }
     }
     ++res.commit_cycles;
-    uncolored -= commit_cycle(sh, active, res.colors, &res.derand_passes, rounds_per_exchange);
+    uncolored -= section4_commit_cycle(g, inst, active, res.colors, /*step_bits=*/1, lambda, costs,
+                                       &res.derand_passes);
   }
   res.metrics = sys.metrics();
   return res;

@@ -2,10 +2,13 @@
 // model, plus Lemma 4.2 (the O(log n)-round finisher used in the
 // sublinear regime when Delta < n^{alpha/2}).
 //
-// Both regimes run the Section-4 variant of the CONGEST algorithm — one
-// candidate-color bit fixed per derandomization pass, higher coin accuracy
-// so the final conflict resolution is a single id comparison (no MIS) —
-// with the seed fixed segment-at-a-time over a machine aggregation tree:
+// Both regimes run the Section-4 core shared with the congested clique
+// (src/coloring/segment_derand.h) — one candidate-color bit fixed per
+// derandomization pass, higher coin accuracy so the final conflict
+// resolution is a single id comparison (no MIS) — with the seed fixed
+// segment-at-a-time over a machine aggregation tree. This model supplies
+// the step size, the segment length and its costs (S-word-budgeted
+// machine exchanges, one tree aggregation + broadcast per segment):
 //
 //  * linear memory (Theorem 1.4): S = Theta(n); every node's incident
 //    edges and color list live on one machine M_u; after O(log Delta)

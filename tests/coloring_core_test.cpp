@@ -2,6 +2,9 @@
 // the Lemma 2.1 partial coloring (progress + potential invariants).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/coloring/linial.h"
 #include "src/coloring/list_instance.h"
 #include "src/coloring/mis.h"
@@ -95,6 +98,36 @@ TEST(ListInstance, RemoveAndValidate) {
   EXPECT_TRUE(inst.valid_solution({0, 1, 0}));
   EXPECT_FALSE(inst.valid_solution({0, 0, 1}));   // conflict
   EXPECT_FALSE(inst.valid_solution({1, 2, 1}));   // 2 was removed from L(1)? no: removed, invalid
+}
+
+// Release builds compile assert out, so malformed input must be rejected
+// by a real check, with the offending node named.
+TEST(ListInstance, RejectsMalformedListsNamingTheNode) {
+  const Graph g = make_path(2);
+  auto message_of = [&](std::int64_t color_space, std::vector<std::vector<Color>> lists) {
+    try {
+      ListInstance(g, color_space, std::move(lists));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_NE(message_of(4, {{0}, {0, 1}}).find("node 0"), std::string::npos);  // < deg+1
+  EXPECT_NE(message_of(4, {{0, 1}, {0, 4}}).find("node 1"), std::string::npos);  // >= C
+  EXPECT_NE(message_of(4, {{-1, 1}, {0, 1}}).find("node 0"), std::string::npos);  // < 0
+  EXPECT_NE(message_of(4, {{0, 1}, {2, 2}}).find("node 1"), std::string::npos);  // duplicate
+  EXPECT_NE(message_of(4, {{0, 1}}).find("1 lists for 2 nodes"), std::string::npos);
+  EXPECT_EQ(message_of(4, {{1, 0}, {3, 2}}), "accepted");
+
+  // random_lists needs deg(v)+1 distinct colors from [C].
+  const Graph star = make_star(5);  // center degree 4
+  try {
+    ListInstance::random_lists(star, 4, 1);
+    ADD_FAILURE() << "random_lists accepted C < deg+1";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("node 0"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(ListInstance::random_lists(star, 0, 1), std::invalid_argument);
 }
 
 struct PartialCase {

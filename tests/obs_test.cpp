@@ -32,14 +32,17 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/benchkit/json.h"
+#include "src/clique/clique_coloring.h"
 #include "src/coloring/theorem11.h"
 #include "src/congest/network.h"
 #include "src/congest/tree.h"
 #include "src/decomposition/corollary12.h"
 #include "src/graph/generators.h"
+#include "src/mpc/mpc_coloring.h"
 #include "src/obs/obs.h"
 #include "src/runtime/corollary12_program.h"
 #include "src/runtime/derand_program.h"
@@ -384,6 +387,48 @@ TEST(ObsDeterminism, Corollary12IdenticalWithTracingOnAndOff) {
     expect_metrics_eq(traced.metrics, plain.metrics, where);
     expect_metrics_eq(traced.metrics, ref.metrics, where);
   }
+}
+
+// The clique and MPC algorithms run no transport; their one phase span is
+// derand.math around each segment_derand_step, and tracing it must leave
+// every color and charge untouched.
+TEST(ObsDeterminism, CliqueAndMpcIdenticalWithTracingOnAndOff) {
+  const Graph g = make_near_regular(64, 4, test::kTestSeed + 5);
+  const ListInstance inst = ListInstance::delta_plus_one(g);
+
+  const clique::CliqueColoringResult clique_ref = clique::clique_list_coloring(g, inst);
+  const mpc::MpcColoringResult linear_ref = mpc::mpc_list_coloring_linear(g, inst);
+  const mpc::MpcColoringResult sublinear_ref = mpc::mpc_list_coloring_sublinear(g, inst, 0.6);
+  ASSERT_TRUE(inst.valid_solution(clique_ref.colors));
+  ASSERT_TRUE(inst.valid_solution(linear_ref.colors));
+  ASSERT_TRUE(inst.valid_solution(sublinear_ref.colors));
+
+  obs::TraceSession session;
+  const clique::CliqueColoringResult clique_traced = clique::clique_list_coloring(g, inst);
+  const mpc::MpcColoringResult linear_traced = mpc::mpc_list_coloring_linear(g, inst);
+  const mpc::MpcColoringResult sublinear_traced = mpc::mpc_list_coloring_sublinear(g, inst, 0.6);
+  session.stop();
+
+  EXPECT_EQ(clique_traced.colors, clique_ref.colors);
+  EXPECT_EQ(clique_traced.commit_cycles, clique_ref.commit_cycles);
+  EXPECT_EQ(clique_traced.derand_passes, clique_ref.derand_passes);
+  EXPECT_EQ(clique_traced.final_subgraph_size, clique_ref.final_subgraph_size);
+  expect_metrics_eq(clique_traced.metrics, clique_ref.metrics, "clique, traced");
+  for (const auto& [traced, ref, where] :
+       {std::tuple{&linear_traced, &linear_ref, "mpc linear"},
+        std::tuple{&sublinear_traced, &sublinear_ref, "mpc sublinear"}}) {
+    EXPECT_EQ(traced->colors, ref->colors) << where;
+    EXPECT_EQ(traced->commit_cycles, ref->commit_cycles) << where;
+    EXPECT_EQ(traced->derand_passes, ref->derand_passes) << where;
+    EXPECT_EQ(traced->lemma42_passes, ref->lemma42_passes) << where;
+    EXPECT_EQ(traced->finished_on_one_machine, ref->finished_on_one_machine) << where;
+    EXPECT_EQ(traced->metrics.rounds, ref->metrics.rounds) << where;
+    EXPECT_EQ(traced->metrics.words_communicated, ref->metrics.words_communicated) << where;
+    EXPECT_EQ(traced->metrics.max_round_load, ref->metrics.max_round_load) << where;
+  }
+  const obs::StatLine* math = find_stat(session.stats(), obs::kCatPhase, "derand.math");
+  ASSERT_NE(math, nullptr);
+  EXPECT_GT(math->count, 0);
 }
 
 // ---------------------------------------------------------------------------
