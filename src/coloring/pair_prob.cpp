@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "src/util/bits.h"
 
@@ -76,11 +78,14 @@ class GenericPairProb final : public PairProbEngine {
 // non-participating node) is a constant, so after begin_phase the work per
 // seed bit is proportional to the free nodes and edges, not to n.
 //
-// Per-chunk caches: refresh_chunk() computes each free node's threshold
-// digit, tail and undetermined marginal when chunk t begins, with the same
-// operations in the same order as the per-query code they replace. The
-// queries read them instead of recomputing them, so every returned
-// probability is bit-identical to evaluating the formulas per query.
+// Arithmetic (see pair_prob.h for why it is exact): during chunk t, with
+// r = b - t - 1 digits after it, every probability is an integer Num over
+// 2^S, S = 2r + 2. A free node's digit-t factors f(x) = Pr[its suffix from
+// digit t is below its threshold's | digit t = x] are integers over 2^r:
+// f(tau) = tail = threshold & (2^r - 1), f(x < tau) = 2^r, f(x > tau) = 0.
+// Num is std::uint64_t for 2b <= 62, where 2^S <= 2^(2b) fits it, and
+// unsigned __int128 up to b = 63; each returned entry is converted to
+// long double once and scaled by the exact power 2^-S.
 //
 // Changed edges (see pair_prob.h for the argument): a free node is live
 // while tight != 0 and settled after; liveness only ever goes from live to
@@ -88,6 +93,7 @@ class GenericPairProb final : public PairProbEngine {
 // (live_edges_) and, bucketed by h = highest set bit of psi_u ^ psi_v, the
 // edges with two live endpoints and distinct input colors (pair_*_), both
 // rebuilt once per chunk; changed_ is the set for the next query.
+template <typename Num>
 class FastBitwisePairProb final : public PairProbEngine {
  public:
   FastBitwisePairProb(std::uint64_t num_input_colors, int b)
@@ -133,10 +139,18 @@ class FastBitwisePairProb final : public PairProbEngine {
 
   int num_seed_bits() const override { return b_ * (w_ + 1); }
 
-  JointDist edge_joint(int e, int cand) override { return joint_dist(e, cand); }
+  JointDist edge_joint(int e, int cand) override { return joint_dist(nums(e, cand)); }
 
   std::array<JointDist, 2> edge_joints(int e) override {
-    return {joint_dist(e, 0), joint_dist(e, 1)};
+    return {joint_dist(nums(e, 0)), joint_dist(nums(e, 1))};
+  }
+
+  void edge_diagonals(std::span<const int> edges, std::array<long double, 4>* out) override {
+    for (const int e : edges) {
+      const Nums n0 = nums(e, 0);
+      const Nums n1 = nums(e, 1);
+      out[e] = {to_ld(both_zero(n0)), to_ld(n0.p11), to_ld(both_zero(n1)), to_ld(n1.p11)};
+    }
   }
 
   void fix_next_bit(int bit) override {
@@ -189,7 +203,7 @@ class FastBitwisePairProb final : public PairProbEngine {
     ++cur_chunk_;
     refresh_chunk();
     // Offset 0 of the next chunk: every edge live during the chunk just
-    // completed (new tau/tail/marginal, advanced DP, or newly settled).
+    // completed (new tau and tail, advanced DP, or newly settled).
     changed_.assign(live_edges_.begin(), live_edges_.end());
     std::erase_if(live_edges_, [&](int e) {
       return !is_live(edges_[e].u) && !is_live(edges_[e].v);
@@ -218,15 +232,13 @@ class FastBitwisePairProb final : public PairProbEngine {
     std::uint64_t input_color = 0;
     std::uint64_t threshold = 0;
     std::uint64_t value = 0;  // digits of completed chunks
+    std::uint64_t tail = 0;   // threshold & (2^r - 1) of the current chunk
     int known = 0;            // folded-in part of the current chunk's digit
     int tau = 0;              // threshold digit of the current chunk
     // Pr[tie so far] and Pr[already below]: every completed digit is a
     // point mass, so both are exactly 0 or 1.
     std::uint8_t tight = 1;
     std::uint8_t less = 0;
-    // Per-chunk caches, see refresh_chunk().
-    long double tail = 0.0L;
-    long double marg_free = 0.0L;
   };
   // An edge's endpoints as slot_ entries.
   struct EdgeSlots {
@@ -238,6 +250,12 @@ class FastBitwisePairProb final : public PairProbEngine {
   // states: at most one of them is 1, the rest 0.
   struct EdgeState {
     std::uint8_t A = 1, B = 0, C = 0, D = 0;
+  };
+  // Numerators over 2^S of Pr[C_u = 1], Pr[C_v = 1], Pr[C_u = C_v = 1].
+  struct Nums {
+    Num pu;
+    Num pv;
+    Num p11;
   };
 
   // A free node whose value still ties its threshold on every completed
@@ -269,47 +287,35 @@ class FastBitwisePairProb final : public PairProbEngine {
     }
   }
 
-  // For each free node, at the start of chunk t = cur_chunk_:
-  //  * tau       — digit t of the threshold;
-  //  * tail      — Pr[uniform r-bit suffix < threshold's low r bits],
-  //                r = b - t - 1, i.e. (threshold & (2^r - 1)) * 2^-r;
-  //  * marg_free — Pr[value < threshold] while c_t is still free. The
-  //                digit is then a fresh uniform bit whatever the a_t bits
-  //                are, so this holds for every a_t bit of the chunk.
+  // At the start of chunk t = cur_chunk_: the chunk's scale, and for each
+  // free node digit t of its threshold (tau) and its low r bits (tail).
+  // After the last chunk every probability is 0 or 1 (S = 0).
   void refresh_chunk() {
     const int t = cur_chunk_;
+    r_ = b_ - t - 1;
+    const int S = t == b_ ? 0 : 2 * r_ + 2;
+    one_ = Num{1} << S;
+    scale_ = std::ldexp(1.0L, -S);
     if (t == b_) return;
-    const int r = b_ - t - 1;  // digits after t
-    const std::uint64_t mask_low = (r == 0) ? 0 : ((std::uint64_t{1} << r) - 1);
+    const std::uint64_t mask_low = (std::uint64_t{1} << r_) - 1;
     for (NodeState& ns : nodes_) {
-      ns.tau = static_cast<int>(ns.threshold >> (b_ - 1 - t) & 1);
-      ns.tail = ldexpl(static_cast<long double>(ns.threshold & mask_low), -r);
-      // Uniform digit: Pr[digit < tau_t] + Pr[digit == tau_t] * tail.
-      const long double cur = (ns.tau == 1 ? 0.5L : 0.0L) + 0.5L * ns.tail;
-      ns.marg_free = ns.less + ns.tight * cur;
+      ns.tau = static_cast<int>(ns.threshold >> r_ & 1);
+      ns.tail = ns.threshold & mask_low;
     }
   }
 
-  JointDist joint_dist(int e, int cand) const {
-    const int su = edges_[e].u;
-    const int sv = edges_[e].v;
-    long double pu;
-    long double pv;
-    long double p11;
-    if (su < 0 || sv < 0) {
-      pu = su < 0 ? (su == kForcedOne ? 1.0L : 0.0L) : marg_prob(nodes_[su], cand);
-      pv = sv < 0 ? (sv == kForcedOne ? 1.0L : 0.0L) : marg_prob(nodes_[sv], cand);
-      p11 = pu * pv;
-    } else {
-      pu = marg_prob(nodes_[su], cand);
-      pv = marg_prob(nodes_[sv], cand);
-      p11 = joint_prob(nodes_[su], nodes_[sv], edge_state_[e], cand);
-    }
+  long double to_ld(Num x) const { return static_cast<long double>(x) * scale_; }
+
+  // Pr[C_u = 0 and C_v = 0] = 1 - pu - pv + p11. The unsigned
+  // intermediates may wrap; the result lies in [0, 2^S] and is exact.
+  Num both_zero(const Nums& n) const { return one_ - n.pu - n.pv + n.p11; }
+
+  JointDist joint_dist(const Nums& n) const {
     JointDist d;
-    d[1][1] = p11;
-    d[1][0] = pu - p11;
-    d[0][1] = pv - p11;
-    d[0][0] = 1.0L - pu - pv + p11;
+    d[1][1] = to_ld(n.p11);
+    d[1][0] = to_ld(n.pu - n.p11);
+    d[0][1] = to_ld(n.pv - n.p11);
+    d[0][0] = to_ld(both_zero(n));
     return d;
   }
 
@@ -333,102 +339,86 @@ class FastBitwisePairProb final : public PairProbEngine {
     es.D = nD;
   }
 
-  // Pr[value < threshold | fixed prefix + cand] for a free node.
-  long double marg_prob(const NodeState& ns, int cand) const {
-    if (cur_chunk_ == b_) {
-      // All digits fixed (can happen when edge_joint is queried after the
-      // final fix; only coin() should be used then, but be safe).
-      return ns.value < ns.threshold ? 1.0L : 0.0L;
-    }
-    // Before c_t the digit is uniform regardless of cand.
-    if (cur_offset_ < w_) return ns.marg_free;
-    // Tentative bit is c_t: digit = known ^ cand, a constant.
-    const int digit = ns.known ^ cand;
-    long double cur;  // Pr[suffix from digit t < tau suffix from digit t]
-    if (digit < ns.tau) {
-      cur = 1.0L;
-    } else if (digit > ns.tau) {
-      cur = 0.0L;
-    } else {
-      cur = ns.tail;
-    }
-    return ns.less + ns.tight * cur;
+  // f(x) over 2^r (see above) for a free node in chunk cur_chunk_.
+  std::uint64_t f(const NodeState& ns, int x) const {
+    return x == ns.tau ? ns.tail : static_cast<std::uint64_t>(x < ns.tau) << r_;
   }
 
-  // Pr[value_u < tau_u AND value_v < tau_v | fixed prefix + cand] for an
-  // edge {u, v} between two free nodes.
-  long double joint_prob(const NodeState& nu, const NodeState& nv, const EdgeState& es,
-                         int cand) const {
+  // f(0) + f(1).
+  std::uint64_t f_sum(const NodeState& ns) const {
+    return ns.tail + (static_cast<std::uint64_t>(ns.tau) << r_);
+  }
+
+  // x if flag (0 or 1) is set, else 0.
+  static Num pick(std::uint8_t flag, Num x) { return (Num{0} - flag) & x; }
+
+  // Pr[suffix from digit t < threshold's suffix | tight, prefix + cand],
+  // over 2^S. Before c_t the digit is a fresh uniform bit whatever cand
+  // is; at c_t it is the constant known ^ cand.
+  Num cur(const NodeState& ns, int cand) const {
+    if (cur_offset_ < w_) return Num{f_sum(ns)} << (r_ + 1);
+    return Num{f(ns, ns.known ^ cand)} << (r_ + 2);
+  }
+
+  // Pr[value < threshold | prefix + cand] for a free node, over 2^S.
+  Num marg(const NodeState& ns, int cand) const {
+    if (cur_chunk_ == b_) return ns.value < ns.threshold ? one_ : 0;
+    return pick(ns.less, one_) | pick(ns.tight, cur(ns, cand));
+  }
+
+  // The three numerators of edge e given the fixed prefix + cand.
+  Nums nums(int e, int cand) const {
+    const int su = edges_[e].u;
+    const int sv = edges_[e].v;
+    if (su < 0 || sv < 0) {
+      const Num pu = su < 0 ? (su == kForcedOne ? one_ : 0) : marg(nodes_[su], cand);
+      const Num pv = sv < 0 ? (sv == kForcedOne ? one_ : 0) : marg(nodes_[sv], cand);
+      // A forced factor is 0 or 1, so the product is 0 or the other one.
+      const Num p11 = su == kForcedZero || sv == kForcedZero ? 0 : su == kForcedOne ? pv : pu;
+      return {pu, pv, p11};
+    }
+    const NodeState& nu = nodes_[su];
+    const NodeState& nv = nodes_[sv];
     if (cur_chunk_ == b_) {
-      return (nu.value < nu.threshold && nv.value < nv.threshold) ? 1.0L : 0.0L;
+      return {marg(nu, cand), marg(nv, cand),
+              nu.value < nu.threshold && nv.value < nv.threshold ? one_ : 0};
     }
-    const int tu = nu.tau;
-    const int tv = nv.tau;
+    const Num cu = cur(nu, cand);
+    const Num cv = cur(nv, cand);
+    const EdgeState& es = edge_state_[e];
+    // At most one flag of each OR is set.
+    const Num p11 = pick(es.D, one_) | pick(es.B, cu) | pick(es.C, cv) |
+                    pick(es.A, both_cur(nu, nv, cand));
+    return {pick(nu.less, one_) | pick(nu.tight, cu), pick(nv.less, one_) | pick(nv.tight, cv),
+            p11};
+  }
 
-    // Joint distribution of the current digit pair given the tentative bit.
-    // Colors of adjacent nodes differ; whether the two digit forms share
-    // the same remaining variable set decides correlation.
-    JointDist q{};
+  // Pr[both suffixes from digit t below their thresholds' | both tight,
+  // prefix + cand], over 2^S. The digit pair's joint q is a point mass at
+  // c_t. Before c_t both digits are uniform, and they are equal up to the
+  // xor of the remaining a_t-part parities: perfectly correlated (q = 1/2
+  // on digit_u ^ digit_v = delta) iff the colors agree above the tentative
+  // bit, uniform on {0,1}^2 otherwise. After digit t the two suffixes are
+  // independent uniform r-bit values.
+  Num both_cur(const NodeState& nu, const NodeState& nv, int cand) const {
     if (cur_offset_ == w_) {
-      // Tentative bit is c_t: both digits are constants.
-      q[nu.known ^ cand][nv.known ^ cand] = 1.0L;
-    } else {
-      // c_t is still free for both, so both digits are uniform; they are
-      // equal up to the xor of the remaining a_t-part parities. They are
-      // perfectly correlated iff the remaining color-bit sets coincide.
-      const std::uint64_t rem_mask = cur_offset_ >= 64 ? 0 : (~std::uint64_t{0} << cur_offset_);
-      std::uint64_t rem_u = nu.input_color & rem_mask;
-      std::uint64_t rem_v = nv.input_color & rem_mask;
-      int ku = nu.known;
-      int kv = nv.known;
-      // Account for the tentative bit cand at position cur_offset_ (an
-      // a_t bit, since the branch above covers c_t).
-      if (cand && (rem_u >> cur_offset_ & 1)) ku ^= 1;
-      if (cand && (rem_v >> cur_offset_ & 1)) kv ^= 1;
-      rem_u &= ~(std::uint64_t{1} << cur_offset_);
-      rem_v &= ~(std::uint64_t{1} << cur_offset_);
-      if (rem_u == rem_v) {
-        // digit_u ^ digit_v = ku ^ kv always; digit_u uniform (c_t free).
-        const int delta = ku ^ kv;
-        q[0][delta] = 0.5L;
-        q[1][1 ^ delta] = 0.5L;
-      } else {
-        // Two distinct nonempty remaining variable sets (they differ in
-        // some a_t bit; both contain c_t): uniform on {0,1}^2.
-        q[0][0] = q[0][1] = q[1][0] = q[1][1] = 0.25L;
-      }
+      return Num{f(nu, nu.known ^ cand)} * f(nv, nv.known ^ cand) << 2;
     }
-
-    // Tail factors: after digit t all chunks are free, so the two suffixes
-    // are independent uniform r-bit values.
-    auto fu = [&](int x) -> long double {
-      if (x < tu) return 1.0L;
-      if (x > tu) return 0.0L;
-      return nu.tail;
-    };
-    auto fv = [&](int y) -> long double {
-      if (y < tv) return 1.0L;
-      if (y > tv) return 0.0L;
-      return nv.tail;
-    };
-    long double both_tail = 0.0L;
-    long double u_tail = 0.0L;  // Pr[u suffix < tau_u suffix from digit t]
-    long double v_tail = 0.0L;
-    for (int x = 0; x < 2; ++x) {
-      const long double qu = q[x][0] + q[x][1];
-      u_tail += qu * fu(x);
-      for (int y = 0; y < 2; ++y) {
-        both_tail += q[x][y] * fu(x) * fv(y);
-        if (x == 0) v_tail += (q[0][y] + q[1][y]) * fv(y);
-      }
+    const std::uint64_t x = nu.input_color ^ nv.input_color;
+    if (x >> cur_offset_ >> 1 != 0) {
+      return Num{f_sum(nu)} * f_sum(nv);
     }
-    return es.D + es.B * u_tail + es.C * v_tail + es.A * both_tail;
+    const int delta = nu.known ^ nv.known ^ (cand & static_cast<int>(x >> cur_offset_ & 1));
+    return (Num{f(nu, 0)} * f(nv, delta) + Num{f(nu, 1)} * f(nv, 1 ^ delta)) << 1;
   }
 
   int w_;
   int b_;
   int cur_chunk_ = 0;
   int cur_offset_ = 0;
+  int r_ = 0;              // digits after cur_chunk_
+  Num one_ = 1;            // 2^S, the numerator of probability 1
+  long double scale_ = 1;  // 2^-S
   std::vector<int> slot_;         // per node: index into nodes_, or kForced*
   std::vector<NodeState> nodes_;  // free nodes, ascending node id
   std::vector<EdgeSlots> edges_;  // per edge: endpoint slots
@@ -448,7 +438,13 @@ std::unique_ptr<PairProbEngine> make_generic_pair_prob(const CoinFamily& family)
 
 std::unique_ptr<PairProbEngine> make_fast_bitwise_pair_prob(std::uint64_t num_input_colors,
                                                             int b) {
-  return std::make_unique<FastBitwisePairProb>(num_input_colors, b);
+  if (b < 1 || b > 63) {
+    throw std::invalid_argument("make_fast_bitwise_pair_prob: precision b = " +
+                                std::to_string(b) + " is outside [1, 63]");
+  }
+  // 2^S <= 2^(2b) must fit the numerator type.
+  if (2 * b <= 62) return std::make_unique<FastBitwisePairProb<std::uint64_t>>(num_input_colors, b);
+  return std::make_unique<FastBitwisePairProb<unsigned __int128>>(num_input_colors, b);
 }
 
 }  // namespace dcolor

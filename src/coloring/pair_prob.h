@@ -13,12 +13,10 @@
 //    family: once a chunk (one output digit's seed bits) is fully fixed,
 //    that digit is a constant; per-edge/per-node DP states advance one
 //    digit and never revisit it, and the unfixed digits have a closed-form
-//    uniform tail. Everything that depends only on (threshold, chunk) —
-//    each node's threshold digit, its tail probability, and its marginal
-//    while the chunk's last bit c_t is still free — is cached once per
-//    chunk for the free nodes (0 < threshold < 2^b). Cost: O(1) per
-//    (edge, candidate) query; O(free nodes + listed edges) per fixed a_t
-//    bit; O(free nodes + edges with a live endpoint) per fixed c_t bit.
+//    uniform tail. Each free node keeps, per chunk, its threshold digit
+//    and the integer tail of its threshold below that digit. Cost: O(1)
+//    per (edge, candidate) query; O(free nodes + listed edges) per fixed
+//    a_t bit; O(free nodes + edges with a live endpoint) per fixed c_t bit.
 //    Forced and non-participating nodes cost nothing after begin_phase.
 //    changed_edges() lists, per seed bit, only the edges whose joint can
 //    have moved, so a caller that keeps the previous joints re-queries
@@ -35,8 +33,8 @@
 //  * an edge with a live endpoint changes only at chunk offset 0 (new
 //    threshold digit, tail and marginal, advanced DP) and at c_t (the
 //    digit becomes known ^ cand). At the other a_t offsets a lone live
-//    endpoint's marginal is the cached marg_free and its q marginal is
-//    exactly 1/2;
+//    endpoint's digit is a fresh uniform bit (c_t is free), so its
+//    marginal does not move and its q marginal is exactly 1/2;
 //  * an edge with two live endpoints also changes at the a_t offsets h
 //    and h+1, h = highest set bit of psi_u ^ psi_v. Below h the
 //    remaining variable sets differ (q uniform); at h the tentative bit
@@ -46,12 +44,23 @@
 // Liveness only decays, so at offset 0 the engine lists the edges that
 // were live during the previous chunk.
 //
-// Both engines are exact up to long-double rounding (pair_prob_test holds
-// them to 1e-12 of each other on every query).
+// Why FastBitwisePairProb is exact. During chunk t, with r = b - t - 1
+// digits after it, every probability it returns is a dyadic rational in
+// [0, 1] with at most S = 2r + 2 fraction bits: a node's threshold tail
+// is (threshold & (2^r - 1)) * 2^-r, the current digit pair's masses are
+// multiples of 1/4, and tight/less and the edge DP masses are 0 or 1.
+// The engine evaluates each entry as an integer numerator over 2^S, in
+// std::uint64_t while 2b <= 62 and in unsigned __int128 up to b = 63 (the
+// factory rejects any other b), and converts it to long double once,
+// scaled by the exact power 2^-S. For b <= 32, S <= 64 fits the long
+// double significand, so every entry is exact and equals (==) the generic
+// engine's (pair_prob_test asserts it); for b >= 33 an entry is the exact
+// value rounded once.
 #pragma once
 
 #include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -84,6 +93,17 @@ class PairProbEngine {
     return {edge_joint(e, 0), edge_joint(e, 1)};
   }
 
+  // For each listed edge e, out[e] = {J0[0][0], J0[1][1], J1[0][0],
+  // J1[1][1]} with {J0, J1} = edge_joints(e): the probabilities that both
+  // coins are 0 and that both are 1, under cand = 0 and cand = 1. One
+  // call per seed bit; other entries of out are left alone.
+  virtual void edge_diagonals(std::span<const int> edges, std::array<long double, 4>* out) {
+    for (const int e : edges) {
+      const auto [J0, J1] = edge_joints(e);
+      out[e] = {J0[0][0], J0[1][1], J1[0][0], J1[1][1]};
+    }
+  }
+
   // Sets *out to a superset of the edges e whose edge_joints(e) can
   // differ from its value before the last fix_next_bit, each listed once,
   // in no particular order. Every edge at the first bit after
@@ -99,6 +119,7 @@ class PairProbEngine {
 };
 
 std::unique_ptr<PairProbEngine> make_generic_pair_prob(const CoinFamily& family);
+// Throws std::invalid_argument naming b unless 1 <= b <= 63.
 std::unique_ptr<PairProbEngine> make_fast_bitwise_pair_prob(std::uint64_t num_input_colors,
                                                             int b);
 

@@ -66,12 +66,15 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
   }
 
   // Coin machinery. Input colors for the hash are the given K-coloring.
-  std::unique_ptr<CoinFamily> family =
-      make_coin_family(opts.family, static_cast<std::uint64_t>(K), b);
-  std::unique_ptr<PairProbEngine> engine =
-      opts.family == CoinFamilyKind::kBitwise
-          ? make_fast_bitwise_pair_prob(static_cast<std::uint64_t>(K), b)
-          : make_generic_pair_prob(*family);
+  // Only the generic engine reads a CoinFamily; it must outlive the engine.
+  std::unique_ptr<CoinFamily> family;
+  std::unique_ptr<PairProbEngine> engine;
+  if (opts.family == CoinFamilyKind::kBitwise) {
+    engine = make_fast_bitwise_pair_prob(static_cast<std::uint64_t>(K), b);
+  } else {
+    family = make_coin_family(opts.family, static_cast<std::uint64_t>(K), b);
+    engine = make_generic_pair_prob(*family);
+  }
   stats.seed_bits = engine->num_seed_bits();
 
   // --- Alive conflict adjacency (edges of G_l: equal prefixes so far).
@@ -176,9 +179,8 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
       ++stamp;
       dirty.clear();
       engine->changed_edges(&changed);
+      engine->edge_diagonals(changed, joints.data());
       for (const int e : changed) {
-        const auto [J0, J1] = engine->edge_joints(e);
-        joints[e] = {J0[0][0], J0[1][1], J1[0][0], J1[1][1]};
         for (const NodeId w : {edges[e].u, edges[e].v}) {
           if (dirty_stamp[w] == stamp) continue;
           dirty_stamp[w] = stamp;

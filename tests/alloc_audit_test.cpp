@@ -3,8 +3,9 @@
 // derandomization pipelines allocate NOTHING per round — the engine's
 // dispatch (serial fast path and pool path), the Lemma 2.6 wave kernel's
 // aggregate/broadcast ops over BFS and cluster trees (including cluster
-// rebinds), the conflict-edge exchanges, a full Linial run, and a full
-// color-class MIS run.
+// rebinds), the conflict-edge exchanges, a full Linial run, a full
+// color-class MIS run, and the fast pair-probability engine's per-seed-bit
+// cycle.
 // Guards tentpole (c) of the round-loop optimization PR: any hot-path
 // heap traffic reintroduced later fails here, not in a profiler.
 //
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "src/coloring/derand_channel.h"
+#include "src/coloring/pair_prob.h"
 #include "src/congest/network.h"
 #include "src/congest/tree.h"
 #include "src/decomposition/netdecomp.h"
@@ -211,6 +214,51 @@ TEST(AllocAudit, ClusterRebindSteadyState) {
   pass();
   const std::uint64_t delta = allocs() - before;
   EXPECT_EQ(delta, 0u) << "cluster rebind loop allocated";
+}
+
+// The Lemma 2.6 seed-fixing math of one Lemma 2.1 phase: the caller's
+// per-bit cycle of changed_edges + edge_diagonals + fix_next_bit on the
+// fast engine. The first chunk sizes every per-phase buffer (every edge
+// is listed at its first bit), so all later bits of the phase must be
+// heap-free, on both numerator types (b = 12 and b = 40).
+TEST(AllocAudit, SeedFixingEngineSteadyState) {
+  const Graph g = make_grid(12, 12);
+  const NodeId n = g.num_nodes();
+  std::vector<ConflictEdge> edges;
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId u : g.neighbors(v)) {
+      if (v < u) edges.push_back(ConflictEdge{v, u});
+    }
+  }
+  // Input colors: a proper 4-coloring of the grid (K = 4, w = 2).
+  const std::uint64_t K = 4;
+  for (const int b : {12, 40}) {
+    const std::uint64_t full = std::uint64_t{1} << b;
+    std::vector<CoinSpec> specs(static_cast<std::size_t>(n));
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint64_t row = static_cast<std::uint64_t>(v / 12);
+      const std::uint64_t col = static_cast<std::uint64_t>(v % 12);
+      specs[v].input_color = (row % 2) * 2 + col % 2;
+      // Mostly free thresholds, a few forced ones.
+      specs[v].threshold = v % 17 == 0 ? 0 : v % 19 == 0 ? full : (full / 163) * (v + 1);
+    }
+    auto engine = make_fast_bitwise_pair_prob(K, b);
+    engine->begin_phase(specs, edges);
+    std::vector<int> changed;
+    std::vector<std::array<long double, 4>> joints(edges.size());
+    auto step = [&](int j) {
+      engine->changed_edges(&changed);
+      engine->edge_diagonals(changed, joints.data());
+      engine->fix_next_bit((j * 7 + 3) % 5 < 2 ? 1 : 0);
+    };
+    const int d = engine->num_seed_bits();
+    const int first_chunk = d / b;
+    int j = 0;
+    for (; j < first_chunk; ++j) step(j);  // warm
+    const std::uint64_t before = allocs();
+    for (; j < d; ++j) step(j);
+    EXPECT_EQ(allocs() - before, 0u) << "seed-fixing engine allocated at b=" << b;
+  }
 }
 
 }  // namespace

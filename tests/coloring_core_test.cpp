@@ -2,8 +2,10 @@
 // the Lemma 2.1 partial coloring (progress + potential invariants).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/coloring/linial.h"
 #include "src/coloring/list_instance.h"
@@ -222,6 +224,56 @@ TEST_P(PartialColoringTest, LemmaGuarantees) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Scenarios, PartialColoringTest, ::testing::Range(0, 9));
+
+// The widest precision a test reaches: the Section-4 variant on the star
+// K_{1,5800} with Delta+1 lists needs b = ceil_log2(10 * 5800 * 13 * 5801)
+// = 33, past the exact long-double range, so the fast engine runs on
+// unsigned __int128 numerators. One color_one_eighth on each transport
+// must give a valid partial coloring with progress, and both transports
+// identical colors and identical metrics.
+TEST(PartialColoring, WidePrecisionStarMatchesAcrossTransports) {
+  const Graph g = make_star(5801);
+  const NodeId n = g.num_nodes();
+  congest::Network lin_net(g);
+  const LinialResult lin = runtime::linial_coloring(lin_net, test::all_active(g));
+  PartialColoringOptions opts;
+  opts.avoid_mis = true;
+
+  struct Run {
+    std::vector<Color> colors;
+    congest::Metrics metrics;
+    PartialColoringStats stats;
+  };
+  auto run = [&](ColoringTransport& t) {
+    InducedSubgraph active = test::all_active(g);
+    ListInstance inst = ListInstance::delta_plus_one(g);
+    Run out{std::vector<Color>(n, kUncolored), {}, {}};
+    t.build_tree(0);
+    out.stats = color_one_eighth(t, active, inst, out.colors, lin.coloring, lin.num_colors, opts);
+    out.metrics = t.metrics();
+    return out;
+  };
+  runtime::NetworkColoringTransport net_t(g);
+  const Run ref = run(net_t);
+  runtime::EngineColoringTransport eng_t(g, 2);
+  const Run eng = run(eng_t);
+
+  ASSERT_EQ(ref.stats.precision_bits, 33);
+  EXPECT_GE(ref.stats.newly_colored, 1);
+  EXPECT_TRUE(test::proper_partial_on_active(test::all_active(g), ref.colors, kUncolored));
+  const ListInstance lists = ListInstance::delta_plus_one(g);
+  for (NodeId v = 0; v < n; ++v) {
+    if (ref.colors[v] == kUncolored) continue;
+    EXPECT_TRUE(std::binary_search(lists.list(v).begin(), lists.list(v).end(), ref.colors[v]))
+        << "v=" << v;
+  }
+  EXPECT_EQ(eng.colors, ref.colors);
+  EXPECT_EQ(eng.stats.newly_colored, ref.stats.newly_colored);
+  EXPECT_EQ(eng.metrics.rounds, ref.metrics.rounds);
+  EXPECT_EQ(eng.metrics.messages, ref.metrics.messages);
+  EXPECT_EQ(eng.metrics.total_bits, ref.metrics.total_bits);
+  EXPECT_EQ(eng.metrics.max_message_bits, ref.metrics.max_message_bits);
+}
 
 }  // namespace
 }  // namespace dcolor

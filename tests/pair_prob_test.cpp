@@ -1,11 +1,14 @@
-// The fast incremental engine must agree bit-for-bit (up to long-double
-// noise) with the generic CoinFamily-backed engine on every query along
-// arbitrary seed-fixing paths, and exactly with itself across the
-// two-candidate call and across padding with non-participating nodes.
+// The fast incremental engine must agree exactly (==) with the generic
+// CoinFamily-backed engine on every query along arbitrary seed-fixing
+// paths for b <= 32 (within 1e-12 above, where both round), and exactly
+// with itself across the two-candidate call, the batched diagonal query
+// and padding with non-participating nodes.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/coloring/pair_prob.h"
@@ -15,11 +18,15 @@
 namespace dcolor {
 namespace {
 
+// Trials 0..19 draw b in [2, 7]; the last four take b = 31, 32 (the
+// widest exact long-double cases, on each numerator type) and b = 33, 40,
+// where both engines round and are held to 1e-12 instead.
 TEST(FastBitwiseEngine, MatchesGenericOnRandomInstances) {
   Rng rng(2024);
-  for (int trial = 0; trial < 20; ++trial) {
+  const std::array<int, 4> wide_b = {31, 32, 33, 40};
+  for (int trial = 0; trial < 24; ++trial) {
     const std::uint64_t K = 4 + rng.next_below(60);
-    const int b = 2 + static_cast<int>(rng.next_below(6));
+    const int b = trial < 20 ? 2 + static_cast<int>(rng.next_below(6)) : wide_b[trial - 20];
     auto family = make_bitwise_coin_family(K, b);
     auto generic = make_generic_pair_prob(*family);
     auto fast = make_fast_bitwise_pair_prob(K, b);
@@ -54,10 +61,16 @@ TEST(FastBitwiseEngine, MatchesGenericOnRandomInstances) {
         for (int cand = 0; cand < 2; ++cand) {
           const JointDist a = generic->edge_joint(static_cast<int>(e), cand);
           const JointDist f = fast->edge_joint(static_cast<int>(e), cand);
+          if (b <= 32) {
+            ASSERT_EQ(a, f) << "trial=" << trial << " b=" << b << " j=" << j << " e=" << e
+                            << " cand=" << cand;
+            continue;
+          }
           for (int x = 0; x < 2; ++x) {
             for (int y = 0; y < 2; ++y) {
               ASSERT_NEAR(static_cast<double>(a[x][y]), static_cast<double>(f[x][y]), 1e-12)
-                  << "trial=" << trial << " j=" << j << " e=" << e << " cand=" << cand;
+                  << "trial=" << trial << " b=" << b << " j=" << j << " e=" << e
+                  << " cand=" << cand;
             }
           }
         }
@@ -150,6 +163,69 @@ TEST(PairProbEngine, EdgeJointsEqualsTwoEdgeJointCalls) {
       const int bit = static_cast<int>(rng.next_below(2));
       for (auto& eng : engines) eng->fix_next_bit(bit);
     }
+  }
+}
+
+// The batched diagonal query is, exactly, the matching edge_joints
+// entries: at every seed bit along random fixing paths, for the edges
+// changed_edges() lists, on both engines and both numerator types. Slots
+// of unlisted edges keep their sentinel.
+TEST(PairProbEngine, EdgeDiagonalsEqualEdgeJoints) {
+  Rng rng(3131);
+  int checked = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::uint64_t K = 8 + rng.next_below(60);
+    const int b = trial % 4 == 3 ? 33 + static_cast<int>(rng.next_below(8))
+                                 : 2 + static_cast<int>(rng.next_below(6));
+    auto family = make_bitwise_coin_family(K, b);
+    std::array<std::unique_ptr<PairProbEngine>, 2> engines = {
+        make_generic_pair_prob(*family), make_fast_bitwise_pair_prob(K, b)};
+    const Instance inst = random_instance(rng, K, b, 7);
+    for (auto& eng : engines) eng->begin_phase(inst.specs, inst.edges);
+
+    const int m = static_cast<int>(inst.edges.size());
+    const std::array<long double, 4> sentinel = {-1.0L, -1.0L, -1.0L, -1.0L};
+    std::vector<int> changed;
+    std::vector<std::array<long double, 4>> diag;
+    const int d = engines[0]->num_seed_bits();
+    for (int j = 0; j < d; ++j) {
+      for (auto& eng : engines) {
+        eng->changed_edges(&changed);
+        diag.assign(m, sentinel);
+        eng->edge_diagonals(changed, diag.data());
+        std::vector<char> listed(m, 0);
+        for (const int e : changed) listed[e] = 1;
+        for (int e = 0; e < m; ++e) {
+          if (!listed[e]) {
+            ASSERT_EQ(diag[e], sentinel) << "unlisted edge written: trial=" << trial << " e=" << e;
+            continue;
+          }
+          const auto [J0, J1] = eng->edge_joints(e);
+          const std::array<long double, 4> want = {J0[0][0], J0[1][1], J1[0][0], J1[1][1]};
+          ASSERT_EQ(diag[e], want) << "trial=" << trial << " b=" << b << " j=" << j << " e=" << e;
+          ++checked;
+        }
+      }
+      const int bit = static_cast<int>(rng.next_below(2));
+      for (auto& eng : engines) eng->fix_next_bit(bit);
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// The factory accepts exactly the precisions its numerator types hold:
+// b in [1, 63].
+TEST(FastBitwiseEngine, FactoryRejectsPrecisionOutsideOneToSixtyThree) {
+  EXPECT_THROW(make_fast_bitwise_pair_prob(16, 0), std::invalid_argument);
+  EXPECT_THROW(make_fast_bitwise_pair_prob(16, -3), std::invalid_argument);
+  try {
+    make_fast_bitwise_pair_prob(16, 64);
+    FAIL() << "b = 64 accepted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("b = 64"), std::string::npos) << err.what();
+  }
+  for (const int b : {1, 31, 32, 63}) {
+    EXPECT_NO_THROW(make_fast_bitwise_pair_prob(16, b)) << "b=" << b;
   }
 }
 
