@@ -1,5 +1,5 @@
 // dcolor-trace: post-hoc analysis over the artifacts dcolor-bench leaves
-// behind. Two subcommands:
+// behind. Three subcommands:
 //
 //   dcolor-trace trace FILE...         critical-path report per Chrome
 //                                      trace (TRACE_*.json): which rounds
@@ -11,14 +11,16 @@
 //                                      Z ms delta", paired and calibrated
 //                                      by the baseline gate's own
 //                                      benchkit::pair_with_baseline.
+//   dcolor-trace report DIR [BASE_DIR] markdown report over one record set
+//                                      (summary, phase breakdown, latency
+//                                      percentiles); with BASE_DIR, the
+//                                      gate's calibration and verdicts.
 //
 // The PERFORMANCE.md playbook runs `dcolor-trace diff` FIRST on any
 // regression: it usually names the guilty phase before anyone reaches
 // for a profiler.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -37,10 +39,14 @@ constexpr const char* kUsage =
     "  dcolor-trace diff CUR_DIR BASE_DIR  ranked per-phase wall-time attribution\n"
     "                                      between two BENCH_*.json directories,\n"
     "                                      calibrated by the median wall ratio\n"
+    "  dcolor-trace report DIR [BASE_DIR]  markdown report over DIR's BENCH_*.json;\n"
+    "                                      with BASE_DIR, the regression gate's\n"
+    "                                      calibration and per-record verdicts\n"
     "  dcolor-trace --help                 this text\n"
     "\n"
-    "exit status: 0 on success, 1 on usage or I/O errors (diff/trace findings\n"
-    "never affect the exit code — gating belongs to dcolor-bench --baseline)\n";
+    "exit status: 0 on success, 1 on usage or I/O errors or when report finds no\n"
+    "record (findings never affect the exit code — gating belongs to\n"
+    "dcolor-bench --baseline)\n";
 
 int run_trace(const std::vector<std::string>& files) {
   if (files.empty()) {
@@ -69,44 +75,22 @@ int run_trace(const std::vector<std::string>& files) {
   return failures == 0 ? 0 : 1;
 }
 
-// BENCH_*.json basenames under dir, sorted for deterministic output.
-std::vector<std::string> bench_files(const std::string& dir, std::string* err) {
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("BENCH_", 0) == 0 && name.size() > 5 &&
-        name.compare(name.size() - 5, 5, ".json") == 0) {
-      names.push_back(name);
-    }
-  }
-  if (ec) {
-    *err = "cannot read directory " + dir + ": " + ec.message();
-    return {};
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 int run_diff(const std::string& cur_dir, const std::string& base_dir) {
+  dcolor::benchkit::RecordDir rd;
   std::string err;
-  const std::vector<std::string> names = bench_files(cur_dir, &err);
-  if (!err.empty()) {
+  if (!dcolor::benchkit::read_record_dir(cur_dir, &rd, &err)) {
     std::fprintf(stderr, "dcolor-trace: %s\n", err.c_str());
     return 1;
   }
-  if (names.empty()) {
+  if (!rd.warnings.empty()) {
+    std::fprintf(stderr, "dcolor-trace: %s\n", rd.warnings.front().c_str());
+    return 1;
+  }
+  if (rd.records.empty()) {
     std::fprintf(stderr, "dcolor-trace: no BENCH_*.json under %s\n", cur_dir.c_str());
     return 1;
   }
-
-  std::vector<dcolor::benchkit::Record> current(names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (!dcolor::benchkit::read_record_file(cur_dir + "/" + names[i], &current[i], &err)) {
-      std::fprintf(stderr, "dcolor-trace: %s\n", err.c_str());
-      return 1;
-    }
-  }
+  const std::vector<dcolor::benchkit::Record>& current = rd.records;
   const dcolor::benchkit::BaselinePairing pairing =
       dcolor::benchkit::pair_with_baseline(current, base_dir, /*calibrate=*/true);
   const std::size_t pairs = current.size() - static_cast<std::size_t>(pairing.unmatched);
@@ -125,7 +109,7 @@ int run_diff(const std::string& cur_dir, const std::string& base_dir) {
     const dcolor::obs::PhaseDiff d = dcolor::obs::diff_phases(
         current[i].phase_wall_ms, m.baseline.phase_wall_ms, current[i].wall_ms,
         m.baseline.wall_ms, pairing.calibration);
-    std::printf("== %s ==\n", names[i].c_str());
+    std::printf("== %s ==\n", dcolor::benchkit::record_filename(current[i]).c_str());
     std::fputs(dcolor::obs::format_phase_diff(d, "  ").c_str(), stdout);
     std::printf("\n");
   }
@@ -142,6 +126,13 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   if (cmd == "trace") {
     return run_trace(std::vector<std::string>(argv + 2, argv + argc));
+  }
+  if (cmd == "report") {
+    if (argc != 3 && argc != 4) {
+      std::fprintf(stderr, "dcolor-trace: report takes DIR [BASE_DIR]\n\n%s", kUsage);
+      return 1;
+    }
+    return dcolor::benchkit::run_report(argv[2], argc == 4 ? argv[3] : "", stdout);
   }
   if (cmd == "diff") {
     if (argc != 4) {

@@ -1,14 +1,16 @@
 #include "src/benchkit/cli.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -50,34 +52,49 @@ constexpr const char* kUsage =
     "                       calibration via the median current/baseline ratio)\n"
     "  --no-parity          skip the cross-transport checksum parity check\n";
 
-const char* const kKnownFlags[] = {
-    "--list",      "--min-scenarios", "--filter",  "--quick",        "--threads",
-    "--reps",      "--warmup",        "--seed",    "--json-dir",     "--baseline",
-    "--threshold", "--abs-slack-ms",  "--no-calibrate", "--no-parity", "--trace",
-    "--help",
-};
+// Flags that take no value, and flags that consume one ("--flag value"
+// or "--flag=value").
+constexpr std::string_view kSwitches[] = {"--list", "--quick", "--no-calibrate", "--no-parity",
+                                          "--help"};
+constexpr std::string_view kValued[] = {"--min-scenarios", "--filter",   "--threads",
+                                        "--reps",          "--warmup",   "--seed",
+                                        "--json-dir",      "--baseline", "--threshold",
+                                        "--abs-slack-ms",  "--trace"};
 
-// Flags that consume the following argv entry when written as
-// "--flag value".
-bool takes_value(const char* arg) {
-  static const char* const valued[] = {"--min-scenarios", "--filter", "--threads",
-                                       "--reps",          "--warmup", "--seed",
-                                       "--json-dir",      "--baseline", "--threshold",
-                                       "--abs-slack-ms",  "--trace"};
-  for (const char* f : valued) {
-    if (std::strcmp(arg, f) == 0) return true;
-  }
-  return false;
+bool takes_value(std::string_view arg) {
+  return std::find(std::begin(kValued), std::end(kValued), arg) != std::end(kValued);
 }
 
-bool known_flag(const char* arg) {
-  for (const char* f : kKnownFlags) {
-    const std::size_t len = std::strlen(f);
-    if (std::strcmp(arg, f) == 0) return true;
-    // "--flag=value" only for flags that take a value: "--quick=1" would
-    // pass validation here but be silently ignored by has_flag.
-    if (takes_value(f) && std::strncmp(arg, f, len) == 0 && arg[len] == '=') return true;
+// "--flag=value" only for flags that take a value: "--quick=1" would
+// pass validation here but be silently ignored by has_flag.
+bool known_flag(std::string_view arg) {
+  const std::string_view name = arg.substr(0, arg.find('='));
+  return takes_value(name) ||
+         (name == arg && std::find(std::begin(kSwitches), std::end(kSwitches), arg) !=
+                             std::end(kSwitches));
+}
+
+// Strict number: the whole text must parse as a finite T >= min.
+template <typename T>
+bool parse_number(const std::string& text, T min, T* out) {
+  const char* end = text.data() + text.size();
+  T v{};
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(static_cast<double>(v)) || v < min) {
+    return false;
   }
+  *out = v;
+  return true;
+}
+
+// A numeric flag's value through parse_number; anything else is a usage
+// error naming the flag. An absent flag keeps the default in *value.
+template <typename T>
+bool numeric_flag(int argc, char** argv, const char* flag, T min, T* value) {
+  const std::string text = flag_value(argc, argv, flag, std::to_string(*value));
+  if (parse_number(text, min, value)) return true;
+  std::fprintf(stderr, "dcolor-bench: invalid %s value '%s' (want a number >= %g)\n\n%s", flag,
+               text.c_str(), static_cast<double>(min), kUsage);
   return false;
 }
 
@@ -98,7 +115,10 @@ int run_cli(int argc, char** argv, std::FILE* out) {
         std::fprintf(stderr, "dcolor-bench: unknown flag '%s'\n\n%s", argv[i], kUsage);
         return kExitUsage;
       }
-      if (takes_value(argv[i])) ++i;  // skip the value
+      if (takes_value(argv[i]) && ++i == argc) {  // skip the value
+        std::fprintf(stderr, "dcolor-bench: %s needs a value\n\n%s", argv[i - 1], kUsage);
+        return kExitUsage;
+      }
     } else {
       std::fprintf(stderr, "dcolor-bench: unexpected argument '%s'\n\n%s", argv[i], kUsage);
       return kExitUsage;
@@ -107,6 +127,19 @@ int run_cli(int argc, char** argv, std::FILE* out) {
   if (has_flag(argc, argv, "--help")) {
     std::fprintf(out, "%s", kUsage);
     return kExitOk;
+  }
+
+  RunnerOptions opt;
+  long long min_scenarios = 0;
+  double threshold_pct = kDefaultThresholdPct;
+  double slack = kDefaultAbsSlackMs;
+  if (!numeric_flag(argc, argv, "--reps", 1, &opt.reps) ||
+      !numeric_flag(argc, argv, "--warmup", 0, &opt.warmup) ||
+      !numeric_flag(argc, argv, "--seed", std::uint64_t{0}, &opt.seed) ||
+      !numeric_flag(argc, argv, "--min-scenarios", 0LL, &min_scenarios) ||
+      !numeric_flag(argc, argv, "--threshold", 0.0, &threshold_pct) ||
+      !numeric_flag(argc, argv, "--abs-slack-ms", 0.0, &slack)) {
+    return kExitUsage;
   }
 
   const auto filters = parse_string_list(flag_value(argc, argv, "--filter", ""));
@@ -128,10 +161,9 @@ int run_cli(int argc, char** argv, std::FILE* out) {
                    s.scalable ? "sweep" : "1", s.description.c_str());
     }
     std::fprintf(out, "%zu scenario(s) registered (git %s)\n", selected.size(), git_describe());
-    const auto min_list = parse_int_list(flag_value(argc, argv, "--min-scenarios", ""));
-    if (!min_list.empty() && static_cast<long long>(selected.size()) < min_list.front()) {
+    if (static_cast<long long>(selected.size()) < min_scenarios) {
       std::fprintf(stderr, "dcolor-bench: %zu scenarios registered, expected >= %lld\n",
-                   selected.size(), min_list.front());
+                   selected.size(), min_scenarios);
       return kExitVerifyFailure;
     }
     return kExitOk;
@@ -142,13 +174,7 @@ int run_cli(int argc, char** argv, std::FILE* out) {
     return kExitUsage;
   }
 
-  RunnerOptions opt;
   opt.quick = has_flag(argc, argv, "--quick");
-  const auto reps = parse_int_list(flag_value(argc, argv, "--reps", ""));
-  if (!reps.empty()) opt.reps = std::max(1, static_cast<int>(reps.front()));
-  const auto warmup = parse_int_list(flag_value(argc, argv, "--warmup", ""));
-  if (!warmup.empty()) opt.warmup = std::max(0, static_cast<int>(warmup.front()));
-  opt.seed = std::strtoull(flag_value(argc, argv, "--seed", "42").c_str(), nullptr, 10);
   const std::string trace_dir = flag_value(argc, argv, "--trace", "");
   opt.trace = !trace_dir.empty();
 
@@ -157,21 +183,21 @@ int run_cli(int argc, char** argv, std::FILE* out) {
   // surviving (or default) counts — a benchmark that LOOKS like it
   // measured the requested configuration. Bad values are a usage error.
   const std::string threads_csv = flag_value(argc, argv, "--threads", "1,2");
-  const auto threads_parsed = parse_int_list(threads_csv);
-  if (threads_parsed.empty()) {
-    std::fprintf(stderr, "dcolor-bench: --threads '%s' contains no integer thread counts\n\n%s",
-                 threads_csv.c_str(), kUsage);
-    return kExitUsage;
-  }
   std::vector<int> thread_counts;
-  for (long long t : threads_parsed) {
-    if (t < 1 || t > kMaxThreads) {
+  for (const std::string& tok : parse_string_list(threads_csv)) {
+    int t = 0;
+    if (!parse_number(tok, 1, &t) || t > kMaxThreads) {
       std::fprintf(stderr,
-                   "dcolor-bench: invalid --threads value %lld (must be in [1, %d])\n\n%s", t,
-                   kMaxThreads, kUsage);
+                   "dcolor-bench: invalid --threads value '%s' (must be in [1, %d])\n\n%s",
+                   tok.c_str(), kMaxThreads, kUsage);
       return kExitUsage;
     }
-    thread_counts.push_back(static_cast<int>(t));
+    thread_counts.push_back(t);
+  }
+  if (thread_counts.empty()) {
+    std::fprintf(stderr, "dcolor-bench: --threads '%s' contains no thread counts\n\n%s",
+                 threads_csv.c_str(), kUsage);
+    return kExitUsage;
   }
 
   // Run: scalable scenarios expand over the thread list (the cross
@@ -270,9 +296,7 @@ int run_cli(int argc, char** argv, std::FILE* out) {
 
   const std::string baseline_dir = flag_value(argc, argv, "--baseline", "");
   if (!baseline_dir.empty()) {
-    const double threshold =
-        std::atof(flag_value(argc, argv, "--threshold", "15").c_str()) / 100.0;
-    const double slack = std::atof(flag_value(argc, argv, "--abs-slack-ms", "2.0").c_str());
+    const double threshold = threshold_pct / 100.0;
     const bool calibrate = !has_flag(argc, argv, "--no-calibrate");
     const BaselineReport report =
         compare_with_baseline(records, baseline_dir, threshold, slack, calibrate);
@@ -286,9 +310,8 @@ int run_cli(int argc, char** argv, std::FILE* out) {
       }
       std::fprintf(out, "  %-44s %9.2f ms vs %9.2f ms  ratio %5.2f  limit %9.2f %s%s%s\n",
                    line.file.c_str(), line.current_ms, line.baseline_ms, line.ratio,
-                   line.limit_ms,
-                   line.regressed ? "REGRESSION" : (line.drifted ? "DRIFT" : "ok"),
-                   line.drift.empty() ? "" : "  ", line.drift.c_str());
+                   line.limit_ms, verdict(line), line.drift.empty() ? "" : "  ",
+                   line.drift.c_str());
       // Regressed lines carry the ranked phase-attribution table — the
       // gate names the slow phase so failures start half-diagnosed.
       if (line.regressed && !line.attribution.empty()) {

@@ -1,7 +1,6 @@
 // Tiny argv helpers behind the dcolor-bench CLI.
 #pragma once
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -27,25 +26,6 @@ inline std::string flag_value(int argc, char** argv, const char* name,
     if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[i + 1];
   }
   return fallback;
-}
-
-// "1,2,4" -> {1,2,4}; empty and non-numeric tokens are skipped (not
-// mapped to 0).
-inline std::vector<long long> parse_int_list(const std::string& csv) {
-  std::vector<long long> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    std::size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string tok = csv.substr(pos, comma - pos);
-    if (!tok.empty()) {
-      char* end = nullptr;
-      const long long v = std::strtoll(tok.c_str(), &end, 10);
-      if (end == tok.c_str() + tok.size()) out.push_back(v);
-    }
-    pos = comma + 1;
-  }
-  return out;
 }
 
 // "a,b,c" -> {"a","b","c"}; empty tokens skipped.

@@ -7,9 +7,9 @@
 
 namespace dcolor::benchkit {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+std::string json_quote(std::string_view s) {
+  std::string out = "\"";
+  out.reserve(s.size() + 2);
   for (char ch : s) {
     const unsigned char uc = static_cast<unsigned char>(ch);
     switch (ch) {
@@ -30,10 +30,8 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
-  return out;
+  return out + '"';
 }
-
-std::string json_quote(std::string_view s) { return "\"" + json_escape(s) + "\""; }
 
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "0";  // JSON has no Inf/NaN; benches never emit them
@@ -52,7 +50,10 @@ std::string json_number(std::int64_t v) {
   return buf;
 }
 
-bool is_json_number(std::string_view s) {
+namespace {
+
+// True iff `s` is exactly one JSON number token (the parser's check).
+bool number_token(std::string_view s) {
   std::size_t i = 0;
   const auto digits = [&] {
     std::size_t start = i;
@@ -77,9 +78,7 @@ bool is_json_number(std::string_view s) {
   return i == s.size() && !s.empty();
 }
 
-std::string json_cell(const std::string& cell) {
-  return is_json_number(cell) ? cell : json_quote(cell);
-}
+}  // namespace
 
 void JsonObjectWriter::comma() {
   if (!first_) out_ += ',';
@@ -196,7 +195,7 @@ class Parser {
       ++end;
     }
     const std::string token(s_.substr(pos_, end - pos_));
-    if (!is_json_number(token)) return fail("malformed number");
+    if (!number_token(token)) return fail("malformed number");
     out->kind = JsonValue::Kind::kNumber;
     out->number = std::strtod(token.c_str(), nullptr);
     pos_ = end;
@@ -332,27 +331,6 @@ class Parser {
 bool json_parse(std::string_view text, JsonValue* out, std::string* err) {
   *out = JsonValue{};
   return Parser(text, err).parse(out);
-}
-
-std::string table_json(const std::string& title, const std::vector<std::string>& headers,
-                       const std::vector<std::vector<std::string>>& rows) {
-  std::string out = "{\"title\":" + json_quote(title) + ",\"headers\":[";
-  for (std::size_t c = 0; c < headers.size(); ++c) {
-    if (c) out += ',';
-    out += json_quote(headers[c]);
-  }
-  out += "],\"rows\":[";
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (r) out += ',';
-    out += '[';
-    for (std::size_t c = 0; c < rows[r].size(); ++c) {
-      if (c) out += ',';
-      out += json_cell(rows[r][c]);
-    }
-    out += ']';
-  }
-  out += "]}";
-  return out;
 }
 
 }  // namespace dcolor::benchkit

@@ -1,8 +1,8 @@
 // Canonical JSON layer for the benchkit workload subsystem: an escaping
 // string quoter, a streaming object writer (the producer of every
-// BENCH_*.json trajectory record), a small recursive-descent parser (the
-// consumer side of --baseline comparison and of the benchkit test suite),
-// and a canonical table writer for ad-hoc tabular output.
+// BENCH_*.json trajectory record), and a small recursive-descent parser
+// (the consumer side of record reading, --baseline comparison and the
+// benchkit test suite).
 //
 // Numeric values are emitted as JSON numbers, never strings; the one
 // deliberate exception is 64-bit checksums, which callers format as hex
@@ -17,10 +17,8 @@
 
 namespace dcolor::benchkit {
 
-// JSON string escaping of the body (quotes, backslashes, and all control
-// characters below 0x20 as \u00xx). Returns the body without surrounding
-// quotes; json_quote adds them.
-std::string json_escape(std::string_view s);
+// `s` as a quoted JSON string: quotes, backslashes and all control
+// characters below 0x20 escaped (\n, \t, ... or \u00xx).
 std::string json_quote(std::string_view s);
 
 // Canonical number formatting: integers print without a fraction,
@@ -28,14 +26,6 @@ std::string json_quote(std::string_view s);
 // millisecond timings).
 std::string json_number(double v);
 std::string json_number(std::int64_t v);
-
-// True iff `s` is a syntactically valid JSON number token (the test the
-// table writer uses to decide unquoted emission).
-bool is_json_number(std::string_view s);
-
-// A table cell rendered for JSON output: valid number tokens pass through
-// raw, everything else is quoted and escaped.
-std::string json_cell(const std::string& cell);
 
 // Streaming writer for one flat-ish object; fields appear in insertion
 // order, which gives every BENCH record the same stable key order.
@@ -80,10 +70,5 @@ struct JsonValue {
 // Parses exactly one JSON value (leading/trailing whitespace allowed).
 // On failure returns false and describes the problem in *err.
 bool json_parse(std::string_view text, JsonValue* out, std::string* err);
-
-// {"title":...,"headers":[...],"rows":[[...]]} with numeric cells emitted
-// as numbers. The canonical writer behind bench::Table::print_json.
-std::string table_json(const std::string& title, const std::vector<std::string>& headers,
-                       const std::vector<std::vector<std::string>>& rows);
 
 }  // namespace dcolor::benchkit

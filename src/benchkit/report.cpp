@@ -1,17 +1,20 @@
 #include "src/benchkit/report.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "src/benchkit/json.h"
 #include "src/benchkit/version.h"
 #include "src/obs/obs.h"
 #include "src/obs/trace_analysis.h"
+#include "src/util/format.h"
 
 namespace dcolor::benchkit {
 
@@ -31,6 +34,15 @@ std::string sanitize(const std::string& name) {
   }
   return out;
 }
+
+// A record histogram's numeric fields in schema order, the one list
+// record_json writes and parse_record reads.
+const std::pair<const char*, std::int64_t RecordHistogram::*> kHistogramFields[] = {
+    {"count", &RecordHistogram::count}, {"total", &RecordHistogram::total},
+    {"min", &RecordHistogram::min},     {"max", &RecordHistogram::max},
+    {"p50", &RecordHistogram::p50},     {"p90", &RecordHistogram::p90},
+    {"p99", &RecordHistogram::p99},
+};
 
 // The metric/* histograms whose count, total, min or max differ between
 // the two records, or that only one of them has, as " key" entries.
@@ -59,6 +71,132 @@ std::string metric_histogram_drift(const Record& cur, const Record& base) {
     if (c.count(key) == 0) drift += " " + key;
   }
   return drift;
+}
+
+// nodes·rounds/s with an M/k suffix; "-" when the record has none.
+std::string throughput(double v) {
+  std::string out = v <= 0 ? "-" : "";
+  if (v >= 1e6) {
+    appendf(out, "%.1fM", v / 1e6);
+  } else if (v >= 1e3) {
+    appendf(out, "%.1fk", v / 1e3);
+  } else if (v > 0) {
+    appendf(out, "%.0f", v);
+  }
+  return out;
+}
+
+// One scenario instance's name in file names and reports: the scenario
+// with non-alnum -> '_', plus "_t<threads>" for scalable scenarios.
+std::string instance_label(const Record& r) {
+  return sanitize(r.scenario) + (r.scalable ? "_t" + std::to_string(r.threads) : "");
+}
+
+// (name, value) pairs by descending value; ties keep their input order.
+template <typename T>
+void sort_descending(std::vector<std::pair<std::string, T>>* rows) {
+  std::stable_sort(rows->begin(), rows->end(),
+                   [](const auto& a, const auto& b) { return a.second > b.second; });
+}
+
+void summary_table(const std::vector<Record>& records, const BaselineReport* baseline,
+                   std::string& out) {
+  out += "| instance | transport | n | threads | wall ms | min..max | rounds | nodes·rounds/s "
+         "| rss KB | ok |";
+  out += baseline ? " ratio | limit ms | verdict |\n" : "\n";
+  out += baseline ? "|---|---|---|---|---|---|---|---|---|---|---|---|---|\n"
+                  : "|---|---|---|---|---|---|---|---|---|---|\n";
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const Record& r = records[i];
+    appendf(out, "| %s | %s | %lld | %d | %.3f | %.3f..%.3f | %lld | %s | %lld | %s |",
+            instance_label(r).c_str(), r.transport.c_str(), static_cast<long long>(r.n),
+            r.threads, r.wall_ms, r.wall_ms_min, r.wall_ms_max,
+            static_cast<long long>(r.rounds), throughput(r.nodes_rounds_per_sec).c_str(),
+            static_cast<long long>(r.rss_peak_kb),
+            r.verified && r.checksum_stable ? "yes" : "**NO**");
+    if (baseline) {
+      const BaselineLine& line = baseline->lines[i];
+      if (line.missing) {
+        appendf(out, " - | - | %s |", verdict(line));
+      } else {
+        appendf(out, " %.2f | %.3f | %s |", line.ratio, line.limit_ms, verdict(line));
+      }
+    }
+    out += "\n";
+  }
+}
+
+void phase_tables(const std::vector<Record>& records, std::string& out) {
+  std::map<std::string, double> totals;
+  double grand = 0;
+  std::string rows;
+  for (const Record& r : records) {
+    std::vector<std::pair<std::string, double>> phases = r.phase_wall_ms;
+    if (phases.empty()) continue;
+    sort_descending(&phases);
+    appendf(rows, "| %s |", instance_label(r).c_str());
+    for (std::size_t p = 0; p < phases.size(); ++p) {
+      appendf(rows, "%s %s %.2f", p ? "," : "", phases[p].first.c_str(), phases[p].second);
+      totals[phases[p].first] += phases[p].second;
+      grand += phases[p].second;
+    }
+    rows += " |\n";
+  }
+  if (totals.empty()) {
+    out += "_No per-phase data (tracing-free runs)._\n";
+    return;
+  }
+  out += "| instance | phase breakdown (ms) |\n|---|---|\n" + rows;
+  out += "\nAggregate across all records:\n\n| phase | total ms | share |\n|---|---|---|\n";
+  std::vector<std::pair<std::string, double>> sorted(totals.begin(), totals.end());
+  sort_descending(&sorted);
+  for (const auto& [name, ms] : sorted) {
+    appendf(out, "| %s | %.2f | %.1f%% |\n", name.c_str(), ms,
+            grand > 0 ? ms / grand * 100.0 : 0.0);
+  }
+}
+
+// Worst per-record percentile estimate per phase/* histogram: estimates
+// do not merge across records, and a regression hunt wants the worst.
+void percentile_table(const std::vector<Record>& records, std::string& out) {
+  struct Row {
+    std::int64_t count = 0, total = 0;
+    std::int64_t worst[4] = {};  // p50, p90, p99, max
+  };
+  std::map<std::string, Row> rows;
+  std::string dropped;
+  for (const Record& r : records) {
+    for (const RecordHistogram& h : r.histograms) {
+      if (h.key.rfind("phase/", 0) != 0) continue;
+      Row& row = rows[h.key.substr(6)];
+      row.count += h.count;
+      row.total = obs::saturating_add(row.total, h.total);
+      const std::int64_t q[4] = {h.p50, h.p90, h.p99, h.max};
+      for (int k = 0; k < 4; ++k) row.worst[k] = std::max(row.worst[k], q[k]);
+    }
+    if (r.dropped_events > 0) {
+      appendf(dropped, "%s%s (%lld)", dropped.empty() ? "" : ", ", instance_label(r).c_str(),
+              static_cast<long long>(r.dropped_events));
+    }
+  }
+  if (rows.empty()) {
+    out += "_No phase histograms (tracing-free runs)._\n";
+    return;
+  }
+  std::vector<std::pair<std::string, std::int64_t>> order;
+  for (const auto& [phase, row] : rows) order.emplace_back(phase, row.total);
+  sort_descending(&order);
+  out += "| phase | spans | p50 | p90 | p99 | max |\n|---|---|---|---|---|---|\n";
+  for (const auto& [phase, total] : order) {
+    const Row& row = rows[phase];
+    appendf(out, "| %s | %lld | %.3f | %.3f | %.3f | %.3f |\n", phase.c_str(),
+            static_cast<long long>(row.count), row.worst[0] / 1e6, row.worst[1] / 1e6,
+            row.worst[2] / 1e6, row.worst[3] / 1e6);
+  }
+  if (!dropped.empty()) {
+    out += "\nDropped trace events (timelines truncated; histograms complete): " + dropped +
+           ".\n";
+  }
 }
 
 }  // namespace
@@ -115,17 +253,9 @@ Record to_record(const Measurement& m) {
   return r;
 }
 
-std::string record_filename(const Record& r) {
-  std::string name = "BENCH_" + sanitize(r.scenario);
-  if (r.scalable) name += "_t" + std::to_string(r.threads);
-  return name + ".json";
-}
+std::string record_filename(const Record& r) { return "BENCH_" + instance_label(r) + ".json"; }
 
-std::string trace_filename(const Record& r) {
-  std::string name = "TRACE_" + sanitize(r.scenario);
-  if (r.scalable) name += "_t" + std::to_string(r.threads);
-  return name + ".json";
-}
+std::string trace_filename(const Record& r) { return "TRACE_" + instance_label(r) + ".json"; }
 
 std::string record_json(const Record& r) {
   JsonObjectWriter w;
@@ -167,11 +297,11 @@ std::string record_json(const Record& r) {
   for (std::size_t i = 0; i < r.histograms.size(); ++i) {
     const RecordHistogram& h = r.histograms[i];
     if (i) hists += ',';
-    hists += json_quote(h.key) + ":{\"count\":" + json_number(h.count) +
-             ",\"total\":" + json_number(h.total) + ",\"min\":" + json_number(h.min) +
-             ",\"max\":" + json_number(h.max) + ",\"p50\":" + json_number(h.p50) +
-             ",\"p90\":" + json_number(h.p90) + ",\"p99\":" + json_number(h.p99) +
-             ",\"buckets\":{";
+    hists += json_quote(h.key) + ":{";
+    for (const auto& [key, member] : kHistogramFields) {
+      hists += json_quote(key) + ":" + json_number(h.*member) + ",";
+    }
+    hists += "\"buckets\":{";
     for (std::size_t b = 0; b < h.buckets.size(); ++b) {
       if (b) hists += ',';
       hists += json_quote(std::to_string(h.buckets[b].first)) + ":" +
@@ -236,13 +366,9 @@ bool parse_record(const std::string& json_text, Record* out, std::string* err) {
       if (hv.kind != JsonValue::Kind::kObject) continue;
       RecordHistogram rh;
       rh.key = key;
-      rh.count = static_cast<std::int64_t>(hv.number_or("count", 0));
-      rh.total = static_cast<std::int64_t>(hv.number_or("total", 0));
-      rh.min = static_cast<std::int64_t>(hv.number_or("min", 0));
-      rh.max = static_cast<std::int64_t>(hv.number_or("max", 0));
-      rh.p50 = static_cast<std::int64_t>(hv.number_or("p50", 0));
-      rh.p90 = static_cast<std::int64_t>(hv.number_or("p90", 0));
-      rh.p99 = static_cast<std::int64_t>(hv.number_or("p99", 0));
+      for (const auto& [key, member] : kHistogramFields) {
+        rh.*member = static_cast<std::int64_t>(hv.number_or(key, 0));
+      }
       if (const JsonValue* buckets = hv.find("buckets");
           buckets != nullptr && buckets->kind == JsonValue::Kind::kObject) {
         for (const auto& [bkey, bval] : buckets->object) {
@@ -291,6 +417,34 @@ bool write_record_file(const std::string& dir, const Record& r, std::string* err
   if (!out) {
     if (err) *err = "short write to " + path;
     return false;
+  }
+  return true;
+}
+
+bool read_record_dir(const std::string& dir, RecordDir* out, std::string* err) {
+  *out = RecordDir{};
+  std::vector<std::string> names;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() >= 11 && name.rfind("BENCH_", 0) == 0 &&
+        name.compare(name.size() - 5, 5, ".json") == 0) {
+      names.push_back(name);
+    }
+  }
+  if (ec) {
+    if (err) *err = "cannot read directory " + dir + ": " + ec.message();
+    return false;
+  }
+  std::sort(names.begin(), names.end());
+  for (const std::string& name : names) {
+    Record r;
+    std::string why;
+    if (read_record_file(dir + "/" + name, &r, &why)) {
+      out->records.push_back(std::move(r));
+    } else {
+      out->warnings.push_back(name + ": " + why);
+    }
   }
   return true;
 }
@@ -379,6 +533,76 @@ BaselineReport compare_with_baseline(const std::vector<Record>& current,
     }
   }
   return report;
+}
+
+const char* verdict(const BaselineLine& line) {
+  if (line.missing) return "no baseline";
+  if (line.regressed) return "REGRESSION";
+  return line.drifted ? "DRIFT" : "ok";
+}
+
+std::string format_report(const std::string& dir, const RecordDir& rd,
+                          const std::string& baseline_dir) {
+  BaselineReport report;
+  const BaselineReport* baseline = nullptr;
+  if (!baseline_dir.empty()) {
+    report = compare_with_baseline(rd.records, baseline_dir, kDefaultThresholdPct / 100.0,
+                                   kDefaultAbsSlackMs, /*calibrate=*/true);
+    baseline = &report;
+  }
+  std::set<std::string> gits;
+  for (const Record& r : rd.records) gits.insert(r.git.empty() ? "?" : r.git);
+  std::string git_list;
+  for (const std::string& g : gits) git_list += (git_list.empty() ? "" : ", ") + g;
+
+  std::string out = "# dcolor-bench report\n\n";
+  appendf(out, "%zu record(s) from `%s`; git: %s.\n", rd.records.size(), dir.c_str(),
+          git_list.c_str());
+  if (baseline) {
+    appendf(out,
+            "Baseline `%s`: calibration %.3f, threshold +%.0f%%, slack %.1f ms; "
+            "%d regression(s), %d drifted, %d without a baseline.\n",
+            baseline_dir.c_str(), report.calibration, kDefaultThresholdPct,
+            kDefaultAbsSlackMs, report.regressions, report.drifted, report.missing);
+  }
+  out += "\n## Summary\n\n";
+  summary_table(rd.records, baseline, out);
+  out += "\n## Phase wall-time breakdown\n\n"
+         "Per-phase span totals from the instrumented profiled rep (phases may nest across "
+         "layers, so columns need not sum to wall ms — see docs/OBSERVABILITY.md).\n\n";
+  phase_tables(rd.records, out);
+  out += "\n## Phase latency percentiles\n\n"
+         "Worst per-record percentile estimate per phase, in ms, from the histogram "
+         "snapshots (log-bucketed upper bounds — see docs/BENCH_SCHEMA.md).\n\n";
+  percentile_table(rd.records, out);
+  std::string failures;
+  for (const Record& r : rd.records) {
+    if (!(r.verified && r.checksum_stable)) {
+      appendf(failures, "- **%s**\n", instance_label(r).c_str());
+    }
+  }
+  if (!failures.empty()) out += "\n## Verification failures\n\n" + failures;
+  if (!rd.warnings.empty()) {
+    out += "\n## Warnings\n\n";
+    for (const std::string& w : rd.warnings) out += "- " + w + "\n";
+  }
+  return out;
+}
+
+int run_report(const std::string& dir, const std::string& baseline_dir, std::FILE* out) {
+  RecordDir rd;
+  std::string err;
+  if (!read_record_dir(dir, &rd, &err)) {
+    std::fprintf(stderr, "dcolor-trace: %s\n", err.c_str());
+    return 1;
+  }
+  if (rd.records.empty()) {
+    std::fprintf(stderr, "dcolor-trace: no readable BENCH_*.json record under %s\n",
+                 dir.c_str());
+    return 1;
+  }
+  std::fputs(format_report(dir, rd, baseline_dir).c_str(), out);
+  return 0;
 }
 
 }  // namespace dcolor::benchkit

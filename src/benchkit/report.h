@@ -1,6 +1,7 @@
 // BENCH_*.json trajectory records: the stable schema every dcolor-bench
-// run emits (one file per scenario instance), the reader, and the
-// baseline comparator behind `--baseline` / the CI regression gate.
+// run emits (one file per scenario instance), the reader, the baseline
+// comparator behind `--baseline` / the CI regression gate, and the
+// markdown report `dcolor-trace report` renders from a record directory.
 //
 // Schema "dcolor-bench/3" — every record is one JSON object with these
 // keys, in this order:
@@ -23,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +34,11 @@
 namespace dcolor::benchkit {
 
 inline constexpr const char* kRecordSchema = "dcolor-bench/3";
+
+// The regression gate's defaults: dcolor-bench's --threshold (percent)
+// and --abs-slack-ms, which `dcolor-trace report` also gates with.
+inline constexpr double kDefaultThresholdPct = 15.0;
+inline constexpr double kDefaultAbsSlackMs = 2.0;
 
 // One serialized histogram of a record: the obs::HistogramSnapshot
 // for key "cat/name", with write-time percentile estimates and the
@@ -105,6 +112,17 @@ std::string record_json(const Record& r);
 bool parse_record(const std::string& json_text, Record* out, std::string* err);
 bool read_record_file(const std::string& path, Record* out, std::string* err);
 
+// Every BENCH_*.json of one directory, in filename order. A file that
+// does not parse as a kRecordSchema record is left out and named in
+// `warnings` ("BENCH_x.json: why").
+struct RecordDir {
+  std::vector<Record> records;
+  std::vector<std::string> warnings;
+};
+
+// Returns false with a diagnostic only when `dir` cannot be listed.
+bool read_record_dir(const std::string& dir, RecordDir* out, std::string* err);
+
 // Writes `r` to dir/record_filename(r) (creating `dir` if needed).
 // Returns false with a diagnostic on I/O failure.
 bool write_record_file(const std::string& dir, const Record& r, std::string* err);
@@ -162,5 +180,22 @@ struct BaselineReport {
 BaselineReport compare_with_baseline(const std::vector<Record>& current,
                                      const std::string& baseline_dir, double threshold_frac,
                                      double abs_slack_ms, bool calibrate);
+
+// The gate's verdict on one line: "REGRESSION", "DRIFT", "ok", or
+// "no baseline" for a missing or incomparable one.
+const char* verdict(const BaselineLine& line);
+
+// The markdown report over the records read from `dir`: Summary,
+// per-phase wall time, phase latency percentiles, verification failures
+// and rd.warnings. With a non-empty baseline_dir, compare_with_baseline
+// gates rd.records at the default threshold and slack: the header states
+// the calibration and the Summary gains ratio, limit and verdict columns.
+std::string format_report(const std::string& dir, const RecordDir& rd,
+                          const std::string& baseline_dir);
+
+// `dcolor-trace report DIR [BASE_DIR]`: writes format_report to `out`.
+// Returns 1 when DIR yields no record, with a message on stderr, and 0
+// otherwise: findings never change the exit code.
+int run_report(const std::string& dir, const std::string& baseline_dir, std::FILE* out);
 
 }  // namespace dcolor::benchkit

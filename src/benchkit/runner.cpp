@@ -184,12 +184,12 @@ Measurement run_scenario(const Scenario& s, int threads, const RunnerOptions& op
     m.profiled = true;
     m.verified = m.verified && o.verified;
     m.profile_checksum_matched = (o.checksum == measured_checksum);
-    for (const obs::StatLine& st : session.stats()) {
-      if (st.cat == obs::kCatPhase) {
-        m.phase_wall_ms.emplace_back(st.name, static_cast<double>(st.total) / 1e6);
+    m.histograms = session.histograms();
+    for (const obs::HistogramSnapshot& h : m.histograms) {
+      if (h.cat == obs::kCatPhase) {
+        m.phase_wall_ms.emplace_back(h.name, static_cast<double>(h.total) / 1e6);
       }
     }
-    m.histograms = session.histograms();
     m.dropped_events = session.dropped_events();
     if (opt.trace) m.trace_json = session.chrome_trace_json();
   }

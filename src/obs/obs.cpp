@@ -65,6 +65,8 @@ std::int64_t histogram_quantile(const HistogramSnapshot& h, double q) {
 #include <stdexcept>
 #include <utility>
 
+#include "src/util/format.h"
+
 namespace dcolor::obs {
 namespace {
 
@@ -135,7 +137,7 @@ struct ThreadBuffer {
 
   void record(const char* cat, const char* name, char ph, std::int64_t ts_ns,
               std::int64_t dur_ns, const ArgList& args, bool want_event) {
-    // Stats first: they stay complete even when the event ring fills.
+    // Histogram shard first: it stays complete even when the ring fills.
     if (StatSlot* s = stat_slot(cat, name)) {
       if (s->count == 0) {
         s->min = dur_ns;
@@ -190,7 +192,7 @@ void counter(const char* cat, const char* name, std::int64_t value) {
 void value(const char* cat, const char* name, std::int64_t v) {
   TraceSession* s = g_session.load(std::memory_order_acquire);
   if (!s) return;
-  // Stats/histogram only — no ring event, no clock read.
+  // Histogram only — no ring event, no clock read.
   s->thread_buffer()->record(cat, name, 'V', 0, v, ArgList{}, /*want_event=*/false);
 }
 
@@ -259,23 +261,8 @@ void TraceSession::aggregate() {
       for (int b = 0; b < kNumHistogramBuckets; ++b) h.buckets[b] += s.buckets[b];
     }
   }
-  stats_.clear();
   histograms_.clear();
-  for (auto& [key, h] : merged) {
-    StatLine line;
-    line.cat = h.cat;
-    line.name = h.name;
-    line.count = h.count;
-    line.total = h.total;
-    line.max = h.max;
-    stats_.push_back(std::move(line));
-    histograms_.push_back(std::move(h));
-  }
-}
-
-const std::vector<StatLine>& TraceSession::stats() {
-  stop();
-  return stats_;
+  for (auto& [key, h] : merged) histograms_.push_back(std::move(h));
 }
 
 const std::vector<HistogramSnapshot>& TraceSession::histograms() {
@@ -290,17 +277,9 @@ std::int64_t TraceSession::dropped_events() {
 
 namespace {
 
-void append_us(std::string& out, std::int64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64 ".%03d", ns / 1000,
-                static_cast<int>(ns % 1000 < 0 ? -(ns % 1000) : ns % 1000));
-  out += buf;
-}
-
-void append_int(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
+// The sub-microsecond digits of a nanosecond count, for "%lld.%03d".
+int ns_frac(std::int64_t ns) {
+  return static_cast<int>(ns % 1000 < 0 ? -(ns % 1000) : ns % 1000);
 }
 
 }  // namespace
@@ -310,105 +289,51 @@ std::string TraceSession::chrome_trace_json() {
   std::string out;
   out.reserve(1 << 16);
   out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
   std::lock_guard<std::mutex> lock(impl_->mu);
-  for (const auto& buf : impl_->buffers) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
-    append_int(out, buf->tid);
-    out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"dcolor-t";
-    append_int(out, buf->tid);
-    out += "\"}}";
-    const std::size_t head = buf->head.load(std::memory_order_acquire);
+  for (std::size_t t = 0; t < impl_->buffers.size(); ++t) {
+    const internal::ThreadBuffer& buf = *impl_->buffers[t];
+    appendf(out,
+            "%s{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":"
+            "\"dcolor-t%d\"}}",
+            t ? "," : "", buf.tid, buf.tid);
+    const std::size_t head = buf.head.load(std::memory_order_acquire);
     for (std::size_t i = 0; i < head; ++i) {
-      const internal::Event& e = buf->events[i];
-      out += ",{\"ph\":\"";
-      out += e.ph;
-      out += "\",\"pid\":1,\"tid\":";
-      append_int(out, buf->tid);
-      out += ",\"ts\":";
-      append_us(out, e.ts_ns - start_ns_);
+      const internal::Event& e = buf.events[i];
+      const std::int64_t ts = e.ts_ns - start_ns_;
+      appendf(out, ",{\"ph\":\"%c\",\"pid\":1,\"tid\":%d,\"ts\":%" PRId64 ".%03d", e.ph, buf.tid,
+              ts / 1000, ns_frac(ts));
       if (e.ph == 'X') {
-        out += ",\"dur\":";
-        append_us(out, e.dur_ns);
+        appendf(out, ",\"dur\":%" PRId64 ".%03d", e.dur_ns / 1000, ns_frac(e.dur_ns));
       }
-      out += ",\"cat\":\"";
-      out += e.cat;
-      out += "\",\"name\":\"";
-      out += e.name;
-      out += "\",\"args\":{";
-      if (e.ph == 'C') {
-        out += "\"value\":";
-        append_int(out, e.dur_ns);
-      } else {
-        for (int a = 0; a < e.args.count; ++a) {
-          if (a) out += ',';
-          out += '"';
-          out += e.args.keys[a];
-          out += "\":";
-          append_int(out, e.args.values[a]);
-        }
+      appendf(out, ",\"cat\":\"%s\",\"name\":\"%s\",\"args\":{", e.cat, e.name);
+      if (e.ph == 'C') appendf(out, "\"value\":%" PRId64, e.dur_ns);
+      for (int a = 0; e.ph != 'C' && a < e.args.count; ++a) {
+        appendf(out, "%s\"%s\":%" PRId64, a ? "," : "", e.args.keys[a], e.args.values[a]);
       }
       out += "}}";
     }
   }
-  out += "],\"dcolorStats\":{";
-  for (std::size_t i = 0; i < stats_.size(); ++i) {
-    const StatLine& s = stats_[i];
-    if (i) out += ',';
-    out += '"';
-    out += s.cat;
-    out += '/';
-    out += s.name;
-    out += "\":{\"count\":";
-    append_int(out, s.count);
-    out += ",\"total_ns\":";
-    append_int(out, s.total);
-    out += ",\"max_ns\":";
-    append_int(out, s.max);
-    out += '}';
-  }
-  // Same key scheme as dcolorStats; buckets are sparse {bit_width: count}
-  // (see histogram_bucket for the bucket boundaries).
-  out += "},\"dcolorHistograms\":{";
+  // Keyed "cat/name"; buckets are sparse {bit_width: count} (see
+  // histogram_bucket for the bucket boundaries).
+  out += "],\"dcolorHistograms\":{";
   for (std::size_t i = 0; i < histograms_.size(); ++i) {
     const HistogramSnapshot& h = histograms_[i];
-    if (i) out += ',';
-    out += '"';
-    out += h.cat;
-    out += '/';
-    out += h.name;
-    out += "\":{\"count\":";
-    append_int(out, h.count);
-    out += ",\"total\":";
-    append_int(out, h.total);
-    out += ",\"min\":";
-    append_int(out, h.min);
-    out += ",\"max\":";
-    append_int(out, h.max);
-    out += ",\"p50\":";
-    append_int(out, histogram_quantile(h, 0.50));
-    out += ",\"p90\":";
-    append_int(out, histogram_quantile(h, 0.90));
-    out += ",\"p99\":";
-    append_int(out, histogram_quantile(h, 0.99));
-    out += ",\"buckets\":{";
-    bool first_bucket = true;
+    appendf(out,
+            "%s\"%s/%s\":{\"count\":%" PRId64 ",\"total\":%" PRId64 ",\"min\":%" PRId64
+            ",\"max\":%" PRId64 ",\"p50\":%" PRId64 ",\"p90\":%" PRId64 ",\"p99\":%" PRId64
+            ",\"buckets\":{",
+            i ? "," : "", h.cat.c_str(), h.name.c_str(), h.count, h.total, h.min, h.max,
+            histogram_quantile(h, 0.50), histogram_quantile(h, 0.90),
+            histogram_quantile(h, 0.99));
+    const char* sep = "";
     for (int b = 0; b < kNumHistogramBuckets; ++b) {
       if (h.buckets[b] == 0) continue;
-      if (!first_bucket) out += ',';
-      first_bucket = false;
-      out += '"';
-      append_int(out, b);
-      out += "\":";
-      append_int(out, h.buckets[b]);
+      appendf(out, "%s\"%d\":%" PRId64, sep, b, h.buckets[b]);
+      sep = ",";
     }
     out += "}}";
   }
-  out += "},\"dcolorDroppedEvents\":";
-  append_int(out, dropped_);
-  out += '}';
+  appendf(out, "},\"dcolorDroppedEvents\":%" PRId64 "}", dropped_);
   return out;
 }
 

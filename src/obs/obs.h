@@ -1,6 +1,6 @@
 // Observability layer: RAII phase spans and counters recorded into
 // lock-free per-thread buffers, exported as Chrome trace-event JSON
-// (Perfetto-loadable) plus an aggregated per-name stats block.
+// (Perfetto-loadable) plus one merged histogram per (category, name).
 //
 // Determinism guarantee: instrumentation only READS the steady clock and
 // WRITES into obs-owned per-thread buffers — it never touches algorithm
@@ -47,8 +47,8 @@ inline constexpr const char* kCatNetwork = "network";
 inline constexpr const char* kCatPool = "pool";
 inline constexpr const char* kCatCluster = "cluster";
 // Value probes (obs::value): deterministic per-round quantities — roster
-// sizes, message-batch sizes, progress counts — recorded into the stats
-// block and histograms but never into the event ring. Kept out of
+// sizes, message-batch sizes, progress counts — recorded into the
+// histograms but never into the event ring. Kept out of
 // kCatPhase so they can never leak into the phase_wall_ms breakdown.
 inline constexpr const char* kCatMetric = "metric";
 
@@ -65,17 +65,6 @@ struct ArgList {
       ++count;
     }
   }
-};
-
-// One aggregated line of the stats block: every span/counter with this
-// (category, name), merged across threads. For spans `total` and `max`
-// are nanoseconds; for counters they aggregate the recorded values.
-struct StatLine {
-  std::string cat;
-  std::string name;
-  std::int64_t count = 0;
-  std::int64_t total = 0;
-  std::int64_t max = 0;
 };
 
 // ---------------------------------------------------------------------
@@ -137,7 +126,7 @@ void complete(const char* cat, const char* name, std::int64_t start_ns, std::int
 // Record a counter ('C') sample on the calling thread's track.
 void counter(const char* cat, const char* name, std::int64_t value);
 
-// Record a value into the stats block and histogram for (cat, name)
+// Record a value into the histogram for (cat, name)
 // WITHOUT emitting a ring event — the probe for deterministic per-round
 // quantities (roster sizes, message batches) that would otherwise bloat
 // the event ring. Use kCatMetric so the values stay out of the
@@ -179,14 +168,14 @@ struct ThreadBuffer;
 
 struct TraceOptions {
   // Per-thread event-ring capacity. When a thread's ring fills, newer
-  // events are dropped (and counted in dropped_events()); the stats
-  // block is accumulated separately at write time and stays complete
-  // regardless of drops.
+  // events are dropped (and counted in dropped_events()); the
+  // histograms are accumulated separately at write time and stay
+  // complete regardless of drops.
   std::size_t buffer_capacity = 1 << 16;
-  // false = stats-only: spans aggregate into the stats block but no
-  // per-event storage is kept (the benchkit profiled rep without
+  // false = histograms only: spans aggregate into the histograms but
+  // no per-event storage is kept (the benchkit profiled rep without
   // --trace). chrome_trace_json() then yields an empty traceEvents
-  // array with the stats block attached.
+  // array with the histograms attached.
   bool events = true;
 };
 
@@ -207,17 +196,16 @@ class TraceSession {
   // joined by the caller; after stop() the accessors below are valid.
   void stop();
 
-  // Aggregated stats, merged across threads, sorted by (cat, name).
-  const std::vector<StatLine>& stats();
-
   // Merged histograms (one per recorded (cat, name)), sorted by
-  // (cat, name). Bucket counts are sums over the per-thread shards, so
-  // histograms over deterministic quantities are bit-identical at every
-  // thread count.
+  // (cat, name): the session's only aggregate. For spans `total`, `min`
+  // and `max` are nanoseconds; for counters and value probes they
+  // aggregate the recorded values. Bucket counts are sums over the
+  // per-thread shards, so histograms over deterministic quantities are
+  // bit-identical at every thread count.
   const std::vector<HistogramSnapshot>& histograms();
 
   // The Chrome trace-event JSON object: {"displayTimeUnit":"ms",
-  // "traceEvents":[...],"dcolorStats":{...},"dcolorHistograms":{...},
+  // "traceEvents":[...],"dcolorHistograms":{...},
   // "dcolorDroppedEvents":N}.
   // Timestamps are microseconds relative to session start; tids are
   // small integers assigned per thread at first event (0, 1, 2, ... in
@@ -245,7 +233,6 @@ class TraceSession {
   // Pointer-hidden state so this header stays light.
   struct Impl;
   Impl* impl_;
-  std::vector<StatLine> stats_;
   std::vector<HistogramSnapshot> histograms_;
   std::int64_t dropped_ = 0;
 };
@@ -278,17 +265,15 @@ class TraceSession {
   using Options = TraceOptions;
   explicit TraceSession(Options = {}) {}
   void stop() {}
-  const std::vector<StatLine>& stats() { return stats_; }
   const std::vector<HistogramSnapshot>& histograms() { return histograms_; }
   std::string chrome_trace_json() {
-    return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[],\"dcolorStats\":{},"
-           "\"dcolorHistograms\":{},\"dcolorDroppedEvents\":0}";
+    return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[],\"dcolorHistograms\":{},"
+           "\"dcolorDroppedEvents\":0}";
   }
   std::int64_t dropped_events() { return 0; }
   std::int64_t start_ns() const { return 0; }
 
  private:
-  std::vector<StatLine> stats_;
   std::vector<HistogramSnapshot> histograms_;
 };
 

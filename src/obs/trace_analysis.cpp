@@ -2,29 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 
 #include "src/benchkit/json.h"
+#include "src/util/format.h"
 
 namespace dcolor::obs {
 
 namespace {
 
 using benchkit::JsonValue;
-
-void appendf(std::string& out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
 
 }  // namespace
 

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -171,16 +172,11 @@ REGISTER_SCENARIO(Scenario{
       }};
     }});
 
-// run_cli with a scratch stdout, returning (exit code, captured output);
-// argv built from strings.
-std::pair<int, std::string> cli_capture(std::vector<std::string> args) {
-  args.insert(args.begin(), "dcolor-bench");
-  std::vector<char*> argv;
-  argv.reserve(args.size());
-  for (std::string& a : args) argv.push_back(a.data());
+// Runs `fn` against a scratch stdout, returning (exit code, captured
+// output).
+std::pair<int, std::string> capture(const std::function<int(std::FILE*)>& fn) {
   std::FILE* scratch = std::tmpfile();
-  const int code =
-      run_cli(static_cast<int>(argv.size()), argv.data(), scratch ? scratch : stdout);
+  const int code = fn(scratch ? scratch : stdout);
   std::string out;
   if (scratch) {
     std::rewind(scratch);
@@ -190,6 +186,17 @@ std::pair<int, std::string> cli_capture(std::vector<std::string> args) {
     std::fclose(scratch);
   }
   return {code, std::move(out)};
+}
+
+// run_cli on argv built from strings.
+std::pair<int, std::string> cli_capture(std::vector<std::string> args) {
+  args.insert(args.begin(), "dcolor-bench");
+  std::vector<char*> argv;
+  argv.reserve(args.size());
+  for (std::string& a : args) argv.push_back(a.data());
+  return capture([&](std::FILE* out) {
+    return run_cli(static_cast<int>(argv.size()), argv.data(), out);
+  });
 }
 
 int cli(std::vector<std::string> args) { return cli_capture(std::move(args)).first; }
@@ -216,11 +223,14 @@ TEST(BenchkitJson, EscapesControlCharactersAndQuotes) {
 }
 
 TEST(BenchkitJson, NumberTokenValidation) {
+  JsonValue v;
+  std::string err;
   for (const char* ok : {"0", "-1", "3.5", "1e9", "-2.25E-3", "42"}) {
-    EXPECT_TRUE(is_json_number(ok)) << ok;
+    EXPECT_TRUE(json_parse(ok, &v, &err)) << ok << ": " << err;
+    EXPECT_EQ(v.kind, JsonValue::Kind::kNumber) << ok;
   }
-  for (const char* bad : {"", "042", ".5", "1.", "0x10", "nan", "inf", "1e", "--3", "1 "}) {
-    EXPECT_FALSE(is_json_number(bad)) << bad;
+  for (const char* bad : {"", "042", ".5", "1.", "0x10", "nan", "inf", "1e", "--3", "1-"}) {
+    EXPECT_FALSE(json_parse(bad, &v, &err)) << bad;
   }
 }
 
@@ -228,9 +238,13 @@ TEST(BenchkitJson, NumberFormattingStaysValidJson) {
   EXPECT_EQ(json_number(42.0), "42");
   EXPECT_EQ(json_number(static_cast<std::int64_t>(-7)), "-7");
   // Above the int64 round-trip guard: must not hit the float->int cast.
-  EXPECT_TRUE(is_json_number(json_number(1e20)));
-  EXPECT_TRUE(is_json_number(json_number(-3.5e18)));
-  EXPECT_TRUE(is_json_number(json_number(0.001953125)));
+  for (double x : {1e20, -3.5e18, 0.001953125}) {
+    JsonValue v;
+    std::string err;
+    ASSERT_TRUE(json_parse(json_number(x), &v, &err)) << json_number(x) << ": " << err;
+    EXPECT_EQ(v.kind, JsonValue::Kind::kNumber);
+    EXPECT_DOUBLE_EQ(v.number, x);
+  }
 }
 
 TEST(BenchkitJson, ParseRoundTripsWriterOutput) {
@@ -263,29 +277,6 @@ TEST(BenchkitJson, RejectsMalformedInput) {
   EXPECT_FALSE(json_parse("{\"a\":042}", &v, &err));
 }
 
-// The canonical table writer emits numeric cells as JSON numbers and
-// escapes control characters (this behavior used to be exercised through
-// the since-deleted bench/bench_common.h shim, which delegated here).
-TEST(BenchkitJson, TableWriterEmitsNumbersAsNumbers) {
-  const std::string text =
-      table_json("shim \x02 title", {"name", "n", "ms"}, {{"alpha\nbeta", "128", "3.25"}});
-
-  JsonValue v;
-  std::string err;
-  ASSERT_TRUE(json_parse(text, &v, &err)) << err << " in " << text;
-  EXPECT_EQ(v.string_or("title", ""), "shim \x02 title");
-  const JsonValue* rows = v.find("rows");
-  ASSERT_NE(rows, nullptr);
-  ASSERT_EQ(rows->array.size(), 1u);
-  const JsonValue& row = rows->array[0];
-  ASSERT_EQ(row.array.size(), 3u);
-  EXPECT_EQ(row.array[0].kind, JsonValue::Kind::kString);
-  EXPECT_EQ(row.array[1].kind, JsonValue::Kind::kNumber);
-  EXPECT_EQ(row.array[1].number, 128);
-  EXPECT_EQ(row.array[2].kind, JsonValue::Kind::kNumber);
-  EXPECT_DOUBLE_EQ(row.array[2].number, 3.25);
-}
-
 // ------------------------------------------------------------ registry
 
 TEST(BenchkitRegistry, TestScenariosRegisteredAndUnique) {
@@ -308,7 +299,7 @@ TEST(BenchkitRegistry, ListRespectsMinScenarios) {
 TEST(BenchkitCli, RejectsInvalidThreadCounts) {
   // The old behavior silently dropped bad entries and ran the sweep at
   // whatever survived; every malformed list is now a usage error.
-  for (const char* bad : {"0", "-3", "0,-3", "1,0,2", "2000", "abc", ","}) {
+  for (const char* bad : {"0", "-3", "0,-3", "1,0,2", "2000", "abc", ",", "1,abc", "2x"}) {
     EXPECT_EQ(cli({"--quick", "--reps", "1", "--filter", "testkit.scalable", "--threads", bad}),
               kExitUsage)
         << "--threads " << bad;
@@ -329,6 +320,34 @@ TEST(BenchkitCli, RejectsUnknownFlags) {
   EXPECT_EQ(cli({"--quick=1"}), kExitUsage);
   EXPECT_EQ(cli({"--list=x"}), kExitUsage);
   EXPECT_EQ(cli({"--filter=testkit.busy.a", "--list"}), kExitOk);  // valued '=' form ok
+}
+
+// Every numeric flag is parsed strictly: "--threshold abc" used to gate
+// at +0%, "--seed -1" wrapped to 2^64-1, "--reps abc" ran 3 reps and
+// "--min-scenarios abc" skipped the registry check, all without a word.
+TEST(BenchkitCli, RejectsMalformedNumericFlags) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--reps", "abc"},           {"--reps", "0"},
+      {"--reps", "2x"},            {"--warmup", "-1"},
+      {"--warmup", "abc"},         {"--seed", "-1"},
+      {"--seed", "abc"},           {"--seed", "18446744073709551616"},
+      {"--seed", "0x10"},          {"--threshold", "abc"},
+      {"--threshold", "-5"},       {"--threshold", "nan"},
+      {"--threshold", "inf"},      {"--abs-slack-ms", "abc"},
+      {"--abs-slack-ms", "-1"},    {"--min-scenarios", "abc"},
+      {"--min-scenarios", "-1"},   {"--min-scenarios", "3.5"},
+  };
+  for (const auto& [flag, value] : bad) {
+    EXPECT_EQ(cli({"--list", flag, value}), kExitUsage) << flag << " " << value;
+    EXPECT_EQ(cli({"--list", flag + "=" + value}), kExitUsage) << flag << "=" << value;
+  }
+  // A valued flag with its value missing is a usage error, not a default.
+  EXPECT_EQ(cli({"--list", "--seed"}), kExitUsage);
+  EXPECT_EQ(cli({"--list", "--reps="}), kExitUsage);
+  // Boundary values stay accepted.
+  EXPECT_EQ(cli({"--list", "--reps", "1", "--warmup", "0", "--seed", "18446744073709551615",
+                 "--threshold", "0", "--abs-slack-ms", "0.5", "--min-scenarios", "0"}),
+            kExitOk);
 }
 
 // ------------------------------------------------------------ runner + records
@@ -490,7 +509,7 @@ TEST(BenchkitRunner, ProfiledRepRecordsPhaseBreakdownAndTrace) {
   ASSERT_TRUE(json_parse(m.trace_json, &v, &err)) << err;
   ASSERT_NE(v.find("traceEvents"), nullptr);
   EXPECT_EQ(v.find("traceEvents")->kind, JsonValue::Kind::kArray);
-  ASSERT_NE(v.find("dcolorStats"), nullptr);
+  ASSERT_NE(v.find("dcolorHistograms"), nullptr);
 }
 
 // A profiled rep that does not reproduce the measured checksum fails the
@@ -936,6 +955,122 @@ TEST(BenchkitBaseline, RegressionAttributionNamesTheSlowPhase) {
   ASSERT_NE(first, std::string::npos) << out;
   const std::string line = out.substr(first, out.find('\n', first) - first);
   EXPECT_NE(line.find("testkit.phase.slow"), std::string::npos) << out;
+}
+
+// ------------------------------------------------------------ report
+
+Record report_record(const std::string& scenario, double wall_ms) {
+  Record r;
+  r.scenario = scenario;
+  r.transport = "network";
+  r.n = 64;
+  r.quick = true;
+  r.seed = 42;
+  r.reps = 3;
+  r.wall_ms = r.wall_ms_min = r.wall_ms_max = wall_ms;
+  r.rounds = 10;
+  r.checksum = "0x0000000000000001";
+  r.verified = true;
+  r.checksum_stable = true;
+  r.git = "testgit";
+  return r;
+}
+
+// The markdown line of one Summary row.
+std::string summary_row(const std::string& markdown, const std::string& instance) {
+  const std::size_t at = markdown.find("| " + instance + " |");
+  if (at == std::string::npos) return "";
+  return markdown.substr(at, markdown.find('\n', at) - at);
+}
+
+// `dcolor-trace report` shows the gate's own verdicts: one record
+// slowed 10x, one drifted, one without a baseline, plus an unreadable
+// file and a foreign-schema file that become warnings, never failures.
+TEST(BenchkitReport, RendersGateVerdictsAndWarnings) {
+  const fs::path cur = fresh_dir("report_current");
+  const fs::path base = fresh_dir("report_base");
+  std::string err;
+  for (const char* name : {"t.ok", "t.ok2", "t.slow", "t.drift"}) {
+    Record b = report_record(name, 10.0);
+    if (std::string(name) == "t.drift") b.checksum = "0x0000000000000bad";
+    ASSERT_TRUE(write_record_file(base.string(), b, &err)) << err;
+    Record c = report_record(name, std::string(name) == "t.slow" ? 100.0 : 10.0);
+    if (std::string(name) == "t.ok") {
+      c.phase_wall_ms = {{"p.fast", 1.0}, {"p.slow", 6.0}};
+      RecordHistogram h;
+      h.key = "phase/p.slow";
+      h.count = 2;
+      h.total = 6000000;
+      h.p50 = h.p90 = h.p99 = h.max = 4000000;
+      c.histograms.push_back(h);
+    }
+    ASSERT_TRUE(write_record_file(cur.string(), c, &err)) << err;
+  }
+  Record unverified = report_record("t.new", 10.0);
+  unverified.verified = false;
+  ASSERT_TRUE(write_record_file(cur.string(), unverified, &err)) << err;
+  std::ofstream(cur / "BENCH_broken.json") << "{not json";
+  std::ofstream(cur / "BENCH_old.json") << R"({"schema":"dcolor-bench/2","scenario":"old"})";
+
+  const auto [code, md] =
+      capture([&](std::FILE* out) { return run_report(cur.string(), base.string(), out); });
+  EXPECT_EQ(code, 0);
+  EXPECT_NE(md.find("5 record(s)"), std::string::npos) << md;
+  EXPECT_NE(md.find("calibration 1.000"), std::string::npos) << md;
+  EXPECT_NE(md.find("| ratio | limit ms | verdict |"), std::string::npos) << md;
+  EXPECT_NE(summary_row(md, "t_ok").find("| ok |"), std::string::npos) << md;
+  EXPECT_NE(summary_row(md, "t_slow").find("| REGRESSION |"), std::string::npos) << md;
+  EXPECT_NE(summary_row(md, "t_drift").find("| DRIFT |"), std::string::npos) << md;
+  EXPECT_NE(summary_row(md, "t_new").find("| no baseline |"), std::string::npos) << md;
+  EXPECT_EQ(md.find("REGRESSION"), md.rfind("REGRESSION")) << md;  // one row only
+  EXPECT_EQ(md.find("| DRIFT |"), md.rfind("| DRIFT |")) << md;
+
+  // Phase breakdown (largest first), aggregate and percentiles in ms.
+  EXPECT_NE(md.find("| t_ok | p.slow 6.00, p.fast 1.00 |"), std::string::npos) << md;
+  EXPECT_NE(md.find("Aggregate across all records"), std::string::npos) << md;
+  EXPECT_NE(md.find("| p.slow | 2 | 4.000 | 4.000 | 4.000 | 4.000 |"), std::string::npos) << md;
+
+  const std::size_t failures = md.find("## Verification failures");
+  ASSERT_NE(failures, std::string::npos) << md;
+  EXPECT_NE(md.find("- **t_new**", failures), std::string::npos) << md;
+  const std::size_t warnings = md.find("## Warnings");
+  ASSERT_NE(warnings, std::string::npos) << md;
+  EXPECT_NE(md.find("- BENCH_broken.json: ", warnings), std::string::npos) << md;
+  EXPECT_NE(md.find("- BENCH_old.json: unexpected schema 'dcolor-bench/2'", warnings),
+            std::string::npos)
+      << md;
+
+  // Without a baseline: the same sections, no gate columns.
+  const auto [plain_code, plain] =
+      capture([&](std::FILE* out) { return run_report(cur.string(), "", out); });
+  EXPECT_EQ(plain_code, 0);
+  EXPECT_EQ(plain.find("calibration"), std::string::npos) << plain;
+  EXPECT_EQ(plain.find("verdict"), std::string::npos) << plain;
+  EXPECT_EQ(plain.find("REGRESSION"), std::string::npos) << plain;
+  for (const char* section : {"## Summary", "## Phase wall-time breakdown",
+                              "## Phase latency percentiles", "## Verification failures",
+                              "## Warnings"}) {
+    EXPECT_NE(plain.find(section), std::string::npos) << section;
+  }
+
+  // The one reader keeps the readable records and names the rest.
+  RecordDir rd;
+  ASSERT_TRUE(read_record_dir(cur.string(), &rd, &err)) << err;
+  EXPECT_EQ(rd.records.size(), 5u);
+  EXPECT_EQ(rd.warnings.size(), 2u);
+}
+
+TEST(BenchkitReport, NoRecordExitsOne) {
+  const fs::path empty = fresh_dir("report_empty");
+  EXPECT_EQ(capture([&](std::FILE* out) { return run_report(empty.string(), "", out); }).first,
+            1);
+  std::ofstream(empty / "BENCH_broken.json") << "{not json";
+  EXPECT_EQ(capture([&](std::FILE* out) { return run_report(empty.string(), "", out); }).first,
+            1);
+  EXPECT_EQ(capture([&](std::FILE* out) {
+              return run_report((empty / "missing").string(), "", out);
+            }).first,
+            1);
 }
 
 // ------------------------------------------------------------ verifiers

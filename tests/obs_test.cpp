@@ -2,8 +2,9 @@
 //
 //  1. obs core semantics — session lifecycle (one active session per
 //     process, sequential sessions fine), span/counter aggregation into
-//     the stats block, ring overflow dropping events while stats stay
-//     complete, stats-only mode, and probe behavior with no session.
+//     the per-name histograms, ring overflow dropping events while the
+//     histograms stay complete, stats-only mode (no event storage), and
+//     probe behavior with no session.
 //  2. Trace well-formedness — chrome_trace_json() of a real engine
 //     workload parses as JSON, carries the expected top-level keys,
 //     contiguous small tids each with a thread_name metadata event, and
@@ -55,10 +56,10 @@ namespace {
 using benchkit::JsonValue;
 using benchkit::json_parse;
 
-const obs::StatLine* find_stat(const std::vector<obs::StatLine>& stats, const std::string& cat,
-                               const std::string& name) {
-  for (const obs::StatLine& s : stats) {
-    if (s.cat == cat && s.name == name) return &s;
+const obs::HistogramSnapshot* find_hist(const std::vector<obs::HistogramSnapshot>& hists,
+                                        const std::string& cat, const std::string& name) {
+  for (const obs::HistogramSnapshot& h : hists) {
+    if (h.cat == cat && h.name == name) return &h;
   }
   return nullptr;
 }
@@ -87,7 +88,7 @@ TEST(ObsCore, EnabledTracksSessionLifetimeAndSequentialSessionsWork) {
   EXPECT_TRUE(obs::enabled());
   { obs::Span sp(obs::kCatPhase, "core.again"); }
   again.stop();
-  const obs::StatLine* line = find_stat(again.stats(), "phase", "core.again");
+  const obs::HistogramSnapshot* line = find_hist(again.histograms(), "phase", "core.again");
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->count, 1);
 }
@@ -99,7 +100,7 @@ TEST(ObsCore, SecondConcurrentSessionThrows) {
   EXPECT_TRUE(obs::enabled());
   { obs::Span sp(obs::kCatPhase, "core.survivor"); }
   session.stop();
-  EXPECT_NE(find_stat(session.stats(), "phase", "core.survivor"), nullptr);
+  EXPECT_NE(find_hist(session.histograms(), "phase", "core.survivor"), nullptr);
 }
 
 TEST(ObsCore, SpansAndCountersAggregateIntoSortedStats) {
@@ -113,24 +114,24 @@ TEST(ObsCore, SpansAndCountersAggregateIntoSortedStats) {
   obs::counter(obs::kCatPool, "core.counter", 9);
   session.stop();
 
-  const std::vector<obs::StatLine>& stats = session.stats();
-  const obs::StatLine* span = find_stat(stats, "phase", "core.span");
+  const std::vector<obs::HistogramSnapshot>& hists = session.histograms();
+  const obs::HistogramSnapshot* span = find_hist(hists, "phase", "core.span");
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->count, 2);
   EXPECT_GT(span->total, 0);
   EXPECT_GE(span->total, span->max);
 
-  const obs::StatLine* ctr = find_stat(stats, "pool", "core.counter");
+  const obs::HistogramSnapshot* ctr = find_hist(hists, "pool", "core.counter");
   ASSERT_NE(ctr, nullptr);
   EXPECT_EQ(ctr->count, 2);
   EXPECT_EQ(ctr->total, 14);
   EXPECT_EQ(ctr->max, 9);
 
   // Sorted by (cat, name): the contract the phase_wall_ms extraction and
-  // the dcolorStats block rely on for stable output.
-  for (std::size_t i = 1; i < stats.size(); ++i) {
-    EXPECT_LE(std::make_pair(stats[i - 1].cat, stats[i - 1].name),
-              std::make_pair(stats[i].cat, stats[i].name));
+  // the dcolorHistograms block rely on for stable output.
+  for (std::size_t i = 1; i < hists.size(); ++i) {
+    EXPECT_LE(std::make_pair(hists[i - 1].cat, hists[i - 1].name),
+              std::make_pair(hists[i].cat, hists[i].name));
   }
 }
 
@@ -144,9 +145,9 @@ TEST(ObsCore, RingOverflowDropsEventsButStatsStayComplete) {
   session.stop();
 
   EXPECT_EQ(session.dropped_events(), 96);
-  const obs::StatLine* line = find_stat(session.stats(), "phase", "core.overflow");
+  const obs::HistogramSnapshot* line = find_hist(session.histograms(), "phase", "core.overflow");
   ASSERT_NE(line, nullptr);
-  EXPECT_EQ(line->count, 100);  // drops never lose stats
+  EXPECT_EQ(line->count, 100);  // drops never lose histogram samples
 
   JsonValue v;
   std::string err;
@@ -171,7 +172,8 @@ TEST(ObsCore, StatsOnlyModeKeepsStatsWithoutEventStorage) {
   session.stop();
 
   EXPECT_EQ(session.dropped_events(), 0);  // nothing dropped: never stored
-  const obs::StatLine* line = find_stat(session.stats(), "phase", "core.statsonly");
+  const obs::HistogramSnapshot* line =
+      find_hist(session.histograms(), "phase", "core.statsonly");
   ASSERT_NE(line, nullptr);
   EXPECT_EQ(line->count, 50);
 
@@ -184,9 +186,9 @@ TEST(ObsCore, StatsOnlyModeKeepsStatsWithoutEventStorage) {
     EXPECT_NE(e.string_or("ph", ""), "X");
     EXPECT_NE(e.string_or("ph", ""), "C");
   }
-  const JsonValue* stats_obj = v.find("dcolorStats");
-  ASSERT_NE(stats_obj, nullptr);
-  EXPECT_FALSE(stats_obj->object.empty());
+  const JsonValue* hists_obj = v.find("dcolorHistograms");
+  ASSERT_NE(hists_obj, nullptr);
+  EXPECT_FALSE(hists_obj->object.empty());
 }
 
 TEST(ObsCore, ProbesWithoutSessionAreNoOps) {
@@ -199,7 +201,7 @@ TEST(ObsCore, ProbesWithoutSessionAreNoOps) {
   // A later session must not see any of it.
   obs::TraceSession session;
   session.stop();
-  EXPECT_EQ(find_stat(session.stats(), "phase", "core.nosession"), nullptr);
+  EXPECT_EQ(find_hist(session.histograms(), "phase", "core.nosession"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -231,10 +233,10 @@ TEST(ObsTrace, ChromeTraceIsWellFormedWithStableTidsAndNestedSpans) {
   // Top-level shape.
   EXPECT_EQ(v.string_or("displayTimeUnit", ""), "ms");
   EXPECT_EQ(v.number_or("dcolorDroppedEvents", -1), 0.0);
-  const JsonValue* stats_obj = v.find("dcolorStats");
-  ASSERT_NE(stats_obj, nullptr);
-  ASSERT_EQ(stats_obj->kind, JsonValue::Kind::kObject);
-  EXPECT_FALSE(stats_obj->object.empty());
+  const JsonValue* hists_obj = v.find("dcolorHistograms");
+  ASSERT_NE(hists_obj, nullptr);
+  ASSERT_EQ(hists_obj->kind, JsonValue::Kind::kObject);
+  EXPECT_FALSE(hists_obj->object.empty());
   const JsonValue* events = v.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_EQ(events->kind, JsonValue::Kind::kArray);
@@ -292,7 +294,8 @@ TEST(ObsTrace, ChromeTraceIsWellFormedWithStableTidsAndNestedSpans) {
   EXPECT_TRUE(span_names.count("corollary12.cluster"));
   EXPECT_TRUE(span_names.count("theorem11.iteration"));
   EXPECT_TRUE(span_names.count("pool.run_tasks"));
-  const obs::StatLine* worker_tasks = find_stat(session.stats(), "pool", "pool.worker_tasks");
+  const obs::HistogramSnapshot* worker_tasks =
+      find_hist(session.histograms(), "pool", "pool.worker_tasks");
   ASSERT_NE(worker_tasks, nullptr);
   EXPECT_GE(worker_tasks->count, 3);  // one sample per worker per dispatch
 
@@ -426,21 +429,14 @@ TEST(ObsDeterminism, CliqueAndMpcIdenticalWithTracingOnAndOff) {
     EXPECT_EQ(traced->metrics.words_communicated, ref->metrics.words_communicated) << where;
     EXPECT_EQ(traced->metrics.max_round_load, ref->metrics.max_round_load) << where;
   }
-  const obs::StatLine* math = find_stat(session.stats(), obs::kCatPhase, "derand.math");
+  const obs::HistogramSnapshot* math =
+      find_hist(session.histograms(), obs::kCatPhase, "derand.math");
   ASSERT_NE(math, nullptr);
   EXPECT_GT(math->count, 0);
 }
 
 // ---------------------------------------------------------------------------
 // Part 4: histograms.
-
-const obs::HistogramSnapshot* find_hist(const std::vector<obs::HistogramSnapshot>& hists,
-                                        const std::string& cat, const std::string& name) {
-  for (const obs::HistogramSnapshot& h : hists) {
-    if (h.cat == cat && h.name == name) return &h;
-  }
-  return nullptr;
-}
 
 TEST(ObsHistogram, BucketBoundariesArePowersOfTwo) {
   // Bucket 0 holds v <= 0; bucket b holds 2^(b-1) <= v < 2^b.
@@ -499,7 +495,7 @@ TEST(ObsHistogram, SpansCountersAndValueProbesAllCapture) {
   session.stop();
 
   const std::vector<obs::HistogramSnapshot>& hists = session.histograms();
-  // Sorted by (cat, name), mirroring stats().
+  // Sorted by (cat, name).
   for (std::size_t i = 1; i < hists.size(); ++i) {
     EXPECT_LE(std::make_pair(hists[i - 1].cat, hists[i - 1].name),
               std::make_pair(hists[i].cat, hists[i].name));

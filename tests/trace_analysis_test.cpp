@@ -31,7 +31,6 @@ const char* kTrace = R"({
     {"ph":"C","pid":1,"tid":1,"ts":900.0,"cat":"pool","name":"pool.worker_tasks","args":{"value":7}},
     {"ph":"C","pid":1,"tid":1,"ts":900.0,"cat":"pool","name":"pool.worker_steals","args":{"value":2}}
   ],
-  "dcolorStats": {},
   "dcolorHistograms": {},
   "dcolorDroppedEvents": 3
 })";
