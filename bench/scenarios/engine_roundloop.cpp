@@ -1,15 +1,15 @@
 // Round-loop microbenchmark: tiny per-round work over MANY rounds, so
 // the engine's fixed per-round costs (roster dispatch, inbox epoch
-// checks, flag-plane delivery, barrier + metrics merge) dominate the
+// checks, buffer-swap delivery, barrier + metrics merge) dominate the
 // clock instead of algorithmic work.
 //
 //   engine.roundloop.bitbroadcast — a color-class MIS from the identity
 //     coloring (every class a single node): n rounds of near-empty
-//     rosters whose only traffic is 1-bit flag-plane joins — the purest
-//     per-round overhead probe the pipeline has.
+//     rosters whose only traffic is 1-bit joins — the purest per-round
+//     overhead probe the pipeline has.
 //
-// It verifies against straight sequential recomputation, so a dispatch
-// or flag-plane bug fails the bench rather than shipping as a speedup.
+// It verifies the result is an MIS, so a dispatch or delivery bug fails
+// the bench rather than shipping as a speedup.
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -31,7 +31,7 @@ using benchkit::Scenario;
 
 REGISTER_SCENARIO(Scenario{
     "engine.roundloop.bitbroadcast",
-    "Color-class MIS from the identity coloring: n rounds of 1-bit flag-plane joins",
+    "Color-class MIS from the identity coloring: n rounds of 1-bit joins",
     "gnp", "roundloop", "engine", /*parity=*/"", /*scalable=*/true,
     [](const RunConfig& c) {
       const NodeId n = static_cast<NodeId>(benchkit::pick_n(c, 20000, 4000));

@@ -46,14 +46,11 @@ const std::pair<const char*, std::int64_t RecordHistogram::*> kHistogramFields[]
 
 // The metric/* histograms whose count, total, min or max differ between
 // the two records, or that only one of them has, as " key" entries.
-// metric/engine.serial_cutoff is left out: it echoes the
-// DCOLOR_SERIAL_CUTOFF setting, which picks how an engine round is
-// dispatched, never the work, so a cutoff sweep is not drift.
 std::string metric_histogram_drift(const Record& cur, const Record& base) {
   auto metric_hists = [](const Record& r) {
     std::map<std::string, const RecordHistogram*> m;
     for (const RecordHistogram& h : r.histograms) {
-      if (h.key.rfind("metric/", 0) == 0 && h.key != "metric/engine.serial_cutoff") m[h.key] = &h;
+      if (h.key.rfind("metric/", 0) == 0) m[h.key] = &h;
     }
     return m;
   };

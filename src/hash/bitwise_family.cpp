@@ -1,6 +1,8 @@
 #include "src/hash/bitwise_family.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "src/util/bits.h"
 
@@ -18,7 +20,10 @@ struct DigitForm {
 
 BitwiseCoinFamily::BitwiseCoinFamily(std::uint64_t num_input_colors, int b)
     : w_(ceil_log2(std::max<std::uint64_t>(num_input_colors, 2))), b_(b) {
-  assert(b >= 1 && b <= 40);
+  if (b < 1 || b > 40) {
+    throw std::invalid_argument("BitwiseCoinFamily: precision b = " + std::to_string(b) +
+                                " is outside [1, 40]");
+  }
 }
 
 std::string BitwiseCoinFamily::description() const {

@@ -22,6 +22,7 @@ namespace dcolor {
 
 class BitwiseCoinFamily final : public CoinFamily {
  public:
+  // Throws std::invalid_argument unless b is in [1, 40].
   BitwiseCoinFamily(std::uint64_t num_input_colors, int b);
 
   int seed_length() const override { return b_ * (w_ + 1); }

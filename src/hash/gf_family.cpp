@@ -1,10 +1,32 @@
 #include "src/hash/gf_family.h"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "src/util/bits.h"
 
 namespace dcolor {
+namespace {
+
+// The degree m of the field that holds both the input colors and b-bit
+// outputs. Throws when b or m leaves [1, 32], the degrees GF2m supports.
+int field_degree(std::uint64_t num_input_colors, int b) {
+  if (b < 1 || b > 32) {
+    throw std::invalid_argument("GFCoinFamily: precision b = " + std::to_string(b) +
+                                " is outside [1, 32]");
+  }
+  const int m = std::max(ceil_log2(std::max<std::uint64_t>(num_input_colors, 2)), b);
+  if (m > 32) {
+    throw std::invalid_argument("GFCoinFamily: field degree m = " + std::to_string(m) + " for " +
+                                std::to_string(num_input_colors) +
+                                " input colors is outside [1, 32]");
+  }
+  return m;
+}
+
+}  // namespace
 
 std::uint64_t threshold_for(std::uint64_t k1, std::uint64_t list_size, int b) {
   assert(list_size >= 1 && k1 <= list_size);
@@ -14,12 +36,7 @@ std::uint64_t threshold_for(std::uint64_t k1, std::uint64_t list_size, int b) {
 }
 
 GFCoinFamily::GFCoinFamily(std::uint64_t num_input_colors, int b)
-    : m_(std::max(ceil_log2(std::max<std::uint64_t>(num_input_colors, 2)), b)),
-      b_(b),
-      field_(m_) {
-  assert(b >= 1 && b <= 32);
-  assert(m_ <= 32);
-}
+    : m_(field_degree(num_input_colors, b)), b_(b), field_(m_) {}
 
 std::string GFCoinFamily::description() const {
   return "gf2m(m=" + std::to_string(m_) + ",b=" + std::to_string(b_) + ")";

@@ -19,6 +19,8 @@ namespace dcolor {
 
 class GFCoinFamily final : public CoinFamily {
  public:
+  // m = max(ceil(log2 K), b). Throws std::invalid_argument unless b and m
+  // are in [1, 32].
   GFCoinFamily(std::uint64_t num_input_colors, int b);
 
   int seed_length() const override { return 2 * m_; }

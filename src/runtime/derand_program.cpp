@@ -167,7 +167,7 @@ void MisColorClassesProgram::join(NodeId v, Outbox& out) {
   dominated_[v] = 1;
   const auto nb = active_->base().neighbors(v);
   for (std::size_t j = 0; j < nb.size(); ++j) {
-    if (active_->contains(nb[j])) out.send_flag_nth(static_cast<int>(j));
+    if (active_->contains(nb[j])) out.send_nth(static_cast<int>(j), 1, 1);
   }
 }
 

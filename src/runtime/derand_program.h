@@ -72,8 +72,8 @@ class AlongExchangeProgram final : public NodeProgram {
 };
 
 // MIS by iterating the color classes of a proper coloring: class c joins
-// in phase c and announces with a 1-bit flag-plane message; num_colors
-// rounds total.
+// in phase c and announces with a 1-bit message to each active neighbor;
+// num_colors rounds total.
 // Phases are rostered: round r dispatches exactly class r plus the
 // active neighbors of the previous round's joiners (the only possible
 // receivers), computed on the coordinator into reusable scratch — total

@@ -17,7 +17,6 @@
 // enforce.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -39,85 +38,37 @@ struct Slot {
 // Read-only view of one node's inbox for the round being processed.
 // Slot i corresponds to the node's i-th CSR neighbor whether or not that
 // neighbor sent this round; `has(i)` distinguishes the two.
-//
-// Messages arrive on one of two planes: the general Slot plane (payload +
-// epoch stamp) and the flag plane — a per-delivery bitset holding 1-bit
-// presence messages staged with Outbox::send_flag_nth (payload reads as
-// 1). `flag_words` is the delivered bitset indexed by global slot number
-// (this node's slots are [flag_base, flag_base+degree)), or nullptr when
-// no flags were staged last phase; `slots_live` is false when no Slot
-// messages were staged last phase, which lets empty() skip the O(degree)
-// stamp scan entirely — the fast path of 1-bit broadcast rounds.
 class Inbox {
  public:
-  Inbox(const Slot* slots, const NodeId* neighbors, int degree, std::int64_t epoch,
-        const std::atomic<std::uint64_t>* flag_words = nullptr, std::int64_t flag_base = 0,
-        bool slots_live = true)
-      : slots_(slots), neighbors_(neighbors), degree_(degree), epoch_(epoch),
-        flags_(flag_words), base_(flag_base), slots_live_(slots_live) {}
+  Inbox(const Slot* slots, const NodeId* neighbors, int degree, std::int64_t epoch)
+      : slots_(slots), neighbors_(neighbors), degree_(degree), epoch_(epoch) {}
 
   int size() const { return degree_; }
-  bool has(int i) const { return slots_[i].stamp == epoch_ || flag(i); }
+  bool has(int i) const { return slots_[i].stamp == epoch_; }
   NodeId from(int i) const { return neighbors_[i]; }
-  std::uint64_t payload(int i) const {
-    return slots_[i].stamp == epoch_ ? slots_[i].payload : 1;
-  }
+  std::uint64_t payload(int i) const { return slots_[i].payload; }  // when has(i)
 
   bool empty() const {
-    if (flags_ != nullptr && !flag_range_empty()) return false;
-    if (slots_live_) {
-      for (int i = 0; i < degree_; ++i) {
-        if (slots_[i].stamp == epoch_) return false;
-      }
+    for (int i = 0; i < degree_; ++i) {
+      if (slots_[i].stamp == epoch_) return false;
     }
     return true;
   }
 
   // f(NodeId from, std::uint64_t payload) over live slots, in CSR
-  // (ascending neighbor id) order — both planes interleaved.
+  // (ascending neighbor id) order.
   template <typename F>
   void for_each(F&& f) const {
     for (int i = 0; i < degree_; ++i) {
-      if (slots_live_ && slots_[i].stamp == epoch_) {
-        f(neighbors_[i], slots_[i].payload);
-      } else if (flag(i)) {
-        f(neighbors_[i], std::uint64_t{1});
-      }
+      if (slots_[i].stamp == epoch_) f(neighbors_[i], slots_[i].payload);
     }
   }
 
  private:
-  bool flag(int i) const {
-    if (flags_ == nullptr) return false;
-    const std::uint64_t b = static_cast<std::uint64_t>(base_ + i);
-    return (flags_[b >> 6].load(std::memory_order_relaxed) >> (b & 63)) & 1;
-  }
-
-  // Word-at-a-time scan of the flag bits covering [base_, base_+degree_):
-  // O(degree/64) instead of O(degree).
-  bool flag_range_empty() const {
-    if (degree_ == 0) return true;
-    const std::uint64_t lo = static_cast<std::uint64_t>(base_);
-    const std::uint64_t hi = lo + static_cast<std::uint64_t>(degree_);
-    const std::uint64_t w0 = lo >> 6;
-    const std::uint64_t w1 = (hi - 1) >> 6;
-    const std::uint64_t head = ~std::uint64_t{0} << (lo & 63);
-    const std::uint64_t tail = ~std::uint64_t{0} >> (63 - ((hi - 1) & 63));
-    if (w0 == w1) return (flags_[w0].load(std::memory_order_relaxed) & head & tail) == 0;
-    if (flags_[w0].load(std::memory_order_relaxed) & head) return false;
-    for (std::uint64_t w = w0 + 1; w < w1; ++w) {
-      if (flags_[w].load(std::memory_order_relaxed) != 0) return false;
-    }
-    return (flags_[w1].load(std::memory_order_relaxed) & tail) == 0;
-  }
-
   const Slot* slots_;
   const NodeId* neighbors_;
   int degree_;
   std::int64_t epoch_;
-  const std::atomic<std::uint64_t>* flags_;
-  std::int64_t base_;
-  bool slots_live_;
 };
 
 // Sparse-phase dispatch view: which nodes the engine should run this

@@ -1,11 +1,7 @@
 #include "src/runtime/parallel_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -16,35 +12,8 @@ namespace dcolor::runtime {
 
 using congest::CongestViolation;
 
-namespace {
-
-// DCOLOR_SERIAL_CUTOFF, validated: a base-10 integer in [0, 2^30]
-// replaces kSerialPhaseCutoff for every engine constructed afterwards;
-// anything else is warned about once per process and ignored. Read per
-// construction (not cached in a static) so test processes can vary it.
-std::size_t resolve_serial_cutoff() {
-  const char* env = std::getenv("DCOLOR_SERIAL_CUTOFF");
-  if (env == nullptr || *env == '\0') return ParallelEngine::kSerialPhaseCutoff;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(env, &end, 10);
-  if (errno != 0 || end == env || *end != '\0' || v < 0 || v > (1ll << 30)) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "dcolor: ignoring invalid DCOLOR_SERIAL_CUTOFF='%s' "
-                   "(want an integer in [0, 2^30]); using %zu\n",
-                   env, ParallelEngine::kSerialPhaseCutoff);
-    }
-    return ParallelEngine::kSerialPhaseCutoff;
-  }
-  return static_cast<std::size_t>(v);
-}
-
-}  // namespace
-
 ParallelEngine::ParallelEngine(const Graph& g, int num_threads, int bandwidth_bits)
-    : g_(&g), pool_(num_threads), serial_cutoff_(resolve_serial_cutoff()) {
+    : g_(&g), pool_(num_threads) {
   const int logn = ceil_log2(std::max<std::uint64_t>(g.num_nodes(), 2));
   bandwidth_ = bandwidth_bits > 0 ? bandwidth_bits : 2 * logn + 16;
 
@@ -71,15 +40,6 @@ ParallelEngine::ParallelEngine(const Graph& g, int num_threads, int bandwidth_bi
 
   bufs_[0].assign(static_cast<std::size_t>(slots), Slot{});
   bufs_[1].assign(static_cast<std::size_t>(slots), Slot{});
-  const std::size_t flag_words = static_cast<std::size_t>((slots + 63) / 64);
-  for (FlagBuf& b : flags_) {
-    if (flag_words > 0) {
-      b.words = std::make_unique<std::atomic<std::uint64_t>[]>(flag_words);
-      for (std::size_t w = 0; w < flag_words; ++w) {
-        b.words[w].store(0, std::memory_order_relaxed);
-      }
-    }
-  }
 
   // Degree-weighted static chunking: balanced for skewed degree
   // distributions, and independent of anything but (graph, num_threads),
@@ -115,54 +75,14 @@ void ParallelEngine::stage(NodeId from, int nth, std::uint64_t payload, int bits
   }
   const std::int64_t slot = rev_slot_[offset_[from] + nth];
   Slot& s = staging()[slot];
-  // The sender of a directed edge is unique and runs on one worker, so
-  // only this worker could have set the edge's flag bit — a relaxed load
-  // races with nobody on the bit it tests.
-  if (s.stamp == epoch_ + 1 ||
-      (ws.staged_flags &&
-       (staging_flags()[slot >> 6].load(std::memory_order_relaxed) >> (slot & 63)) & 1)) {
+  if (s.stamp == epoch_ + 1) {
     throw CongestViolation("two messages over one edge in one round");
   }
   s.stamp = epoch_ + 1;
   s.payload = payload;
-  ws.staged_slots = true;
   ++ws.metrics.messages;
   ws.metrics.total_bits += bits;
   if (bits > ws.metrics.max_message_bits) ws.metrics.max_message_bits = bits;
-}
-
-void ParallelEngine::stage_flag(NodeId from, int nth, WorkerState& ws) {
-  const std::int64_t slot = rev_slot_[offset_[from] + nth];
-  if (staging()[slot].stamp == epoch_ + 1) {
-    throw CongestViolation("two messages over one edge in one round");
-  }
-  const std::int64_t word = slot >> 6;
-  const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
-  // Other workers fetch_or other bits of the same word concurrently; the
-  // edge's own bit has exactly one possible setter (this worker), so the
-  // returned old value detects a duplicate send deterministically.
-  if (staging_flags()[word].fetch_or(bit, std::memory_order_relaxed) & bit) {
-    throw CongestViolation("two messages over one edge in one round");
-  }
-  if (!ws.staged_flags) {
-    ws.staged_flags = true;
-    ws.flag_lo = word;
-    ws.flag_hi = word + 1;
-  } else {
-    ws.flag_lo = std::min(ws.flag_lo, word);
-    ws.flag_hi = std::max(ws.flag_hi, word + 1);
-  }
-  ++ws.metrics.messages;
-  ws.metrics.total_bits += 1;
-  if (ws.metrics.max_message_bits < 1) ws.metrics.max_message_bits = 1;
-}
-
-void ParallelEngine::clear_flag_buf(FlagBuf& b) {
-  for (std::int64_t w = b.dirty_lo; w < b.dirty_hi; ++w) {
-    b.words[w].store(0, std::memory_order_relaxed);
-  }
-  b.dirty_lo = b.dirty_hi = 0;
-  b.live = false;
 }
 
 void Outbox::send(NodeId to, std::uint64_t payload, int bits) {
@@ -189,20 +109,12 @@ void Outbox::send_all(std::uint64_t payload, int bits) {
   for (int j = 0; j < deg; ++j) eng_->stage(self_, j, payload, bits, ws);
 }
 
-void Outbox::send_flag_nth(int nth) {
-  if (net_ != nullptr) return send_nth(nth, 1, 1);
-  assert(nth >= 0 && nth < eng_->g_->degree(self_));
-  eng_->stage_flag(self_, nth, *static_cast<ParallelEngine::WorkerState*>(worker_));
-}
-
 template <typename F>
 void ParallelEngine::run_phase(const Roster& roster, F&& per_node) {
   for (WorkerState& w : workers_) {
     w.metrics = congest::Metrics{};
     w.fail_node = -1;
     w.error = nullptr;
-    w.staged_slots = false;
-    w.staged_flags = false;
   }
   const int T = pool_.num_threads();
   const std::size_t width =
@@ -235,7 +147,7 @@ void ParallelEngine::run_phase(const Roster& roster, F&& per_node) {
       }
     }
   };
-  if (T == 1 || width <= serial_cutoff_) {
+  if (T == 1 || width <= kSerialPhaseCutoff) {
     // Serial fast path: the exact chunks the pool would run, in worker
     // order on the coordinator — bit-identical state evolution (including
     // which chunks complete around a throwing node), no pool wakeup.
@@ -246,24 +158,8 @@ void ParallelEngine::run_phase(const Roster& roster, F&& per_node) {
     pool_.run(phase_job_);
   }
   // Merge is order-insensitive (sums and a max), so thread count cannot
-  // perturb Metrics; rounds are only advanced by the coordinator. The
-  // flag-plane bookkeeping merges even around failures — the bits are
-  // already set, and the next clear must cover them.
-  FlagBuf& fb = flags_[cur_ ^ 1];
-  for (const WorkerState& w : workers_) {
-    metrics_.merge(w.metrics);
-    if (w.staged_slots) slots_live_[cur_ ^ 1] = true;
-    if (w.staged_flags) {
-      if (!fb.live && fb.dirty_lo == fb.dirty_hi) {
-        fb.dirty_lo = w.flag_lo;
-        fb.dirty_hi = w.flag_hi;
-      } else {
-        fb.dirty_lo = std::min(fb.dirty_lo, w.flag_lo);
-        fb.dirty_hi = std::max(fb.dirty_hi, w.flag_hi);
-      }
-      fb.live = true;
-    }
-  }
+  // perturb Metrics; rounds are only advanced by the coordinator.
+  for (const WorkerState& w : workers_) metrics_.merge(w.metrics);
   NodeId bad = -1;
   std::exception_ptr err;
   for (const WorkerState& w : workers_) {
@@ -279,20 +175,10 @@ std::int64_t ParallelEngine::run(NodeProgram& program) {
   obs::Span run_span(obs::kCatEngine, "engine.run");
   run_span.arg("nodes", g_->num_nodes());
   run_span.arg("threads", pool_.num_threads());
-  if (run_span.live()) {
-    obs::value(obs::kCatMetric, "engine.serial_cutoff",
-               static_cast<std::int64_t>(serial_cutoff_));
-  }
   // Isolate this run's stamp space: a prior run (even one that threw)
   // may have left stamps up to epoch_+1 in the buffers, and advancing by
-  // two keeps them strictly behind every stamp this run can read. The
-  // flag plane has no stamps, so both of its buffers are cleared here
-  // (dirty ranges track exactly the words a thrown run could have left).
+  // two keeps them strictly behind every stamp this run can read.
   epoch_ += 2;
-  for (FlagBuf& b : flags_) {
-    if (b.words) clear_flag_buf(b);
-  }
-  slots_live_[0] = slots_live_[1] = false;
   std::int64_t before_phase = metrics_.messages;
   std::int64_t before_bits = metrics_.total_bits;
   std::int64_t last_phase_messages;
@@ -316,11 +202,6 @@ std::int64_t ParallelEngine::run(NodeProgram& program) {
   while (!program.done(rounds)) {
     cur_ ^= 1;  // deliver: staged slots carry stamp epoch_+1 == new epoch_
     ++epoch_;
-    // The previous delivery buffer becomes the staging buffer: its flag
-    // words (read during the phase that just ended) must be zero before
-    // any worker stages into them.
-    if (flags_[cur_ ^ 1].live) clear_flag_buf(flags_[cur_ ^ 1]);
-    slots_live_[cur_ ^ 1] = false;
     ++metrics_.rounds;
     ++rounds;
     const std::int64_t r = rounds;
@@ -333,12 +214,8 @@ std::int64_t ParallelEngine::run(NodeProgram& program) {
       round_span.arg("roster", roster.size_or(g_->num_nodes()));
       obs::value(obs::kCatMetric, "engine.roster", roster.size_or(g_->num_nodes()));
     }
-    const std::atomic<std::uint64_t>* fw =
-        flags_[cur_].live ? flags_[cur_].words.get() : nullptr;
-    const bool slots_live = slots_live_[cur_];
-    run_phase(roster, [&, r, fw, slots_live](NodeId v, Outbox& out) {
-      const Inbox in(delivered() + offset_[v], g_->neighbors(v).data(), g_->degree(v),
-                     epoch_, fw, offset_[v], slots_live);
+    run_phase(roster, [&, r](NodeId v, Outbox& out) {
+      const Inbox in(delivered() + offset_[v], g_->neighbors(v).data(), g_->degree(v), epoch_);
       program.on_round(r, v, in, out);
     });
     last_phase_messages = metrics_.messages - before_phase;

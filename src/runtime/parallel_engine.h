@@ -7,34 +7,26 @@
 // CSR-backed and double-buffered — one pre-sized slot per directed edge,
 // each slot written only by its one sender — so a send is a lock-free
 // write to the receiver's owned slot and delivery is a buffer swap
-// (stamps make clearing unnecessary). A second, bitset-backed message
-// plane carries 1-bit presence messages (Outbox::send_flag_nth): 64
-// directed edges per word, staged with one fetch_or, delivered by the
-// same buffer swap — the fast path of 1-bit broadcast rounds, where inbox
-// occupancy is the whole message.
+// (stamps make clearing unnecessary).
 //
 // The engine enforces the same CONGEST contract as congest::Network
 // (bandwidth ceiling, declared-bits-cover-payload, non-edge rejection,
-// one message per directed edge per round — across both planes;
-// violations throw congest::CongestViolation) and charges the same
-// Metrics: for programs that follow the NodeProgram determinism contract,
-// rounds, messages, bit totals and results are bit-identical at every
-// thread count.
+// one message per directed edge per round; violations throw
+// congest::CongestViolation) and charges the same Metrics: for programs
+// that follow the NodeProgram determinism contract, rounds, messages, bit
+// totals and results are bit-identical at every thread count.
 //
 // The round loop is allocation-free in the steady state: phase dispatch
-// reuses one pre-built std::function (no per-phase type erasure), the
-// flag plane clears only the word ranges it dirtied, and phases whose
-// dispatch width is at or below kSerialPhaseCutoff run inline on the
-// coordinator — same chunks, same order, same merge — skipping the pool
-// wakeup entirely (tests/alloc_audit_test.cpp holds the loop to zero
-// steady-state allocations).
+// reuses one pre-built std::function (no per-phase type erasure), and
+// phases whose dispatch width is at or below kSerialPhaseCutoff run
+// inline on the coordinator — same chunks, same order, same merge —
+// skipping the pool wakeup entirely (tests/alloc_audit_test.cpp holds the
+// loop to zero steady-state allocations).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/congest/metrics.h"
@@ -78,12 +70,6 @@ class Outbox {
 
   // Stage the same message to every neighbor.
   void send_all(std::uint64_t payload, int bits);
-
-  // Stage a 1-bit presence message to the nth CSR neighbor on the flag
-  // plane: one fetch_or into the delivery bitset instead of a Slot
-  // write. The receiver reads it as payload 1 (Inbox::has/empty/
-  // for_each all see it); charging is identical to send_nth(nth, 1, 1).
-  void send_flag_nth(int nth);
 
  private:
   friend class ParallelEngine;
@@ -143,16 +129,6 @@ class ParallelEngine {
   // BFS flood frontier) are the common case this serves.
   static constexpr std::size_t kSerialPhaseCutoff = 2048;
 
-  // The cutoff actually in effect for this engine: kSerialPhaseCutoff
-  // unless the DCOLOR_SERIAL_CUTOFF environment variable overrides it
-  // (read at construction; integers in [0, 2^30] accepted, anything else
-  // warned about on stderr and ignored). The override picks the dispatch
-  // PATH, never the work: the serial path runs the pool's exact chunks in
-  // worker order, so results and Metrics are identical at any cutoff —
-  // which is what lets the ROADMAP's auto-tuner sweep it without
-  // rebuilds. Logged per run via the metric/engine.serial_cutoff probe.
-  std::size_t serial_phase_cutoff() const { return serial_cutoff_; }
-
  private:
   friend class Outbox;
 
@@ -160,28 +136,12 @@ class ParallelEngine {
     congest::Metrics metrics;
     NodeId fail_node = -1;
     std::exception_ptr error;
-    bool staged_slots = false;
-    bool staged_flags = false;
-    std::int64_t flag_lo = 0, flag_hi = 0;  // dirty flag-word range [lo, hi)
-  };
-
-  // One delivery buffer of the flag plane: (slots+63)/64 atomic words,
-  // plus the word range dirtied since its last clear (so clearing is
-  // O(words actually used), not O(slots/64) per round).
-  struct FlagBuf {
-    std::unique_ptr<std::atomic<std::uint64_t>[]> words;
-    std::int64_t dirty_lo = 0, dirty_hi = 0;
-    bool live = false;  // any flag staged for this delivery
   };
 
   Slot* staging() { return bufs_[cur_ ^ 1].data(); }
   const Slot* delivered() const { return bufs_[cur_].data(); }
-  std::atomic<std::uint64_t>* staging_flags() { return flags_[cur_ ^ 1].words.get(); }
 
   void stage(NodeId from, int nth, std::uint64_t payload, int bits, WorkerState& ws);
-  void stage_flag(NodeId from, int nth, WorkerState& ws);
-
-  void clear_flag_buf(FlagBuf& b);
 
   // per_node(NodeId, Outbox&); defined in .cpp. A non-dense roster
   // restricts the dispatch to the listed nodes (the program vouches that
@@ -194,14 +154,11 @@ class ParallelEngine {
   std::vector<std::int64_t> offset_;    // CSR offsets (degree prefix sums)
   std::vector<std::int64_t> rev_slot_;  // directed edge -> receiver's slot index
   std::vector<Slot> bufs_[2];
-  FlagBuf flags_[2];
-  bool slots_live_[2] = {false, false};  // any Slot staged into bufs_[b]
   int cur_ = 0;             // bufs_[cur_] = delivered, bufs_[cur_^1] = staging
   std::int64_t epoch_ = 0;  // deliveries so far (never reset)
   congest::Metrics metrics_;
 
   ThreadPool pool_;
-  std::size_t serial_cutoff_ = kSerialPhaseCutoff;
   std::vector<NodeId> chunk_bounds_;  // degree-weighted static partition
   std::vector<WorkerState> workers_;
 

@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/coloring/partial_coloring.h"
 #include "src/hash/bitwise_family.h"
 #include "src/hash/coin_family.h"
 #include "src/hash/gf_family.h"
@@ -153,6 +158,41 @@ TEST(GFFamily, SeedLengthMatchesTheorem24) {
 TEST(BitwiseFamily, SeedLengthIsBTimesWPlus1) {
   EXPECT_EQ(make_bitwise_coin_family(256, 4)->seed_length(), 4 * 9);
   EXPECT_EQ(make_bitwise_coin_family(8, 10)->seed_length(), 10 * 4);
+}
+
+// The thrown message names the rejected value.
+void expect_invalid_argument(const std::function<void()>& make, const std::string& names) {
+  try {
+    make();
+    ADD_FAILURE() << "accepted; expected a rejection naming " << names;
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find(names), std::string::npos) << err.what();
+  }
+}
+
+TEST(GFFamily, FactoryRejectsPrecisionOrDegreeOutsideOneToThirtyTwo) {
+  expect_invalid_argument([] { make_gf_coin_family(16, 0); }, "b = 0");
+  expect_invalid_argument([] { make_gf_coin_family(16, -3); }, "b = -3");
+  expect_invalid_argument([] { make_gf_coin_family(16, 33); }, "b = 33");
+  // b fits, but 2^33 input colors need a field of degree 33.
+  expect_invalid_argument([] { make_gf_coin_family(std::uint64_t{1} << 33, 4); }, "m = 33");
+  // The Section-4 precision on a star with 5800 leaves and Delta+1 lists
+  // (13 color bits) is such a b: the range check is reachable from
+  // PartialColoringOptions{.family = kGF, .avoid_mis = true}.
+  EXPECT_EQ(precision_bits_for(5800, 13, /*avoid_mis=*/true), 33);
+  for (const int b : {1, 16, 32}) {
+    EXPECT_NO_THROW(make_gf_coin_family(16, b)) << "b=" << b;
+  }
+  EXPECT_NO_THROW(make_gf_coin_family(std::uint64_t{1} << 32, 4));
+}
+
+TEST(BitwiseFamily, FactoryRejectsPrecisionOutsideOneToForty) {
+  expect_invalid_argument([] { make_bitwise_coin_family(16, 0); }, "b = 0");
+  expect_invalid_argument([] { make_bitwise_coin_family(16, -3); }, "b = -3");
+  expect_invalid_argument([] { make_bitwise_coin_family(16, 41); }, "b = 41");
+  for (const int b : {1, 20, 40}) {
+    EXPECT_NO_THROW(make_bitwise_coin_family(16, b)) << "b=" << b;
+  }
 }
 
 }  // namespace

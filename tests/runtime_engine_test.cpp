@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -23,6 +22,7 @@
 #include "src/coloring/theorem11.h"
 #include "src/congest/network.h"
 #include "src/graph/generators.h"
+#include "src/runtime/derand_program.h"
 #include "src/runtime/linial_program.h"
 #include "src/runtime/mis_program.h"
 #include "src/runtime/parallel_engine.h"
@@ -231,7 +231,7 @@ TEST(NetworkRunner, DeliversToTheRightSlots) {
   p.rounds_wanted = 2;
   p.on_init = [](NodeId v, Outbox& out) {
     if (v == 2) out.send(1, 7, 3);
-    if (v == 0) out.send_flag_nth(0);
+    if (v == 0) out.send_nth(0, 1, 1);
   };
   p.on_round_fn = [&](std::int64_t r, NodeId v, const Inbox& in, Outbox&) {
     in.for_each([&](NodeId from, std::uint64_t payload) { got[v].emplace_back(from, payload); });
@@ -241,7 +241,7 @@ TEST(NetworkRunner, DeliversToTheRightSlots) {
   };
   EXPECT_EQ(runtime::run(net, p), 2);
   ASSERT_EQ(got[1].size(), 2u);
-  // CSR order: slot 0 is neighbor 0 (its flag reads as 1), slot 1 is 2.
+  // CSR order: slot 0 is neighbor 0, slot 1 is 2.
   EXPECT_EQ(got[1][0], (std::pair<NodeId, std::uint64_t>{0, 1}));
   EXPECT_EQ(got[1][1], (std::pair<NodeId, std::uint64_t>{2, 7}));
   EXPECT_TRUE(got[0].empty());
@@ -376,33 +376,34 @@ TEST(EngineParity, ThreadCountCannotPerturbResults) {
   }
 }
 
-TEST(ParallelEngine, SerialCutoffEnvOverrideCannotPerturbResults) {
-  auto g = make_powerlaw(600, 2.5, 11);
+// Phases wider than kSerialPhaseCutoff go through the pool; narrower
+// ones run the same chunks inline. On a 70x70 grid every Linial phase and
+// both checkerboard-MIS phases (2450 nodes each) are wider than the
+// cutoff, so at 3 threads they run on the pool and must match the
+// single-thread run bit for bit.
+TEST(EngineParity, PoolPathMatchesSerialPath) {
+  auto g = make_grid(70, 70);
   const InducedSubgraph all = test::all_active(g);
-  ParallelEngine ref_eng(g, 3);
-  EXPECT_EQ(ref_eng.serial_phase_cutoff(), ParallelEngine::kSerialPhaseCutoff);
-  const LinialResult ref = runtime::linial_coloring(ref_eng, all);
+  std::vector<std::int64_t> checkerboard(static_cast<std::size_t>(g.num_nodes()));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) checkerboard[v] = (v / 70 + v % 70) % 2;
+  ASSERT_GT(static_cast<std::size_t>(g.num_nodes()) / 2, ParallelEngine::kSerialPhaseCutoff);
 
-  // The override is read at engine construction. 0 forces every phase
-  // through the pool; a huge cutoff forces the serial path — the results
-  // and Metrics must be bit-identical either way, because the serial path
-  // walks the pool's exact chunks.
-  for (const char* cutoff : {"0", "1000000"}) {
-    ASSERT_EQ(setenv("DCOLOR_SERIAL_CUTOFF", cutoff, 1), 0);
-    ParallelEngine eng(g, 3);
-    EXPECT_EQ(eng.serial_phase_cutoff(), static_cast<std::size_t>(std::atoll(cutoff)));
-    const LinialResult got = runtime::linial_coloring(eng, all);
-    EXPECT_EQ(got.coloring, ref.coloring) << cutoff;
-    expect_metrics_eq(eng.metrics(), ref_eng.metrics());
-  }
+  ParallelEngine serial(g, 1);
+  const LinialResult ref_linial = runtime::linial_coloring(serial, all);
+  const congest::Metrics ref_linial_metrics = serial.metrics();
+  serial.reset_metrics();
+  const std::vector<bool> ref_mis = runtime::mis_by_color_classes(serial, all, checkerboard, 2);
+  EXPECT_TRUE(test::valid_mis(all, ref_mis));
 
-  // Invalid values are ignored (warn once on stderr), keeping the default.
-  for (const char* bad : {"abc", "-5", "", "12junk", "2000000000000"}) {
-    ASSERT_EQ(setenv("DCOLOR_SERIAL_CUTOFF", bad, 1), 0);
-    ParallelEngine eng(g, 2);
-    EXPECT_EQ(eng.serial_phase_cutoff(), ParallelEngine::kSerialPhaseCutoff) << bad;
-  }
-  ASSERT_EQ(unsetenv("DCOLOR_SERIAL_CUTOFF"), 0);
+  ParallelEngine pool(g, 3);
+  const LinialResult got_linial = runtime::linial_coloring(pool, all);
+  EXPECT_EQ(got_linial.coloring, ref_linial.coloring);
+  EXPECT_EQ(got_linial.num_colors, ref_linial.num_colors);
+  EXPECT_EQ(got_linial.iterations, ref_linial.iterations);
+  expect_metrics_eq(pool.metrics(), ref_linial_metrics);
+  pool.reset_metrics();
+  EXPECT_EQ(runtime::mis_by_color_classes(pool, all, checkerboard, 2), ref_mis);
+  expect_metrics_eq(pool.metrics(), serial.metrics());
 }
 
 TEST(ParallelEngine, TinyGraphs) {

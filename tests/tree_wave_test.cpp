@@ -122,12 +122,12 @@ class TreeAggregateProgram final : public NodeProgram {
 };
 
 // Root-to-all broadcast: level-r nodes forward to their children in
-// round r; 1-bit values go over the flag plane. Every non-root node checks
-// it heard its parent the round it forwards.
+// round r. Every non-root node checks it heard its parent the round it
+// forwards.
 class TreeBroadcastProgram final : public NodeProgram {
  public:
   TreeBroadcastProgram(const Graph& g, const TreeData& t, std::uint64_t value, int first_chunk_bits)
-      : g_(&g), tree_(&t), value_(low_bits(value, first_chunk_bits)), bits_(first_chunk_bits),
+      : tree_(&t), value_(low_bits(value, first_chunk_bits)), bits_(first_chunk_bits),
         children_(children_of(t, g.num_nodes())) {}
 
   void init(NodeId v, Outbox& out) override {
@@ -152,17 +152,9 @@ class TreeBroadcastProgram final : public NodeProgram {
 
  private:
   void forward(NodeId v, Outbox& out) {
-    const auto nb = g_->neighbors(v);
-    for (const NodeId c : children_[static_cast<std::size_t>(v)]) {
-      if (bits_ == 1) {
-        out.send_flag_nth(static_cast<int>(std::lower_bound(nb.begin(), nb.end(), c) - nb.begin()));
-      } else {
-        out.send(c, value_, bits_);
-      }
-    }
+    for (const NodeId c : children_[static_cast<std::size_t>(v)]) out.send(c, value_, bits_);
   }
 
-  const Graph* g_;
   const TreeData* tree_;
   std::uint64_t value_;
   int bits_;
