@@ -1,7 +1,8 @@
 #include "src/coloring/theorem11.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/coloring/linial.h"
@@ -25,7 +26,14 @@ int list_color_subset(ColoringTransport& t, InducedSubgraph& active, ListInstanc
         color_one_eighth(t, active, inst, colors, input_coloring, K, opts);
     if (stats != nullptr) stats->push_back(st);
     ++iterations;
-    assert(st.newly_colored >= 1 && "Lemma 2.1 guarantees progress");
+    // Lemma 2.1 colors at least one node; an iteration that colors none
+    // would repeat forever, so a transport that breaks the guarantee
+    // (an MIS that selects nobody, say) is an error, not a hang.
+    if (st.newly_colored < 1) {
+      throw std::logic_error("list_color_subset: Lemma 2.1 iteration " +
+                             std::to_string(iterations) + " colored no node of " +
+                             std::to_string(remaining));
+    }
     remaining -= st.newly_colored;
     if (iter_span.live()) {
       iter_span.arg("iteration", iterations);

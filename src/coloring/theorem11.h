@@ -36,7 +36,9 @@ struct Theorem11Result {
 // (the O(log n)-iteration loop of Theorem 1.1), over an arbitrary
 // transport. This is the entry point Corollary 1.2 reuses per
 // network-decomposition cluster.
-// Returns the number of Lemma 2.1 iterations executed.
+// Returns the number of Lemma 2.1 iterations executed. Throws
+// std::logic_error when an iteration colors no node (the loop would not
+// terminate).
 int list_color_subset(ColoringTransport& transport, InducedSubgraph& active,
                       ListInstance& inst, std::vector<Color>& colors,
                       const std::vector<std::int64_t>& input_coloring, std::int64_t K,

@@ -2,12 +2,104 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <optional>
 
 #include "src/coloring/linial.h"
 #include "src/obs/obs.h"
-#include "src/runtime/coloring_transport.h"
 
 namespace dcolor {
+
+ClusterGraph make_cluster_graph(const Graph& g, const Cluster& c) {
+  std::vector<NodeId> members(c.members);
+  std::sort(members.begin(), members.end());
+  std::vector<NodeId> steiner;
+  for (const NodeId v : c.tree_nodes) {
+    if (!std::binary_search(members.begin(), members.end(), v)) steiner.push_back(v);
+  }
+  std::sort(steiner.begin(), steiner.end());
+  steiner.erase(std::unique(steiner.begin(), steiner.end()), steiner.end());
+  const auto m = static_cast<NodeId>(members.size());
+  // Binary search instead of an n-sized id map: O(log) per lookup and no
+  // per-cluster allocation that grows with G.
+  auto member_index = [&](NodeId v) -> NodeId {
+    const auto it = std::lower_bound(members.begin(), members.end(), v);
+    return it != members.end() && *it == v ? static_cast<NodeId>(it - members.begin()) : -1;
+  };
+  auto local_id = [&](NodeId v) -> NodeId {
+    if (v < 0) return -1;
+    const NodeId i = member_index(v);
+    if (i >= 0) return i;
+    const auto it = std::lower_bound(steiner.begin(), steiner.end(), v);
+    return it != steiner.end() && *it == v ? m + static_cast<NodeId>(it - steiner.begin()) : -1;
+  };
+
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId i = 0; i < m; ++i) {
+    for (const NodeId u : g.neighbors(members[i])) {
+      if (u <= members[i]) continue;
+      const NodeId j = member_index(u);
+      if (j >= 0) edges.emplace_back(i, j);
+    }
+  }
+  ClusterGraph out;
+  out.tree.color = c.color;
+  out.tree.root = local_id(c.root);
+  out.tree.tree_depth = c.tree_depth;
+  out.tree.members.resize(members.size());
+  std::iota(out.tree.members.begin(), out.tree.members.end(), 0);
+  out.tree.tree_nodes.reserve(c.tree_nodes.size());
+  out.tree.tree_parent.reserve(c.tree_parent.size());
+  for (std::size_t k = 0; k < c.tree_nodes.size(); ++k) {
+    const NodeId v = local_id(c.tree_nodes[k]);
+    const NodeId p = local_id(c.tree_parent[k]);
+    out.tree.tree_nodes.push_back(v);
+    out.tree.tree_parent.push_back(p);
+    // Member-member tree edges are edges of G[members] already.
+    if (p >= 0 && (v >= m || p >= m) && g.has_edge(c.tree_nodes[k], c.tree_parent[k])) {
+      edges.emplace_back(v, p);
+    }
+  }
+  out.graph = Graph::from_edges(m + static_cast<NodeId>(steiner.size()), std::move(edges));
+  return out;
+}
+
+void color_cluster(const Cluster& c, ColoringTransport& ct, const ListInstance& inst,
+                   const LinialResult& lin, const PartialColoringOptions& opts,
+                   std::vector<Color>& colors) {
+  // The local ids of make_cluster_graph: members first, ascending.
+  std::vector<NodeId> members(c.members);
+  std::sort(members.begin(), members.end());
+  const auto m = static_cast<NodeId>(members.size());
+  const Graph& local = ct.graph();
+  const NodeId n = local.num_nodes();
+  assert(n >= m && "the transport must run on the cluster's local graph");
+
+  // G[members]: the local edges between members. Adjacency is ascending,
+  // so a member's member neighbors precede its Steiner neighbors.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v < m; ++v) {
+    for (const NodeId u : local.neighbors(v)) {
+      if (u >= m) break;
+      if (v < u) edges.emplace_back(v, u);
+    }
+  }
+  const Graph members_graph = Graph::from_edges(m, std::move(edges));
+
+  std::vector<std::vector<Color>> lists(static_cast<std::size_t>(m));
+  std::vector<std::int64_t> psi(static_cast<std::size_t>(n), 0);
+  std::vector<bool> memb(static_cast<std::size_t>(n), false);
+  for (NodeId i = 0; i < m; ++i) {
+    lists[i] = inst.list(members[i]);
+    psi[i] = lin.coloring[members[i]];
+    memb[i] = true;
+  }
+  ListInstance local_inst(members_graph, inst.color_space(), std::move(lists));
+  InducedSubgraph active(local, std::move(memb));
+  std::vector<Color> local_colors(static_cast<std::size_t>(n), kUncolored);
+  list_color_subset(ct, active, local_inst, local_colors, psi, lin.num_colors, opts);
+  for (NodeId i = 0; i < m; ++i) colors[members[i]] = local_colors[i];
+}
 
 void Corollary12Transports::run_cluster_class(const std::vector<const Cluster*>& batch,
                                               const ClusterWork& work,
@@ -70,10 +162,10 @@ Corollary12Result corollary12_run(const Graph& g, ListInstance inst,
     }
     // Hand the whole class to the backend at once: same-class clusters
     // are non-adjacent, so the per-cluster runs write disjoint entries of
-    // `colors` and `inst` and only read state no concurrent run mutates
-    // (g, lin, opts, other classes' lists) — a backend may execute them
-    // on concurrent simulators. The per-class cost stays the max over
-    // clusters times the congestion factor.
+    // `colors` and only read state no concurrent run mutates (g, inst,
+    // lin, opts) — a backend may execute them on concurrent simulators.
+    // The per-class cost stays the max over clusters times the
+    // congestion factor.
     std::vector<congest::Metrics> cluster_metrics;
     {
       // Span scoped to the cluster runs only: the pruning exchange below
@@ -100,12 +192,7 @@ Corollary12Result corollary12_run(const Graph& g, ListInstance inst,
               obs::value(obs::kCatMetric, "corollary12.cluster_members",
                          static_cast<std::int64_t>(c.members.size()));
             }
-            std::vector<bool> memb(n, false);
-            for (NodeId v : c.members) memb[v] = true;
-            InducedSubgraph active(g, memb);
-            assert(inst.feasible_for(active));
-            list_color_subset(ct, active, inst, res.colors, lin.coloring, lin.num_colors,
-                              opts);
+            color_cluster(c, ct, inst, lin, opts, res.colors);
           },
           &cluster_metrics);
     }
@@ -159,25 +246,24 @@ Corollary12Result corollary12_run(const Graph& g, ListInstance inst,
 namespace {
 
 // Sequential reference backend: a congest::Network over the whole graph
-// for the global phases, and one more for the clusters, which run one
-// after another, each from zeroed Metrics and bound to its cluster's
-// associated tree.
+// for the global phases, and one over each cluster's local graph, built
+// as the cluster comes up; the clusters run one after another.
 class NetworkCorollary12Transports final : public Corollary12Transports {
  public:
   NetworkCorollary12Transports(const Graph& g, int bandwidth_bits)
-      : global_(g, bandwidth_bits), cluster_(g, global_.bandwidth_bits()) {}
+      : g_(&g), global_(g, bandwidth_bits) {}
 
   ColoringTransport& global() override { return global_; }
 
   ColoringTransport& cluster(const Cluster& c) override {
-    cluster_.executor().reset_metrics();
-    cluster_.bind_cluster(c);
-    return cluster_;
+    cluster_.emplace(*g_, c, global_.bandwidth_bits());
+    return cluster_->transport;
   }
 
  private:
+  const Graph* g_;
   runtime::NetworkColoringTransport global_;
-  runtime::NetworkColoringTransport cluster_;
+  std::optional<ClusterTransport<congest::Network>> cluster_;
 };
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Corollary 1.2 on the parallel engine: the Corollary12Transports backend
-// whose per-cluster EngineColoringTransports are bound to their clusters'
-// associated trees via bind_cluster (build_tree is never called — the
-// decomposition already supplies the tree), running the clusters of one
-// decomposition color class CONCURRENTLY over the shared thread pool.
+// whose per-cluster EngineColoringTransports run on the clusters' local
+// graphs (make_cluster_graph), bound to their associated trees
+// (build_tree is never called — the decomposition already supplies the
+// tree), running the clusters of one decomposition color class
+// CONCURRENTLY over the shared thread pool.
 //
 // The transports are the one ColoringTransport implementation
 // (coloring_transport.h) on the engine, so every primitive runs the
@@ -15,7 +16,7 @@
 // holds it to that.
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/decomposition/corollary12.h"
@@ -25,18 +26,20 @@ namespace dcolor::runtime {
 
 // Parallel backend for corollary12_run: an EngineColoringTransport over
 // the whole graph for the global phases (Linial + pruning exchanges) and
-// per-cluster EngineColoringTransports bound to the clusters' trees.
+// a fresh single-threaded EngineColoringTransport per cluster, over the
+// cluster's local graph and bound to its tree.
 //
 // Clusters of one decomposition color class actually run concurrently:
 // run_cluster_class dispatches the class over the global engine's thread
 // pool (ThreadPool::run_tasks — work-stolen, no thread respawn), and
-// each pool worker owns one reusable single-threaded cluster transport
-// (built lazily on first use, reused across clusters and classes — no
-// per-cluster CSR rebuild beyond the tree restriction). Wall clock now
-// tracks the paper's charged rounds, which bill a class as the MAX over
-// its clusters; Metrics land per batch index, so colors, round
-// accounting and Metrics stay bit-identical to the Network reference at
-// every thread count.
+// each task builds its cluster's transport, which is cluster-sized, so
+// a cluster costs O(cluster + its edges) however large G is. Parallelism
+// comes from running many independent clusters at once, not from
+// splitting one (small) cluster across threads. Wall clock tracks the
+// paper's charged rounds, which bill a class as the MAX over its
+// clusters; Metrics land per batch index, so colors, round accounting
+// and Metrics stay bit-identical to the Network reference at every
+// thread count.
 class EngineCorollary12Transports final : public Corollary12Transports {
  public:
   EngineCorollary12Transports(const Graph& g, int num_threads, int bandwidth_bits = 0);
@@ -47,18 +50,9 @@ class EngineCorollary12Transports final : public Corollary12Transports {
                          std::vector<congest::Metrics>* out_metrics) override;
 
  private:
-  // Worker `worker`'s reusable single-threaded cluster transport,
-  // metrics reset; built on first use. Parallelism comes from running
-  // many independent clusters at once, not from splitting one (small)
-  // cluster across threads. Each pool worker owns its transport for a
-  // whole run_cluster_class call, so transports never contend, and their
-  // TreeData and wave scratch persist across clusters, so the steady
-  // state allocates nothing per cluster.
-  EngineColoringTransport& slot(int worker);
-
   const Graph* g_;
   EngineColoringTransport global_;
-  std::vector<std::unique_ptr<EngineColoringTransport>> cluster_pool_;
+  std::optional<ClusterTransport<ParallelEngine>> cluster_;  // cluster()'s
 };
 
 // Drop-in parallel counterpart of dcolor::corollary12_solve (same

@@ -5,16 +5,20 @@
 // aggregate/broadcast ops over BFS and cluster trees (including cluster
 // rebinds), the conflict-edge exchanges, a full Linial run, a full
 // color-class MIS run, and the fast pair-probability engine's per-seed-bit
-// cycle.
-// Guards tentpole (c) of the round-loop optimization PR: any hot-path
-// heap traffic reintroduced later fails here, not in a profiler.
+// cycle. Any hot-path heap traffic reintroduced later fails here, not in
+// a profiler.
+//
+// The counter also sums the requested bytes, which a call count alone
+// cannot see grow: one Corollary 1.2 cluster's run must allocate the same
+// calls and the same bytes whatever the size of the graph around it.
 //
 // The counter counts every operator new/new[] in the process (gtest
 // included), so each audit snapshots the counter around ONLY the
-// steady-state region and asserts a zero delta.
+// audited region.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -29,6 +33,7 @@
 #include "src/coloring/pair_prob.h"
 #include "src/congest/network.h"
 #include "src/congest/tree.h"
+#include "src/decomposition/corollary12.h"
 #include "src/decomposition/netdecomp.h"
 #include "src/graph/generators.h"
 #include "src/runtime/corollary12_program.h"
@@ -40,6 +45,12 @@
 namespace {
 
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::uint64_t> g_new_bytes{0};
+
+void count_new(std::size_t size) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 }  // namespace
 
@@ -47,7 +58,7 @@ std::atomic<std::uint64_t> g_news{0};
 // deliberately not replaced: nothing in the audited paths uses it, and
 // the default aligned operators do not forward here.
 void* operator new(std::size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
+  count_new(size);
   if (void* p = std::malloc(size > 0 ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -55,7 +66,7 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_news.fetch_add(1, std::memory_order_relaxed);
+  count_new(size);
   return std::malloc(size > 0 ? size : 1);
 }
 
@@ -63,12 +74,17 @@ void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+// Out of line: once GCC inlines a replaced operator delete, it sees
+// free() on a pointer from a (not inlined) operator new and warns
+// (-Wmismatched-new-delete) about a pairing that is correct here.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace dcolor::runtime {
 namespace {
@@ -189,11 +205,11 @@ TEST(AllocAudit, MisRunSteadyState) {
   }
 }
 
-// The Corollary 1.2 per-cluster loop: one transport rebinding its tree
-// across every cluster of a real network decomposition, running the
-// seed-fixing ops each time. After one warm pass over all clusters
-// (TreeData and scratch capacities reach their high-water marks), further
-// passes — rebinds included — must not allocate.
+// One transport rebinding its tree across every cluster of a real
+// network decomposition, running the seed-fixing ops each time. After one
+// warm pass over all clusters (TreeData and scratch capacities reach
+// their high-water marks), further passes — rebinds included — must not
+// allocate.
 TEST(AllocAudit, ClusterRebindSteadyState) {
   const Graph g = make_clustered(6, 12, 0.5, 0.02, test::kTestSeed + 2);
   const NetworkDecomposition d = decompose(g);
@@ -214,6 +230,85 @@ TEST(AllocAudit, ClusterRebindSteadyState) {
   pass();
   const std::uint64_t delta = allocs() - before;
   EXPECT_EQ(delta, 0u) << "cluster rebind loop allocated";
+}
+
+// Calls and bytes allocated by one run of a fixed 24-node cluster
+// through corollary12_run's per-cluster entry point (color_cluster, dispatched
+// by the engine backend's run_cluster_class), inside an 8-column grid of
+// `rows` rows. The cluster is grid rows 40..42, its tree runs along row
+// 40 and down the columns, and two Steiner leaves hang below it in row
+// 43. Lists, input colors and bandwidth are the same for every `rows`
+// (the members are interior), so only the graph around the cluster
+// grows. The audited run follows a warm one, which sizes thread-local
+// scratch.
+struct Usage {
+  std::uint64_t calls = 0;
+  std::uint64_t bytes = 0;
+};
+
+Usage cluster_run_usage(NodeId rows) {
+  constexpr NodeId kCols = 8;
+  constexpr NodeId kRow0 = 40;
+  const Graph g = make_grid(rows, kCols);
+  auto id = [](NodeId r, NodeId c) { return r * kCols + c; };
+  Cluster c;
+  c.root = id(kRow0, 0);
+  for (NodeId r = kRow0; r < kRow0 + 3; ++r) {
+    for (NodeId col = 0; col < kCols; ++col) {
+      c.members.push_back(id(r, col));
+      c.tree_nodes.push_back(id(r, col));
+      c.tree_parent.push_back(r > kRow0 ? id(r - 1, col) : col > 0 ? id(r, col - 1) : -1);
+    }
+  }
+  for (NodeId col = 0; col < 2; ++col) {
+    c.tree_nodes.push_back(id(kRow0 + 3, col));
+    c.tree_parent.push_back(id(kRow0 + 2, col));
+  }
+  c.tree_depth = kCols - 1 + 2;
+
+  const ListInstance inst = ListInstance::delta_plus_one(g);
+  LinialResult lin;  // a proper 4-coloring, the same on every cluster
+  lin.coloring.resize(static_cast<std::size_t>(g.num_nodes()));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    lin.coloring[static_cast<std::size_t>(v)] = ((v / kCols - kRow0) & 1) * 2 + (v % kCols & 1);
+  }
+  lin.num_colors = 4;
+  const PartialColoringOptions opts;
+  std::vector<Color> colors(static_cast<std::size_t>(g.num_nodes()), kUncolored);
+  EngineCorollary12Transports transports(g, 1, /*bandwidth_bits=*/40);
+  const std::vector<const Cluster*> batch{&c};
+  std::vector<congest::Metrics> metrics;
+  const Corollary12Transports::ClusterWork work = [&](const Cluster& cl, ColoringTransport& ct) {
+    color_cluster(cl, ct, inst, lin, opts, colors);
+  };
+  transports.run_cluster_class(batch, work, &metrics);  // warm
+
+  const std::uint64_t calls0 = allocs();
+  const std::uint64_t bytes0 = g_new_bytes.load(std::memory_order_relaxed);
+  transports.run_cluster_class(batch, work, &metrics);
+  const Usage used{allocs() - calls0, g_new_bytes.load(std::memory_order_relaxed) - bytes0};
+
+  for (const NodeId v : c.members) {
+    EXPECT_NE(colors[static_cast<std::size_t>(v)], kUncolored) << "rows=" << rows;
+    for (const NodeId u : g.neighbors(v)) {
+      if (std::find(c.members.begin(), c.members.end(), u) != c.members.end()) {
+        EXPECT_NE(colors[static_cast<std::size_t>(v)], colors[static_cast<std::size_t>(u)]);
+      }
+    }
+  }
+  EXPECT_GT(metrics[0].rounds, 0) << "rows=" << rows;
+  return used;
+}
+
+// A cluster's run is cluster-sized: the same 24-node cluster allocates
+// the same number of times and the same number of bytes in a graph of
+// 1,000 nodes and in one of 100,000.
+TEST(AllocAudit, ClusterRunIsClusterSized) {
+  const Usage small = cluster_run_usage(125);
+  const Usage large = cluster_run_usage(12500);
+  EXPECT_GT(small.calls, 0u);
+  EXPECT_EQ(large.calls, small.calls) << "allocation count grows with n";
+  EXPECT_EQ(large.bytes, small.bytes) << "allocated bytes grow with n";
 }
 
 // The Lemma 2.6 seed-fixing math of one Lemma 2.1 phase: the caller's

@@ -7,7 +7,9 @@
 //     round, Metrics) at 1/2/3/4 threads, and with more threads than a
 //     class has clusters.
 //  2. Stress — two whole per-cluster batch schedulers interleaved on
-//     OS threads stay deterministic (the TSan CI job runs this suite).
+//     OS threads stay deterministic (the TSan CI job runs this suite,
+//     which also sanitizes the concurrent per-cluster local-graph
+//     builds).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,9 +82,8 @@ TEST(Corollary12EngineParity, AllThreadCountsOnClustered) {
 
 TEST(Corollary12EngineParity, MoreThreadsThanClustersInAnyClass) {
   // 16 workers over a decomposition whose classes hold at most a handful
-  // of clusters: most workers never receive a task, some never build
-  // their pooled transport at all. Idle workers must not perturb the
-  // deterministic batch-indexed merge.
+  // of clusters: most workers never receive a task. Idle workers must
+  // not perturb the deterministic batch-indexed merge.
   auto g = make_clustered(3, 8, 0.5, 6, test::kTestSeed + 4);
   auto inst = ListInstance::delta_plus_one(g);
   const ListInstance pristine = inst;
@@ -129,6 +130,37 @@ TEST(Corollary12EngineParity, NarrowBandwidthReroutesChunkedPaths) {
   const Corollary12Result got = runtime::corollary12_coloring(g, inst, 3, opts);
   expect_corollary12_eq(got, ref, "narrow_bw");
   EXPECT_TRUE(inst.valid_solution(got.colors));
+}
+
+TEST(Corollary12EngineParity, SteinerClustersOnLocalGraphs) {
+  // Each cluster runs on its local graph: members first, then the Steiner
+  // nodes its tree passes through. An input whose decomposition has
+  // Steiner nodes, at the default bandwidth and at B = 12: both backends
+  // and both thread counts must agree on colors and full Metrics.
+  const Graph g = make_clustered(12, 8, 0.35, 12, 4);
+  const NetworkDecomposition d = decompose(g);
+  EXPECT_TRUE(std::any_of(d.clusters.begin(), d.clusters.end(), [](const Cluster& c) {
+    return c.tree_nodes.size() > c.members.size();
+  }));
+  auto inst = ListInstance::random_lists(g, 4 * (g.max_degree() + 1), 23);
+  for (const int bw : {0, 12}) {
+    PartialColoringOptions opts;
+    opts.bandwidth_bits = bw;
+    const Corollary12Result ref = corollary12_solve(g, inst, opts);
+    EXPECT_TRUE(inst.valid_solution(ref.colors)) << "bw=" << bw;
+    for (const int threads : {1, 3}) {
+      const Corollary12Result got = runtime::corollary12_coloring(g, inst, threads, opts);
+      expect_corollary12_eq(got, ref, "bw=" + std::to_string(bw) + " t=" +
+                                          std::to_string(threads));
+    }
+    // A cluster transport takes the global transport's resolved
+    // bandwidth, not the default of its (smaller) local graph.
+    runtime::EngineCorollary12Transports transports(g, 1, bw);
+    const int global_bw = transports.global().bandwidth_bits();
+    for (const Cluster& c : d.clusters) {
+      EXPECT_EQ(transports.cluster(c).bandwidth_bits(), global_bw) << "bw=" << bw;
+    }
+  }
 }
 
 TEST(Corollary12EngineParity, TinyGraphs) {

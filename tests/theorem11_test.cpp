@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "src/coloring/baselines.h"
 #include "src/coloring/theorem11.h"
 #include "src/graph/generators.h"
 #include "src/graph/properties.h"
+#include "src/runtime/coloring_transport.h"
 #include "tests/test_support.h"
 
 namespace dcolor {
@@ -109,6 +111,57 @@ TEST(Theorem11, DisconnectedGraphHandled) {
   const ListInstance pristine = inst;
   auto res = theorem11_solve_per_component(g, std::move(inst));
   EXPECT_TRUE(pristine.valid_solution(res.colors));
+}
+
+// A transport whose conflict MIS selects nobody: every Lemma 2.1
+// iteration over it colors 0 nodes. Everything else is the Network
+// reference.
+class NoMisTransport final : public ColoringTransport {
+ public:
+  explicit NoMisTransport(const Graph& g) : inner_(g) {}
+
+  const Graph& graph() const override { return inner_.graph(); }
+  int bandwidth_bits() const override { return inner_.bandwidth_bits(); }
+  LinialResult linial(const InducedSubgraph& active, const std::vector<std::int64_t>* initial,
+                      std::int64_t initial_colors) override {
+    return inner_.linial(active, initial, initial_colors);
+  }
+  void build_tree(NodeId root) override { inner_.build_tree(root); }
+  void exchange_along(const std::vector<std::vector<NodeId>>& targets,
+                      const std::vector<char>& senders,
+                      const std::vector<std::uint64_t>& payloads, int bits,
+                      std::vector<std::vector<NodeId>>* from) override {
+    inner_.exchange_along(targets, senders, payloads, bits, from);
+  }
+  std::pair<long double, long double> aggregate_pair(
+      const std::vector<long double>& values0, const std::vector<long double>& values1) override {
+    return inner_.aggregate_pair(values0, values1);
+  }
+  void broadcast_bit(int bit) override { inner_.broadcast_bit(bit); }
+  std::vector<bool> conflict_mis(const Graph& conf, const std::vector<bool>&,
+                                 const std::vector<std::int64_t>&, std::int64_t) override {
+    return std::vector<bool>(static_cast<std::size_t>(conf.num_nodes()), false);
+  }
+  void tick(std::int64_t rounds) override { inner_.tick(rounds); }
+  const congest::Metrics& metrics() const override { return inner_.metrics(); }
+
+ private:
+  runtime::NetworkColoringTransport inner_;
+};
+
+// An iteration that colors nothing would repeat forever; in a build
+// without assertions, too, the loop must stop with an error instead.
+TEST(Theorem11, NoProgressThrowsInsteadOfLooping) {
+  const Graph g = make_grid(4, 4);
+  NoMisTransport t(g);
+  InducedSubgraph active = test::all_active(g);
+  ListInstance inst = ListInstance::delta_plus_one(g);
+  const LinialResult lin = t.linial(active, nullptr, 0);
+  t.build_tree(0);
+  std::vector<Color> colors(static_cast<std::size_t>(g.num_nodes()), kUncolored);
+  EXPECT_THROW(
+      list_color_subset(t, active, inst, colors, lin.coloring, lin.num_colors, {}),
+      std::logic_error);
 }
 
 TEST(Baselines, GreedyValid) {
