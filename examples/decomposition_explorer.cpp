@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   std::printf("valid per Definition 3.1: %s%s\n", validate_decomposition(g, d, &why) ? "yes" : "NO — ",
               why.c_str());
   std::printf("alpha (colors): %d   beta (max tree depth): %d   kappa (congestion): %d\n",
-              d.num_colors, d.max_tree_depth(), d.max_congestion(g));
+              d.num_colors, d.max_tree_depth(), d.max_congestion());
   std::printf("charged construction rounds: %lld\n\n",
               static_cast<long long>(d.rounds_charged));
 

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   std::printf("\nCorollary 1.2 (network decomposition):\n");
   std::printf("  decomposition: %d colors, tree depth %d, congestion %d\n",
               cres.decomposition.num_colors, cres.decomposition.max_tree_depth(),
-              cres.decomposition.max_congestion(g));
+              cres.decomposition.max_congestion());
   std::printf("  schedule valid: %s\n", pristine.valid_solution(cres.colors) ? "yes" : "NO");
   std::printf("  rounds: %lld (decomposition %lld + coloring %lld)\n",
               static_cast<long long>(cres.total_rounds),

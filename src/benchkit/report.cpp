@@ -534,8 +534,8 @@ BaselineReport compare_with_baseline(const std::vector<Record>& current,
 
 const char* verdict(const BaselineLine& line) {
   if (line.missing) return "no baseline";
-  if (line.regressed) return "REGRESSION";
-  return line.drifted ? "DRIFT" : "ok";
+  if (line.drifted) return "DRIFT";
+  return line.regressed ? "REGRESSION" : "ok";
 }
 
 std::string format_report(const std::string& dir, const RecordDir& rd,

@@ -181,8 +181,10 @@ BaselineReport compare_with_baseline(const std::vector<Record>& current,
                                      const std::string& baseline_dir, double threshold_frac,
                                      double abs_slack_ms, bool calibrate);
 
-// The gate's verdict on one line: "REGRESSION", "DRIFT", "ok", or
-// "no baseline" for a missing or incomparable one.
+// The gate's verdict on one line: "DRIFT", "REGRESSION", "ok", or
+// "no baseline" for a missing or incomparable one. DRIFT outranks
+// REGRESSION, as exit code 1 outranks 2: a drifted record that also ran
+// slow reads DRIFT.
 const char* verdict(const BaselineLine& line);
 
 // The markdown report over the records read from `dir`: Summary,

@@ -11,14 +11,13 @@
 namespace dcolor {
 
 ClusterGraph make_cluster_graph(const Graph& g, const Cluster& c) {
-  std::vector<NodeId> members(c.members);
-  std::sort(members.begin(), members.end());
+  const std::vector<NodeId>& members = c.members;
+  assert(std::is_sorted(members.begin(), members.end()) && "members must be ascending");
   std::vector<NodeId> steiner;
   for (const NodeId v : c.tree_nodes) {
     if (!std::binary_search(members.begin(), members.end(), v)) steiner.push_back(v);
   }
-  std::sort(steiner.begin(), steiner.end());
-  steiner.erase(std::unique(steiner.begin(), steiner.end()), steiner.end());
+  std::sort(steiner.begin(), steiner.end());  // a tree lists each node once
   const auto m = static_cast<NodeId>(members.size());
   // Binary search instead of an n-sized id map: O(log) per lookup and no
   // per-cluster allocation that grows with G.
@@ -68,8 +67,7 @@ void color_cluster(const Cluster& c, ColoringTransport& ct, const ListInstance& 
                    const LinialResult& lin, const PartialColoringOptions& opts,
                    std::vector<Color>& colors) {
   // The local ids of make_cluster_graph: members first, ascending.
-  std::vector<NodeId> members(c.members);
-  std::sort(members.begin(), members.end());
+  const std::vector<NodeId>& members = c.members;
   const auto m = static_cast<NodeId>(members.size());
   const Graph& local = ct.graph();
   const NodeId n = local.num_nodes();
@@ -130,7 +128,7 @@ Corollary12Result corollary12_run(const Graph& g, ListInstance inst,
     span.arg("classes", res.decomposition.num_colors);
   }
   res.decomposition_rounds = res.decomposition.rounds_charged;
-  const int kappa = std::max(1, res.decomposition.max_congestion(g));
+  const int kappa = std::max(1, res.decomposition.max_congestion());
 
   // Global input coloring (Linial over the whole graph).
   ColoringTransport& gt = transports.global();

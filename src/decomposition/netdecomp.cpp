@@ -1,30 +1,13 @@
 #include "src/decomposition/netdecomp.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <map>
 #include <string>
-#include <unordered_map>
 
 #include "src/util/bits.h"
 
 namespace dcolor {
-namespace {
-
-// Working state of one phase.
-struct PhaseCluster {
-  std::uint64_t label = 0;
-  NodeId root = -1;
-  std::vector<NodeId> members;       // living members
-  std::vector<NodeId> ever_nodes;    // members + departed (Steiner)
-  std::vector<NodeId> ever_parent;   // growth-tree parents
-  std::vector<int> ever_depth;       // depth in growth tree
-  std::unordered_map<NodeId, int> depth_of;  // node -> growth-tree depth
-  int depth = 0;
-  bool alive_this_bit = true;        // still growing in the current bit step
-};
-
-}  // namespace
 
 int NetworkDecomposition::max_tree_depth() const {
   int d = 0;
@@ -32,24 +15,38 @@ int NetworkDecomposition::max_tree_depth() const {
   return d;
 }
 
-int NetworkDecomposition::max_congestion(const Graph& g) const {
-  // Count, per (edge, color), how many trees of that color contain it.
-  std::map<std::tuple<NodeId, NodeId, int>, int> count;
-  int best = 0;
+int NetworkDecomposition::max_congestion() const {
+  // Every tree edge as (color, min end, max end); sorted, the longest run
+  // of equal entries is the most same-color trees sharing one edge.
+  std::vector<std::array<NodeId, 3>> edges;
   for (const Cluster& c : clusters) {
     for (std::size_t i = 0; i < c.tree_nodes.size(); ++i) {
       const NodeId v = c.tree_nodes[i];
       const NodeId p = c.tree_parent[i];
-      if (p < 0) continue;
-      const NodeId a = std::min(v, p);
-      const NodeId b = std::max(v, p);
-      best = std::max(best, ++count[{a, b, c.color}]);
+      if (p >= 0) edges.push_back({c.color, std::min(v, p), std::max(v, p)});
     }
   }
-  (void)g;
+  std::sort(edges.begin(), edges.end());
+  int best = 0;
+  for (std::size_t i = 0, run = 0; i < edges.size(); ++i) {
+    run = i > 0 && edges[i] == edges[i - 1] ? run + 1 : 1;
+    best = std::max(best, static_cast<int>(run));
+  }
   return best;
 }
 
+// A phase cluster is named by its root, whose id is also its label. Every
+// join appends a fresh tree entry, because a node never rejoins a cluster
+// it left within one phase:
+// - during bit j, adjacent active nodes in different clusters agree on
+//   label bits < j;
+// - after bit j they also agree on bit j: every active blue node next to
+//   a red cluster that is still growing makes a request, so it is
+//   absorbed or deleted before the bit ends;
+// - so a node that left cluster A at bit j1 is afterwards always in a
+//   cluster whose bit j1 is 1, while A's bit j1 is 0, and it is never
+//   next to a member of A again in that phase.
+// validate_decomposition rejects a tree that lists a node twice.
 NetworkDecomposition decompose(const Graph& g) {
   const NodeId n = g.num_nodes();
   NetworkDecomposition out;
@@ -57,102 +54,79 @@ NetworkDecomposition decompose(const Graph& g) {
   if (n == 0) return out;
 
   const int b = std::max(1, ceil_log2(static_cast<std::uint64_t>(n)));  // label bits
-  std::vector<bool> living(n, true);  // not yet assigned to a final cluster
+  std::vector<NodeId> cl(n);        // node -> root of its cluster; -1 when not active
+  std::vector<int> depth(n);        // node -> depth in its cluster's growth tree
+  std::vector<NodeId> size(n);      // root -> active members
+  std::vector<char> growing(n);     // root -> still growing in the current bit
+  std::vector<int> slot(n);         // root -> index of its harvested cluster
+  struct Join {
+    NodeId root, node, parent;
+    int depth;
+  };
+  std::vector<std::array<NodeId, 3>> requests;  // (root, requester, via)
+  std::vector<Join> joins;                      // this phase's tree edges
   NodeId remaining = n;
   int phase = 0;
 
-  // Per-node phase state.
-  std::vector<int> cl(n, -1);         // node -> phase-cluster index
-  std::vector<int> ever_index(n, -1); // node -> index within a cluster's ever_nodes (scratch)
-
   while (remaining > 0) {
-    // --- Phase setup: singletons labeled by id.
-    std::vector<PhaseCluster> pc;
-    std::fill(cl.begin(), cl.end(), -1);
-    std::vector<bool> deleted(n, false);  // deferred to next phase
+    // Every node not yet in a final cluster starts as a singleton.
     for (NodeId v = 0; v < n; ++v) {
-      if (!living[v]) continue;
-      PhaseCluster c;
-      c.label = static_cast<std::uint64_t>(v);
-      c.root = v;
-      c.members = {v};
-      c.ever_nodes = {v};
-      c.ever_parent = {-1};
-      c.ever_depth = {0};
-      c.depth_of[v] = 0;
-      cl[v] = static_cast<int>(pc.size());
-      pc.push_back(std::move(c));
+      const bool living = out.cluster_of[v] < 0;
+      cl[v] = living ? v : -1;
+      depth[v] = 0;
+      size[v] = living ? 1 : 0;
     }
+    joins.clear();
 
-    auto is_active = [&](NodeId v) { return living[v] && !deleted[v]; };
-
-    // --- Process label bits.
     for (int j = 0; j < b; ++j) {
-      for (PhaseCluster& c : pc) c.alive_this_bit = !c.members.empty();
+      auto red = [j](NodeId root) { return (root >> j & 1) != 0; };
+      for (NodeId r = 0; r < n; ++r) growing[r] = size[r] > 0;
       bool any_growth = true;
       while (any_growth) {
         any_growth = false;
         out.rounds_charged += 4;  // request/grant/join/label rounds
 
-        // Collect join requests: each active blue vertex adjacent to a
-        // growing red cluster requests exactly one (smallest label).
-        // requests[r] = list of (vertex, attaching neighbor inside r).
-        std::vector<std::vector<std::pair<NodeId, NodeId>>> requests(pc.size());
+        // Each active blue node next to a growing red cluster requests the
+        // one with the smallest label, via its first neighbor in it.
+        requests.clear();
         for (NodeId v = 0; v < n; ++v) {
-          if (!is_active(v)) continue;
-          const int cv = cl[v];
-          if (pc[cv].label >> j & 1) continue;  // v is red at this bit
-          int best_r = -1;
+          if (cl[v] < 0 || red(cl[v])) continue;
+          NodeId best = -1;
           NodeId via = -1;
-          for (NodeId u : g.neighbors(v)) {
-            if (!is_active(u)) continue;
-            const int cu = cl[u];
-            if (cu == cv) continue;
-            if (!(pc[cu].label >> j & 1)) continue;  // only red clusters absorb
-            if (!pc[cu].alive_this_bit) continue;    // stopped: handled below
-            if (best_r < 0 || pc[cu].label < pc[best_r].label) {
-              best_r = cu;
+          for (const NodeId u : g.neighbors(v)) {
+            const NodeId r = cl[u];
+            if (r < 0 || !red(r) || !growing[r]) continue;
+            if (best < 0 || r < best) {
+              best = r;
               via = u;
             }
           }
-          if (best_r >= 0) requests[best_r].emplace_back(v, via);
+          if (best >= 0) requests.push_back({best, v, via});
         }
+        std::sort(requests.begin(), requests.end());
 
-        // Each growing red cluster decides: absorb (grow a layer) or stop.
-        for (std::size_t r = 0; r < pc.size(); ++r) {
-          if (!pc[r].alive_this_bit || requests[r].empty()) continue;
-          if (requests[r].size() * 2 * static_cast<std::size_t>(b) >= pc[r].members.size()) {
-            // Grow: absorb all requesters.
-            any_growth = true;
-            int layer_depth = 0;
-            for (const auto& [v, via] : requests[r]) {
-              // Remove v from its blue cluster's member list.
-              auto& old_members = pc[cl[v]].members;
-              old_members.erase(std::find(old_members.begin(), old_members.end(), v));
-              cl[v] = static_cast<int>(r);
-              pc[r].members.push_back(v);
-              // Tree: attach below `via`. If v already appears in r's tree
-              // (it left r earlier and is re-absorbed), keep its old slot.
-              const int via_depth = pc[r].depth_of.at(via);
-              if (!pc[r].depth_of.contains(v)) {
-                pc[r].ever_nodes.push_back(v);
-                pc[r].ever_parent.push_back(via);
-                pc[r].ever_depth.push_back(via_depth + 1);
-                pc[r].depth_of[v] = via_depth + 1;
-              }
-              layer_depth = std::max(layer_depth, pc[r].depth_of.at(v));
-            }
-            pc[r].depth = std::max(pc[r].depth, layer_depth);
-          } else {
-            // Stop: requesters are deleted (deferred to the next phase).
-            pc[r].alive_this_bit = false;
-            for (const auto& [v, via] : requests[r]) {
-              (void)via;
-              // v might meanwhile request another cluster in a later
-              // iteration — but per the algorithm it is deleted NOW.
-              deleted[v] = true;
-              auto& old_members = pc[cl[v]].members;
-              old_members.erase(std::find(old_members.begin(), old_members.end(), v));
+        // Each requested cluster, root ascending, absorbs its requesters
+        // (grows a layer) or stops and deletes them (deferred to the next
+        // phase). Only blue nodes move, so a red cluster's size is
+        // unaffected by the clusters decided before it.
+        for (std::size_t i = 0; i < requests.size();) {
+          const NodeId r = requests[i][0];
+          std::size_t end = i;
+          while (end < requests.size() && requests[end][0] == r) ++end;
+          const bool grow = (end - i) * 2 * static_cast<std::size_t>(b) >=
+                            static_cast<std::size_t>(size[r]);
+          any_growth |= grow;
+          growing[r] = grow;
+          for (; i < end; ++i) {
+            const NodeId v = requests[i][1];
+            const NodeId via = requests[i][2];
+            --size[cl[v]];
+            if (grow) {
+              cl[v] = r;
+              ++size[r];
+              depth[v] = depth[via] + 1;
+              joins.push_back({r, v, via, depth[v]});
+            } else {
               cl[v] = -1;
             }
           }
@@ -160,30 +134,37 @@ NetworkDecomposition decompose(const Graph& g) {
       }
     }
 
-    // --- Harvest: surviving clusters get this phase's color.
-    for (PhaseCluster& c : pc) {
-      if (c.members.empty()) continue;
-      Cluster fin;
-      fin.color = phase;
-      fin.root = c.root;
-      fin.members = c.members;
-      fin.tree_nodes = c.ever_nodes;
-      fin.tree_parent = c.ever_parent;
-      fin.tree_depth = 0;
-      for (int d : c.ever_depth) fin.tree_depth = std::max(fin.tree_depth, d);
-      const int idx = static_cast<int>(out.clusters.size());
-      for (NodeId v : fin.members) {
-        out.cluster_of[v] = idx;
-        living[v] = false;
-        --remaining;
+    // Harvest: the surviving clusters, root ascending, get this phase's
+    // color. A tree is its root, then its joins in the order they happened.
+    std::stable_sort(joins.begin(), joins.end(),
+                     [](const Join& x, const Join& y) { return x.root < y.root; });
+    auto join = joins.begin();
+    for (NodeId r = 0; r < n; ++r) {
+      if (size[r] == 0) continue;
+      slot[r] = static_cast<int>(out.clusters.size());
+      Cluster& c = out.clusters.emplace_back();
+      c.color = phase;
+      c.root = r;
+      c.members.reserve(static_cast<std::size_t>(size[r]));
+      c.tree_nodes = {r};
+      c.tree_parent = {-1};
+      for (; join != joins.end() && join->root <= r; ++join) {
+        if (join->root < r) continue;  // a cluster that died out
+        c.tree_nodes.push_back(join->node);
+        c.tree_parent.push_back(join->parent);
+        c.tree_depth = std::max(c.tree_depth, join->depth);
       }
-      out.clusters.push_back(std::move(fin));
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      if (cl[v] < 0) continue;
+      out.cluster_of[v] = slot[cl[v]];
+      out.clusters[slot[cl[v]]].members.push_back(v);
+      --remaining;
     }
     ++phase;
     assert(phase <= 2 * b + 2 && "phases must stay logarithmic");
   }
   out.num_colors = phase;
-  (void)ever_index;
   return out;
 }
 
@@ -193,11 +174,17 @@ bool validate_decomposition(const Graph& g, const NetworkDecomposition& d, std::
     if (why != nullptr) *why = msg;
     return false;
   };
-  // Partition.
+  auto in_range = [n](NodeId v) { return v >= 0 && v < n; };
+  if (d.cluster_of.size() != static_cast<std::size_t>(n)) return fail("cluster_of has wrong size");
+  // Partition, with ascending members.
   std::vector<int> seen(n, -1);
   for (std::size_t i = 0; i < d.clusters.size(); ++i) {
-    for (NodeId v : d.clusters[i].members) {
+    const std::vector<NodeId>& members = d.clusters[i].members;
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      const NodeId v = members[k];
+      if (!in_range(v)) return fail("member out of range");
       if (seen[v] != -1) return fail("node in two clusters");
+      if (k > 0 && members[k - 1] > v) return fail("members not ascending");
       seen[v] = static_cast<int>(i);
     }
   }
@@ -205,19 +192,33 @@ bool validate_decomposition(const Graph& g, const NetworkDecomposition& d, std::
     if (seen[v] < 0) return fail("node in no cluster");
     if (d.cluster_of[v] != seen[v]) return fail("cluster_of inconsistent");
   }
-  for (const Cluster& c : d.clusters) {
+  // Trees: stamp[v] == i + 1 iff v is listed in cluster i's tree so far,
+  // one array for all clusters instead of an n-sized one per cluster.
+  std::vector<std::size_t> stamp(n, 0);
+  for (std::size_t i = 0; i < d.clusters.size(); ++i) {
+    const Cluster& c = d.clusters[i];
+    const std::size_t mark = i + 1;
     if (c.color < 0 || c.color >= d.num_colors) return fail("bad color");
-    // (i) tree contains all members; tree edges are edges of G.
-    std::vector<bool> in_tree(n, false);
-    for (NodeId v : c.tree_nodes) in_tree[v] = true;
-    for (NodeId v : c.members) {
-      if (!in_tree[v]) return fail("member missing from tree");
+    if (c.tree_parent.size() != c.tree_nodes.size()) return fail("tree arrays differ in length");
+    if (c.tree_nodes.empty()) return fail("empty tree");
+    // The shape bind_cluster_tree relies on: each node listed once, the
+    // root the only parentless node, every parent listed before its child.
+    for (std::size_t k = 0; k < c.tree_nodes.size(); ++k) {
+      const NodeId v = c.tree_nodes[k];
+      const NodeId p = c.tree_parent[k];
+      if (!in_range(v) || p >= n) return fail("tree node out of range");
+      if (stamp[v] == mark) return fail("tree lists a node twice");
+      if (p < 0) {
+        if (v != c.root) return fail("parentless tree node is not the root");
+      } else {
+        if (stamp[p] != mark) return fail("parent missing from tree or listed after its child");
+        if (!g.has_edge(v, p)) return fail("tree edge not a G edge");
+      }
+      stamp[v] = mark;
     }
-    for (std::size_t i = 0; i < c.tree_nodes.size(); ++i) {
-      const NodeId p = c.tree_parent[i];
-      if (p < 0) continue;
-      if (!g.has_edge(c.tree_nodes[i], p)) return fail("tree edge not a G edge");
-      if (!in_tree[p]) return fail("parent missing from tree");
+    // (i) the tree contains every member.
+    for (NodeId v : c.members) {
+      if (stamp[v] != mark) return fail("member missing from tree");
     }
   }
   // (iii) adjacent clusters have different colors.

@@ -34,11 +34,17 @@ namespace dcolor {
 
 struct Cluster {
   int color = 0;                  // 0-based color class (phase index)
-  std::vector<NodeId> members;    // current members (the partition class)
+  // The partition class, in ascending id order (make_cluster_graph and
+  // color_cluster number members in this order without re-sorting).
+  std::vector<NodeId> members;
   NodeId root = -1;               // origin singleton
   // Growth tree: for every node that ever belonged to the cluster, its
   // parent edge (parent[v], v) is an edge of G; root has parent -1.
   // Nodes present here but absent from `members` are Steiner nodes.
+  // Listed in join order: the root first, every parent before its child,
+  // and each node once. A node that leaves a cluster during a phase never
+  // rejoins it (decompose() carries the argument), so no node joins one
+  // tree twice.
   std::vector<NodeId> tree_nodes;
   std::vector<NodeId> tree_parent;  // parallel to tree_nodes
   int tree_depth = 0;
@@ -50,15 +56,19 @@ struct NetworkDecomposition {
   int num_colors = 0;           // alpha
   std::int64_t rounds_charged = 0;
 
-  int max_tree_depth() const;        // <= beta
-  int max_congestion(const Graph& g) const;  // kappa (per color, per edge)
+  int max_tree_depth() const;  // <= beta
+  int max_congestion() const;  // kappa (per color, per edge)
 };
 
 // Deterministic decomposition of a (possibly disconnected) graph.
 NetworkDecomposition decompose(const Graph& g);
 
 // Validates Definition 3.1: partition, tree containment, tree edges are
-// G-edges, adjacent clusters differ in color. Returns false + reason.
+// G-edges, adjacent clusters differ in color; and the shapes the rest of
+// the repo relies on: ascending members, and trees that list each node
+// once, have the root as their only parentless node and list every
+// parent before its child. O(n + m) plus one has_edge lookup per tree
+// edge. Returns false + reason.
 bool validate_decomposition(const Graph& g, const NetworkDecomposition& d, std::string* why);
 
 }  // namespace dcolor

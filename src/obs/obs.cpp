@@ -1,14 +1,23 @@
 #include "src/obs/obs.h"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <utility>
+
+#include "src/util/format.h"
 
 namespace dcolor::obs {
-
-// Histogram arithmetic is defined unconditionally: snapshots parsed back
-// from records (benchkit, dcolor-trace) need quantiles even in a
-// -DDCOLOR_OBS_ENABLED=0 build where no recording happens.
 
 std::int64_t saturating_add(std::int64_t a, std::int64_t b) {
   std::int64_t r;
@@ -49,25 +58,6 @@ std::int64_t histogram_quantile(const HistogramSnapshot& h, double q) {
   return h.max;
 }
 
-}  // namespace dcolor::obs
-
-#if DCOLOR_OBS_ENABLED
-
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <stdexcept>
-#include <utility>
-
-#include "src/util/format.h"
-
-namespace dcolor::obs {
 namespace {
 
 // The active session, published with release so a thread that observes
@@ -338,5 +328,3 @@ std::string TraceSession::chrome_trace_json() {
 }
 
 }  // namespace dcolor::obs
-
-#endif  // DCOLOR_OBS_ENABLED

@@ -11,12 +11,11 @@
 // trustworthy evidence for hot-path work.
 //
 // Cost model: with no TraceSession active every probe is one relaxed
-// atomic load (Span construction) or nothing; compiled with
-// -DDCOLOR_OBS_ENABLED=0 the whole API collapses to empty inlines and
-// the probes vanish entirely. With a session active, a span costs two
-// steady_clock reads plus one write into the calling thread's own
-// buffer — no locks, no cross-thread contention (threads register their
-// buffer once per session under a mutex, then write privately).
+// atomic load (Span construction) or nothing. With a session active, a
+// span costs two steady_clock reads plus one write into the calling
+// thread's own buffer — no locks, no cross-thread contention (threads
+// register their buffer once per session under a mutex, then write
+// privately).
 //
 // Concurrency contract: event/stat writes are per-thread (single
 // writer); TraceSession::stop() publishes/reads buffers with
@@ -25,10 +24,6 @@
 // benchkit runner owns the session and only stops it after the
 // scenario's execution (including every ThreadPool barrier) returned.
 #pragma once
-
-#ifndef DCOLOR_OBS_ENABLED
-#define DCOLOR_OBS_ENABLED 1
-#endif
 
 #include <array>
 #include <cstdint>
@@ -108,8 +103,6 @@ std::int64_t histogram_quantile(const HistogramSnapshot& h, double q);
 
 // a + b with saturation at the int64 range bounds instead of overflow.
 std::int64_t saturating_add(std::int64_t a, std::int64_t b);
-
-#if DCOLOR_OBS_ENABLED
 
 // Monotonic nanoseconds (std::chrono::steady_clock).
 std::int64_t now_ns();
@@ -236,47 +229,5 @@ class TraceSession {
   std::vector<HistogramSnapshot> histograms_;
   std::int64_t dropped_ = 0;
 };
-
-#else  // !DCOLOR_OBS_ENABLED — the whole API collapses to no-ops.
-
-inline std::int64_t now_ns() { return 0; }
-inline bool enabled() { return false; }
-inline void complete(const char*, const char*, std::int64_t, std::int64_t,
-                     const ArgList& = {}) {}
-inline void counter(const char*, const char*, std::int64_t) {}
-inline void value(const char*, const char*, std::int64_t) {}
-
-class Span {
- public:
-  Span(const char*, const char*) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  void arg(const char*, std::int64_t) {}
-  bool live() const { return false; }
-};
-
-struct TraceOptions {
-  std::size_t buffer_capacity = 0;
-  bool events = true;
-};
-
-class TraceSession {
- public:
-  using Options = TraceOptions;
-  explicit TraceSession(Options = {}) {}
-  void stop() {}
-  const std::vector<HistogramSnapshot>& histograms() { return histograms_; }
-  std::string chrome_trace_json() {
-    return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[],\"dcolorHistograms\":{},"
-           "\"dcolorDroppedEvents\":0}";
-  }
-  std::int64_t dropped_events() { return 0; }
-  std::int64_t start_ns() const { return 0; }
-
- private:
-  std::vector<HistogramSnapshot> histograms_;
-};
-
-#endif  // DCOLOR_OBS_ENABLED
 
 }  // namespace dcolor::obs

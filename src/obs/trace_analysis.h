@@ -6,8 +6,7 @@
 // gate, which calls diff_phases/format_phase_diff so a wall-clock
 // regression prints a ranked "phase X contributed Y ms of the Z ms
 // delta" attribution table instead of a bare ratio. Everything here is
-// deterministic text over parsed numbers — no clocks, no recording — so
-// it works identically in -DDCOLOR_OBS_ENABLED=0 builds.
+// deterministic text over parsed numbers — no clocks, no recording.
 #pragma once
 
 #include <cstdint>

@@ -952,6 +952,22 @@ std::string summary_row(const std::string& markdown, const std::string& instance
   return markdown.substr(at, markdown.find('\n', at) - at);
 }
 
+// A record that drifted and also ran slow reads DRIFT, as the exit code
+// ranks drift (1) above a regression (2); a slow run that did not drift
+// still reads REGRESSION.
+TEST(BenchkitReport, DriftOutranksRegressionInVerdict) {
+  BaselineLine line;
+  EXPECT_STREQ(verdict(line), "ok");
+  line.regressed = true;
+  EXPECT_STREQ(verdict(line), "REGRESSION");
+  line.drifted = true;
+  EXPECT_STREQ(verdict(line), "DRIFT");
+  line.regressed = false;
+  EXPECT_STREQ(verdict(line), "DRIFT");
+  line.missing = true;
+  EXPECT_STREQ(verdict(line), "no baseline");
+}
+
 // `dcolor-trace report` shows the gate's own verdicts: one record
 // slowed 10x, one drifted, one without a baseline, plus an unreadable
 // file and a foreign-schema file that become warnings, never failures.

@@ -2,6 +2,7 @@
 // end-to-end coloring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -44,7 +45,7 @@ TEST(Decomposition, ParametersArePolylog) {
     // beta = O(log^2 n) tree depth (diameter <= 2*depth).
     EXPECT_LE(d.max_tree_depth(), static_cast<int>(4 * logn * logn) + 4) << name;
     // kappa = O(log n).
-    EXPECT_LE(d.max_congestion(g), static_cast<int>(4 * logn) + 4) << name;
+    EXPECT_LE(d.max_congestion(), static_cast<int>(4 * logn) + 4) << name;
   }
 }
 
@@ -76,6 +77,137 @@ TEST(Decomposition, DeterministicRerun) {
   EXPECT_EQ(d1.num_colors, d2.num_colors);
   EXPECT_EQ(d1.cluster_of, d2.cluster_of);
   EXPECT_EQ(d1.rounds_charged, d2.rounds_charged);
+}
+
+// The golden corpus: the pinned Corollary 1.2 input (perfbench's
+// c12-clusters graph), a long grid, and one graph of three random families.
+std::vector<test::NamedGraph> golden_graphs() {
+  return {{"clustered", make_clustered(128, 24, 0.35, 16, 1)},
+          {"grid4x1024", make_grid(4, 1024)},
+          {"gnp", make_gnp(400, 0.02, test::kTestSeed)},
+          {"powerlaw", make_powerlaw(500, 2.5, test::kTestSeed)},
+          {"nearreg", make_near_regular(400, 6, test::kTestSeed)}};
+}
+
+// Every output of decompose in one checksum: each cluster's color, root,
+// members (sorted, so the pin is independent of member order), tree
+// nodes, tree parents and tree depth, then cluster_of, num_colors,
+// rounds_charged and max_congestion.
+std::uint64_t decomposition_checksum(const NetworkDecomposition& d) {
+  std::vector<std::int64_t> v;
+  for (const Cluster& c : d.clusters) {
+    std::vector<NodeId> members(c.members);
+    std::sort(members.begin(), members.end());
+    v.push_back(c.color);
+    v.push_back(c.root);
+    v.push_back(static_cast<std::int64_t>(members.size()));
+    v.insert(v.end(), members.begin(), members.end());
+    v.push_back(static_cast<std::int64_t>(c.tree_nodes.size()));
+    v.insert(v.end(), c.tree_nodes.begin(), c.tree_nodes.end());
+    v.insert(v.end(), c.tree_parent.begin(), c.tree_parent.end());
+    v.push_back(c.tree_depth);
+  }
+  v.insert(v.end(), d.cluster_of.begin(), d.cluster_of.end());
+  v.push_back(d.num_colors);
+  v.push_back(d.rounds_charged);
+  v.push_back(d.max_congestion());
+  return benchkit::checksum_values(v);
+}
+
+// Reference outputs of decompose, pinned so that a rewrite that still
+// satisfies Definition 3.1 but moves one cluster, tree edge or charged
+// round fails.
+TEST(Decomposition, GoldenOutputs) {
+  struct Pin {
+    std::uint64_t checksum;
+    std::size_t clusters;
+    int num_colors;
+    std::int64_t rounds_charged;
+    int max_congestion;
+  };
+  const std::vector<Pin> pins = {
+      {0x4583e59ab79259d2ull, 94, 2, 264, 2},   // clustered
+      {0x1d2b8d49555babd8ull, 65, 2, 284, 2},   // grid4x1024
+      {0xcad722f3f5f97600ull, 16, 2, 140, 1},   // gnp
+      {0xe9781ec4e66a4b89ull, 43, 2, 144, 1},   // powerlaw
+      {0x089c4c45f9a978edull, 11, 2, 168, 1},   // nearreg
+  };
+  const std::vector<test::NamedGraph> graphs = golden_graphs();
+  ASSERT_EQ(graphs.size(), pins.size());
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const auto& [name, g] = graphs[i];
+    const NetworkDecomposition d = decompose(g);
+    EXPECT_EQ(decomposition_checksum(d), pins[i].checksum) << name;
+    EXPECT_EQ(d.clusters.size(), pins[i].clusters) << name;
+    EXPECT_EQ(d.num_colors, pins[i].num_colors) << name;
+    EXPECT_EQ(d.rounds_charged, pins[i].rounds_charged) << name;
+    EXPECT_EQ(d.max_congestion(), pins[i].max_congestion) << name;
+  }
+}
+
+// Cluster::members is ascending, which make_cluster_graph and
+// color_cluster rely on to number members without re-sorting.
+TEST(Decomposition, MembersAscending) {
+  std::vector<test::NamedGraph> graphs = golden_graphs();
+  for (auto& named : decomposition_graphs()) graphs.push_back(std::move(named));
+  for (const auto& [name, g] : graphs) {
+    for (const Cluster& c : decompose(g).clusters) {
+      EXPECT_TRUE(std::is_sorted(c.members.begin(), c.members.end()))
+          << name << ": cluster rooted at " << c.root;
+    }
+  }
+}
+
+// validate_decomposition checks the tree shape bind_cluster_tree relies
+// on. Three doctored copies of a real decomposition, one per defect, are
+// each rejected with its reason; the real outputs pass.
+TEST(Decomposition, ValidateRejectsMalformedTrees) {
+  std::string why;
+  for (const auto& [name, g] : golden_graphs()) {
+    EXPECT_TRUE(validate_decomposition(g, decompose(g), &why)) << name << ": " << why;
+  }
+  const Graph g = make_clustered(128, 24, 0.35, 16, 1);
+  const NetworkDecomposition good = decompose(g);
+  // The deepest tree: it has a node whose parent is not the root.
+  std::size_t deep = 0;
+  for (std::size_t i = 0; i < good.clusters.size(); ++i) {
+    if (good.clusters[i].tree_depth > good.clusters[deep].tree_depth) deep = i;
+  }
+  ASSERT_GE(good.clusters[deep].tree_depth, 2);
+
+  struct Defect {
+    const char* reason;
+    void (*apply)(Cluster*);
+  };
+  const Defect defects[] = {
+      // A non-root node listed a second time, with the same parent.
+      {"tree lists a node twice",
+       [](Cluster* t) {
+         t->tree_nodes.push_back(t->tree_nodes[1]);
+         t->tree_parent.push_back(t->tree_parent[1]);
+       }},
+      // The one parentless node is no longer the declared root.
+      {"parentless tree node is not the root", [](Cluster* t) { t->root = t->tree_nodes[1]; }},
+      // A depth-2 node's parent moved to the end of the list.
+      {"listed after its child",
+       [](Cluster* t) {
+         std::size_t k = 1;
+         while (t->tree_parent[k] == t->root) ++k;
+         const auto at = std::find(t->tree_nodes.begin(), t->tree_nodes.end(), t->tree_parent[k]) -
+                         t->tree_nodes.begin();
+         std::rotate(t->tree_nodes.begin() + at, t->tree_nodes.begin() + at + 1,
+                     t->tree_nodes.end());
+         std::rotate(t->tree_parent.begin() + at, t->tree_parent.begin() + at + 1,
+                     t->tree_parent.end());
+       }},
+  };
+  for (const Defect& defect : defects) {
+    NetworkDecomposition bad = good;
+    defect.apply(&bad.clusters[deep]);
+    why.clear();
+    EXPECT_FALSE(validate_decomposition(g, bad, &why)) << defect.reason;
+    EXPECT_NE(why.find(defect.reason), std::string::npos) << defect.reason << " vs " << why;
+  }
 }
 
 TEST(Corollary12, ColorsAllFamilies) {

@@ -28,7 +28,7 @@ TEST(Stress, DecompositionInvariantsAtScale) {
     const double logn = std::log2(g.num_nodes());
     EXPECT_LE(d.num_colors, 2 * logn + 2) << name;
     EXPECT_LE(d.max_tree_depth(), 4 * logn * logn + 4) << name;
-    EXPECT_LE(d.max_congestion(g), 4 * logn + 4) << name;
+    EXPECT_LE(d.max_congestion(), 4 * logn + 4) << name;
   }
 }
 
