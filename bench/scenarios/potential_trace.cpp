@@ -33,7 +33,7 @@ REGISTER_SCENARIO(Scenario{
         bool within_budget = run.stats.phases > 0;
         const double dn = static_cast<double>(g->num_nodes());
         for (int l = 0; l < run.stats.phases; ++l) {
-          const double phi = run.stats.potential_after_phase[l].to_double();
+          const double phi = static_cast<double>(run.stats.potential_after_phase[l]);
           const double budget = dn + (l + 1) * dn / run.stats.phases;
           within_budget = within_budget && phi <= budget * (1.0 + 1e-9);
         }

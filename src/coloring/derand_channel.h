@@ -24,10 +24,14 @@
 // instead (Corollary 1.2, O(log^3 n) rounds per bit, with the
 // decomposition's congestion factor charged by the caller). These waves
 // run through one sequential kernel (src/congest/tree.h), which charges
-// their closed-form cost.
+// their closed-form cost. A caller that knows which nodes' sums moved
+// since the previous seed bit passes them to aggregate_pair_update, and
+// the kernel re-encodes only those nodes; a decorator that forwards only
+// aggregate_pair still returns the same sums, over the full path.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -73,6 +77,20 @@ class ColoringTransport {
   // the cluster tree of a cluster-scoped transport).
   virtual std::pair<long double, long double> aggregate_pair(
       const std::vector<long double>& values0, const std::vector<long double>& values1) = 0;
+  // aggregate_pair, told which nodes moved: returns the same sums and
+  // charges the same cost as aggregate_pair(values0, values1), provided
+  // only the nodes in `changed` (repeats and non-tree nodes allowed)
+  // differ in values0 or values1 since this transport's previous
+  // aggregate call of either form on the bound tree. Binding a tree
+  // starts afresh, so the first call after it may list anything. The
+  // default forwards to aggregate_pair, which keeps every decorator that
+  // does not know this call correct.
+  virtual std::pair<long double, long double> aggregate_pair_update(
+      const std::vector<long double>& values0, const std::vector<long double>& values1,
+      std::span<const NodeId> changed) {
+    static_cast<void>(changed);
+    return aggregate_pair(values0, values1);
+  }
   virtual void broadcast_bit(int bit) = 0;
 
   // Conflict resolution of Lemma 2.1: on the materialized conflict graph

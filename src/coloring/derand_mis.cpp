@@ -123,7 +123,8 @@ DerandMisResult derandomized_mis_core(ColoringTransport& t) {
       }
       // Aggregate both candidate sums in one wave over the BFS tree; the
       // leader picks the MAXIMIZING bit (negated objective of the
-      // coloring engine).
+      // coloring engine). Every node's sums were rewritten above, so
+      // this is the full form, not aggregate_pair_update.
       const auto [sum0, sum1] = t.aggregate_pair(x0, x1);
       const int bit = sum0 >= sum1 ? 0 : 1;
       t.broadcast_bit(bit);

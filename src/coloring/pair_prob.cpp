@@ -25,6 +25,8 @@ class GenericPairProb final : public PairProbEngine {
                    const std::vector<ConflictEdge>& edges) override {
     specs_ = specs;
     edges_ = edges;
+    all_edges_.resize(edges.size());
+    std::iota(all_edges_.begin(), all_edges_.end(), 0);
     fixed_.clear();
   }
 
@@ -41,10 +43,7 @@ class GenericPairProb final : public PairProbEngine {
   void fix_next_bit(int bit) override { fixed_.push_back(static_cast<std::uint8_t>(bit)); }
 
   // The reference makes no structural claim: every edge, every bit.
-  void changed_edges(std::vector<int>* out) const override {
-    out->resize(edges_.size());
-    std::iota(out->begin(), out->end(), 0);
-  }
+  std::span<const int> changed_edges() const override { return all_edges_; }
 
   int coin(NodeId v) const override {
     assert(static_cast<int>(fixed_.size()) == family_->seed_length());
@@ -55,6 +54,7 @@ class GenericPairProb final : public PairProbEngine {
   const CoinFamily* family_;
   std::vector<CoinSpec> specs_;
   std::vector<ConflictEdge> edges_;
+  std::vector<int> all_edges_;  // changed_edges(): 0, 1, ..., |edges| - 1
   std::vector<std::uint8_t> fixed_;
 };
 
@@ -211,9 +211,7 @@ class FastBitwisePairProb final : public PairProbEngine {
     bucket_live_pairs();
   }
 
-  void changed_edges(std::vector<int>* out) const override {
-    out->assign(changed_.begin(), changed_.end());
-  }
+  std::span<const int> changed_edges() const override { return changed_; }
 
   int coin(NodeId v) const override {
     assert(cur_chunk_ == b_);

@@ -104,12 +104,13 @@ class PairProbEngine {
     }
   }
 
-  // Sets *out to a superset of the edges e whose edge_joints(e) can
-  // differ from its value before the last fix_next_bit, each listed once,
-  // in no particular order. Every edge at the first bit after
-  // begin_phase. An unlisted edge's joints are equal (==) to the previous
-  // bit's. GenericPairProb always lists every edge.
-  virtual void changed_edges(std::vector<int>* out) const = 0;
+  // A superset of the edges e whose edge_joints(e) can differ from its
+  // value before the last fix_next_bit, each listed once, in no
+  // particular order. Every edge at the first bit after begin_phase. An
+  // unlisted edge's joints are equal (==) to the previous bit's.
+  // GenericPairProb always lists every edge. The view is the engine's
+  // own list, valid until the next fix_next_bit or begin_phase.
+  virtual std::span<const int> changed_edges() const = 0;
 
   // Permanently fixes the next seed bit.
   virtual void fix_next_bit(int bit) = 0;

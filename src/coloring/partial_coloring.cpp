@@ -109,7 +109,6 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
   std::vector<std::array<long double, 4>> joints;
   std::vector<std::int32_t> inc_off(static_cast<std::size_t>(n) + 1);
   std::vector<std::int32_t> inc_edge;
-  std::vector<int> changed;
   std::vector<NodeId> dirty;
   std::vector<std::int32_t> dirty_stamp(n, 0);
   std::int32_t stamp = 0;
@@ -178,7 +177,7 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
     for (int j = 0; j < d; ++j) {
       ++stamp;
       dirty.clear();
-      engine->changed_edges(&changed);
+      const std::span<const int> changed = engine->changed_edges();
       engine->edge_diagonals(changed, joints.data());
       for (const int e : changed) {
         for (const NodeId w : {edges[e].u, edges[e].v}) {
@@ -209,7 +208,10 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
         x0[w] = s0;
         x1[w] = s1;
       }
-      const auto [sum0, sum1] = t.aggregate_pair(x0, x1);
+      // Bit 0 lists every edge but not the nodes reset to 0 above, so it
+      // re-encodes the whole tree; later bits move only `dirty`.
+      const auto [sum0, sum1] =
+          j == 0 ? t.aggregate_pair(x0, x1) : t.aggregate_pair_update(x0, x1, dirty);
       const int bit = sum0 <= sum1 ? 0 : 1;
       t.broadcast_bit(bit);
       engine->fix_next_bit(bit);
@@ -240,10 +242,10 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
       std::erase_if(alive[v], [&](NodeId u) { return new_bit[u] != new_bit[v]; });
     }
 
-    // Exact potential audit for the invariant tests.
-    Fraction phi;
+    // Potential audit for the invariant tests (ascending node order).
+    long double phi = 0.0L;
     for (NodeId v : active_nodes) {
-      phi += Fraction(static_cast<std::int64_t>(alive[v].size()), range[v].size());
+      phi += static_cast<long double>(alive[v].size()) / range[v].size();
     }
     stats.potential_after_phase.push_back(phi);
   }

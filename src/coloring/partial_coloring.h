@@ -32,7 +32,6 @@
 #include "src/coloring/pair_prob.h"
 #include "src/congest/network.h"
 #include "src/hash/coin_family.h"
-#include "src/util/fraction.h"
 
 namespace dcolor {
 
@@ -53,10 +52,13 @@ struct PartialColoringStats {
   int precision_bits = 0;    // b
   NodeId active_before = 0;
   NodeId newly_colored = 0;
-  // Exact potential sum after each phase (Fraction to audit the Lemma 2.6
-  // invariant: Phi_l <= Phi_{l-1} + n'/ceil(logC), up to fixed-point
-  // aggregation noise absorbed by the epsilon slack).
-  std::vector<Fraction> potential_after_phase;
+  // Potential sum after each phase, to audit the Lemma 2.6 invariant
+  // (Phi_l <= Phi_{l-1} + n'/ceil(logC), up to fixed-point aggregation
+  // noise absorbed by the epsilon slack): the long double sum of
+  // |alive conflict edges(v)| / |candidates(v)| in ascending node order,
+  // so both executors report the same value (==). Each term is below
+  // 2^31, so no sum overflows.
+  std::vector<long double> potential_after_phase;
 };
 
 // Runs one invocation of Lemma 2.1 on the subgraph induced by `active`,

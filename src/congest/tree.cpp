@@ -7,8 +7,6 @@
 #include <cstring>
 #include <limits>
 
-#include "src/util/bits.h"
-
 namespace dcolor::congest {
 
 void bind_cluster_tree(const Graph& g, const Cluster& cluster, TreeData* out) {
@@ -40,7 +38,7 @@ void bind_cluster_tree(const Graph& g, const Cluster& cluster, TreeData* out) {
 
 void index_tree_levels(std::span<const NodeId> nodes, TreeData* out) {
   for (const NodeId v : nodes) {
-    assert(out->level[v] >= 0 && "tree node without a level (is the graph connected?)");
+    assert(out->level[v] >= 0 && "tree node without a level");
     out->depth = std::max(out->depth, out->level[v]);
   }
   // Counting sort by level, using level_off as the fill cursors and
@@ -58,12 +56,54 @@ void index_tree_levels(std::span<const NodeId> nodes, TreeData* out) {
   for (std::size_t l = 0; l + 1 < off.size(); ++l) {
     std::sort(out->level_nodes.begin() + off[l], out->level_nodes.begin() + off[l + 1]);
   }
+  out->position.resize(out->level.size());  // no-op after the first bind
+  for (std::size_t i = 0; i < out->level_nodes.size(); ++i) {
+    out->position[static_cast<std::size_t>(out->level_nodes[i])] = static_cast<NodeId>(i);
+  }
 }
 
-std::uint64_t tree_fixed_sum(const TreeData& tree, const std::vector<long double>& values) {
-  std::uint64_t s = 0;
-  for (const NodeId v : tree.level_nodes) s = sat_add_u64(s, to_fixed(values[v]));
-  return s;
+namespace {
+
+// min(total, 2^64 - 1): the saturating sum of the encodings.
+std::uint64_t saturate(unsigned __int128 total) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  return total >= kMax ? kMax : static_cast<std::uint64_t>(total);
+}
+
+// The full recompute the update's assertion checks against.
+[[maybe_unused]] unsigned __int128 recomputed_total(const TreeData& tree,
+                                                    const std::vector<long double>& values) {
+  unsigned __int128 total = 0;
+  for (const NodeId v : tree.level_nodes) total += to_fixed(values[v]);
+  return total;
+}
+
+}  // namespace
+
+std::uint64_t TreeFixedSum::refresh(const TreeData& tree, const std::vector<long double>& values) {
+  enc_.resize(tree.level_nodes.size());
+  total_ = 0;
+  for (std::size_t i = 0; i < enc_.size(); ++i) {
+    enc_[i] = to_fixed(values[tree.level_nodes[i]]);
+    total_ += enc_[i];
+  }
+  valid_ = true;
+  return saturate(total_);
+}
+
+std::uint64_t TreeFixedSum::update(const TreeData& tree, const std::vector<long double>& values,
+                                   std::span<const NodeId> changed) {
+  if (!valid_) return refresh(tree, values);
+  assert(enc_.size() == tree.level_nodes.size() && "update over a rebound tree");
+  for (const NodeId v : changed) {
+    if (!tree.contains(v)) continue;
+    std::uint64_t& e = enc_[static_cast<std::size_t>(tree.position[v])];
+    total_ -= e;
+    e = to_fixed(values[v]);
+    total_ += e;
+  }
+  assert(total_ == recomputed_total(tree, values) && "a changed node is missing from `changed`");
+  return saturate(total_);
 }
 
 Metrics wave_cost(const TreeData& tree, int value_bits, int bandwidth) {
@@ -77,16 +117,18 @@ Metrics wave_cost(const TreeData& tree, int value_bits, int bandwidth) {
   return m;
 }
 
-std::pair<long double, long double> aggregate_pair_wave(const TreeData& tree, TreeForm form,
-                                                        int bandwidth,
-                                                        const std::vector<long double>& values0,
-                                                        const std::vector<long double>& values1,
-                                                        Metrics* cost) {
+std::pair<long double, long double> PairWave::aggregate(
+    const TreeData& tree, TreeForm form, int bandwidth, const std::vector<long double>& values0,
+    const std::vector<long double>& values1, std::optional<std::span<const NodeId>> changed,
+    Metrics* cost) {
   assert(form != TreeForm::kUnbound && "build_tree or bind_cluster first");
-  const long double sum0 = from_fixed(tree_fixed_sum(tree, values0));
+  auto sum = [&](TreeFixedSum& s, const std::vector<long double>& values) {
+    return from_fixed(changed ? s.update(tree, values, *changed) : s.refresh(tree, values));
+  };
+  const long double sum0 = sum(sum0_, values0);
   if (form == TreeForm::kCluster) {
     *cost = wave_cost(tree, 128, bandwidth);
-    return {sum0, from_fixed(tree_fixed_sum(tree, values1))};
+    return {sum0, sum(sum1_, values1)};
   }
   *cost = wave_cost(tree, 64, bandwidth);
   cost->rounds += 1;

@@ -6,13 +6,18 @@
 // graph (Theorem 1.1, O(D) rounds per bit) or a network-decomposition
 // cluster's associated tree (Corollary 1.2). In a wave, what level l
 // sends depends only on what level l+1 sent, so the kernel computes a
-// whole wave in one sequential pass over the tree's nodes and charges
-// its CONGEST cost in closed form (wave_cost). The per-round NodeProgram
-// form of both waves lives on in tests/tree_wave_test.cpp, which holds
-// the kernel to it.
+// whole wave's result without running its rounds and charges its
+// CONGEST cost in closed form (wave_cost). The convergecast's result is
+// a saturating Q32.32 sum, which the kernel keeps incrementally
+// (TreeFixedSum): a seed bit that moves only a few nodes' sums
+// re-encodes only those nodes, in O(changed) rather than O(tree). The
+// per-round NodeProgram form of both waves lives on in
+// tests/tree_wave_test.cpp, which holds the kernel to it, full and
+// incremental alike.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -31,7 +36,8 @@ namespace dcolor::congest {
 // rebind writes the new tree's entries and leaves the others stale, so
 // one TreeData serves every cluster of a decomposition without clearing
 // or reallocating its n-sized arrays. Readers reach nodes only through
-// level_nodes, which never leads outside the bound tree.
+// level_nodes, which never leads outside the bound tree, or test a node
+// with contains() first.
 struct TreeData {
   NodeId root = 0;
   int depth = 0;  // at least the deepest level; deeper levels are empty
@@ -40,6 +46,15 @@ struct TreeData {
   // Level l is level_nodes[level_off[l], level_off[l + 1]), ascending ids.
   std::vector<std::int64_t> level_off;  // depth + 2 entries
   std::vector<NodeId> level_nodes;
+  // position[v]: v's index in level_nodes, for tree nodes; n entries.
+  std::vector<NodeId> position;
+
+  // Whether graph node v is in the bound tree. A stale position[v]
+  // cannot pass: level_nodes holds only tree nodes.
+  bool contains(NodeId v) const {
+    const auto s = static_cast<std::size_t>(position[static_cast<std::size_t>(v)]);
+    return s < level_nodes.size() && level_nodes[s] == v;
+  }
 };
 
 // (Re)binds `out` to a cluster's associated tree, Steiner nodes
@@ -52,16 +67,37 @@ struct TreeData {
 void bind_cluster_tree(const Graph& g, const Cluster& cluster, TreeData* out);
 
 // Lists `nodes`, the whole tree with levels already set, by level in
-// level_off / level_nodes, and raises out->depth to the deepest level.
-// The shared tail of the tree builders.
+// level_off / level_nodes (and their positions in `position`), and raises
+// out->depth to the deepest level. The shared tail of the tree builders.
 void index_tree_levels(std::span<const NodeId> nodes, TreeData* out);
 
-// The convergecast of one sum: the saturating sum of every tree node's
-// value, Q32.32-encoded (to_fixed), in one linear pass over level_nodes.
-// A saturating sum of non-negative values is min(sum, 2^64 - 1) under
-// any grouping, so this is bit for bit what the per-round wave, which
-// folds each subtree into its parent, delivers to the root. No scratch.
-std::uint64_t tree_fixed_sum(const TreeData& tree, const std::vector<long double>& values);
+// The convergecast of one sum, kept incrementally: the saturating sum of
+// every tree node's value, Q32.32-encoded (to_fixed). A saturating sum of
+// non-negative values is min(sum, 2^64 - 1) under any grouping, so it is
+// bit for bit what the per-round wave, which folds each subtree into its
+// parent, delivers to the root. The same identity lets the sum live as an
+// exact 128-bit total of the encodings (at most 2^31 nodes below 2^64
+// each), corrected node by node and saturated only when read.
+class TreeFixedSum {
+ public:
+  // The full form: encodes every tree node's value. O(tree).
+  std::uint64_t refresh(const TreeData& tree, const std::vector<long double>& values);
+  // The incremental form: re-encodes the tree nodes listed in `changed`
+  // (others, and repeats, are harmless) and returns what refresh would,
+  // provided no other tree node's value moved since the last refresh or
+  // update over this same tree. Falls back to refresh after invalidate()
+  // or on a fresh object. O(changed). Builds with assertions check the
+  // total against a full recompute.
+  std::uint64_t update(const TreeData& tree, const std::vector<long double>& values,
+                       std::span<const NodeId> changed);
+  // Forgets the encodings; the owner calls it whenever it rebinds the tree.
+  void invalidate() { valid_ = false; }
+
+ private:
+  std::vector<std::uint64_t> enc_;  // by position in tree.level_nodes
+  unsigned __int128 total_ = 0;     // sum of enc_
+  bool valid_ = false;
+};
 
 // The CONGEST cost of one wave that moves a `value_bits`-bit value over
 // every tree edge, pipelined in bandwidth-sized chunks: depth +
@@ -74,21 +110,38 @@ Metrics wave_cost(const TreeData& tree, int value_bits, int bandwidth);
 enum class TreeForm : char { kUnbound, kBfs, kCluster };
 
 // One Lemma 2.6 pair aggregation over a bound tree, as both
-// ColoringTransports run it: tree_fixed_sum per quantized sum, and *cost
-// set to the charge:
+// ColoringTransports run it: a TreeFixedSum per quantized sum, and *cost
+// set to the charge, the same for either form of the call:
 //  - kCluster: both sums quantized in one 128-bit wave.
 //  - kBfs: the second sum is an unquantized long double (summed over all
 //    of values1, in index order) riding one extra charged round after a
-//    64-bit wave. This under-charges a 128-bit wave: ceil(64/B) rounds
-//    beyond the depth where a real one costs ceil(128/B) - 1, so 2
-//    instead of 3 per seed bit at B=40 and 6 instead of 10 at B=12.
-//    Closing the gap changes colours and rounds, so it waits for a
-//    deliberate re-baseline.
-std::pair<long double, long double> aggregate_pair_wave(const TreeData& tree, TreeForm form,
-                                                        int bandwidth,
-                                                        const std::vector<long double>& values0,
-                                                        const std::vector<long double>& values1,
-                                                        Metrics* cost);
+//    64-bit wave. Its order of additions cannot be kept incrementally, so
+//    it is a full pass in both forms; only the first sum is incremental.
+//    The charge under-counts a 128-bit wave: ceil(64/B) rounds beyond
+//    the depth where a real one costs ceil(128/B) - 1, so 2 instead of 3
+//    per seed bit at B=40 and 6 instead of 10 at B=12. Closing the gap
+//    changes colours and rounds, so it waits for a deliberate re-baseline.
+// `changed` selects the form of the call: std::nullopt refreshes every
+// tree node's sums, a list updates only those nodes (TreeFixedSum), with
+// the same sums and charge provided only they moved since the last call
+// over this tree. The owner calls invalidate() whenever it rebinds the
+// tree.
+class PairWave {
+ public:
+  std::pair<long double, long double> aggregate(const TreeData& tree, TreeForm form,
+                                                int bandwidth,
+                                                const std::vector<long double>& values0,
+                                                const std::vector<long double>& values1,
+                                                std::optional<std::span<const NodeId>> changed,
+                                                Metrics* cost);
+  void invalidate() {
+    sum0_.invalidate();
+    sum1_.invalidate();
+  }
+
+ private:
+  TreeFixedSum sum0_, sum1_;  // sum1_ is unused in the kBfs form
+};
 
 // Fixed-point codec of the aggregated values. 32 fractional bits.
 // to_fixed(x), x >= 0, is llroundl(x * 2^32) below 2^64 - 1 and ~0 from

@@ -29,6 +29,8 @@ LinialResult BasicColoringTransport<Exec>::linial(const InducedSubgraph& active,
 
 template <typename Exec>
 void BasicColoringTransport<Exec>::build_tree(NodeId root) {
+  form_ = congest::TreeForm::kUnbound;  // until the flood succeeds
+  pair_wave_.invalidate();
   build_tree_data(*exec_, root, &tree_);
   form_ = congest::TreeForm::kBfs;
 }
@@ -36,6 +38,7 @@ void BasicColoringTransport<Exec>::build_tree(NodeId root) {
 template <typename Exec>
 void BasicColoringTransport<Exec>::bind_cluster(const Cluster& cluster) {
   congest::bind_cluster_tree(graph(), cluster, &tree_);
+  pair_wave_.invalidate();
   form_ = congest::TreeForm::kCluster;
 }
 
@@ -53,11 +56,12 @@ void BasicColoringTransport<Exec>::exchange_along(
 }
 
 template <typename Exec>
-std::pair<long double, long double> BasicColoringTransport<Exec>::aggregate_pair(
-    const std::vector<long double>& values0, const std::vector<long double>& values1) {
+std::pair<long double, long double> BasicColoringTransport<Exec>::aggregate(
+    const std::vector<long double>& values0, const std::vector<long double>& values1,
+    std::optional<std::span<const NodeId>> changed) {
   congest::Metrics cost;
   const auto sums =
-      congest::aggregate_pair_wave(tree_, form_, bandwidth_bits(), values0, values1, &cost);
+      pair_wave_.aggregate(tree_, form_, bandwidth_bits(), values0, values1, changed, &cost);
   exec_->charge(cost);
   return sums;
 }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -58,8 +59,17 @@ class BasicColoringTransport final : public ColoringTransport {
                       const std::vector<char>& senders,
                       const std::vector<std::uint64_t>& payloads, int bits,
                       std::vector<std::vector<NodeId>>* from) override;
+  // Both forms run the one kernel (congest::PairWave): aggregate_pair
+  // re-encodes every tree node, aggregate_pair_update only `changed`.
   std::pair<long double, long double> aggregate_pair(
-      const std::vector<long double>& values0, const std::vector<long double>& values1) override;
+      const std::vector<long double>& values0, const std::vector<long double>& values1) override {
+    return aggregate(values0, values1, std::nullopt);
+  }
+  std::pair<long double, long double> aggregate_pair_update(
+      const std::vector<long double>& values0, const std::vector<long double>& values1,
+      std::span<const NodeId> changed) override {
+    return aggregate(values0, values1, changed);
+  }
   void broadcast_bit(int bit) override;
   // Runs Linial and the MIS on a private executor over `conf`, configured
   // like this one, and charges only its rounds here.
@@ -74,6 +84,9 @@ class BasicColoringTransport final : public ColoringTransport {
 
  private:
   void reserve() { exchange_roster_.reserve(static_cast<std::size_t>(graph().num_nodes())); }
+  std::pair<long double, long double> aggregate(const std::vector<long double>& values0,
+                                                const std::vector<long double>& values1,
+                                                std::optional<std::span<const NodeId>> changed);
 
   std::optional<Exec> owned_;
   Exec* exec_;
@@ -81,6 +94,7 @@ class BasicColoringTransport final : public ColoringTransport {
   // (bind_cluster); binding one replaces the other.
   congest::TreeData tree_;
   congest::TreeForm form_ = congest::TreeForm::kUnbound;
+  congest::PairWave pair_wave_;  // the encoded sums; invalidated on a bind
   std::vector<NodeId> exchange_roster_;  // exchange senders, reserve(n)
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "src/util/bits.h"
 
@@ -87,6 +89,12 @@ template <typename Exec>
 void build_tree_data(Exec& exec, NodeId root, congest::TreeData* out) {
   BfsBuildProgram prog(exec.graph(), root, out);
   run(exec, prog);
+  const auto unreached = std::find(out->level.begin(), out->level.end(), -1);
+  if (unreached != out->level.end()) {
+    throw std::invalid_argument("build_tree: the graph is not connected: node " +
+                                std::to_string(unreached - out->level.begin()) +
+                                " is unreachable from root " + std::to_string(root));
+  }
   std::vector<NodeId> all(static_cast<std::size_t>(exec.graph().num_nodes()));
   std::iota(all.begin(), all.end(), NodeId{0});
   congest::index_tree_levels(all, out);

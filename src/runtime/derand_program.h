@@ -28,6 +28,8 @@ namespace dcolor::runtime {
 // graph, which must be connected: a node joins the round it first hears
 // a joined neighbour (smallest sender id wins) and floods its own id
 // once. Charges eccentricity(root) + 1 rounds, one send_all per node.
+// Throws std::invalid_argument naming an unreached node, before indexing
+// the tree, when the graph is not connected.
 template <typename Exec>
 void build_tree_data(Exec& exec, NodeId root, congest::TreeData* out);
 

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,16 +92,17 @@ namespace {
 
 std::uint64_t allocs() { return g_news.load(std::memory_order_relaxed); }
 
-// The Lemma 2.6 tree ops (pair aggregation + bit broadcast) over a
-// BFS tree: the innermost loop of every Theorem 1.1 seed-fixing
-// iteration. After one warm call per op, repeated calls must not touch
-// the heap — through the transport on both executors (the wave kernel),
-// on the engine at 1 and 2 threads, and through the kernel's own entry
-// points.
+// The Lemma 2.6 tree ops (pair aggregation, full and incremental, + bit
+// broadcast) over a BFS tree: the innermost loop of every Theorem 1.1
+// seed-fixing iteration. After one warm call per op, repeated calls must
+// not touch the heap — through the transport on both executors (the wave
+// kernel), on the engine at 1 and 2 threads, and through the kernel's
+// own entry points.
 TEST(AllocAudit, BfsTreeOpsSteadyState) {
   const Graph g = make_grid(12, 12);
   std::vector<long double> v0(static_cast<std::size_t>(g.num_nodes()), 0.25L);
   std::vector<long double> v1(static_cast<std::size_t>(g.num_nodes()), 0.5L);
+  const std::vector<NodeId> changed = {3, 40, 41, 143};
   auto audit = [&](ColoringTransport& t, const std::string& where) {
     t.build_tree(0);
     // Warm: scratch buffers size themselves.
@@ -110,6 +112,9 @@ TEST(AllocAudit, BfsTreeOpsSteadyState) {
     for (int i = 0; i < 5; ++i) {
       t.aggregate_pair(v0, v1);
       t.broadcast_bit(1);
+      for (const NodeId v : changed) v0[static_cast<std::size_t>(v)] += 0.125L;
+      t.aggregate_pair_update(v0, v1, changed);
+      t.broadcast_bit(0);
     }
     EXPECT_EQ(allocs() - before, 0u) << "tree ops allocated: " << where;
   };
@@ -123,9 +128,13 @@ TEST(AllocAudit, BfsTreeOpsSteadyState) {
 
   congest::TreeData tree;
   build_tree_data(net, 0, &tree);
+  congest::TreeFixedSum sum;
+  sum.refresh(tree, v0);  // warm
   const std::uint64_t before = allocs();
   for (int i = 0; i < 5; ++i) {
-    congest::tree_fixed_sum(tree, v0);
+    sum.refresh(tree, v0);
+    for (const NodeId v : changed) v0[static_cast<std::size_t>(v)] += 0.125L;
+    sum.update(tree, v0, changed);
     net.charge(congest::wave_cost(tree, 128, net.bandwidth_bits()));
     net.charge(congest::wave_cost(tree, 13, net.bandwidth_bits()));
   }
@@ -206,10 +215,11 @@ TEST(AllocAudit, MisRunSteadyState) {
 }
 
 // One transport rebinding its tree across every cluster of a real
-// network decomposition, running the seed-fixing ops each time. After one
-// warm pass over all clusters (TreeData and scratch capacities reach
-// their high-water marks), further passes — rebinds included — must not
-// allocate.
+// network decomposition, running the seed-fixing ops each time: a full
+// aggregation, then incremental ones over a few of the cluster's nodes.
+// After one warm pass over all clusters (TreeData, encoded-sum and
+// scratch capacities reach their high-water marks), further passes —
+// rebinds included — must not allocate.
 TEST(AllocAudit, ClusterRebindSteadyState) {
   const Graph g = make_clustered(6, 12, 0.5, 0.02, test::kTestSeed + 2);
   const NetworkDecomposition d = decompose(g);
@@ -222,6 +232,13 @@ TEST(AllocAudit, ClusterRebindSteadyState) {
       t.bind_cluster(c);
       t.aggregate_pair(v0, v1);
       t.broadcast_bit(1);
+      const std::span<const NodeId> changed(c.members.data(),
+                                            std::min<std::size_t>(3, c.members.size()));
+      for (int i = 0; i < 3; ++i) {
+        for (const NodeId v : changed) v1[static_cast<std::size_t>(v)] += 0.25L;
+        t.aggregate_pair_update(v0, v1, changed);
+        t.broadcast_bit(0);
+      }
     }
   };
   pass();  // warm
@@ -339,11 +356,9 @@ TEST(AllocAudit, SeedFixingEngineSteadyState) {
     }
     auto engine = make_fast_bitwise_pair_prob(K, b);
     engine->begin_phase(specs, edges);
-    std::vector<int> changed;
     std::vector<std::array<long double, 4>> joints(edges.size());
     auto step = [&](int j) {
-      engine->changed_edges(&changed);
-      engine->edge_diagonals(changed, joints.data());
+      engine->edge_diagonals(engine->changed_edges(), joints.data());
       engine->fix_next_bit((j * 7 + 3) % 5 < 2 ? 1 : 0);
     };
     const int d = engine->num_seed_bits();

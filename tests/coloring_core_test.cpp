@@ -198,16 +198,16 @@ TEST_P(PartialColoringTest, LemmaGuarantees) {
 
   // (3) Potential trajectory: Phi_l <= Phi_0 + l * n/ceil(logC) + noise.
   ASSERT_EQ(static_cast<int>(st.potential_after_phase.size()), st.phases);
-  const Fraction slack(n, st.phases);              // n/ceil(logC) per phase
-  const Fraction noise(n, 1 << 20);                // fixed-point aggregation noise
-  Fraction bound = Fraction::from_int(n);          // Phi_0 < n' always
+  const long double slack = static_cast<long double>(n) / st.phases;  // n/ceil(logC) per phase
+  const long double noise = static_cast<long double>(n) / (1 << 20);  // fixed-point noise
+  long double bound = n;                                               // Phi_0 < n' always
   for (int l = 0; l < st.phases; ++l) {
     bound += slack;
     EXPECT_LE(st.potential_after_phase[l] - noise, bound)
         << "scenario " << scenario << " phase " << l;
   }
   // Lemma 2.1: final potential <= 2n.
-  EXPECT_LE(st.potential_after_phase.back() - noise, Fraction::from_int(2 * n));
+  EXPECT_LE(st.potential_after_phase.back() - noise, 2.0L * n);
 
   // (4) Proper partial coloring from the original lists.
   EXPECT_TRUE(test::proper_partial_on_active(test::all_active(g), colors, kUncolored));

@@ -220,7 +220,7 @@ TEST(BfsTreeTest, AggregateSums) {
     vals[i] = static_cast<long double>(i * 3 + 1);
     expect += congest::to_fixed(vals[i]);
   }
-  EXPECT_EQ(congest::tree_fixed_sum(t, vals), expect);
+  EXPECT_EQ(congest::TreeFixedSum().refresh(t, vals), expect);
   // A 16-bit value fits one message: depth rounds, one per tree edge.
   const auto before = net.metrics();
   net.charge(congest::wave_cost(t, 16, net.bandwidth_bits()));
@@ -237,7 +237,7 @@ TEST(BfsTreeTest, AggregateSaturates) {
   // Each encoding fits 63 bits, the three together overflow 64: the sum
   // clamps instead of wrapping.
   const std::vector<long double> vals(3, 2.0e9L);
-  EXPECT_EQ(congest::tree_fixed_sum(t, vals), ~std::uint64_t{0});
+  EXPECT_EQ(congest::TreeFixedSum().refresh(t, vals), ~std::uint64_t{0});
 }
 
 TEST(BfsTreeTest, AggregateWideValuesChargePipelining) {
@@ -351,7 +351,7 @@ TEST(FixedPoint, AggregateFixedSumMatches) {
     vals[i] = 1.0L / (i + 1);
     expect += vals[i];
   }
-  const long double got = congest::from_fixed(congest::tree_fixed_sum(t, vals));
+  const long double got = congest::from_fixed(congest::TreeFixedSum().refresh(t, vals));
   EXPECT_NEAR(static_cast<double>(got), static_cast<double>(expect), 1e-8);
 }
 

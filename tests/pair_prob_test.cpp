@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <span>
 #include <vector>
 
 #include "src/coloring/pair_prob.h"
@@ -185,12 +186,11 @@ TEST(PairProbEngine, EdgeDiagonalsEqualEdgeJoints) {
 
     const int m = static_cast<int>(inst.edges.size());
     const std::array<long double, 4> sentinel = {-1.0L, -1.0L, -1.0L, -1.0L};
-    std::vector<int> changed;
     std::vector<std::array<long double, 4>> diag;
     const int d = engines[0]->num_seed_bits();
     for (int j = 0; j < d; ++j) {
       for (auto& eng : engines) {
-        eng->changed_edges(&changed);
+        const std::span<const int> changed = eng->changed_edges();
         diag.assign(m, sentinel);
         eng->edge_diagonals(changed, diag.data());
         std::vector<char> listed(m, 0);
@@ -275,11 +275,10 @@ TEST(PairProbEngine, ChangedEdgesIsSound) {
       sides[0].eng->begin_phase(specs, distinct_pairs);
       sides[1].eng->begin_phase(specs, all_pairs);
 
-      std::vector<int> listed;
       const int d = sides[0].eng->num_seed_bits();
       for (int j = 0; j < d; ++j) {
         for (Side& side : sides) {
-          side.eng->changed_edges(&listed);
+          const std::span<const int> listed = side.eng->changed_edges();
           std::vector<char> in(side.m, 0);
           for (const int e : listed) {
             ASSERT_TRUE(e >= 0 && e < side.m) << "e=" << e;

@@ -3,8 +3,10 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "src/coloring/baselines.h"
+#include "src/coloring/derand_mis.h"
 #include "src/coloring/theorem11.h"
 #include "src/graph/generators.h"
 #include "src/graph/properties.h"
@@ -111,6 +113,60 @@ TEST(Theorem11, DisconnectedGraphHandled) {
   const ListInstance pristine = inst;
   auto res = theorem11_solve_per_component(g, std::move(inst));
   EXPECT_TRUE(pristine.valid_solution(res.colors));
+}
+
+// The whole-graph drivers need a connected graph: the BFS tree must span
+// it. On two disjoint paths, building the tree throws a diagnostic that
+// names an unreached node, on both transports and through both
+// seed-fixing pipelines, instead of indexing the unreached nodes' level
+// of -1. The per-component driver still colours the graph.
+TEST(Theorem11, DisconnectedGraphRejectedByWholeGraphDrivers) {
+  const Graph g = Graph::from_edges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
+  EXPECT_THROW(theorem11_solve(g, ListInstance::delta_plus_one(g)), std::invalid_argument);
+  runtime::EngineColoringTransport t11_engine(g, 1);
+  EXPECT_THROW(theorem11_run(t11_engine, ListInstance::delta_plus_one(g)), std::invalid_argument);
+  runtime::NetworkColoringTransport mis_network(g);
+  EXPECT_THROW(derandomized_mis_core(mis_network), std::invalid_argument);
+  runtime::EngineColoringTransport mis_engine(g, 1);
+  EXPECT_THROW(derandomized_mis_core(mis_engine), std::invalid_argument);
+  try {
+    mis_network.build_tree(0);
+    ADD_FAILURE() << "build_tree spanned a disconnected graph";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("node 3"), std::string::npos) << e.what();
+  }
+
+  auto inst = ListInstance::delta_plus_one(g);
+  const ListInstance pristine = inst;
+  EXPECT_TRUE(pristine.valid_solution(theorem11_solve_per_component(g, std::move(inst)).colors));
+}
+
+// A dense graph (Delta about 110) with 1024-colour random lists: exact
+// fractions over the lcm of the candidate-list sizes overflow
+// std::int64_t here, so the per-phase potential audit must not use them.
+// Every phase of every Lemma 2.1 iteration must stay within the Lemma
+// 2.6 budget n' + (l + 1) n'/ceil(logC) and end within Lemma 2.1's 2n',
+// up to the fixed-point aggregation noise.
+TEST(Theorem11, DenseWideListsKeepPotentialBounds) {
+  const Graph g = make_gnp(300, 0.3, 7);
+  const ListInstance inst = ListInstance::random_lists(g, 1024, 3);
+  const Theorem11Result res = theorem11_solve(g, inst);
+  EXPECT_TRUE(inst.valid_solution(res.colors));
+  ASSERT_FALSE(res.per_iteration.empty());
+  for (std::size_t i = 0; i < res.per_iteration.size(); ++i) {
+    const PartialColoringStats& st = res.per_iteration[i];
+    const long double n = st.active_before;
+    const long double noise = n / (1 << 20);
+    ASSERT_EQ(static_cast<int>(st.potential_after_phase.size()), st.phases) << "iter " << i;
+    for (int l = 0; l < st.phases; ++l) {
+      const long double phi = st.potential_after_phase[static_cast<std::size_t>(l)];
+      EXPECT_GE(phi, 0.0L) << "iter " << i << " phase " << l;
+      EXPECT_LE(phi - noise, n + (l + 1) * n / st.phases) << "iter " << i << " phase " << l;
+    }
+    if (st.phases > 0) {
+      EXPECT_LE(st.potential_after_phase.back() - noise, 2 * n) << "iter " << i;
+    }
+  }
 }
 
 // A transport whose conflict MIS selects nobody: every Lemma 2.1

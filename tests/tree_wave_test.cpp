@@ -14,7 +14,10 @@
 //  - at bandwidths 12, 40, 64 and 128 bits.
 // The oracle's accumulators are checked to be subtree sums, and a tree
 // with one saturated subtree checks that the kernel's level-order sum
-// and the oracle's subtree fold agree. A final suite checks that the
+// and the oracle's subtree fold agree. The incremental suites run random
+// sparse update sequences through aggregate_pair_update, saturating and
+// +inf totals included, and hold every call to the oracle on the current
+// values. A final suite checks that the
 // transport rejects on both executors, at bind time, a cluster tree whose parent edge is
 // not a graph edge or whose one parentless node is not the cluster's
 // root.
@@ -22,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -188,6 +192,24 @@ std::vector<std::uint64_t> oracle_aggregate(ParallelEngine& eng, const TreeData&
   std::vector<std::uint64_t> sums;
   for (const auto& a : oracle_subtree_sums(eng, t, value_bits, values)) sums.push_back(a[t.root]);
   return sums;
+}
+
+// The pair aggregate_pair returns, by the oracle, with its charge left
+// on `eng`: in the cluster form both sums quantized in one 128-bit wave;
+// in the BFS form one 64-bit wave, one charged round for the unquantized
+// second sum, and that sum over all of v1 in index order.
+std::pair<long double, long double> oracle_pair(ParallelEngine& eng, const TreeData& t,
+                                                bool cluster, const std::vector<long double>& v0,
+                                                const std::vector<long double>& v1) {
+  if (cluster) {
+    const auto sums = oracle_aggregate(eng, t, 128, {&v0, &v1});
+    return {congest::from_fixed(sums[0]), congest::from_fixed(sums[1])};
+  }
+  const long double sum0 = congest::from_fixed(oracle_aggregate(eng, t, 64, {&v0})[0]);
+  eng.tick(1);
+  long double sum1 = 0.0L;
+  for (const long double x : v1) sum1 += x;
+  return {sum0, sum1};
 }
 
 void oracle_broadcast(ParallelEngine& eng, const TreeData& t, std::uint64_t value, int bits) {
@@ -382,23 +404,9 @@ void check_tree(const Graph& g, const Cluster* cluster, const std::string& name)
       EXPECT_EQ(eng_t.tree().level_off, tree.level_off) << where;
       EXPECT_EQ(eng_t.tree().level_nodes, tree.level_nodes) << where;
 
-      long double want0, want1;
-      if (cluster != nullptr) {
-        const auto sums = oracle_aggregate(eng, tree, 128, {&v0, &v1});
-        want0 = congest::from_fixed(sums[0]);
-        want1 = congest::from_fixed(sums[1]);
-      } else {
-        // The BFS form: one 64-bit wave plus one charged round for the
-        // unquantized second sum.
-        want0 = congest::from_fixed(oracle_aggregate(eng, tree, 64, {&v0})[0]);
-        eng.tick(1);
-        want1 = 0.0L;
-        for (const long double x : v1) want1 += x;
-      }
-      EXPECT_EQ(net_sums.first, want0) << where;
-      EXPECT_EQ(net_sums.second, want1) << where;
-      EXPECT_EQ(eng_sums.first, want0) << where;
-      EXPECT_EQ(eng_sums.second, want1) << where;
+      const auto want = oracle_pair(eng, tree, cluster != nullptr, v0, v1);
+      EXPECT_EQ(net_sums, want) << where;
+      EXPECT_EQ(eng_sums, want) << where;
       expect_metrics_eq(net_agg, eng.metrics(), where + " aggregate, Network");
       expect_metrics_eq(eng_agg, eng.metrics(), where + " aggregate, engine");
 
@@ -410,6 +418,105 @@ void check_tree(const Graph& g, const Cluster* cluster, const std::string& name)
       eng.reset_metrics();
       oracle_broadcast(eng, tree, 0x1abc, 13);
       expect_metrics_eq(congest::wave_cost(tree, 13, bw), eng.metrics(), where + " 13-bit");
+    }
+  }
+}
+
+// Random sparse update sequences through aggregate_pair_update, on both
+// transports, over each tree of `trees` in turn (nullptr: the BFS tree
+// from node 0), each bound on the same pair of transports, at every
+// bandwidth. After every call the sums and Metrics must equal the
+// oracle's on the current values. The first call after each bind is
+// incremental too (a bind starts afresh). Each tree's sequence first
+// saturates the Q32.32 total with three nodes of 2e9 and drops back
+// below 2^64 - 1, then does the same with +inf; random steps follow,
+// each moving up to four nodes anywhere in the graph and listing, too,
+// an unmoved node (outside the tree when there is one) and a repeat.
+void check_update_sequences(const Graph& g, const std::vector<const Cluster*>& trees,
+                            const std::string& name, std::uint64_t salt) {
+  constexpr int kSteps = 14;
+  constexpr long double kInf = std::numeric_limits<long double>::infinity();
+  const NodeId n = g.num_nodes();
+  for (const int bw : kBandwidths) {
+    congest::Network net(g, bw);
+    runtime::NetworkColoringTransport ref(net);
+    runtime::EngineColoringTransport eng_t(g, 1, bw);
+    auto rng = test::make_rng(salt + static_cast<std::uint64_t>(bw));
+    for (std::size_t k = 0; k < trees.size(); ++k) {
+      const Cluster* cluster = trees[k];
+      if (cluster == nullptr) {
+        ref.build_tree(0);
+        eng_t.build_tree(0);
+      } else {
+        ref.bind_cluster(*cluster);
+        eng_t.bind_cluster(*cluster);
+      }
+      const int threads = k % 2 == 0 ? 1 : 3;
+      ParallelEngine eng(g, threads, bw);
+      TreeData tree;
+      bind_oracle(eng, cluster, &tree);
+      std::vector<char> in_tree(static_cast<std::size_t>(n), 0);
+      for (const NodeId v : tree.level_nodes) in_tree[static_cast<std::size_t>(v)] = 1;
+      const auto tree_node = [&](std::size_t i) {
+        return tree.level_nodes[i % tree.level_nodes.size()];
+      };
+      const auto random_node = [&] {
+        return static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(n)));
+      };
+      std::vector<long double> v0 = node_values(n, salt ^ k), v1 = node_values(n, ~salt ^ k);
+      std::vector<NodeId> changed;
+      const auto set = [&](NodeId v, long double x0, long double x1) {
+        v0[static_cast<std::size_t>(v)] = x0;
+        v1[static_cast<std::size_t>(v)] = x1;
+        changed.push_back(v);
+      };
+      for (int step = 0; step < kSteps; ++step) {
+        changed.clear();
+        switch (step) {
+          case 0:  // the first call after the bind
+            set(tree_node(1), 3.5L, 0.25L);
+            break;
+          case 1:  // three encodings just below 2^63 each: saturates
+          case 3:  // +inf encodes to 2^64 - 1: saturates
+            for (std::size_t i = 0; i < 3; ++i) {
+              const long double x = step == 1 ? 2.0e9L : (i == 0 ? kInf : 0.5L);
+              set(tree_node(i), x, x);
+            }
+            break;
+          case 2:
+          case 4:  // back below 2^64 - 1
+            for (std::size_t i = 0; i < 3; ++i) set(tree_node(i), 0.5L, 0.75L);
+            break;
+          default: {
+            const int moved = 1 + static_cast<int>(rng.next_below(4));
+            for (int i = 0; i < moved; ++i) {
+              const long double x = static_cast<long double>(rng.next_below(4096)) / 256.0L;
+              set(random_node(), x, rng.next_below(8) == 0 ? 2.0e9L : x / 2);
+            }
+            NodeId quiet = random_node();
+            for (NodeId tries = 0; tries < n && in_tree[static_cast<std::size_t>(quiet)]; ++tries) {
+              quiet = (quiet + 1) % n;
+            }
+            changed.push_back(quiet);
+            changed.push_back(changed.front());
+          }
+        }
+        const std::string where = name + " B=" + std::to_string(bw) + " tree " +
+                                  std::to_string(k) + " step " + std::to_string(step);
+        net.reset_metrics();
+        eng_t.executor().reset_metrics();
+        eng.reset_metrics();
+        const auto net_sums = ref.aggregate_pair_update(v0, v1, changed);
+        const auto eng_sums = eng_t.aggregate_pair_update(v0, v1, changed);
+        const auto want = oracle_pair(eng, tree, cluster != nullptr, v0, v1);
+        EXPECT_EQ(net_sums, want) << where;
+        EXPECT_EQ(eng_sums, want) << where;
+        if ((step == 1 || step == 3) && tree.level_nodes.size() >= 3) {
+          EXPECT_EQ(want.first, congest::from_fixed(~std::uint64_t{0})) << where;
+        }
+        expect_metrics_eq(net.metrics(), eng.metrics(), where + " Network");
+        expect_metrics_eq(eng_t.metrics(), eng.metrics(), where + " engine");
+      }
     }
   }
 }
@@ -462,7 +569,7 @@ TEST(TreeWaveConformance, SaturatedSumsMatchOracle) {
   const auto sums = oracle_aggregate(eng, tree, 128, {&big, &big});
   EXPECT_EQ(sums[0], ~std::uint64_t{0});
   EXPECT_EQ(sums[1], ~std::uint64_t{0});
-  EXPECT_EQ(congest::tree_fixed_sum(tree, big), sums[0]);
+  EXPECT_EQ(congest::TreeFixedSum().refresh(tree, big), sums[0]);
   runtime::EngineColoringTransport kernel(g, 1);
   kernel.bind_cluster(c);
   const auto got = kernel.aggregate_pair(big, big);
@@ -484,7 +591,7 @@ TEST(TreeWaveOracle, AccumulatorsHoldSubtreeSums) {
   std::uint64_t sub1 = 0;
   for (const std::size_t i : {1, 3, 4, 7, 8, 9, 10}) sub1 += congest::to_fixed(vals[i]);
   EXPECT_EQ(acc[1], sub1);
-  EXPECT_EQ(acc[0], congest::tree_fixed_sum(tree, vals));
+  EXPECT_EQ(acc[0], congest::TreeFixedSum().refresh(tree, vals));
 }
 
 // The kernel sums in level order, the oracle subtree by subtree. With
@@ -506,8 +613,8 @@ TEST(TreeWaveConformance, OneSaturatedSubtreeMatchesOracle) {
     EXPECT_EQ(acc[0][1], ~std::uint64_t{0}) << threads;
     EXPECT_LT(acc[0][2], std::uint64_t{1} << 40) << threads;
     EXPECT_EQ(acc[0][0], ~std::uint64_t{0}) << threads;
-    EXPECT_EQ(congest::tree_fixed_sum(tree, vals), acc[0][0]) << threads;
-    EXPECT_EQ(congest::tree_fixed_sum(tree, small), acc[1][0]) << threads;
+    EXPECT_EQ(congest::TreeFixedSum().refresh(tree, vals), acc[0][0]) << threads;
+    EXPECT_EQ(congest::TreeFixedSum().refresh(tree, small), acc[1][0]) << threads;
   }
   congest::Network net(g);
   runtime::NetworkColoringTransport ref(net);
@@ -535,6 +642,27 @@ TEST(ClusterTreeParity, AggregateAndBroadcastMatchOnCorpus) {
     }
   }
   EXPECT_GT(steiner_clusters, 0) << "the corpus should exercise Steiner nodes";
+}
+
+// The incremental form against the oracle: the BFS trees of the corpus,
+// then, on one transport pair rebinding from tree to tree, the corpus
+// graphs as whole-tree clusters and every cluster of a decomposition
+// (Steiner nodes and nodes outside the tree included).
+TEST(TreeWaveIncremental, BfsTreeUpdatesMatchOracle) {
+  for (const auto& [name, g] : bfs_corpus()) check_update_sequences(g, {nullptr}, name, 0x51);
+}
+
+TEST(TreeWaveIncremental, ClusterTreeUpdatesMatchOracle) {
+  for (const auto& [name, g] : bfs_corpus()) {
+    const Cluster c = whole_tree_cluster(g, g.num_nodes() / 2, 1);
+    check_update_sequences(g, {&c}, name + " cluster", 0x52);
+  }
+  const Graph g = make_clustered(5, 12, 0.5, 10, test::kTestSeed + 3);
+  const NetworkDecomposition d = decompose(g);
+  std::vector<const Cluster*> trees;
+  for (const Cluster& c : d.clusters) trees.push_back(&c);
+  ASSERT_GT(trees.size(), 1u);
+  check_update_sequences(g, trees, "clustered", 0x53);
 }
 
 // The kernel is sequential, so the thread count only reaches the oracle:

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/util/bits.h"
-#include "src/util/fraction.h"
 #include "src/util/prime.h"
 #include "src/util/rng.h"
 
@@ -65,28 +64,6 @@ TEST(Prime, Small) {
   EXPECT_FALSE(is_prime(91));  // 7*13
   EXPECT_EQ(next_prime(90), 97u);
   EXPECT_EQ(next_prime(97), 97u);
-}
-
-TEST(Fraction, Arithmetic) {
-  const Fraction half(1, 2);
-  const Fraction third(1, 3);
-  EXPECT_EQ(half + third, Fraction(5, 6));
-  EXPECT_EQ(half - third, Fraction(1, 6));
-  EXPECT_EQ(half * third, Fraction(1, 6));
-  EXPECT_LT(third, half);
-  EXPECT_EQ(Fraction(2, 4), half);
-  EXPECT_EQ(Fraction(-1, -2), half);
-  EXPECT_EQ(Fraction(1, -2), Fraction(-1, 2));
-}
-
-TEST(Fraction, SumMatchesDouble) {
-  Fraction acc;
-  long double ref = 0;
-  for (int d = 1; d <= 40; ++d) {
-    acc += Fraction(3, d);
-    ref += 3.0L / d;
-  }
-  EXPECT_NEAR(acc.to_double(), static_cast<double>(ref), 1e-12);
 }
 
 TEST(Rng, DeterministicAndBounded) {
