@@ -98,7 +98,9 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
   }
 
   std::vector<CoinSpec> specs(n);
-  std::vector<int> k1_of(n, 0);
+  // Where bit l splits each candidate range: entries [lo, split) have
+  // bit 0, entries [split, hi) bit 1.
+  std::vector<int> split(n, 0);
   std::vector<long double> x0(n), x1(n);
   std::vector<ConflictEdge> edges;
   // Incremental node sums: each edge's four used joint entries
@@ -124,10 +126,9 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
           L.begin() + r.lo, L.begin() + r.hi, [&](Color c) {
             return msb_bit(static_cast<std::uint64_t>(c), l, width) == 0;
           });
-      const int split = static_cast<int>(first1 - L.begin());
-      k1_of[v] = r.hi - split;
+      split[v] = static_cast<int>(first1 - L.begin());
       specs[v] = CoinSpec{static_cast<std::uint64_t>(input_coloring[v]),
-                          threshold_for(static_cast<std::uint64_t>(k1_of[v]),
+                          threshold_for(static_cast<std::uint64_t>(r.hi - split[v]),
                                         static_cast<std::uint64_t>(r.size()), b)};
     }
     for (NodeId v = 0; v < n; ++v) {
@@ -191,7 +192,7 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
       // from 0 over its edges in ascending index order, the exact long
       // double addition sequence of one pass over all edges.
       for (const NodeId w : dirty) {
-        const int k1 = k1_of[w], k0 = range[w].size() - k1;
+        const int k1 = range[w].hi - split[w], k0 = split[w] - range[w].lo;
         long double s0 = 0.0L;
         long double s1 = 0.0L;
         for (std::int32_t i = inc_off[w]; i < inc_off[w + 1]; ++i) {
@@ -222,14 +223,8 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
     for (NodeId v : active_nodes) {
       const int c = engine->coin(v);
       new_bit[v] = c;
-      const auto& L = inst.list(v);
       const Range r = range[v];
-      const auto first1 = std::partition_point(
-          L.begin() + r.lo, L.begin() + r.hi, [&](Color col) {
-            return msb_bit(static_cast<std::uint64_t>(col), l, width) == 0;
-          });
-      const int split = static_cast<int>(first1 - L.begin());
-      range[v] = c ? Range{split, r.hi} : Range{r.lo, split};
+      range[v] = c ? Range{split[v], r.hi} : Range{r.lo, split[v]};
       assert(range[v].size() >= 1 && "candidate list must never become empty");
     }
     // One round: exchange the new prefix bit with alive conflict neighbors.

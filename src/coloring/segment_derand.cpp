@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "src/coloring/partial_coloring.h"  // precision_bits_for
@@ -60,8 +61,7 @@ namespace {
 // around it leaves the code generated for these loops unchanged.
 [[gnu::noinline]] SegmentDerandResult fix_seed_segments(
     const std::vector<MultiwaySpec>& specs, const std::vector<std::vector<NodeId>>& conflict,
-    int w, int b, int lambda, const std::function<void()>& on_segment,
-    const EdgePairsFn& edge_pairs) {
+    int w, int b, int lambda, const std::function<void()>& on_segment) {
   const NodeId n = static_cast<NodeId>(specs.size());
   SegmentDerandResult res;
   res.selected.assign(n, -1);
@@ -72,7 +72,7 @@ namespace {
 
   for (int t = 0; t < b; ++t) {
     for (NodeId v = 0; v < n; ++v) {
-      form[v].free_mask = (specs[v].id & a_mask) | (std::uint64_t{1} << w);
+      form[v].free_mask = (static_cast<std::uint64_t>(v) & a_mask) | (std::uint64_t{1} << w);
       form[v].known = 0;
     }
     int bit_pos = 0;
@@ -88,8 +88,7 @@ namespace {
           ChunkForm fv = form[v];
           substitute(fv, bit_pos, seg, R);
           const int r_after = b - t - 1;
-          for (std::size_t j = 0; j < conflict[v].size(); ++j) {
-            const NodeId u = conflict[v][j];
+          for (const NodeId u : conflict[v]) {
             ChunkForm fu = form[u];
             substitute(fu, bit_pos, seg, R);
             long double q[2][2] = {{0, 0}, {0, 0}};
@@ -121,18 +120,21 @@ namespace {
               }
               return p_both;
             };
-            if (edge_pairs != nullptr) {
-              for (const ConflictPair& cp : edge_pairs(v, j)) {
-                sum += joint_pg(static_cast<std::size_t>(cp.g_v),
-                                static_cast<std::size_t>(cp.g_u)) *
-                       cp.weight;
-              }
-            } else {
-              const std::size_t fanout = specs[v].counts.size();
-              for (std::size_t g = 0; g < fanout; ++g) {
-                const int kg = specs[v].counts[g];
-                if (kg == 0) continue;
-                sum += joint_pg(g, g) / kg;
+            // Every shared color key is one conflict event. An empty
+            // subrange at u has equal bounds and adds an exact +0.
+            const auto& kv = specs[v].keys;
+            const auto& ku = specs[u].keys;
+            std::size_t gv = 0, gu = 0;
+            while (gv < kv.size() && gu < ku.size()) {
+              if (kv[gv] < ku[gu]) {
+                ++gv;
+              } else if (kv[gv] > ku[gu]) {
+                ++gu;
+              } else {
+                const int kg = specs[v].counts[gv];
+                if (kg != 0) sum += joint_pg(gv, gu) / kg;
+                ++gv;
+                ++gu;
               }
             }
           }
@@ -172,10 +174,9 @@ namespace {
 SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
                                         const std::vector<std::vector<NodeId>>& conflict,
                                         int w, int b, int lambda,
-                                        const std::function<void()>& on_segment,
-                                        const EdgePairsFn& edge_pairs) {
+                                        const std::function<void()>& on_segment) {
   obs::Span span(obs::kCatPhase, "derand.math");
-  return fix_seed_segments(specs, conflict, w, b, lambda, on_segment, edge_pairs);
+  return fix_seed_segments(specs, conflict, w, b, lambda, on_segment);
 }
 
 int section4_conflicts(const Graph& g, const std::vector<bool>& active, ListInstance& inst,
@@ -237,13 +238,13 @@ NodeId section4_commit_cycle(const Graph& g, ListInstance& inst, std::vector<boo
   std::vector<MultiwaySpec> specs(n);
   for (NodeId v = 0; v < n; ++v) {
     specs[v].active = active[v];
-    specs[v].id = static_cast<std::uint64_t>(v);
     if (active[v]) hi[v] = static_cast<int>(inst.list(v).size());
   }
   for (int ell = 0; ell < W;) {
     ++*derand_passes;
     const int step = std::min(step_bits, W - ell);
-    // Subrange g holds the range's entries whose next `step` bits are g.
+    // Subrange g holds the range's entries whose next `step` bits are g;
+    // its key is that extended prefix, first + g.
     for (NodeId v = 0; v < n; ++v) {
       if (!active[v]) continue;
       const auto& L = inst.list(v);
@@ -253,6 +254,8 @@ NodeId section4_commit_cycle(const Graph& g, ListInstance& inst, std::vector<boo
       for (int i = lo[v]; i < hi[v]; ++i) {
         ++specs[v].counts[msb_prefix(static_cast<std::uint64_t>(L[i]), ell + step, W) - first];
       }
+      specs[v].keys.resize(specs[v].counts.size());
+      std::iota(specs[v].keys.begin(), specs[v].keys.end(), first);
       specs[v].bounds = multiway_bounds(specs[v].counts, b);
     }
     costs.count_exchange(specs, conflict, b);

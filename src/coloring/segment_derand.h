@@ -12,11 +12,21 @@
 // model implements once: the clique over `CliqueNetwork`, the MPC over
 // machine exchanges and its aggregation tree.
 //
-// Seed fixing (`segment_derand_step`) is pure math. Because a fully fixed
-// chunk makes the corresponding hash digit a deterministic integer, and
-// unfixed future chunks contribute independent uniform digits (distinct
-// input ids), conditional interval probabilities reduce to O(1)
-// interval-intersection arithmetic.
+// Seed fixing (`segment_derand_step`) is pure math with one objective:
+// the expected number of conflict neighbors that land on the same color,
+// each such event weighted by 1/|candidates| of the selecting node. Every
+// subrange carries the color KEY it stands for, and a pair of selections
+// (g_v at v, g_u at u) conflicts exactly when their keys are equal. In
+// the commit cycle a subrange's key is the color prefix it extends to;
+// conflict neighbors always share the prefix fixed so far (an edge
+// survives a pass only when both ends selected the same subrange), so
+// equal keys means equal subrange index. In Lemma 4.2 a subrange is one
+// color, its key is that color, and every weight is 1.
+//
+// Because a fully fixed chunk makes the corresponding hash digit a
+// deterministic integer, and unfixed future chunks contribute independent
+// uniform digits (distinct node indices), conditional interval
+// probabilities reduce to O(1) interval-intersection arithmetic.
 #pragma once
 
 #include <cstdint>
@@ -30,13 +40,14 @@ namespace dcolor {
 
 struct MultiwaySpec {
   bool active = false;
-  std::uint64_t id = 0;  // input color (unique id), < 2^w
   // Interval boundaries over [2^b]: subrange g is selected when the hash
   // value lands in [bounds[g], bounds[g+1]); bounds[0] = 0,
   // bounds[fanout] = 2^b. Empty subranges have equal boundaries.
   std::vector<std::uint64_t> bounds;
   // Number of candidate colors in each subrange (weights 1/k_g).
   std::vector<int> counts;
+  // The color key of each subrange, ascending, parallel to `counts`.
+  std::vector<std::uint64_t> keys;
 };
 
 struct SegmentDerandResult {
@@ -44,22 +55,8 @@ struct SegmentDerandResult {
   int segments_fixed = 0;
 };
 
-// One conflicting pair of subrange selections on a directed edge (v,u):
-// selecting g_v at v and g_u at u contributes `weight` to the potential.
-struct ConflictPair {
-  int g_v;
-  int g_u;
-  long double weight;
-};
-
-// Per-directed-edge conflict structure: pairs(v, j) describes the edge
-// (v, conflict[v][j]). nullptr => the DIAGONAL objective g_v == g_u with
-// weight 1/counts[g] (the prefix-extension potential). Lemma 4.2 supplies
-// color-value matchings instead.
-using EdgePairsFn =
-    std::function<const std::vector<ConflictPair>&(NodeId v, std::size_t j)>;
-
 // Runs one derandomized multiway step over the given conflict adjacency.
+// Node v's hash input is its index v, which must be < 2^w.
 //  * w          — id bits (seed chunk = w+1 bits: a_t then c_t)
 //  * b          — hash precision bits (chunks)
 //  * lambda     — max segment length in bits (<= machine/clique capacity)
@@ -67,8 +64,7 @@ using EdgePairsFn =
 SegmentDerandResult segment_derand_step(const std::vector<MultiwaySpec>& specs,
                                         const std::vector<std::vector<NodeId>>& conflict,
                                         int w, int b, int lambda,
-                                        const std::function<void()>& on_segment,
-                                        const EdgePairsFn& edge_pairs = nullptr);
+                                        const std::function<void()>& on_segment);
 
 // Builds interval boundaries for a node's subrange counts:
 // bounds[g] = ceil(cum_g / size * 2^b), exactly 0/2^b at the extremes.

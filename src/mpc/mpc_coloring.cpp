@@ -110,48 +110,21 @@ NodeId lemma42_pass(const Graph& g, ListInstance& inst, std::vector<bool>& activ
   // picks among whole lists.
   const int b = section4_precision_bits(delta_c, static_cast<int>(std::max<std::size_t>(max_list, 2)));
 
+  // Conflicts occur on equal COLOR VALUES, not equal list indices: each
+  // entry is its own subrange, keyed by its color.
   std::vector<MultiwaySpec> specs(n);
   for (NodeId v = 0; v < n; ++v) {
     specs[v].active = active[v];
-    specs[v].id = static_cast<std::uint64_t>(v);
     if (!active[v]) continue;
-    specs[v].counts.assign(inst.list(v).size(), 1);
+    const auto& L = inst.list(v);
+    specs[v].counts.assign(L.size(), 1);
+    specs[v].keys.assign(L.begin(), L.end());
     specs[v].bounds = multiway_bounds(specs[v].counts, b);
   }
   costs.list_exchange(inst, conflict);
 
-  // Conflicts occur on equal COLOR VALUES (not equal list indices): the
-  // derandomization objective is E[#conflicts] = sum over edges and over
-  // common colors of Pr[both endpoints pick that color]. Precompute the
-  // matching index pairs per directed edge (sorted-list merge).
-  std::vector<std::vector<std::vector<ConflictPair>>> pairs(n);
-  for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) continue;
-    pairs[v].resize(conflict[v].size());
-    const auto& Lv = inst.list(v);
-    for (std::size_t j = 0; j < conflict[v].size(); ++j) {
-      const auto& Lu = inst.list(conflict[v][j]);
-      std::size_t a = 0, c = 0;
-      while (a < Lv.size() && c < Lu.size()) {
-        if (Lv[a] < Lu[c]) {
-          ++a;
-        } else if (Lv[a] > Lu[c]) {
-          ++c;
-        } else {
-          pairs[v][j].push_back(
-              ConflictPair{static_cast<int>(a), static_cast<int>(c), 1.0L});
-          ++a;
-          ++c;
-        }
-      }
-    }
-  }
-  const EdgePairsFn pairs_fn = [&](NodeId v, std::size_t j) -> const std::vector<ConflictPair>& {
-    return pairs[v][j];
-  };
-
-  const SegmentDerandResult der = segment_derand_step(
-      specs, conflict, id_bits, b, lambda, [&costs] { costs.fixed_segment(); }, pairs_fn);
+  const SegmentDerandResult der =
+      segment_derand_step(specs, conflict, id_bits, b, lambda, [&costs] { costs.fixed_segment(); });
   std::vector<Color> trial(n, kUncolored);
   for (NodeId v = 0; v < n; ++v) {
     if (active[v]) trial[v] = inst.list(v)[der.selected[v]];
