@@ -40,6 +40,14 @@ class GenericPairProb final : public PairProbEngine {
     return d;
   }
 
+  void edge_diagonals(std::span<const int> edges, std::array<std::uint64_t, 4>* out) override {
+    diagonals(edges, out);
+  }
+  void edge_diagonals(std::span<const int> edges,
+                      std::array<unsigned __int128, 4>* out) override {
+    diagonals(edges, out);
+  }
+
   void fix_next_bit(int bit) override { fixed_.push_back(static_cast<std::uint8_t>(bit)); }
 
   // The reference makes no structural claim: every edge, every bit.
@@ -51,6 +59,25 @@ class GenericPairProb final : public PairProbEngine {
   }
 
  private:
+  template <typename Out>
+  void diagonals(std::span<const int> edges, std::array<Out, 4>* out) {
+    const int two_b = 2 * family_->precision_bits();
+    assert(two_b < static_cast<int>(8 * sizeof(Out)) && "2^(2b) does not fit the numerators");
+    for (const int e : edges) {
+      const auto [J0, J1] = edge_joints(e);
+      out[e] = {numerator<Out>(J0[0][0], two_b), numerator<Out>(J0[1][1], two_b),
+                numerator<Out>(J1[0][0], two_b), numerator<Out>(J1[1][1], two_b)};
+    }
+  }
+
+  // p * 2^two_b, an integer when p has at most two_b fraction bits.
+  template <typename Out>
+  static Out numerator(long double p, int two_b) {
+    const long double x = std::ldexp(p, two_b);
+    assert(x == std::floor(x) && "a joint entry has more than 2b fraction bits");
+    return static_cast<Out>(x);
+  }
+
   const CoinFamily* family_;
   std::vector<CoinSpec> specs_;
   std::vector<ConflictEdge> edges_;
@@ -84,8 +111,9 @@ class GenericPairProb final : public PairProbEngine {
 // digit t is below its threshold's | digit t = x] are integers over 2^r:
 // f(tau) = tail = threshold & (2^r - 1), f(x < tau) = 2^r, f(x > tau) = 0.
 // Num is std::uint64_t for 2b <= 62, where 2^S <= 2^(2b) fits it, and
-// unsigned __int128 up to b = 63; each returned entry is converted to
-// long double once and scaled by the exact power 2^-S.
+// unsigned __int128 up to b = 63. edge_diagonals shifts each numerator
+// left by 2b - S onto the phase scale 2^(2b); edge_joint(s) convert each
+// entry to long double once, scaled by the exact power 2^-S.
 //
 // Changed edges (see pair_prob.h for the argument): a free node is live
 // while tight != 0 and settled after; liveness only ever goes from live to
@@ -145,12 +173,12 @@ class FastBitwisePairProb final : public PairProbEngine {
     return {joint_dist(nums(e, 0)), joint_dist(nums(e, 1))};
   }
 
-  void edge_diagonals(std::span<const int> edges, std::array<long double, 4>* out) override {
-    for (const int e : edges) {
-      const Nums n0 = nums(e, 0);
-      const Nums n1 = nums(e, 1);
-      out[e] = {to_ld(both_zero(n0)), to_ld(n0.p11), to_ld(both_zero(n1)), to_ld(n1.p11)};
-    }
+  void edge_diagonals(std::span<const int> edges, std::array<std::uint64_t, 4>* out) override {
+    diagonals(edges, out);
+  }
+  void edge_diagonals(std::span<const int> edges,
+                      std::array<unsigned __int128, 4>* out) override {
+    diagonals(edges, out);
   }
 
   void fix_next_bit(int bit) override {
@@ -294,6 +322,7 @@ class FastBitwisePairProb final : public PairProbEngine {
     const int S = t == b_ ? 0 : 2 * r_ + 2;
     one_ = Num{1} << S;
     scale_ = std::ldexp(1.0L, -S);
+    lift_ = 2 * b_ - S;
     if (t == b_) return;
     const std::uint64_t mask_low = (std::uint64_t{1} << r_) - 1;
     for (NodeState& ns : nodes_) {
@@ -303,6 +332,20 @@ class FastBitwisePairProb final : public PairProbEngine {
   }
 
   long double to_ld(Num x) const { return static_cast<long double>(x) * scale_; }
+
+  // The numerators over 2^S lifted to 2^(2b): Out holds 2^(2b), so it
+  // holds 2^S too, and the shift is exact.
+  template <typename Out>
+  void diagonals(std::span<const int> edges, std::array<Out, 4>* out) const {
+    assert(2 * b_ < static_cast<int>(8 * sizeof(Out)) && "2^(2b) does not fit the numerators");
+    const int lift = lift_;
+    for (const int e : edges) {
+      const Nums n0 = nums(e, 0);
+      const Nums n1 = nums(e, 1);
+      out[e] = {static_cast<Out>(both_zero(n0)) << lift, static_cast<Out>(n0.p11) << lift,
+                static_cast<Out>(both_zero(n1)) << lift, static_cast<Out>(n1.p11) << lift};
+    }
+  }
 
   // Pr[C_u = 0 and C_v = 0] = 1 - pu - pv + p11. The unsigned
   // intermediates may wrap; the result lies in [0, 2^S] and is exact.
@@ -417,6 +460,7 @@ class FastBitwisePairProb final : public PairProbEngine {
   int r_ = 0;              // digits after cur_chunk_
   Num one_ = 1;            // 2^S, the numerator of probability 1
   long double scale_ = 1;  // 2^-S
+  int lift_ = 0;           // 2b - S: edge_diagonals' shift to the scale 2^(2b)
   std::vector<int> slot_;         // per node: index into nodes_, or kForced*
   std::vector<NodeState> nodes_;  // free nodes, ascending node id
   std::vector<EdgeSlots> edges_;  // per edge: endpoint slots

@@ -51,14 +51,17 @@
 // multiples of 1/4, and tight/less and the edge DP masses are 0 or 1.
 // The engine evaluates each entry as an integer numerator over 2^S, in
 // std::uint64_t while 2b <= 62 and in unsigned __int128 up to b = 63 (the
-// factory rejects any other b), and converts it to long double once,
-// scaled by the exact power 2^-S. For b <= 32, S <= 64 fits the long
-// double significand, so every entry is exact and equals (==) the generic
-// engine's (pair_prob_test asserts it); for b >= 33 an entry is the exact
-// value rounded once.
+// factory rejects any other b). edge_diagonals hands the numerators out as
+// integers, lifted to the phase-wide scale 2^(2b) (S <= 2b) by a left
+// shift of 2b - S, so no rounding happens at all. edge_joint(s) convert
+// each entry to long double once, scaled by the exact power 2^-S. For
+// b <= 32, S <= 64 fits the long double significand, so every such entry
+// is exact and equals (==) the generic engine's (pair_prob_test asserts
+// it); for b >= 33 it is the exact value rounded once.
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -94,15 +97,18 @@ class PairProbEngine {
   }
 
   // For each listed edge e, out[e] = {J0[0][0], J0[1][1], J1[0][0],
-  // J1[1][1]} with {J0, J1} = edge_joints(e): the probabilities that both
-  // coins are 0 and that both are 1, under cand = 0 and cand = 1. One
-  // call per seed bit; other entries of out are left alone.
-  virtual void edge_diagonals(std::span<const int> edges, std::array<long double, 4>* out) {
-    for (const int e : edges) {
-      const auto [J0, J1] = edge_joints(e);
-      out[e] = {J0[0][0], J0[1][1], J1[0][0], J1[1][1]};
-    }
-  }
+  // J1[1][1]} * 2^(2b) with {J0, J1} = edge_joints(e) and b the coin
+  // precision: the probabilities that both coins are 0 and that both are
+  // 1, under cand = 0 and cand = 1, as exact integer numerators over the
+  // one scale 2^(2b) of the whole phase (every joint entry of either
+  // family has at most 2b fraction bits). The element type must hold
+  // 2^(2b): the 64-bit form needs b <= 31. One call per seed bit; other
+  // entries of out are left alone. The generic engine reads its
+  // family's long double probabilities, exact for b <= 32 (builds with
+  // assertions check that each scaled entry is an integer).
+  virtual void edge_diagonals(std::span<const int> edges, std::array<std::uint64_t, 4>* out) = 0;
+  virtual void edge_diagonals(std::span<const int> edges,
+                              std::array<unsigned __int128, 4>* out) = 0;
 
   // A superset of the edges e whose edge_joints(e) can differ from its
   // value before the last fix_next_bit, each listed once, in no

@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cmath>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <variant>
 
 #include "src/coloring/segment_derand.h"
 #include "src/hash/bitwise_family.h"
@@ -20,6 +25,103 @@ struct Range {
   int size() const { return hi - lo; }
 };
 
+// The state of Lemma 2.6's seed-bit loop at one accumulator width Acc
+// (node_sum_width), sized once per call. Each conflict edge keeps its
+// four diagonal numerators over 2^(2b) as the engine last wrote them,
+// {J0[0][0], J0[1][1], J1[0][0], J1[1][1]}, and each node their exact
+// sums over its edges, {z0, o0, z1, o1}. x0/x1 are the node values the
+// transport aggregates; `dirty` lists the nodes whose values moved at
+// this bit (deduplicated by stamp).
+template <typename Acc>
+struct SeedSums {
+  explicit SeedSums(NodeId n) : node(n), x0(n), x1(n), dirty_stamp(n, 0) {}
+  std::vector<std::array<Acc, 4>> edge;
+  std::vector<std::array<Acc, 4>> node;
+  std::vector<long double> x0, x1;
+  std::vector<NodeId> dirty;
+  std::vector<std::int32_t> dirty_stamp;
+  std::int32_t stamp = 0;
+};
+
+// The full recompute the incremental sums are checked against.
+template <typename Acc>
+[[maybe_unused]] bool sums_are_exact(const SeedSums<Acc>& s, const std::vector<ConflictEdge>& edges,
+                                     const std::vector<NodeId>& active_nodes) {
+  std::vector<std::array<Acc, 4>> want(s.node.size());
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    for (const NodeId w : {edges[e].u, edges[e].v}) {
+      for (int i = 0; i < 4; ++i) want[w][i] += s.edge[e][i];
+    }
+  }
+  return std::all_of(active_nodes.begin(), active_nodes.end(),
+                     [&](NodeId v) { return want[v] == s.node[v]; });
+}
+
+// z / k for a node's k candidates on one side, 0 when it has none (its
+// coin is then forced to the other side, and z is 0 too).
+template <typename Acc>
+long double per_candidate(Acc z, int k) {
+  return k > 0 ? static_cast<long double>(z) / k : 0.0L;
+}
+
+// Fixes one phase's seed bits one by one (Lemma 2.6). At each bit every
+// edge the engine lists as changed subtracts its old numerators from both
+// endpoints' sums and adds its new ones, so every node's sums are exact
+// at every bit, and only those endpoints get new values: w's term of
+// E[Phi_l | cand = c] is (z_c / k0 + o_c / k1) * 2^-2b, where k0 and k1
+// count w's candidates with bit l = 0 and 1.
+template <typename Acc>
+void fix_seed_bits(ColoringTransport& t, PairProbEngine& engine, int b,
+                   const std::vector<ConflictEdge>& edges,
+                   const std::vector<NodeId>& active_nodes, const std::vector<Range>& range,
+                   const std::vector<int>& split, SeedSums<Acc>& s) {
+  // Every edge is listed at the first bit, so zero numerators make its
+  // first subtraction a no-op; a node on no conflict edge keeps 0.
+  s.edge.assign(edges.size(), {});
+  for (const NodeId v : active_nodes) {
+    s.node[v] = {};
+    s.x0[v] = 0.0L;
+    s.x1[v] = 0.0L;
+  }
+  const long double scale = std::ldexp(1.0L, -2 * b);
+  const int d = engine.num_seed_bits();
+  for (int j = 0; j < d; ++j) {
+    ++s.stamp;
+    s.dirty.clear();
+    const std::span<const int> changed = engine.changed_edges();
+    for (const int e : changed) {
+      const std::array<Acc, 4> old = s.edge[e];
+      for (const NodeId w : {edges[e].u, edges[e].v}) {
+        for (int i = 0; i < 4; ++i) s.node[w][i] -= old[i];
+        if (s.dirty_stamp[w] == s.stamp) continue;
+        s.dirty_stamp[w] = s.stamp;
+        s.dirty.push_back(w);
+      }
+    }
+    engine.edge_diagonals(changed, s.edge.data());
+    for (const int e : changed) {
+      const std::array<Acc, 4> fresh = s.edge[e];
+      for (const NodeId w : {edges[e].u, edges[e].v}) {
+        for (int i = 0; i < 4; ++i) s.node[w][i] += fresh[i];
+      }
+    }
+    assert(sums_are_exact(s, edges, active_nodes) && "a node's sums missed an edge's change");
+    for (const NodeId w : s.dirty) {
+      const int k1 = range[w].hi - split[w], k0 = split[w] - range[w].lo;
+      const std::array<Acc, 4>& z = s.node[w];
+      s.x0[w] = (per_candidate(z[0], k0) + per_candidate(z[1], k1)) * scale;
+      s.x1[w] = (per_candidate(z[2], k0) + per_candidate(z[3], k1)) * scale;
+    }
+    // Bit 0 lists every edge but not the nodes reset to 0 above, so it
+    // re-encodes the whole tree; later bits move only `dirty`.
+    const auto [sum0, sum1] = j == 0 ? t.aggregate_pair(s.x0, s.x1)
+                                     : t.aggregate_pair_update(s.x0, s.x1, s.dirty);
+    const int bit = sum0 <= sum1 ? 0 : 1;
+    t.broadcast_bit(bit);
+    engine.fix_next_bit(bit);
+  }
+}
+
 }  // namespace
 
 int precision_bits_for(int max_degree, int color_bits, bool avoid_mis) {
@@ -28,6 +130,15 @@ int precision_bits_for(int max_degree, int color_bits, bool avoid_mis) {
   std::uint64_t target = 10 * delta * logc;
   if (avoid_mis) target *= (delta + 1);
   return std::max(1, ceil_log2(target));
+}
+
+int node_sum_width(int b, int max_degree) {
+  const int bits = 2 * b + bit_width_of(static_cast<std::uint64_t>(std::max(max_degree, 1)));
+  if (bits <= 64) return 64;
+  if (bits <= 128) return 128;
+  throw std::invalid_argument("node_sum_width: precision b = " + std::to_string(b) +
+                              " and max degree Delta = " + std::to_string(max_degree) + " need " +
+                              std::to_string(bits) + "-bit node sums, over 128");
 }
 
 PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& active,
@@ -56,6 +167,9 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
 
   const int b = precision_bits_for(delta, width, opts.avoid_mis);
   stats.precision_bits = b;
+  using Sums = std::variant<SeedSums<std::uint64_t>, SeedSums<unsigned __int128>>;
+  Sums sums = node_sum_width(b, delta) == 64 ? Sums(std::in_place_index<0>, n)
+                                             : Sums(std::in_place_index<1>, n);
 
   // Section-4 variant precondition: |L(v)| <= deg(v)+1 (needed for
   // Equation (9)). Trimming is always safe for a (degree+1) instance.
@@ -101,19 +215,7 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
   // Where bit l splits each candidate range: entries [lo, split) have
   // bit 0, entries [split, hi) bit 1.
   std::vector<int> split(n, 0);
-  std::vector<long double> x0(n), x1(n);
   std::vector<ConflictEdge> edges;
-  // Incremental node sums: each edge's four used joint entries
-  // {J0[0][0], J0[1][1], J1[0][0], J1[1][1]}, refreshed only when the
-  // engine lists the edge as changed; a flat incidence CSR over the
-  // phase's conflict edges, each node's edges ascending by index; and the
-  // nodes whose sums need re-adding this bit (deduplicated by stamp).
-  std::vector<std::array<long double, 4>> joints;
-  std::vector<std::int32_t> inc_off(static_cast<std::size_t>(n) + 1);
-  std::vector<std::int32_t> inc_edge;
-  std::vector<NodeId> dirty;
-  std::vector<std::int32_t> dirty_stamp(n, 0);
-  std::int32_t stamp = 0;
 
   // --- ceil(logC) prefix-extension phases.
   for (int l = 0; l < width; ++l) {
@@ -151,72 +253,9 @@ PartialColoringStats color_one_eighth(ColoringTransport& t, InducedSubgraph& act
       }
     }
     engine->begin_phase(specs, edges);
-
-    // Incidence CSR by counting sort over the edges in index order.
-    std::fill(inc_off.begin(), inc_off.end(), 0);
-    for (const ConflictEdge& e : edges) {
-      ++inc_off[static_cast<std::size_t>(e.u) + 1];
-      ++inc_off[static_cast<std::size_t>(e.v) + 1];
-    }
-    for (NodeId v = 0; v < n; ++v) inc_off[v + 1] += inc_off[v];
-    inc_edge.resize(2 * edges.size());
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      inc_edge[inc_off[edges[e].u]++] = static_cast<std::int32_t>(e);
-      inc_edge[inc_off[edges[e].v]++] = static_cast<std::int32_t>(e);
-    }
-    for (NodeId v = n; v > 0; --v) inc_off[v] = inc_off[v - 1];  // undo the cursors
-    inc_off[0] = 0;
-    joints.resize(edges.size());
-    // A node on no conflict edge is never re-summed: its sums stay 0.
-    for (NodeId v : active_nodes) {
-      x0[v] = 0.0L;
-      x1[v] = 0.0L;
-    }
-
-    // --- Fix the seed bits one by one (Lemma 2.6).
-    const int d = engine->num_seed_bits();
-    for (int j = 0; j < d; ++j) {
-      ++stamp;
-      dirty.clear();
-      const std::span<const int> changed = engine->changed_edges();
-      engine->edge_diagonals(changed, joints.data());
-      for (const int e : changed) {
-        for (const NodeId w : {edges[e].u, edges[e].v}) {
-          if (dirty_stamp[w] == stamp) continue;
-          dirty_stamp[w] = stamp;
-          dirty.push_back(w);
-        }
-      }
-      // Contribution of each edge to E[Phi_l(w)]: Pr[both coins c]
-      // weighted by 1/|L_l(w)| after the split. A node's sums are re-added
-      // from 0 over its edges in ascending index order, the exact long
-      // double addition sequence of one pass over all edges.
-      for (const NodeId w : dirty) {
-        const int k1 = range[w].hi - split[w], k0 = split[w] - range[w].lo;
-        long double s0 = 0.0L;
-        long double s1 = 0.0L;
-        for (std::int32_t i = inc_off[w]; i < inc_off[w + 1]; ++i) {
-          const std::array<long double, 4>& q = joints[inc_edge[i]];
-          if (k0 > 0) {
-            s0 += q[0] / k0;
-            s1 += q[2] / k0;
-          }
-          if (k1 > 0) {
-            s0 += q[1] / k1;
-            s1 += q[3] / k1;
-          }
-        }
-        x0[w] = s0;
-        x1[w] = s1;
-      }
-      // Bit 0 lists every edge but not the nodes reset to 0 above, so it
-      // re-encodes the whole tree; later bits move only `dirty`.
-      const auto [sum0, sum1] =
-          j == 0 ? t.aggregate_pair(x0, x1) : t.aggregate_pair_update(x0, x1, dirty);
-      const int bit = sum0 <= sum1 ? 0 : 1;
-      t.broadcast_bit(bit);
-      engine->fix_next_bit(bit);
-    }
+    std::visit(
+        [&](auto& state) { fix_seed_bits(t, *engine, b, edges, active_nodes, range, split, state); },
+        sums);
 
     // --- Apply the coins: extend prefixes, update conflict edges.
     std::vector<int> new_bit(n, 0);

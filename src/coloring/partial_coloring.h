@@ -9,6 +9,10 @@
 //     extension) by producing the nodes' biased coins from a shared seed
 //     (Lemma 2.5) and fixing the seed bit-by-bit with the method of
 //     conditional expectations over an aggregation tree (Lemma 2.6).
+//     Each node keeps the numerators of its two conditional expectations
+//     as exact integer sums over 2^(2b) (node_sum_width), which a changed
+//     conflict edge updates at its two endpoints; only those nodes get
+//     new values for the aggregation.
 //   * Afterwards every node holds a single candidate color; nodes with at
 //     most 3 conflicting neighbors form a subgraph of max degree 3 on
 //     which an MIS (via Linial + color classes) selects the nodes that
@@ -79,5 +83,16 @@ PartialColoringStats color_one_eighth(ColoringTransport& transport, InducedSubgr
 // The coin precision the algorithm uses: b = ceil(log2(10 * Delta *
 // ceil(logC))) — or with an extra (Delta+1) factor for avoid_mis (§4).
 int precision_bits_for(int max_degree, int color_bits, bool avoid_mis);
+
+// The width, 64 or 128, of the exact Lemma 2.6 node sums at precision b
+// on a graph of max degree Delta: a node adds up to Delta edge
+// numerators of at most 2^(2b) each, which takes 2b + bit_width(Delta)
+// bits. color_one_eighth keeps its sums in std::uint64_t or unsigned
+// __int128 accordingly. Throws std::invalid_argument naming b and Delta
+// above 128 bits. Only avoid_mis reaches that, from Delta of about 2^22
+// to 2^23 depending on log C; such inputs used to run, with rounded long
+// double sums, up to the fast engine's b <= 63 limit near Delta = 2^28,
+// and are now rejected.
+int node_sum_width(int b, int max_degree);
 
 }  // namespace dcolor

@@ -356,9 +356,16 @@ TEST(AllocAudit, SeedFixingEngineSteadyState) {
     }
     auto engine = make_fast_bitwise_pair_prob(K, b);
     engine->begin_phase(specs, edges);
-    std::vector<std::array<long double, 4>> joints(edges.size());
+    // The numerators at the width color_one_eighth would pick: 64 bits
+    // at b = 12, 128 at b = 40.
+    std::vector<std::array<std::uint64_t, 4>> narrow(edges.size());
+    std::vector<std::array<unsigned __int128, 4>> wide(edges.size());
     auto step = [&](int j) {
-      engine->edge_diagonals(engine->changed_edges(), joints.data());
+      if (b <= 31) {
+        engine->edge_diagonals(engine->changed_edges(), narrow.data());
+      } else {
+        engine->edge_diagonals(engine->changed_edges(), wide.data());
+      }
       engine->fix_next_bit((j * 7 + 3) % 5 < 2 ? 1 : 0);
     };
     const int d = engine->num_seed_bits();

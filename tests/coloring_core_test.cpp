@@ -228,10 +228,12 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, PartialColoringTest, ::testing::Range(0, 9))
 // The widest precision a test reaches: the Section-4 variant on the star
 // K_{1,5800} with Delta+1 lists needs b = ceil_log2(10 * 5800 * 13 * 5801)
 // = 33, past the exact long-double range, so the fast engine runs on
-// unsigned __int128 numerators. One color_one_eighth on each transport
+// unsigned __int128 numerators, and 2b + bit_width(5800) = 79 puts the
+// node sums on the 128-bit path. One color_one_eighth on each transport
 // must give a valid partial coloring with progress, and both transports
 // identical colors and identical metrics.
 TEST(PartialColoring, WidePrecisionStarMatchesAcrossTransports) {
+  ASSERT_EQ(node_sum_width(33, 5800), 128);
   const Graph g = make_star(5801);
   const NodeId n = g.num_nodes();
   congest::Network lin_net(g);
@@ -273,6 +275,25 @@ TEST(PartialColoring, WidePrecisionStarMatchesAcrossTransports) {
   EXPECT_EQ(eng.metrics.messages, ref.metrics.messages);
   EXPECT_EQ(eng.metrics.total_bits, ref.metrics.total_bits);
   EXPECT_EQ(eng.metrics.max_message_bits, ref.metrics.max_message_bits);
+}
+
+// The node sums take 2b + bit_width(Delta) bits: 64-bit accumulators up
+// to 64 of them, 128-bit ones up to 128, and a rejection naming b and
+// Delta beyond.
+TEST(PartialColoring, NodeSumWidthFitsTwoBPlusDegreeBits) {
+  EXPECT_EQ(node_sum_width(31, 3), 64);    // 62 + 2 = 64
+  EXPECT_EQ(node_sum_width(31, 4), 128);   // 62 + 3 = 65
+  EXPECT_EQ(node_sum_width(32, 1), 128);   // 64 + 1 = 65
+  EXPECT_EQ(node_sum_width(1, 0), 64);     // no edges: Delta counts as 1
+  EXPECT_EQ(node_sum_width(60, 255), 128);  // 120 + 8 = 128
+  try {
+    node_sum_width(60, 256);  // 120 + 9 = 129
+    FAIL() << "129-bit node sums accepted";
+  } catch (const std::invalid_argument& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("b = 60"), std::string::npos) << what;
+    EXPECT_NE(what.find("Delta = 256"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // The fast incremental engine must agree exactly (==) with the generic
 // CoinFamily-backed engine on every query along arbitrary seed-fixing
 // paths for b <= 32 (within 1e-12 above, where both round), and exactly
-// with itself across the two-candidate call, the batched diagonal query
-// and padding with non-participating nodes.
+// with itself across the two-candidate call, the batched integer
+// diagonal query and padding with non-participating nodes.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -169,15 +171,46 @@ TEST(PairProbEngine, EdgeJointsEqualsTwoEdgeJointCalls) {
 
 // The batched diagonal query is, exactly, the matching edge_joints
 // entries: at every seed bit along random fixing paths, for the edges
-// changed_edges() lists, on both engines and both numerator types. Slots
-// of unlisted edges keep their sentinel.
+// changed_edges() lists, numerator * 2^-2b == the entry. Both engines at
+// b in [2, 7], 31 and 32; the fast engine alone at b in [33, 40], where
+// the generic engine's long double entries round but the fast engine's
+// entry and its lifted numerator round the same integer once. Every
+// trial checks the 128-bit form, and the 64-bit one where 2^(2b) fits it
+// (b <= 31). Slots of unlisted edges keep their sentinel.
+template <typename Out>
+void expect_diagonals_equal_joints(PairProbEngine& eng, int b, int m, int trial, int j,
+                                   int* checked) {
+  const std::span<const int> changed = eng.changed_edges();
+  const Out ones = ~Out{0};
+  const std::array<Out, 4> sentinel = {ones, ones, ones, ones};
+  std::vector<std::array<Out, 4>> diag(m, sentinel);
+  eng.edge_diagonals(changed, diag.data());
+  std::vector<char> listed(m, 0);
+  for (const int e : changed) listed[e] = 1;
+  for (int e = 0; e < m; ++e) {
+    if (!listed[e]) {
+      ASSERT_TRUE(diag[e] == sentinel) << "unlisted edge written: trial=" << trial << " e=" << e;
+      continue;
+    }
+    const auto [J0, J1] = eng.edge_joints(e);
+    const std::array<long double, 4> want = {J0[0][0], J0[1][1], J1[0][0], J1[1][1]};
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(std::ldexp(static_cast<long double>(diag[e][i]), -2 * b), want[i])
+          << "trial=" << trial << " b=" << b << " bits=" << 8 * sizeof(Out) << " j=" << j
+          << " e=" << e << " i=" << i;
+    }
+    ++*checked;
+  }
+}
+
 TEST(PairProbEngine, EdgeDiagonalsEqualEdgeJoints) {
   Rng rng(3131);
   int checked = 0;
-  for (int trial = 0; trial < 24; ++trial) {
+  for (int trial = 0; trial < 28; ++trial) {
     const std::uint64_t K = 8 + rng.next_below(60);
-    const int b = trial % 4 == 3 ? 33 + static_cast<int>(rng.next_below(8))
-                                 : 2 + static_cast<int>(rng.next_below(6));
+    const int b = trial >= 24       ? 31 + trial % 2
+                  : trial % 4 == 3 ? 33 + static_cast<int>(rng.next_below(8))
+                                   : 2 + static_cast<int>(rng.next_below(6));
     auto family = make_bitwise_coin_family(K, b);
     std::array<std::unique_ptr<PairProbEngine>, 2> engines = {
         make_generic_pair_prob(*family), make_fast_bitwise_pair_prob(K, b)};
@@ -185,26 +218,13 @@ TEST(PairProbEngine, EdgeDiagonalsEqualEdgeJoints) {
     for (auto& eng : engines) eng->begin_phase(inst.specs, inst.edges);
 
     const int m = static_cast<int>(inst.edges.size());
-    const std::array<long double, 4> sentinel = {-1.0L, -1.0L, -1.0L, -1.0L};
-    std::vector<std::array<long double, 4>> diag;
     const int d = engines[0]->num_seed_bits();
     for (int j = 0; j < d; ++j) {
       for (auto& eng : engines) {
-        const std::span<const int> changed = eng->changed_edges();
-        diag.assign(m, sentinel);
-        eng->edge_diagonals(changed, diag.data());
-        std::vector<char> listed(m, 0);
-        for (const int e : changed) listed[e] = 1;
-        for (int e = 0; e < m; ++e) {
-          if (!listed[e]) {
-            ASSERT_EQ(diag[e], sentinel) << "unlisted edge written: trial=" << trial << " e=" << e;
-            continue;
-          }
-          const auto [J0, J1] = eng->edge_joints(e);
-          const std::array<long double, 4> want = {J0[0][0], J0[1][1], J1[0][0], J1[1][1]};
-          ASSERT_EQ(diag[e], want) << "trial=" << trial << " b=" << b << " j=" << j << " e=" << e;
-          ++checked;
-        }
+        if (b > 32 && eng == engines[0]) continue;  // generic: exact only up to b = 32
+        expect_diagonals_equal_joints<unsigned __int128>(*eng, b, m, trial, j, &checked);
+        if (b <= 31) expect_diagonals_equal_joints<std::uint64_t>(*eng, b, m, trial, j, &checked);
+        if (HasFatalFailure()) return;
       }
       const int bit = static_cast<int>(rng.next_below(2));
       for (auto& eng : engines) eng->fix_next_bit(bit);
