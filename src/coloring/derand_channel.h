@@ -27,7 +27,10 @@
 // their closed-form cost. A caller that knows which nodes' sums moved
 // since the previous seed bit passes them to aggregate_pair_update, and
 // the kernel re-encodes only those nodes; a decorator that forwards only
-// aggregate_pair still returns the same sums, over the full path.
+// aggregate_pair still returns the same sums, over the full path. Once
+// every coin of a phase is decided, the caller charges the phase's
+// remaining seed bits in one charge_seed_bits call, which the one
+// implementation answers with one closed-form charge and no wave.
 #pragma once
 
 #include <cstdint>
@@ -92,6 +95,24 @@ class ColoringTransport {
     return aggregate_pair(values0, values1);
   }
   virtual void broadcast_bit(int bit) = 0;
+  // The charge of `count` seed bits whose choice no longer matters (the
+  // coin engine is decided(), so every coin is final): exactly what
+  // `count` x (aggregate_pair(values0, values1), broadcast_bit(0)) adds
+  // to metrics(), the sums unused. For count > 0 it counts as an
+  // aggregate call of the full form with these values, so a later
+  // aggregate_pair_update lists the nodes moved since. A wave's charge
+  // depends only on the bound tree and the bandwidth, so an
+  // implementation that knows its waves' cost may charge them at once.
+  // The default makes the calls, in the full form because the values may
+  // have moved since the last aggregate call; this keeps every decorator
+  // that does not know this call correct.
+  virtual void charge_seed_bits(const std::vector<long double>& values0,
+                                const std::vector<long double>& values1, int count) {
+    for (int i = 0; i < count; ++i) {
+      aggregate_pair(values0, values1);
+      broadcast_bit(0);
+    }
+  }
 
   // Conflict resolution of Lemma 2.1: on the materialized conflict graph
   // `conf` (max degree <= 3) restricted to `membership`, run Linial from

@@ -88,14 +88,20 @@ DerandMisResult derandomized_mis_core(ColoringTransport& t) {
     // incident edge's joint term twice -> assign joint to both endpoints
     // with weight 1/2... we instead assign the marginal to v and the full
     // joint to the lower endpoint; the SUM is what matters).
+    // Once every coin is decided, the bits left are charged in one call.
     const int d = engine->num_seed_bits();
     std::vector<long double> x0(n), x1(n);
+    std::vector<bool> counted(n);
     for (int j = 0; j < d; ++j) {
+      if (engine->decided()) {
+        t.charge_seed_bits(x0, x1, d - j);
+        break;
+      }
       std::fill(x0.begin(), x0.end(), 0.0L);
       std::fill(x1.begin(), x1.end(), 0.0L);
       // Marginals come for free from any incident edge's joint; nodes
       // without edges were handled above.
-      std::vector<bool> counted(n, false);
+      std::fill(counted.begin(), counted.end(), false);
       for (std::size_t e = 0; e < edges.size(); ++e) {
         const NodeId u = edges[e].u;
         const NodeId v = edges[e].v;

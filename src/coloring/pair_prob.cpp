@@ -50,8 +50,10 @@ class GenericPairProb final : public PairProbEngine {
 
   void fix_next_bit(int bit) override { fixed_.push_back(static_cast<std::uint8_t>(bit)); }
 
-  // The reference makes no structural claim: every edge, every bit.
+  // The reference makes no structural claim: every edge, every bit, and
+  // no coin decided before the last bit.
   std::span<const int> changed_edges() const override { return all_edges_; }
+  bool decided() const override { return false; }
 
   int coin(NodeId v) const override {
     assert(static_cast<int>(fixed_.size()) == family_->seed_length());
@@ -120,7 +122,9 @@ class GenericPairProb final : public PairProbEngine {
 // settled, at a c_t fix. The engine keeps the edges with a live endpoint
 // (live_edges_) and, bucketed by h = highest set bit of psi_u ^ psi_v, the
 // edges with two live endpoints and distinct input colors (pair_*_), both
-// rebuilt once per chunk; changed_ is the set for the next query.
+// rebuilt once per chunk; changed_ is the set for the next query. It also
+// counts the live nodes (live_nodes_): at 0 every coin is its node's
+// `less` flag, final whatever bits follow (decided()).
 template <typename Num>
 class FastBitwisePairProb final : public PairProbEngine {
  public:
@@ -151,6 +155,7 @@ class FastBitwisePairProb final : public PairProbEngine {
         nodes_.push_back(ns);
       }
     }
+    live_nodes_ = static_cast<int>(nodes_.size());  // every free node starts tight
     edges_.resize(edges.size());
     live_edges_.clear();
     for (std::size_t e = 0; e < edges.size(); ++e) {
@@ -205,27 +210,25 @@ class FastBitwisePairProb final : public PairProbEngine {
       return;
     }
     // Fixing c_t: the digit becomes the constant known ^ bit for every
-    // node. Advance all DP states one digit.
-    for (NodeState& ns : nodes_) {
-      const int digit = ns.known ^ bit;
-      ns.value = (ns.value << 1) | static_cast<std::uint64_t>(digit);
-      if (digit < ns.tau) {
-        ns.less += ns.tight;
-        ns.tight = 0;
-      } else if (digit > ns.tau) {
-        ns.tight = 0;
-      }
-      // digit == tau_t: stays tight.
-      ns.known = 0;
-    }
-    // Only free-free edges carry a DP, and one between two settled nodes
-    // holds A = B = C = 0, which the transition maps to itself.
+    // node. Advance all DP states one digit: the edges first, while
+    // `known` still holds the digits' folded-in parts. Only free-free
+    // edges carry a DP, and one between two settled nodes holds
+    // A = B = C = 0, which the transition maps to itself.
     for (int e : live_edges_) {
       if (edges_[e].u < 0 || edges_[e].v < 0) continue;
       const NodeState& nu = nodes_[edges_[e].u];
       const NodeState& nv = nodes_[edges_[e].v];
-      advance_edge(edge_state_[e], nu.tau, nv.tau, static_cast<int>(nu.value & 1),
-                   static_cast<int>(nv.value & 1));
+      advance_edge(edge_state_[e], nu.tau, nv.tau, nu.known ^ bit, nv.known ^ bit);
+    }
+    for (NodeState& ns : nodes_) {
+      const int digit = ns.known ^ bit;
+      // digit == tau_t: stays tight.
+      if (digit != ns.tau) {
+        if (digit < ns.tau) ns.less += ns.tight;
+        live_nodes_ -= ns.tight;
+        ns.tight = 0;
+      }
+      ns.known = 0;
     }
     cur_offset_ = 0;
     ++cur_chunk_;
@@ -241,12 +244,17 @@ class FastBitwisePairProb final : public PairProbEngine {
 
   std::span<const int> changed_edges() const override { return changed_; }
 
+  bool decided() const override { return live_nodes_ == 0; }
+
+  // A free node's coin is `less`: value < threshold once a digit
+  // differed, and 0 for a node still tight after the last digit (value
+  // == threshold).
   int coin(NodeId v) const override {
-    assert(cur_chunk_ == b_);
+    assert(cur_chunk_ == b_ || decided());
     const int slot = slot_[v];
     if (slot == kForcedZero) return 0;
     if (slot == kForcedOne) return 1;
-    return nodes_[slot].value < nodes_[slot].threshold ? 1 : 0;
+    return nodes_[slot].less;
   }
 
  private:
@@ -257,7 +265,6 @@ class FastBitwisePairProb final : public PairProbEngine {
   struct NodeState {
     std::uint64_t input_color = 0;
     std::uint64_t threshold = 0;
-    std::uint64_t value = 0;  // digits of completed chunks
     std::uint64_t tail = 0;   // threshold & (2^r - 1) of the current chunk
     int known = 0;            // folded-in part of the current chunk's digit
     int tau = 0;              // threshold digit of the current chunk
@@ -402,8 +409,9 @@ class FastBitwisePairProb final : public PairProbEngine {
   }
 
   // Pr[value < threshold | prefix + cand] for a free node, over 2^S.
+  // After the last digit it is `less` (a still tight node ties).
   Num marg(const NodeState& ns, int cand) const {
-    if (cur_chunk_ == b_) return ns.value < ns.threshold ? one_ : 0;
+    if (cur_chunk_ == b_) return pick(ns.less, one_);
     return pick(ns.less, one_) | pick(ns.tight, cur(ns, cand));
   }
 
@@ -421,8 +429,7 @@ class FastBitwisePairProb final : public PairProbEngine {
     const NodeState& nu = nodes_[su];
     const NodeState& nv = nodes_[sv];
     if (cur_chunk_ == b_) {
-      return {marg(nu, cand), marg(nv, cand),
-              nu.value < nu.threshold && nv.value < nv.threshold ? one_ : 0};
+      return {marg(nu, cand), marg(nv, cand), pick(nu.less & nv.less, one_)};
     }
     const Num cu = cur(nu, cand);
     const Num cv = cur(nv, cand);
@@ -470,6 +477,7 @@ class FastBitwisePairProb final : public PairProbEngine {
   std::vector<int> pair_off_;    // w_+1 offsets into pair_edges_, by h
   std::vector<int> pair_edges_;  // live pairs with distinct colors, by h
   std::vector<int> pair_cursor_;
+  int live_nodes_ = 0;  // free nodes with tight != 0
 };
 
 }  // namespace

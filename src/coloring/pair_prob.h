@@ -44,6 +44,15 @@
 // Liveness only decays, so at offset 0 the engine lists the edges that
 // were live during the previous chunk.
 //
+// When the coins are decided (decided()). A settled node's coin is its
+// `less` flag: `less` is set exactly when the first digit that differs
+// from the threshold's digit is below it, which is value < threshold
+// whatever the later digits are. So once no free node is live, no later
+// seed bit can move any coin, and coin() may be read at once; at every
+// remaining bit both candidates' joints are equal. FastBitwisePairProb counts its live nodes and answers
+// decided() when the count is 0 (at bit 0 already when no node is free).
+// GenericPairProb makes no such claim and answers false.
+//
 // Why FastBitwisePairProb is exact. During chunk t, with r = b - t - 1
 // digits after it, every probability it returns is a dyadic rational in
 // [0, 1] with at most S = 2r + 2 fraction bits: a node's threshold tail
@@ -121,7 +130,14 @@ class PairProbEngine {
   // Permanently fixes the next seed bit.
   virtual void fix_next_bit(int bit) = 0;
 
-  // After all seed bits are fixed: the (now deterministic) coin of v.
+  // Whether the fixed bits already determine every coin: then coin(v) is
+  // final for every v, whatever the remaining bits are, and decided()
+  // stays true until the next begin_phase. May answer false although the
+  // coins are decided; GenericPairProb always does.
+  virtual bool decided() const = 0;
+
+  // After all seed bits are fixed, or once decided(): the (now
+  // deterministic) coin of v.
   virtual int coin(NodeId v) const = 0;
 };
 

@@ -64,12 +64,13 @@ long double per_candidate(Acc z, int k) {
   return k > 0 ? static_cast<long double>(z) / k : 0.0L;
 }
 
-// Fixes one phase's seed bits one by one (Lemma 2.6). At each bit every
-// edge the engine lists as changed subtracts its old numerators from both
-// endpoints' sums and adds its new ones, so every node's sums are exact
-// at every bit, and only those endpoints get new values: w's term of
-// E[Phi_l | cand = c] is (z_c / k0 + o_c / k1) * 2^-2b, where k0 and k1
-// count w's candidates with bit l = 0 and 1.
+// Fixes one phase's seed bits one by one (Lemma 2.6), until the engine
+// has decided every coin; the bits left are charged in one call. At each
+// bit every edge the engine lists as changed subtracts its old numerators
+// from both endpoints' sums and adds its new ones, so every node's sums
+// are exact at every bit, and only those endpoints get new values: w's
+// term of E[Phi_l | cand = c] is (z_c / k0 + o_c / k1) * 2^-2b, where k0
+// and k1 count w's candidates with bit l = 0 and 1.
 template <typename Acc>
 void fix_seed_bits(ColoringTransport& t, PairProbEngine& engine, int b,
                    const std::vector<ConflictEdge>& edges,
@@ -86,6 +87,12 @@ void fix_seed_bits(ColoringTransport& t, PairProbEngine& engine, int b,
   const long double scale = std::ldexp(1.0L, -2 * b);
   const int d = engine.num_seed_bits();
   for (int j = 0; j < d; ++j) {
+    if (engine.decided()) {
+      // Every coin is final, so the remaining bits' choices cannot matter
+      // and their waves cost what they cost whatever they carry.
+      t.charge_seed_bits(s.x0, s.x1, d - j);
+      return;
+    }
     ++s.stamp;
     s.dirty.clear();
     const std::span<const int> changed = engine.changed_edges();

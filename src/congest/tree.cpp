@@ -117,21 +117,24 @@ Metrics wave_cost(const TreeData& tree, int value_bits, int bandwidth) {
   return m;
 }
 
+Metrics pair_wave_cost(const TreeData& tree, TreeForm form, int bandwidth) {
+  assert(form != TreeForm::kUnbound && "build_tree or bind_cluster first");
+  if (form == TreeForm::kCluster) return wave_cost(tree, 128, bandwidth);
+  Metrics m = wave_cost(tree, 64, bandwidth);
+  m.rounds += 1;  // the unquantized second sum's extra round
+  return m;
+}
+
 std::pair<long double, long double> PairWave::aggregate(
     const TreeData& tree, TreeForm form, int bandwidth, const std::vector<long double>& values0,
     const std::vector<long double>& values1, std::optional<std::span<const NodeId>> changed,
     Metrics* cost) {
-  assert(form != TreeForm::kUnbound && "build_tree or bind_cluster first");
   auto sum = [&](TreeFixedSum& s, const std::vector<long double>& values) {
     return from_fixed(changed ? s.update(tree, values, *changed) : s.refresh(tree, values));
   };
+  *cost = pair_wave_cost(tree, form, bandwidth);
   const long double sum0 = sum(sum0_, values0);
-  if (form == TreeForm::kCluster) {
-    *cost = wave_cost(tree, 128, bandwidth);
-    return {sum0, sum(sum1_, values1)};
-  }
-  *cost = wave_cost(tree, 64, bandwidth);
-  cost->rounds += 1;
+  if (form == TreeForm::kCluster) return {sum0, sum(sum1_, values1)};
   long double sum1 = 0.0L;
   for (const long double v : values1) sum1 += v;
   return {sum0, sum1};

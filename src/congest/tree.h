@@ -109,9 +109,15 @@ Metrics wave_cost(const TreeData& tree, int value_bits, int bandwidth);
 // Which tree a transport has bound; each has its own aggregate_pair form.
 enum class TreeForm : char { kUnbound, kBfs, kCluster };
 
+// The charge of one pair aggregation (PairWave::aggregate) over a bound
+// tree of the given form: the one formula, which a caller that skips
+// the sums (ColoringTransport::charge_seed_bits) charges as well.
+Metrics pair_wave_cost(const TreeData& tree, TreeForm form, int bandwidth);
+
 // One Lemma 2.6 pair aggregation over a bound tree, as both
 // ColoringTransports run it: a TreeFixedSum per quantized sum, and *cost
-// set to the charge, the same for either form of the call:
+// set to the charge (pair_wave_cost), the same for either form of the
+// call:
 //  - kCluster: both sums quantized in one 128-bit wave.
 //  - kBfs: the second sum is an unquantized long double (summed over all
 //    of values1, in index order) riding one extra charged round after a

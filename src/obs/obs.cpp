@@ -75,9 +75,26 @@ struct CachedBuffer {
 };
 thread_local CachedBuffer t_cached;
 
+// Live phase and cluster spans on this thread (internal::open_scope).
+thread_local int t_scope_depth = 0;
+
+bool is_cat(const char* cat, const char* want) {
+  return cat == want || std::strcmp(cat, want) == 0;
+}
+
 }  // namespace
 
 namespace internal {
+
+bool open_scope(const char** cat) {
+  const bool phase = is_cat(*cat, kCatPhase);
+  if (!phase && !is_cat(*cat, kCatCluster)) return false;
+  if (phase && t_scope_depth > 0) *cat = kCatSubphase;
+  ++t_scope_depth;
+  return true;
+}
+
+void close_scope() { --t_scope_depth; }
 
 struct Event {
   const char* cat;

@@ -35,8 +35,14 @@ namespace dcolor::obs {
 // Category tags shared by the instrumented layers. Spans with category
 // kCatPhase form the non-overlapping (per thread) algorithm-phase
 // decomposition benchkit turns into the per-record `phase_wall_ms`
-// breakdown; the other categories are timeline detail.
+// breakdown; the other categories are timeline detail. Phases are
+// exclusive by construction: a kCatPhase span that opens while a
+// kCatPhase or kCatCluster span is live on the same thread (Theorem 1.1's
+// iteration inside a Corollary 1.2 class or cluster) is recorded under
+// kCatSubphase instead, so no phase counts twice and pool workers, whose
+// work runs inside cluster spans, add no phase time.
 inline constexpr const char* kCatPhase = "phase";
+inline constexpr const char* kCatSubphase = "subphase";
 inline constexpr const char* kCatEngine = "engine";
 inline constexpr const char* kCatNetwork = "network";
 inline constexpr const char* kCatPool = "pool";
@@ -126,20 +132,35 @@ void counter(const char* cat, const char* name, std::int64_t value);
 // phase_wall_ms breakdown. No-op without an active session.
 void value(const char* cat, const char* name, std::int64_t v);
 
+namespace internal {
+// Per-thread nesting of live phase and cluster spans: open_scope returns
+// whether *cat is one of them and, for a phase opened inside another
+// phase or a cluster, rewrites *cat to kCatSubphase; close_scope ends
+// what an open_scope that returned true began.
+bool open_scope(const char** cat);
+void close_scope();
+}  // namespace internal
+
 // RAII span: records a complete event covering construction→destruction
 // on the calling thread's track. `cat`/`name`/arg keys must be string
 // literals (or otherwise outlive the session). Arguments may be attached
 // any time before destruction, so end-of-phase quantities (message
-// deltas, result sizes) fit naturally.
+// deltas, result sizes) fit naturally. A nested phase is recorded as a
+// subphase (see kCatPhase).
 class Span {
  public:
   Span(const char* cat, const char* name) : cat_(cat), name_(name), live_(enabled()) {
-    if (live_) start_ns_ = now_ns();
+    if (live_) {
+      scope_ = internal::open_scope(&cat_);
+      start_ns_ = now_ns();
+    }
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   ~Span() {
-    if (live_) complete(cat_, name_, start_ns_, now_ns() - start_ns_, args_);
+    if (!live_) return;
+    complete(cat_, name_, start_ns_, now_ns() - start_ns_, args_);
+    if (scope_) internal::close_scope();
   }
 
   void arg(const char* key, std::int64_t value) {
@@ -151,6 +172,7 @@ class Span {
   const char* cat_;
   const char* name_;
   bool live_;
+  bool scope_ = false;  // a phase or cluster span, counted in the nesting
   std::int64_t start_ns_ = 0;
   ArgList args_;
 };

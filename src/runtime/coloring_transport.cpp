@@ -75,6 +75,19 @@ void BasicColoringTransport<Exec>::broadcast_bit(int) {
 }
 
 template <typename Exec>
+void BasicColoringTransport<Exec>::charge_seed_bits(const std::vector<long double>&,
+                                                    const std::vector<long double>&, int count) {
+  if (count <= 0) return;
+  const int bw = bandwidth_bits();
+  congest::Metrics per_bit = congest::pair_wave_cost(tree_, form_, bw);
+  per_bit.merge(congest::wave_cost(tree_, 1, bw));
+  congest::Metrics total;
+  for (int i = 0; i < count; ++i) total.merge(per_bit);
+  pair_wave_.invalidate();
+  exec_->charge(total);
+}
+
+template <typename Exec>
 std::vector<bool> BasicColoringTransport<Exec>::conflict_mis(
     const Graph& conf, const std::vector<bool>& membership,
     const std::vector<std::int64_t>& input_coloring, std::int64_t input_colors) {

@@ -71,6 +71,10 @@ class BasicColoringTransport final : public ColoringTransport {
     return aggregate(values0, values1, changed);
   }
   void broadcast_bit(int bit) override;
+  // One charge of `count` x (pair_wave_cost + the 1-bit broadcast); no
+  // wave runs, and the encoded sums are invalidated.
+  void charge_seed_bits(const std::vector<long double>& values0,
+                        const std::vector<long double>& values1, int count) override;
   // Runs Linial and the MIS on a private executor over `conf`, configured
   // like this one, and charges only its rounds here.
   std::vector<bool> conflict_mis(const Graph& conf, const std::vector<bool>& membership,

@@ -13,6 +13,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "src/coloring/linial.h"
 #include "src/congest/network.h"
 #include "src/congest/tree.h"
+#include "src/decomposition/netdecomp.h"
 #include "src/graph/generators.h"
 #include "src/runtime/coloring_transport.h"
 #include "tests/test_support.h"
@@ -193,6 +197,133 @@ TEST(TransportConformance, LinialPrimitiveMatches) {
       EXPECT_EQ(a.coloring, b.coloring) << name;
       EXPECT_EQ(a.num_colors, b.num_colors) << name;
       expect_metrics_eq(ref.metrics(), eng.metrics(), name + " linial");
+    }
+  }
+}
+
+// A decorator that forwards every call it must and nothing else, so
+// charge_seed_bits and aggregate_pair_update take the base-class
+// defaults over the inner transport's public calls.
+class ForwardingTransport final : public ColoringTransport {
+ public:
+  explicit ForwardingTransport(ColoringTransport& inner) : inner_(&inner) {}
+  const Graph& graph() const override { return inner_->graph(); }
+  int bandwidth_bits() const override { return inner_->bandwidth_bits(); }
+  LinialResult linial(const InducedSubgraph& active, const std::vector<std::int64_t>* initial,
+                      std::int64_t initial_colors) override {
+    return inner_->linial(active, initial, initial_colors);
+  }
+  void build_tree(NodeId root) override { inner_->build_tree(root); }
+  void exchange_along(const std::vector<std::vector<NodeId>>& targets,
+                      const std::vector<char>& senders,
+                      const std::vector<std::uint64_t>& payloads, int bits,
+                      std::vector<std::vector<NodeId>>* from) override {
+    inner_->exchange_along(targets, senders, payloads, bits, from);
+  }
+  std::pair<long double, long double> aggregate_pair(
+      const std::vector<long double>& values0, const std::vector<long double>& values1) override {
+    return inner_->aggregate_pair(values0, values1);
+  }
+  void broadcast_bit(int bit) override { inner_->broadcast_bit(bit); }
+  std::vector<bool> conflict_mis(const Graph& conf, const std::vector<bool>& membership,
+                                 const std::vector<std::int64_t>& input_coloring,
+                                 std::int64_t input_colors) override {
+    return inner_->conflict_mis(conf, membership, input_coloring, input_colors);
+  }
+  void tick(std::int64_t rounds) override { inner_->tick(rounds); }
+  const congest::Metrics& metrics() const override { return inner_->metrics(); }
+
+ private:
+  ColoringTransport* inner_;
+};
+
+// charge_seed_bits(v0, v1, count) charges exactly what `count` explicit
+// (aggregate_pair, broadcast_bit(0)) pairs charge, and what a decorator
+// taking the base-class default charges: on both executors, over BFS and
+// cluster trees (Steiner nodes included), at B = 12, 40 and the default,
+// for count = 0, 1 and 17. The values then count as moved: a following
+// aggregate_pair_update returns the full form's sums on all three.
+TEST(TransportConformance, ChargeSeedBitsMatchesPerBitCalls) {
+  struct Case {
+    std::string name;
+    Graph g;
+    std::optional<Cluster> cluster;  // none: a BFS tree from node 0
+  };
+  std::vector<Case> cases;
+  int steiner = 0;
+  for (auto& [name, g] : connected_corpus()) cases.push_back({name, g, std::nullopt});
+  for (const auto& [name, g] :
+       std::vector<test::NamedGraph>{{"clustered", make_clustered(5, 12, 0.5, 10, test::kTestSeed + 3)},
+                                     {"grid12x12", make_grid(12, 12)}}) {
+    for (const Cluster& c : decompose(g).clusters) {
+      if (c.tree_nodes.size() > c.members.size()) ++steiner;
+      cases.push_back({name + " root=" + std::to_string(c.root), g, c});
+    }
+  }
+  ASSERT_GT(steiner, 0) << "no cluster with Steiner nodes";
+
+  for (const Case& cs : cases) {
+    const NodeId n = cs.g.num_nodes();
+    std::vector<long double> v0(n), v1(n);
+    for (NodeId v = 0; v < n; ++v) {
+      v0[v] = 0.25L * (v % 7);
+      v1[v] = 0.125L * (v % 5);
+    }
+    for (const std::optional<int> bw : {std::optional<int>(12), std::optional<int>(40),
+                                        std::optional<int>()}) {
+      for (const int threads : {0, 1, 3}) {  // 0: congest::Network
+        for (const int count : {0, 1, 17}) {
+          const std::string where = cs.name + " B=" + (bw ? std::to_string(*bw) : "default") +
+                                    " threads=" + std::to_string(threads) +
+                                    " count=" + std::to_string(count);
+          auto make = [&]() -> std::unique_ptr<ColoringTransport> {
+            if (threads == 0) {
+              auto t = bw ? std::make_unique<runtime::NetworkColoringTransport>(cs.g, *bw)
+                          : std::make_unique<runtime::NetworkColoringTransport>(cs.g);
+              if (cs.cluster) t->bind_cluster(*cs.cluster);
+              return t;
+            }
+            auto t = bw ? std::make_unique<runtime::EngineColoringTransport>(cs.g, threads, *bw)
+                        : std::make_unique<runtime::EngineColoringTransport>(cs.g, threads);
+            if (cs.cluster) t->bind_cluster(*cs.cluster);
+            return t;
+          };
+          const auto fused = make(), calls = make(), inner = make();
+          ForwardingTransport forwarded(*inner);
+          ColoringTransport* const all[] = {fused.get(), calls.get(), &forwarded};
+          for (ColoringTransport* t : all) {
+            if (!cs.cluster) t->build_tree(0);
+            t->aggregate_pair(v1, v0);  // an earlier seed bit, other values
+          }
+          const congest::Metrics before = fused->metrics();
+          fused->charge_seed_bits(v0, v1, count);
+          for (int i = 0; i < count; ++i) {
+            calls->aggregate_pair(v0, v1);
+            calls->broadcast_bit(0);
+          }
+          forwarded.charge_seed_bits(v0, v1, count);
+          expect_metrics_eq(fused->metrics(), calls->metrics(), where + " vs calls");
+          expect_metrics_eq(fused->metrics(), forwarded.metrics(), where + " vs default");
+          if (count > 0) {
+            EXPECT_GT(fused->metrics().rounds, before.rounds) << where;
+          } else {
+            expect_metrics_eq(fused->metrics(), before, where + " count 0");
+          }
+
+          if (count == 0) continue;
+          std::vector<long double> w0 = v0, w1 = v1;
+          std::vector<NodeId> moved;
+          for (NodeId v = 0; v < n; v += 3) {
+            w0[v] += 0.5L;
+            w1[v] += 0.75L;
+            moved.push_back(v);
+          }
+          const auto want = calls->aggregate_pair_update(w0, w1, moved);
+          EXPECT_EQ(fused->aggregate_pair_update(w0, w1, moved), want) << where;
+          EXPECT_EQ(forwarded.aggregate_pair_update(w0, w1, moved), want) << where;
+          expect_metrics_eq(fused->metrics(), calls->metrics(), where + " update");
+        }
+      }
     }
   }
 }

@@ -2,9 +2,10 @@
 //
 //  1. obs core semantics — session lifecycle (one active session per
 //     process, sequential sessions fine), span/counter aggregation into
-//     the per-name histograms, ring overflow dropping events while the
-//     histograms stay complete, stats-only mode (no event storage), and
-//     probe behavior with no session.
+//     the per-name histograms, nested phases recorded as subphases, ring
+//     overflow dropping events while the histograms stay complete,
+//     stats-only mode (no event storage), and probe behavior with no
+//     session.
 //  2. Trace well-formedness — chrome_trace_json() of a real engine
 //     workload parses as JSON, carries the expected top-level keys,
 //     contiguous small tids each with a thread_name metadata event, and
@@ -133,6 +134,44 @@ TEST(ObsCore, SpansAndCountersAggregateIntoSortedStats) {
     EXPECT_LE(std::make_pair(hists[i - 1].cat, hists[i - 1].name),
               std::make_pair(hists[i].cat, hists[i].name));
   }
+}
+
+// Phases are exclusive per thread: a phase opened inside a live phase or
+// cluster span is recorded as a subphase, while sibling phases, and a
+// phase after the enclosing span closed, stay phases. A phase on
+// another thread is not nested in this thread's spans.
+TEST(ObsCore, NestedPhasesAreRecordedAsSubphases) {
+  obs::TraceSession session;
+  {
+    obs::Span outer(obs::kCatPhase, "core.outer");
+    { obs::Span inner(obs::kCatPhase, "core.inner"); }
+    std::thread([] { obs::Span elsewhere(obs::kCatPhase, "core.elsewhere"); }).join();
+  }
+  {
+    obs::Span cluster(obs::kCatCluster, "core.cluster");
+    obs::Span in_cluster(obs::kCatPhase, "core.in_cluster");
+  }
+  { obs::Span first(obs::kCatPhase, "core.sibling"); }
+  { obs::Span second(obs::kCatPhase, "core.sibling"); }
+  { obs::Span after(obs::kCatPhase, "core.after"); }
+  session.stop();
+
+  const std::vector<obs::HistogramSnapshot>& hists = session.histograms();
+  for (const char* name : {"core.inner", "core.in_cluster"}) {
+    EXPECT_EQ(find_hist(hists, "phase", name), nullptr) << name;
+    const obs::HistogramSnapshot* sub = find_hist(hists, "subphase", name);
+    ASSERT_NE(sub, nullptr) << name;
+    EXPECT_EQ(sub->count, 1) << name;
+  }
+  for (const char* name : {"core.outer", "core.elsewhere", "core.after"}) {
+    const obs::HistogramSnapshot* phase = find_hist(hists, "phase", name);
+    ASSERT_NE(phase, nullptr) << name;
+    EXPECT_EQ(phase->count, 1) << name;
+  }
+  const obs::HistogramSnapshot* siblings = find_hist(hists, "phase", "core.sibling");
+  ASSERT_NE(siblings, nullptr);
+  EXPECT_EQ(siblings->count, 2);
+  EXPECT_NE(find_hist(hists, "cluster", "core.cluster"), nullptr);
 }
 
 TEST(ObsCore, RingOverflowDropsEventsButStatsStayComplete) {

@@ -327,6 +327,85 @@ TEST(PairProbEngine, ChangedEdgesIsSound) {
   EXPECT_GT(quiet_checks, 0);
 }
 
+// decided() is sound: once it holds it stays true, and the coins read at
+// that bit are final: the same after fixing every remaining bit with all
+// 0s, all 1s or random bits, on the fast engine and on the generic
+// engine's direct hash of the whole seed. The generic engine never
+// claims decided(). Covers forced (0, 2^b) and free thresholds, equal
+// input colors and w = 1..12.
+TEST(FastBitwiseEngine, DecidedFreezesCoins) {
+  Rng rng(1515);
+  int early = 0;  // instances decided before their last bit
+  for (int w = 1; w <= 12; ++w) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const std::uint64_t lo = (std::uint64_t{1} << (w - 1)) + 1;
+      const std::uint64_t K = w == 1 ? 2 : lo + rng.next_below((std::uint64_t{1} << w) - lo + 1);
+      const int b = 1 + static_cast<int>(rng.next_below(7));
+      const std::uint64_t full = std::uint64_t{1} << b;
+      auto family = make_bitwise_coin_family(K, b);
+
+      const int n = 8;
+      std::vector<CoinSpec> specs(n);
+      for (int v = 0; v < n; ++v) {
+        specs[v].input_color = rng.next_below(K);
+        const std::uint64_t kind = rng.next_below(4);
+        specs[v].threshold = kind == 0 ? 0 : kind == 1 ? full : 1 + rng.next_below(full - 1);
+      }
+      specs[1].input_color = specs[0].input_color;  // edge {0, 1} has xor 0
+      std::vector<ConflictEdge> all_pairs;
+      for (int u = 0; u < n; ++u) {
+        for (int v = u + 1; v < n; ++v) all_pairs.push_back(ConflictEdge{u, v});
+      }
+      const std::string where = "K=" + std::to_string(K) + " b=" + std::to_string(b) +
+                                " trial=" + std::to_string(trial);
+
+      auto fast = make_fast_bitwise_pair_prob(K, b);
+      fast->begin_phase(specs, all_pairs);
+      const int d = fast->num_seed_bits();
+      std::vector<int> seed;
+      int decided_at = -1;  // the first bit at which decided() held
+      std::vector<int> frozen(n);
+      for (int j = 0; j < d; ++j) {
+        if (fast->decided()) {
+          if (decided_at < 0) {
+            decided_at = j;
+            for (int v = 0; v < n; ++v) frozen[v] = fast->coin(v);
+          }
+        } else {
+          ASSERT_LT(decided_at, 0) << where << ": decided() turned false at j=" << j;
+        }
+        seed.push_back(static_cast<int>(rng.next_below(2)));
+        fast->fix_next_bit(seed.back());
+      }
+      if (decided_at < 0) continue;
+      ++early;
+      for (int v = 0; v < n; ++v) ASSERT_EQ(fast->coin(v), frozen[v]) << where << " v=" << v;
+
+      for (const int suffix : {0, 1, 2}) {  // all 0s, all 1s, random
+        for (int j = decided_at; j < d; ++j) {
+          seed[j] = suffix < 2 ? suffix : static_cast<int>(rng.next_below(2));
+        }
+        auto replay = make_fast_bitwise_pair_prob(K, b);
+        auto reference = make_generic_pair_prob(*family);
+        replay->begin_phase(specs, all_pairs);
+        reference->begin_phase(specs, {});
+        for (const int bit : seed) {
+          ASSERT_FALSE(reference->decided()) << where;
+          replay->fix_next_bit(bit);
+          reference->fix_next_bit(bit);
+        }
+        for (int v = 0; v < n; ++v) {
+          EXPECT_EQ(replay->coin(v), frozen[v])
+              << where << " decided at j=" << decided_at << " suffix=" << suffix << " v=" << v;
+          EXPECT_EQ(reference->coin(v), frozen[v])
+              << where << " decided at j=" << decided_at << " suffix=" << suffix << " v=" << v;
+        }
+      }
+    }
+  }
+  EXPECT_GT(early, 0);
+}
+
 // Nodes that take no part in the conflict graph (threshold 0, threshold
 // 2^b, or on no edge) must not change a single bit of the fast engine's
 // answers for the nodes that do: the padded instance gives exactly the
