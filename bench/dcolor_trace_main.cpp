@@ -107,8 +107,9 @@ int run_diff(const std::string& cur_dir, const std::string& base_dir) {
     const dcolor::benchkit::BaselineMatch& m = pairing.matches[i];
     if (!m.matched) continue;
     const dcolor::obs::PhaseDiff d = dcolor::obs::diff_phases(
-        current[i].phase_wall_ms, m.baseline.phase_wall_ms, current[i].wall_ms,
-        m.baseline.wall_ms, pairing.calibration);
+        current[i].phase_wall_ms, m.baseline.phase_wall_ms,
+        dcolor::benchkit::phase_reference_wall_ms(current[i]),
+        dcolor::benchkit::phase_reference_wall_ms(m.baseline), pairing.calibration);
     std::printf("== %s ==\n", dcolor::benchkit::record_filename(current[i]).c_str());
     std::fputs(dcolor::obs::format_phase_diff(d, "  ").c_str(), stdout);
     std::printf("\n");

@@ -131,19 +131,24 @@ void phase_tables(const std::vector<Record>& records, std::string& out) {
     std::vector<std::pair<std::string, double>> phases = r.phase_wall_ms;
     if (phases.empty()) continue;
     sort_descending(&phases);
+    double sum = 0;
     appendf(rows, "| %s |", instance_label(r).c_str());
     for (std::size_t p = 0; p < phases.size(); ++p) {
       appendf(rows, "%s %s %.2f", p ? "," : "", phases[p].first.c_str(), phases[p].second);
       totals[phases[p].first] += phases[p].second;
-      grand += phases[p].second;
+      sum += phases[p].second;
     }
-    rows += " |\n";
+    grand += sum;
+    const double wall = phase_reference_wall_ms(r);
+    appendf(rows, " | %.2f | %.2f |\n", wall, wall > 0 ? sum / wall : 0.0);
   }
   if (totals.empty()) {
     out += "_No per-phase data (tracing-free runs)._\n";
     return;
   }
-  out += "| instance | phase breakdown (ms) |\n|---|---|\n" + rows;
+  out += "| instance | phase breakdown (ms) | profiled wall ms | phases / wall |\n"
+         "|---|---|---|---|\n" +
+         rows;
   out += "\nAggregate across all records:\n\n| phase | total ms | share |\n|---|---|---|\n";
   std::vector<std::pair<std::string, double>> sorted(totals.begin(), totals.end());
   sort_descending(&sorted);
@@ -198,6 +203,10 @@ void percentile_table(const std::vector<Record>& records, std::string& out) {
 
 }  // namespace
 
+double phase_reference_wall_ms(const Record& r) {
+  return r.profiled_wall_ms > 0 ? r.profiled_wall_ms : r.wall_ms;
+}
+
 Record to_record(const Measurement& m) {
   Record r;
   r.scenario = m.name;
@@ -227,6 +236,7 @@ Record to_record(const Measurement& m) {
     r.nodes_rounds_per_sec =
         static_cast<double>(r.n) * static_cast<double>(r.rounds) * 1000.0 / r.wall_ms;
   }
+  r.profiled_wall_ms = m.profiled_wall_ms;
   r.phase_wall_ms = m.phase_wall_ms;
   r.dropped_events = m.dropped_events;
   for (const obs::HistogramSnapshot& h : m.histograms) {
@@ -282,7 +292,8 @@ std::string record_json(const Record& r) {
       .field("verified", r.verified)
       .field("checksum_stable", r.checksum_stable)
       .field("rss_peak_kb", r.rss_peak_kb)
-      .field("nodes_rounds_per_sec", r.nodes_rounds_per_sec);
+      .field("nodes_rounds_per_sec", r.nodes_rounds_per_sec)
+      .field("profiled_wall_ms", r.profiled_wall_ms);
   std::string phases = "{";
   for (std::size_t i = 0; i < r.phase_wall_ms.size(); ++i) {
     if (i) phases += ',';
@@ -348,6 +359,7 @@ bool parse_record(const std::string& json_text, Record* out, std::string* err) {
   out->checksum_stable = v.bool_or("checksum_stable", false);
   out->rss_peak_kb = static_cast<std::int64_t>(v.number_or("rss_peak_kb", 0));
   out->nodes_rounds_per_sec = v.number_or("nodes_rounds_per_sec", 0);
+  out->profiled_wall_ms = v.number_or("profiled_wall_ms", 0);
   if (const JsonValue* phases = v.find("phase_wall_ms");
       phases != nullptr && phases->kind == JsonValue::Kind::kObject) {
     for (const auto& [name, val] : phases->object) {
@@ -504,9 +516,9 @@ BaselineReport compare_with_baseline(const std::vector<Record>& current,
       // profiled-rep breakdown: rank phases by their share of the wall
       // delta so the gate's failure output names the slow phase directly.
       if (!current[i].phase_wall_ms.empty() && !base.phase_wall_ms.empty()) {
-        const obs::PhaseDiff pd =
-            obs::diff_phases(current[i].phase_wall_ms, base.phase_wall_ms, line.current_ms,
-                             line.baseline_ms, report.calibration);
+        const obs::PhaseDiff pd = obs::diff_phases(
+            current[i].phase_wall_ms, base.phase_wall_ms, phase_reference_wall_ms(current[i]),
+            phase_reference_wall_ms(base), report.calibration);
         line.attribution = obs::format_phase_diff(pd, "      ");
       }
     }
@@ -565,8 +577,9 @@ std::string format_report(const std::string& dir, const RecordDir& rd,
   out += "\n## Summary\n\n";
   summary_table(rd.records, baseline, out);
   out += "\n## Phase wall-time breakdown\n\n"
-         "Per-phase span totals from the instrumented profiled rep (phases may nest across "
-         "layers, so columns need not sum to wall ms — see docs/OBSERVABILITY.md).\n\n";
+         "Per-phase span totals from the instrumented profiled rep, and their sum over that "
+         "rep's own wall time (over the median wall ms for a record written without it) "
+         "— see docs/OBSERVABILITY.md.\n\n";
   phase_tables(rd.records, out);
   out += "\n## Phase latency percentiles\n\n"
          "Worst per-record percentile estimate per phase, in ms, from the histogram "

@@ -9,7 +9,8 @@
 //   scalable, quick, warmup, reps, wall_ms (median), wall_ms_min,
 //   wall_ms_max, rounds, messages, total_bits, max_message_bits,
 //   checksum (hex string), verified, checksum_stable, rss_peak_kb,
-//   nodes_rounds_per_sec, phase_wall_ms (nested {phase: ms} object),
+//   nodes_rounds_per_sec, profiled_wall_ms, phase_wall_ms (nested
+//   {phase: ms} object),
 //   dropped_events, histograms (nested {"cat/name": {count, total, min,
 //   max, p50, p90, p99, buckets:{bit_width: count}}} from the profiled
 //   rep — see docs/BENCH_SCHEMA.md), git
@@ -84,9 +85,13 @@ struct Record {
   // the engine-loop work rate the ROADMAP asks to track (0 when wall or
   // rounds is 0).
   double nodes_rounds_per_sec = 0.0;
+  // The profiled rep's own wall time (ms), which its phases are measured
+  // against; 0 in a record written before the field existed, and in a
+  // record without a profiled rep.
+  double profiled_wall_ms = 0.0;
   // Per-phase wall-time totals (ms) from the profiled rep, sorted by
   // phase name. Phases may nest or run concurrently, so this is span time
-  // per phase, not a partition of wall_ms.
+  // per phase, not a partition of profiled_wall_ms.
   std::vector<std::pair<std::string, double>> phase_wall_ms;
   // Ring events the profiled rep dropped.
   std::int64_t dropped_events = 0;
@@ -96,6 +101,11 @@ struct Record {
 };
 
 Record to_record(const Measurement& m);
+
+// The wall time r's phase_wall_ms is compared with: profiled_wall_ms,
+// or wall_ms (the median of the other, uninstrumented reps) in a record
+// that lacks it.
+double phase_reference_wall_ms(const Record& r);
 
 // "BENCH_<name with non-alnum -> '_'>[_t<threads>].json" (the thread
 // suffix only for scalable scenarios, keeping expanded instances apart).

@@ -179,9 +179,12 @@ Measurement run_scenario(const Scenario& s, int threads, const RunnerOptions& op
     obs::TraceSession::Options topts;
     topts.events = opt.trace;
     obs::TraceSession session(topts);
+    const auto t0 = std::chrono::steady_clock::now();
     Outcome o = prepared.run();
+    const auto t1 = std::chrono::steady_clock::now();
     session.stop();
     m.profiled = true;
+    m.profiled_wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     m.verified = m.verified && o.verified;
     m.profile_checksum_matched = (o.checksum == measured_checksum);
     m.histograms = session.histograms();

@@ -71,6 +71,9 @@ struct Measurement {
   // Phases may nest or run concurrently, so the totals are per-phase span
   // time, not a partition of wall_ms.
   std::vector<std::pair<std::string, double>> phase_wall_ms;
+  // The profiled rep's own wall time in ms, the one execution its phases
+  // come from (0 without profiling).
+  double profiled_wall_ms = 0.0;
   bool profiled = false;
   // The profiled rep reproduced the measured checksum — tracing did not
   // perturb the run. true when profiling is off; part of ok(), so a

@@ -52,7 +52,7 @@ class GenericPairProb final : public PairProbEngine {
 
   // The reference makes no structural claim: every edge, every bit, and
   // no coin decided before the last bit.
-  std::span<const int> changed_edges() const override { return all_edges_; }
+  std::span<const int> dependent_edges() const override { return all_edges_; }
   bool decided() const override { return false; }
 
   int coin(NodeId v) const override {
@@ -83,7 +83,7 @@ class GenericPairProb final : public PairProbEngine {
   const CoinFamily* family_;
   std::vector<CoinSpec> specs_;
   std::vector<ConflictEdge> edges_;
-  std::vector<int> all_edges_;  // changed_edges(): 0, 1, ..., |edges| - 1
+  std::vector<int> all_edges_;  // dependent_edges(): 0, 1, ..., |edges| - 1
   std::vector<std::uint8_t> fixed_;
 };
 
@@ -117,12 +117,13 @@ class GenericPairProb final : public PairProbEngine {
 // left by 2b - S onto the phase scale 2^(2b); edge_joint(s) convert each
 // entry to long double once, scaled by the exact power 2^-S.
 //
-// Changed edges (see pair_prob.h for the argument): a free node is live
+// Dependent edges (see pair_prob.h for the argument): a free node is live
 // while tight != 0 and settled after; liveness only ever goes from live to
 // settled, at a c_t fix. The engine keeps the edges with a live endpoint
 // (live_edges_) and, bucketed by h = highest set bit of psi_u ^ psi_v, the
-// edges with two live endpoints and distinct input colors (pair_*_), both
-// rebuilt once per chunk; changed_ is the set for the next query. It also
+// edges with two live endpoints (pair_*_), both rebuilt once per chunk;
+// dependent_ is the list for the next query: bucket h at a_t offset h,
+// live_edges_ at c_t. It also
 // counts the live nodes (live_nodes_): at 0 every coin is its node's
 // `less` flag, final whatever bits follow (decided()).
 template <typename Num>
@@ -159,14 +160,21 @@ class FastBitwisePairProb final : public PairProbEngine {
     edges_.resize(edges.size());
     live_edges_.clear();
     for (std::size_t e = 0; e < edges.size(); ++e) {
-      edges_[e] = EdgeSlots{slot_[edges[e].u], slot_[edges[e].v]};
+      const auto [u, v] = edges[e];
+      if (specs[u].input_color == specs[v].input_color) {
+        throw std::invalid_argument(
+            "FastBitwisePairProb::begin_phase: conflict edge " + std::to_string(e) + " = {" +
+            std::to_string(u) + ", " + std::to_string(v) + "} joins two nodes of input color " +
+            std::to_string(specs[u].input_color));
+      }
+      edges_[e] = EdgeSlots{slot_[u], slot_[v]};
       // Free nodes all start tight, so every edge with a free end is live.
       if (edges_[e].u >= 0 || edges_[e].v >= 0) live_edges_.push_back(static_cast<int>(e));
     }
     edge_state_.assign(edges.size(), EdgeState{});
     refresh_chunk();
-    changed_.resize(edges.size());  // at the first bit every edge is new
-    std::iota(changed_.begin(), changed_.end(), 0);
+    dependent_.resize(edges.size());  // at the first bit every edge is new
+    std::iota(dependent_.begin(), dependent_.end(), 0);
     bucket_live_pairs();
   }
 
@@ -197,15 +205,9 @@ class FastBitwisePairProb final : public PairProbEngine {
       }
       ++cur_offset_;
       if (cur_offset_ < w_) {
-        // Only live pairs with h == cur_offset_ (q turns cand-dependent)
-        // or h == cur_offset_ - 1 (q turns fixed-correlated) can move.
-        changed_.clear();
-        for (int h : {cur_offset_, cur_offset_ - 1}) {
-          changed_.insert(changed_.end(), pair_edges_.begin() + pair_off_[h],
-                          pair_edges_.begin() + pair_off_[h + 1]);
-        }
+        list_pairs(cur_offset_);
       } else {
-        changed_.assign(live_edges_.begin(), live_edges_.end());  // c_t is next
+        dependent_.assign(live_edges_.begin(), live_edges_.end());  // c_t is next
       }
       return;
     }
@@ -233,16 +235,14 @@ class FastBitwisePairProb final : public PairProbEngine {
     cur_offset_ = 0;
     ++cur_chunk_;
     refresh_chunk();
-    // Offset 0 of the next chunk: every edge live during the chunk just
-    // completed (new tau and tail, advanced DP, or newly settled).
-    changed_.assign(live_edges_.begin(), live_edges_.end());
     std::erase_if(live_edges_, [&](int e) {
       return !is_live(edges_[e].u) && !is_live(edges_[e].v);
     });
     bucket_live_pairs();
+    list_pairs(0);
   }
 
-  std::span<const int> changed_edges() const override { return changed_; }
+  std::span<const int> dependent_edges() const override { return dependent_; }
 
   bool decided() const override { return live_nodes_ == 0; }
 
@@ -295,10 +295,14 @@ class FastBitwisePairProb final : public PairProbEngine {
   // digit; forced slots and settled nodes (tight == 0) are not live.
   bool is_live(int slot) const { return slot >= 0 && nodes_[slot].tight != 0; }
 
+  // Lists the live pairs with h == o, whose q depends on a_t[o].
+  void list_pairs(int o) {
+    dependent_.assign(pair_edges_.begin() + pair_off_[o], pair_edges_.begin() + pair_off_[o + 1]);
+  }
+
   // Counting sort of the edges with two live endpoints by h =
-  // bit_width(psi_u ^ psi_v) - 1. Equal colors have no h, and colors that
-  // differ only at or above bit w_ keep q uniform at every a_t offset;
-  // neither kind is ever listed at an a_t offset.
+  // bit_width(psi_u ^ psi_v) - 1. Colors that differ only at or above
+  // bit w_ keep q uniform at every a_t offset and are never listed there.
   void bucket_live_pairs() {
     pair_off_.assign(static_cast<std::size_t>(w_) + 1, 0);
     auto h_of = [&](int e) {
@@ -472,10 +476,10 @@ class FastBitwisePairProb final : public PairProbEngine {
   std::vector<NodeState> nodes_;  // free nodes, ascending node id
   std::vector<EdgeSlots> edges_;  // per edge: endpoint slots
   std::vector<EdgeState> edge_state_;
-  std::vector<int> changed_;     // changed_edges() answer for the next query
+  std::vector<int> dependent_;   // dependent_edges() answer for the next query
   std::vector<int> live_edges_;  // edges with a live endpoint this chunk
   std::vector<int> pair_off_;    // w_+1 offsets into pair_edges_, by h
-  std::vector<int> pair_edges_;  // live pairs with distinct colors, by h
+  std::vector<int> pair_edges_;  // live pairs, by h
   std::vector<int> pair_cursor_;
   int live_nodes_ = 0;  // free nodes with tight != 0
 };

@@ -18,40 +18,52 @@
 //    per (edge, candidate) query; O(free nodes + listed edges) per fixed
 //    a_t bit; O(free nodes + edges with a live endpoint) per fixed c_t bit.
 //    Forced and non-participating nodes cost nothing after begin_phase.
-//    changed_edges() lists, per seed bit, only the edges whose joint can
-//    have moved, so a caller that keeps the previous joints re-queries
-//    only those (6% of edge-bits on perfbench c12-clusters, 17% on
-//    t11-longpath).
+//    dependent_edges() lists, per seed bit, only the edges whose two
+//    candidates' joints can differ, so a caller that carries the chosen
+//    side of the previous joints forward re-queries only those.
 //
-// Why an unlisted edge is constant (FastBitwisePairProb). Every fixed
-// digit is a point mass, so each free node's `tight`/`less` and each
-// edge DP's A/B/C/D mass are exactly 0 or 1. Call a free node live while
-// tight == 1 and settled once tight == 0 (its marginal is then `less`
-// bit for bit, and the A/B/C masses of its edges on its side are 0, so
-// every cand- or chunk-dependent factor is multiplied by an exact 0). So
-//  * an edge whose endpoints are each forced or settled never changes;
-//  * an edge with a live endpoint changes only at chunk offset 0 (new
-//    threshold digit, tail and marginal, advanced DP) and at c_t (the
-//    digit becomes known ^ cand). At the other a_t offsets a lone live
-//    endpoint's digit is a fresh uniform bit (c_t is free), so its
-//    marginal does not move and its q marginal is exactly 1/2;
-//  * an edge with two live endpoints also changes at the a_t offsets h
-//    and h+1, h = highest set bit of psi_u ^ psi_v. Below h the
-//    remaining variable sets differ (q uniform); at h the tentative bit
-//    enters one digit only (q cand-dependent); from h+1 on it enters both
-//    or neither, so q is the fixed-correlated form, constant after h+1.
-//    Equal input colors have no h: q is correlated at every offset.
-// Liveness only decays, so at offset 0 the engine lists the edges that
-// were live during the previous chunk.
+// Why an unlisted edge carries the chosen side. The engine's joints are
+// the coins' exact conditional law given the fixed prefix plus the
+// candidate, and the next seed bit is uniform, so for every edge at every
+// bit after the first
+//   J_beta(previous bit) = (J0 + J1) / 2,
+// beta the bit the previous step fixed (the law of total probability).
+// An edge whose J0 and J1 are equal thus holds J0 = J1 = J_beta(previous
+// bit); the entries are dyadic rationals (see below), so this holds
+// exactly, between integer numerators. It needs the true joint law: the
+// later digits of two equal input colors are identical, not independent
+// as FastBitwisePairProb assumes, so its begin_phase rejects such an edge.
+//
+// Which edges FastBitwisePairProb lists. Every fixed digit is a point
+// mass, so each free node's `tight`/`less` and each edge DP's A/B/C/D
+// mass are exactly 0 or 1. Call a free node live while tight == 1 and
+// settled once tight == 0 (its marginal is then `less` bit for bit, and
+// the A/B/C masses of its edges on its side are 0, so every
+// cand-dependent factor is multiplied by an exact 0). So
+//  * an edge whose endpoints are each forced or settled never depends on
+//    the candidate;
+//  * at c_t every live node's digit becomes known ^ cand: the engine
+//    lists every edge with a live endpoint;
+//  * at an a_t offset o (c_t still free) a live node's digit is a fresh
+//    uniform bit whatever cand is, so its marginal, and an edge with one
+//    live endpoint, do not depend on cand. For two live endpoints let h
+//    = highest set bit of psi_u ^ psi_v. For o < h the remaining variable
+//    sets differ (q uniform), for o > h the tentative bit enters both
+//    digits or neither (q fixed-correlated), and only at o == h does it
+//    enter one digit only (q cand-dependent): the engine lists the live
+//    pairs with h == o, at offset 0 of every chunk too.
+// Liveness only decays, so the lists are taken over the nodes live
+// during the current chunk.
 //
 // When the coins are decided (decided()). A settled node's coin is its
 // `less` flag: `less` is set exactly when the first digit that differs
 // from the threshold's digit is below it, which is value < threshold
 // whatever the later digits are. So once no free node is live, no later
 // seed bit can move any coin, and coin() may be read at once; at every
-// remaining bit both candidates' joints are equal. FastBitwisePairProb counts its live nodes and answers
-// decided() when the count is 0 (at bit 0 already when no node is free).
-// GenericPairProb makes no such claim and answers false.
+// remaining bit both candidates' joints are equal. FastBitwisePairProb
+// counts its live nodes and answers decided() when the count is 0 (at
+// bit 0 already when no node is free). GenericPairProb makes no such
+// claim and answers false.
 //
 // Why FastBitwisePairProb is exact. During chunk t, with r = b - t - 1
 // digits after it, every probability it returns is a dyadic rational in
@@ -90,7 +102,9 @@ class PairProbEngine {
   virtual ~PairProbEngine() = default;
 
   // Starts a phase. specs[v] is meaningful for participating nodes; edges
-  // index into `edges`. Resets all fixed seed bits.
+  // index into `edges`, and the two endpoints of an edge have distinct
+  // input colors (FastBitwisePairProb throws std::invalid_argument naming
+  // the first edge that does not). Resets all fixed seed bits.
   virtual void begin_phase(const std::vector<CoinSpec>& specs,
                            const std::vector<ConflictEdge>& edges) = 0;
 
@@ -111,21 +125,23 @@ class PairProbEngine {
   // 1, under cand = 0 and cand = 1, as exact integer numerators over the
   // one scale 2^(2b) of the whole phase (every joint entry of either
   // family has at most 2b fraction bits). The element type must hold
-  // 2^(2b): the 64-bit form needs b <= 31. One call per seed bit; other
-  // entries of out are left alone. The generic engine reads its
+  // 2^(2b): the 64-bit form needs b <= 31. Other entries of out are left
+  // alone. The generic engine reads its
   // family's long double probabilities, exact for b <= 32 (builds with
   // assertions check that each scaled entry is an integer).
   virtual void edge_diagonals(std::span<const int> edges, std::array<std::uint64_t, 4>* out) = 0;
   virtual void edge_diagonals(std::span<const int> edges,
                               std::array<unsigned __int128, 4>* out) = 0;
 
-  // A superset of the edges e whose edge_joints(e) can differ from its
-  // value before the last fix_next_bit, each listed once, in no
-  // particular order. Every edge at the first bit after begin_phase. An
-  // unlisted edge's joints are equal (==) to the previous bit's.
+  // A superset of the edges e whose two candidates' joints can differ at
+  // this bit (edge_joints(e)[0] != edge_joints(e)[1]), each listed once,
+  // in no particular order; every edge at the first bit after
+  // begin_phase. An unlisted edge's joints are, for both candidates,
+  // equal (==) to the previous bit's joints for the bit that step fixed,
+  // so a caller may carry that side forward instead of re-querying it.
   // GenericPairProb always lists every edge. The view is the engine's
   // own list, valid until the next fix_next_bit or begin_phase.
-  virtual std::span<const int> changed_edges() const = 0;
+  virtual std::span<const int> dependent_edges() const = 0;
 
   // Permanently fixes the next seed bit.
   virtual void fix_next_bit(int bit) = 0;

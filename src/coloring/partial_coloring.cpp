@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -27,18 +28,23 @@ struct Range {
 
 // The state of Lemma 2.6's seed-bit loop at one accumulator width Acc
 // (node_sum_width), sized once per call. Each conflict edge keeps its
-// four diagonal numerators over 2^(2b) as the engine last wrote them,
-// {J0[0][0], J0[1][1], J1[0][0], J1[1][1]}, and each node their exact
-// sums over its edges, {z0, o0, z1, o1}. x0/x1 are the node values the
-// transport aggregates; `dirty` lists the nodes whose values moved at
-// this bit (deduplicated by stamp).
+// four diagonal numerators over 2^(2b), {J0[0][0], J0[1][1], J1[0][0],
+// J1[1][1]}, and each node their exact sums over its edges, {z0, o0, z1,
+// o1}. x0/x1 are the node values the transport aggregates. `dirty` lists
+// the nodes on this bit's dependent edges and `moved` the nodes whose
+// values changed since the previous aggregate: `dirty` and the previous
+// bit's `dirty`, deduplicated by stamp (dirty_stamp[v] is the last bit at
+// which v was dirty).
 template <typename Acc>
 struct SeedSums {
-  explicit SeedSums(NodeId n) : node(n), x0(n), x1(n), dirty_stamp(n, 0) {}
+  explicit SeedSums(NodeId n) : node(n), x0(n), x1(n), dirty_stamp(n, 0) {
+    dirty.reserve(n);  // each holds a node at most once, so no bit allocates
+    moved.reserve(n);
+  }
   std::vector<std::array<Acc, 4>> edge;
   std::vector<std::array<Acc, 4>> node;
   std::vector<long double> x0, x1;
-  std::vector<NodeId> dirty;
+  std::vector<NodeId> dirty, moved;
   std::vector<std::int32_t> dirty_stamp;
   std::int32_t stamp = 0;
 };
@@ -57,6 +63,24 @@ template <typename Acc>
                      [&](NodeId v) { return want[v] == s.node[v]; });
 }
 
+// The engine's numerators for every edge, against which each edge it
+// did not list must equal the side carried from the previous bit.
+template <typename Acc>
+[[maybe_unused]] bool carried_edges_are_exact(PairProbEngine& engine, const SeedSums<Acc>& s,
+                                              std::span<const int> listed) {
+  const std::size_t m = s.edge.size();
+  std::vector<int> all(m);
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<std::array<Acc, 4>> fresh(m);
+  engine.edge_diagonals(all, fresh.data());
+  std::vector<char> in(m, 0);
+  for (const int e : listed) in[e] = 1;
+  for (std::size_t e = 0; e < m; ++e) {
+    if (!in[e] && fresh[e] != s.edge[e]) return false;
+  }
+  return true;
+}
+
 // z / k for a node's k candidates on one side, 0 when it has none (its
 // coin is then forced to the other side, and z is 0 too).
 template <typename Acc>
@@ -66,11 +90,17 @@ long double per_candidate(Acc z, int k) {
 
 // Fixes one phase's seed bits one by one (Lemma 2.6), until the engine
 // has decided every coin; the bits left are charged in one call. At each
-// bit every edge the engine lists as changed subtracts its old numerators
-// from both endpoints' sums and adds its new ones, so every node's sums
-// are exact at every bit, and only those endpoints get new values: w's
-// term of E[Phi_l | cand = c] is (z_c / k0 + o_c / k1) * 2^-2b, where k0
-// and k1 count w's candidates with bit l = 0 and 1.
+// bit only the edges the engine lists as dependent are queried: each
+// subtracts its old numerators from both endpoints' sums and adds its
+// new ones, so every node's sums are exact at every bit, and only those
+// endpoints get new values: w's term of E[Phi_l | cand = c] is (z_c / k0
+// + o_c / k1) * 2^-2b, where k0 and k1 count w's candidates with bit l =
+// 0 and 1. Once bit beta is chosen, every listed edge's numerators and
+// every dirty node's sums and values become their beta side on both
+// candidates: an unlisted edge's joints at the next bit are exactly that
+// side (pair_prob.h), and a node value computed from the same integers
+// by the same operations is the same. The carried nodes' values moved
+// since the aggregate, so they join the next bit's update list.
 template <typename Acc>
 void fix_seed_bits(ColoringTransport& t, PairProbEngine& engine, int b,
                    const std::vector<ConflictEdge>& edges,
@@ -94,25 +124,30 @@ void fix_seed_bits(ColoringTransport& t, PairProbEngine& engine, int b,
       return;
     }
     ++s.stamp;
+    std::swap(s.moved, s.dirty);  // the nodes carried at the previous bit
     s.dirty.clear();
-    const std::span<const int> changed = engine.changed_edges();
-    for (const int e : changed) {
+    const std::span<const int> listed = engine.dependent_edges();
+    for (const int e : listed) {
       const std::array<Acc, 4> old = s.edge[e];
       for (const NodeId w : {edges[e].u, edges[e].v}) {
         for (int i = 0; i < 4; ++i) s.node[w][i] -= old[i];
-        if (s.dirty_stamp[w] == s.stamp) continue;
+        const std::int32_t last = s.dirty_stamp[w];
+        if (last == s.stamp) continue;
         s.dirty_stamp[w] = s.stamp;
         s.dirty.push_back(w);
+        if (last != s.stamp - 1) s.moved.push_back(w);
       }
     }
-    engine.edge_diagonals(changed, s.edge.data());
-    for (const int e : changed) {
+    engine.edge_diagonals(listed, s.edge.data());
+    for (const int e : listed) {
       const std::array<Acc, 4> fresh = s.edge[e];
       for (const NodeId w : {edges[e].u, edges[e].v}) {
         for (int i = 0; i < 4; ++i) s.node[w][i] += fresh[i];
       }
     }
     assert(sums_are_exact(s, edges, active_nodes) && "a node's sums missed an edge's change");
+    assert(carried_edges_are_exact(engine, s, listed) &&
+           "an unlisted edge's joints differ from the side carried from the previous bit");
     for (const NodeId w : s.dirty) {
       const int k1 = range[w].hi - split[w], k0 = split[w] - range[w].lo;
       const std::array<Acc, 4>& z = s.node[w];
@@ -120,11 +155,23 @@ void fix_seed_bits(ColoringTransport& t, PairProbEngine& engine, int b,
       s.x1[w] = (per_candidate(z[2], k0) + per_candidate(z[3], k1)) * scale;
     }
     // Bit 0 lists every edge but not the nodes reset to 0 above, so it
-    // re-encodes the whole tree; later bits move only `dirty`.
+    // re-encodes the whole tree; later bits move only `moved`.
     const auto [sum0, sum1] = j == 0 ? t.aggregate_pair(s.x0, s.x1)
-                                     : t.aggregate_pair_update(s.x0, s.x1, s.dirty);
+                                     : t.aggregate_pair_update(s.x0, s.x1, s.moved);
     const int bit = sum0 <= sum1 ? 0 : 1;
     t.broadcast_bit(bit);
+    const int side = 2 * bit;
+    for (const int e : listed) {
+      std::array<Acc, 4>& z = s.edge[e];
+      z = {z[side], z[side + 1], z[side], z[side + 1]};
+    }
+    for (const NodeId w : s.dirty) {
+      std::array<Acc, 4>& z = s.node[w];
+      z = {z[side], z[side + 1], z[side], z[side + 1]};
+      const long double x = bit ? s.x1[w] : s.x0[w];
+      s.x0[w] = x;
+      s.x1[w] = x;
+    }
     engine.fix_next_bit(bit);
   }
 }

@@ -10,9 +10,10 @@
 //     (Lemma 2.5) and fixing the seed bit-by-bit with the method of
 //     conditional expectations over an aggregation tree (Lemma 2.6).
 //     Each node keeps the numerators of its two conditional expectations
-//     as exact integer sums over 2^(2b) (node_sum_width), which a changed
-//     conflict edge updates at its two endpoints; only those nodes get
-//     new values for the aggregation.
+//     as exact integer sums over 2^(2b) (node_sum_width), which a
+//     conflict edge whose two candidates' joints differ updates at its
+//     two endpoints; only those nodes get new values for the
+//     aggregation, and after the bit is fixed they carry its side.
 //   * Afterwards every node holds a single candidate color; nodes with at
 //     most 3 conflicting neighbors form a subgraph of max degree 3 on
 //     which an MIS (via Linial + color classes) selects the nodes that

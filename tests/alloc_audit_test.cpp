@@ -329,7 +329,7 @@ TEST(AllocAudit, ClusterRunIsClusterSized) {
 }
 
 // The Lemma 2.6 seed-fixing math of one Lemma 2.1 phase: the caller's
-// per-bit cycle of changed_edges + edge_diagonals + fix_next_bit on the
+// per-bit cycle of dependent_edges + edge_diagonals + fix_next_bit on the
 // fast engine. The first chunk sizes every per-phase buffer (every edge
 // is listed at its first bit), so all later bits of the phase must be
 // heap-free, on both numerator types (b = 12 and b = 40).
@@ -362,9 +362,9 @@ TEST(AllocAudit, SeedFixingEngineSteadyState) {
     std::vector<std::array<unsigned __int128, 4>> wide(edges.size());
     auto step = [&](int j) {
       if (b <= 31) {
-        engine->edge_diagonals(engine->changed_edges(), narrow.data());
+        engine->edge_diagonals(engine->dependent_edges(), narrow.data());
       } else {
-        engine->edge_diagonals(engine->changed_edges(), wide.data());
+        engine->edge_diagonals(engine->dependent_edges(), wide.data());
       }
       engine->fix_next_bit((j * 7 + 3) % 5 < 2 ? 1 : 0);
     };

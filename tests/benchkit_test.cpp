@@ -370,13 +370,14 @@ TEST(BenchkitRunner, QuickRunEmitsSchemaCompleteRecords) {
           "threads", "scalable", "quick", "warmup", "reps", "wall_ms", "wall_ms_min",
           "wall_ms_max", "rounds", "messages", "total_bits", "max_message_bits", "checksum",
           "verified", "checksum_stable", "rss_peak_kb", "nodes_rounds_per_sec",
-          "phase_wall_ms", "dropped_events", "histograms", "git"}) {
+          "profiled_wall_ms", "phase_wall_ms", "dropped_events", "histograms", "git"}) {
       EXPECT_NE(v.find(key), nullptr) << key << " missing from " << leaf;
     }
     EXPECT_EQ(v.string_or("schema", ""), kRecordSchema);
     // /2 fields: throughput populated (wall and rounds are nonzero for
     // the busy scenarios), phase breakdown a nested object.
     EXPECT_GT(v.number_or("nodes_rounds_per_sec", 0), 0.0);
+    EXPECT_GT(v.number_or("profiled_wall_ms", 0), 0.0);  // the profiled rep, timed
     ASSERT_NE(v.find("phase_wall_ms"), nullptr);
     EXPECT_EQ(v.find("phase_wall_ms")->kind, JsonValue::Kind::kObject);
     // /3 fields: histograms a nested object, dropped_events a number.
@@ -455,6 +456,35 @@ TEST(BenchkitReport, V3HistogramsAndDroppedEventsRoundTrip) {
   EXPECT_EQ(p.p90, 6);
   EXPECT_EQ(p.p99, 6);
   EXPECT_EQ(p.buckets, h.buckets);
+}
+
+// The profiled rep's wall time survives a writer -> parser round trip
+// and is what the phases are compared with; a record written before the
+// field existed still reads, with the median wall time standing in.
+TEST(BenchkitReport, ProfiledWallRoundTripsAndOldRecordsStillRead) {
+  Record r;
+  r.scenario = "testkit.profiledwall";
+  r.wall_ms = 5.0;
+  r.profiled_wall_ms = 6.25;
+  r.phase_wall_ms = {{"testkit.phase.slow", 6.0}};
+  const std::string text = record_json(r);
+
+  Record parsed;
+  std::string err;
+  ASSERT_TRUE(parse_record(text, &parsed, &err)) << err;
+  EXPECT_EQ(parsed.profiled_wall_ms, 6.25);
+  EXPECT_EQ(phase_reference_wall_ms(parsed), 6.25);
+
+  const std::string field = "\"profiled_wall_ms\":";
+  const std::size_t at = text.find(field);
+  ASSERT_NE(at, std::string::npos) << text;
+  std::string old = text;
+  old.erase(at, text.find(',', at) + 1 - at);
+  ASSERT_EQ(old.find(field), std::string::npos) << old;
+  ASSERT_TRUE(parse_record(old, &parsed, &err)) << err << "\n" << old;
+  EXPECT_EQ(parsed.profiled_wall_ms, 0.0);
+  EXPECT_EQ(phase_reference_wall_ms(parsed), 5.0);
+  EXPECT_EQ(parsed.phase_wall_ms, r.phase_wall_ms);
 }
 
 // The real pipeline end to end: a profiled scenario run whose record
@@ -982,6 +1012,7 @@ TEST(BenchkitReport, RendersGateVerdictsAndWarnings) {
     Record c = report_record(name, std::string(name) == "t.slow" ? 100.0 : 10.0);
     if (std::string(name) == "t.ok") {
       c.phase_wall_ms = {{"p.fast", 1.0}, {"p.slow", 6.0}};
+      c.profiled_wall_ms = 8.0;
       RecordHistogram h;
       h.key = "phase/p.slow";
       h.count = 2;
@@ -1012,6 +1043,9 @@ TEST(BenchkitReport, RendersGateVerdictsAndWarnings) {
 
   // Phase breakdown (largest first), aggregate and percentiles in ms.
   EXPECT_NE(md.find("| t_ok | p.slow 6.00, p.fast 1.00 |"), std::string::npos) << md;
+  // The phases' 7 ms against the profiled rep's own 8 ms, not the 10 ms median.
+  EXPECT_NE(md.find("| t_ok | p.slow 6.00, p.fast 1.00 | 8.00 | 0.88 |"), std::string::npos)
+      << md;
   EXPECT_NE(md.find("Aggregate across all records"), std::string::npos) << md;
   EXPECT_NE(md.find("| p.slow | 2 | 4.000 | 4.000 | 4.000 | 4.000 |"), std::string::npos) << md;
 

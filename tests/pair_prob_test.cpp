@@ -171,7 +171,7 @@ TEST(PairProbEngine, EdgeJointsEqualsTwoEdgeJointCalls) {
 
 // The batched diagonal query is, exactly, the matching edge_joints
 // entries: at every seed bit along random fixing paths, for the edges
-// changed_edges() lists, numerator * 2^-2b == the entry. Both engines at
+// dependent_edges() lists, numerator * 2^-2b == the entry. Both engines at
 // b in [2, 7], 31 and 32; the fast engine alone at b in [33, 40], where
 // the generic engine's long double entries round but the fast engine's
 // entry and its lifted numerator round the same integer once. Every
@@ -180,13 +180,13 @@ TEST(PairProbEngine, EdgeJointsEqualsTwoEdgeJointCalls) {
 template <typename Out>
 void expect_diagonals_equal_joints(PairProbEngine& eng, int b, int m, int trial, int j,
                                    int* checked) {
-  const std::span<const int> changed = eng.changed_edges();
+  const std::span<const int> dependent = eng.dependent_edges();
   const Out ones = ~Out{0};
   const std::array<Out, 4> sentinel = {ones, ones, ones, ones};
   std::vector<std::array<Out, 4>> diag(m, sentinel);
-  eng.edge_diagonals(changed, diag.data());
+  eng.edge_diagonals(dependent, diag.data());
   std::vector<char> listed(m, 0);
-  for (const int e : changed) listed[e] = 1;
+  for (const int e : dependent) listed[e] = 1;
   for (int e = 0; e < m; ++e) {
     if (!listed[e]) {
       ASSERT_TRUE(diag[e] == sentinel) << "unlisted edge written: trial=" << trial << " e=" << e;
@@ -249,12 +249,27 @@ TEST(FastBitwiseEngine, FactoryRejectsPrecisionOutsideOneToSixtyThree) {
   }
 }
 
-// changed_edges() is a superset of the edges whose joints move: at every
-// seed bit, an unlisted edge's edge_joints(e) equals (==) its value at the
-// previous bit. Covers forced (0, 2^b) and free thresholds, w = 1..12
-// (K = 2..4096) and, on the fast engine, endpoints with equal input colors
-// (psi_u ^ psi_v = 0; the generic family requires distinct colors).
-TEST(PairProbEngine, ChangedEdgesIsSound) {
+// An equal-color edge is rejected, naming it: edge 0 = {0, 1} of
+// `pairs` joins two nodes of one input color.
+void expect_equal_colors_rejected(std::uint64_t K, int b, const std::vector<CoinSpec>& specs,
+                                  const std::vector<ConflictEdge>& pairs) {
+  auto fast = make_fast_bitwise_pair_prob(K, b);
+  try {
+    fast->begin_phase(specs, pairs);
+    FAIL() << "equal input colors accepted: K=" << K << " b=" << b;
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("{0, 1}"), std::string::npos) << err.what();
+  }
+}
+
+// dependent_edges() is sound: at every seed bit j > 0, an unlisted edge's
+// two candidates' joints are equal (==) to each other and to its joint
+// at bit j - 1 for the bit fixed there, so the caller may carry that side
+// forward. Every edge's two joints also average to that joint, the law
+// the carry rests on. Covers forced (0, 2^b) and free thresholds and w = 1..12 (K =
+// 2..4096) on both engines, over the edges whose endpoints' input colors
+// differ; the fast engine rejects an edge whose colors are equal.
+TEST(PairProbEngine, DependentEdgesIsSound) {
   Rng rng(1414);
   int quiet_checks = 0;
   for (int w = 1; w <= 12; ++w) {
@@ -283,44 +298,59 @@ TEST(PairProbEngine, ChangedEdgesIsSound) {
           }
         }
       }
+      expect_equal_colors_rejected(K, b, specs, all_pairs);
+
       struct Side {
         std::unique_ptr<PairProbEngine> eng;
-        int m;
         bool lists_all;
         std::vector<std::array<JointDist, 2>> prev;
       };
-      std::array<Side, 2> sides = {
-          Side{make_generic_pair_prob(*family), static_cast<int>(distinct_pairs.size()), true, {}},
-          Side{make_fast_bitwise_pair_prob(K, b), static_cast<int>(all_pairs.size()), false, {}}};
-      sides[0].eng->begin_phase(specs, distinct_pairs);
-      sides[1].eng->begin_phase(specs, all_pairs);
+      std::array<Side, 2> sides = {Side{make_generic_pair_prob(*family), true, {}},
+                                   Side{make_fast_bitwise_pair_prob(K, b), false, {}}};
+      for (Side& side : sides) side.eng->begin_phase(specs, distinct_pairs);
 
+      const int m = static_cast<int>(distinct_pairs.size());
       const int d = sides[0].eng->num_seed_bits();
+      int fixed = 0;  // the bit fixed at j - 1
       for (int j = 0; j < d; ++j) {
         for (Side& side : sides) {
-          const std::span<const int> listed = side.eng->changed_edges();
-          std::vector<char> in(side.m, 0);
+          const std::span<const int> listed = side.eng->dependent_edges();
+          std::vector<char> in(m, 0);
           for (const int e : listed) {
-            ASSERT_TRUE(e >= 0 && e < side.m) << "e=" << e;
+            ASSERT_TRUE(e >= 0 && e < m) << "e=" << e;
             ASSERT_FALSE(in[e]) << "edge " << e << " listed twice";
             in[e] = 1;
           }
           if (j == 0 || side.lists_all) {
-            ASSERT_EQ(static_cast<int>(listed.size()), side.m) << "every edge, j=" << j;
+            ASSERT_EQ(static_cast<int>(listed.size()), m) << "every edge, j=" << j;
           }
-          std::vector<std::array<JointDist, 2>> cur(side.m);
-          for (int e = 0; e < side.m; ++e) {
+          std::vector<std::array<JointDist, 2>> cur(m);
+          for (int e = 0; e < m; ++e) {
             cur[e] = side.eng->edge_joints(e);
-            if (j > 0 && !in[e]) {
+            if (j == 0) continue;
+            const std::string where = "K=" + std::to_string(K) + " b=" + std::to_string(b) +
+                                      " trial=" + std::to_string(trial) +
+                                      " j=" + std::to_string(j) + " e=" + std::to_string(e);
+            // The premise: the next bit is uniform, so the fixed side's
+            // joint is the mean of the two candidates' (exact at b <= 7).
+            for (int x = 0; x < 2; ++x) {
+              for (int y = 0; y < 2; ++y) {
+                ASSERT_EQ((cur[e][0][x][y] + cur[e][1][x][y]) / 2, side.prev[e][fixed][x][y])
+                    << "not the conditional law: " << where;
+              }
+            }
+            if (!in[e]) {
               ++quiet_checks;
-              ASSERT_EQ(cur[e], side.prev[e]) << "unlisted edge moved: K=" << K << " b=" << b
-                                              << " trial=" << trial << " j=" << j << " e=" << e;
+              ASSERT_EQ(cur[e][0], cur[e][1]) << "unlisted edge depends on the candidate: "
+                                              << where;
+              ASSERT_EQ(cur[e][0], side.prev[e][fixed])
+                  << "unlisted edge is not the carried side: " << where;
             }
           }
           side.prev = std::move(cur);
         }
-        const int bit = static_cast<int>(rng.next_below(2));
-        for (Side& side : sides) side.eng->fix_next_bit(bit);
+        fixed = static_cast<int>(rng.next_below(2));
+        for (Side& side : sides) side.eng->fix_next_bit(fixed);
       }
     }
   }
@@ -331,8 +361,9 @@ TEST(PairProbEngine, ChangedEdgesIsSound) {
 // that bit are final: the same after fixing every remaining bit with all
 // 0s, all 1s or random bits, on the fast engine and on the generic
 // engine's direct hash of the whole seed. The generic engine never
-// claims decided(). Covers forced (0, 2^b) and free thresholds, equal
-// input colors and w = 1..12.
+// claims decided(). Covers forced (0, 2^b) and free thresholds and w =
+// 1..12, over the edges whose endpoints' input colors differ; the fast
+// engine rejects an edge whose colors are equal.
 TEST(FastBitwiseEngine, DecidedFreezesCoins) {
   Rng rng(1515);
   int early = 0;  // instances decided before their last bit
@@ -353,14 +384,21 @@ TEST(FastBitwiseEngine, DecidedFreezesCoins) {
       }
       specs[1].input_color = specs[0].input_color;  // edge {0, 1} has xor 0
       std::vector<ConflictEdge> all_pairs;
+      std::vector<ConflictEdge> distinct_pairs;
       for (int u = 0; u < n; ++u) {
-        for (int v = u + 1; v < n; ++v) all_pairs.push_back(ConflictEdge{u, v});
+        for (int v = u + 1; v < n; ++v) {
+          all_pairs.push_back(ConflictEdge{u, v});
+          if (specs[u].input_color != specs[v].input_color) {
+            distinct_pairs.push_back(ConflictEdge{u, v});
+          }
+        }
       }
+      expect_equal_colors_rejected(K, b, specs, all_pairs);
       const std::string where = "K=" + std::to_string(K) + " b=" + std::to_string(b) +
                                 " trial=" + std::to_string(trial);
 
       auto fast = make_fast_bitwise_pair_prob(K, b);
-      fast->begin_phase(specs, all_pairs);
+      fast->begin_phase(specs, distinct_pairs);
       const int d = fast->num_seed_bits();
       std::vector<int> seed;
       int decided_at = -1;  // the first bit at which decided() held
@@ -387,7 +425,7 @@ TEST(FastBitwiseEngine, DecidedFreezesCoins) {
         }
         auto replay = make_fast_bitwise_pair_prob(K, b);
         auto reference = make_generic_pair_prob(*family);
-        replay->begin_phase(specs, all_pairs);
+        replay->begin_phase(specs, distinct_pairs);
         reference->begin_phase(specs, {});
         for (const int bit : seed) {
           ASSERT_FALSE(reference->decided()) << where;
