@@ -3,8 +3,9 @@
 //   congest.tree_wave.sum — repeated Q32.32 pair-sum convergecasts over
 //     a BFS tree of a connected G(n,p), each as one full-form
 //     cluster aggregate_pair runs it: two TreeFixedSum refreshes, which
-//     re-encode every tree node, and one closed-form 128-bit wave charge
-//     on the Network. The transport runs every seed-fixing wave through
+//     re-encode every tree node, and one closed-form charge of the
+//     cluster form's pair_wave_cost (a 129-bit wave: the two sums and
+//     the liveness bit) on the Network. The transport runs every seed-fixing wave through
 //     this kernel on both executors: the first seed bit of each phase,
 //     and every bit of the derandomized MIS, take this full form; the
 //     other bits of theorem11.* and corollary12.* update only the nodes
@@ -67,7 +68,8 @@ REGISTER_SCENARIO(Scenario{
         for (int w = 0; w < kWaves; ++w) {
           const std::uint64_t s0 = (*sums)[0].refresh(*tree, *v0);
           const std::uint64_t s1 = (*sums)[1].refresh(*tree, *v1);
-          net->charge(congest::wave_cost(*tree, 128, net->bandwidth_bits()));
+          net->charge(congest::pair_wave_cost(*tree, congest::TreeForm::kCluster,
+                                              net->bandwidth_bits()));
           ok = ok && s0 == want0 && s1 == want1;
           acc ^= s0 + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(w + 1) + s1;
         }

@@ -318,6 +318,9 @@ int run_cli(int argc, char** argv, std::FILE* out) {
         std::fprintf(out, "%s", line.attribution.c_str());
       }
     }
+    // The notes below go to stderr; flush the table first, so a caller
+    // that merges the two streams never gets a note inside a table line.
+    std::fflush(out);
     // Per-record misses are benign (new scenarios gate after the next
     // baseline refresh), but zero matches means the gate compared
     // nothing — a wrong --baseline path or wholesale rename must not

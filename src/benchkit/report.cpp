@@ -44,6 +44,20 @@ const std::pair<const char*, std::int64_t RecordHistogram::*> kHistogramFields[]
     {"p99", &RecordHistogram::p99},
 };
 
+// " field old -> new (+x.x%)" when a charged count drifted, the change
+// relative to the baseline's value (left out when that is 0).
+std::string count_drift(const char* field, std::int64_t base, std::int64_t cur) {
+  if (cur == base) return "";
+  char buf[160];
+  const int len = std::snprintf(buf, sizeof(buf), " %s %lld -> %lld", field,
+                                static_cast<long long>(base), static_cast<long long>(cur));
+  if (base != 0) {
+    std::snprintf(buf + len, sizeof(buf) - static_cast<std::size_t>(len), " (%+.1f%%)",
+                  100.0 * static_cast<double>(cur - base) / static_cast<double>(base));
+  }
+  return buf;
+}
+
 // The metric/* histograms whose count, total, min or max differ between
 // the two records, or that only one of them has, as " key" entries.
 std::string metric_histogram_drift(const Record& cur, const Record& base) {
@@ -528,13 +542,18 @@ BaselineReport compare_with_baseline(const std::vector<Record>& current,
     // sizes, message batches, cluster sizes): those reproduce run to run,
     // and a difference means a probe or the work it samples changed. A
     // deliberate change re-baselines in the same change.
-    std::string drift;
-    if (current[i].rounds != base.rounds) drift += " rounds";
-    if (current[i].messages != base.messages) drift += " messages";
-    if (current[i].total_bits != base.total_bits) drift += " total_bits";
-    if (current[i].max_message_bits != base.max_message_bits) drift += " max_message_bits";
-    if (!base.checksum.empty() && current[i].checksum != base.checksum) drift += " checksum";
-    drift += metric_histogram_drift(current[i], base);
+    // Each drifted count reads old -> new and a checksum old -> new, so a
+    // deliberate re-baseline shows which charges moved and by how much.
+    const Record& cur = current[i];
+    std::string drift = count_drift("rounds", base.rounds, cur.rounds) +
+                        count_drift("messages", base.messages, cur.messages) +
+                        count_drift("total_bits", base.total_bits, cur.total_bits) +
+                        count_drift("max_message_bits", base.max_message_bits,
+                                    cur.max_message_bits);
+    if (!base.checksum.empty() && cur.checksum != base.checksum) {
+      drift += " checksum " + base.checksum + " -> " + cur.checksum;
+    }
+    drift += metric_histogram_drift(cur, base);
     if (!drift.empty()) {
       line.drift = "drift vs baseline:" + drift;
       line.drifted = true;

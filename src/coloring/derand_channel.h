@@ -16,21 +16,31 @@
 // tests/runtime_engine_test.cpp hold them to it.
 //
 // Fixing one seed bit (Lemma 2.6) needs (a) a sum of two per-node
-// conditional expectations and (b) a one-bit broadcast of the chosen
-// value, both over a rooted tree that the transport owns as plain state
-// (a congest::TreeData): build_tree binds a BFS tree of the whole
-// communication graph (Theorem 1.1, O(D) rounds per bit); the transport's
-// bind_cluster binds a network-decomposition cluster's associated tree
-// instead (Corollary 1.2, O(log^3 n) rounds per bit, with the
-// decomposition's congestion factor charged by the caller). These waves
-// run through one sequential kernel (src/congest/tree.h), which charges
-// their closed-form cost. A caller that knows which nodes' sums moved
-// since the previous seed bit passes them to aggregate_pair_update, and
-// the kernel re-encodes only those nodes; a decorator that forwards only
-// aggregate_pair still returns the same sums, over the full path. Once
-// every coin of a phase is decided, the caller charges the phase's
-// remaining seed bits in one charge_seed_bits call, which the one
-// implementation answers with one closed-form charge and no wave.
+// conditional expectations and (b) a broadcast of the chosen bit (with
+// the stop bit below), both over a rooted tree that the transport owns
+// as plain state (a congest::TreeData): build_tree binds a BFS tree of
+// the whole communication graph (Theorem 1.1, O(D) rounds per bit); the
+// transport's bind_cluster binds a network-decomposition cluster's
+// associated tree instead (Corollary 1.2, O(log^3 n) rounds per bit,
+// with the decomposition's congestion factor charged by the caller).
+// These waves run through one sequential kernel (src/congest/tree.h),
+// which charges their closed-form cost. A caller that knows which nodes'
+// sums moved since the previous seed bit passes them to
+// aggregate_pair_update, and the kernel re-encodes only those nodes; a
+// decorator that forwards only aggregate_pair still returns the same
+// sums, over the full path.
+//
+// A phase stops at its first seed bit j at which every coin is decided
+// (PairProbEngine::decided()): the convergecast of bit j carries, next to
+// the sums, the OR of every node's "free and tight" flag, which each node
+// knows from its own threshold, its input colour and the bits broadcast
+// so far; the root finds it 0 and broadcasts the stop bit with bit j, and
+// no later bit of the phase runs. The caller makes bit j's usual calls
+// (aggregate_pair or aggregate_pair_update, then broadcast_bit) and
+// leaves the sums unused. Every wave pair is charged the flag and the
+// stop bit (pair_wave_cost, and a 2-bit broadcast_bit), so a phase of d
+// seed bits costs min(j + 1, d) wave pairs, one when no node is free;
+// a decorator that forwards the calls charges exactly the same.
 #pragma once
 
 #include <cstdint>
@@ -94,25 +104,9 @@ class ColoringTransport {
     static_cast<void>(changed);
     return aggregate_pair(values0, values1);
   }
+  // Broadcasts the chosen bit, with the phase's stop bit, down the bound
+  // tree.
   virtual void broadcast_bit(int bit) = 0;
-  // The charge of `count` seed bits whose choice no longer matters (the
-  // coin engine is decided(), so every coin is final): exactly what
-  // `count` x (aggregate_pair(values0, values1), broadcast_bit(0)) adds
-  // to metrics(), the sums unused. For count > 0 it counts as an
-  // aggregate call of the full form with these values, so a later
-  // aggregate_pair_update lists the nodes moved since. A wave's charge
-  // depends only on the bound tree and the bandwidth, so an
-  // implementation that knows its waves' cost may charge them at once.
-  // The default makes the calls, in the full form because the values may
-  // have moved since the last aggregate call; this keeps every decorator
-  // that does not know this call correct.
-  virtual void charge_seed_bits(const std::vector<long double>& values0,
-                                const std::vector<long double>& values1, int count) {
-    for (int i = 0; i < count; ++i) {
-      aggregate_pair(values0, values1);
-      broadcast_bit(0);
-    }
-  }
 
   // Conflict resolution of Lemma 2.1: on the materialized conflict graph
   // `conf` (max degree <= 3) restricted to `membership`, run Linial from

@@ -88,13 +88,15 @@ DerandMisResult derandomized_mis_core(ColoringTransport& t) {
     // incident edge's joint term twice -> assign joint to both endpoints
     // with weight 1/2... we instead assign the marginal to v and the full
     // joint to the lower endpoint; the SUM is what matters).
-    // Once every coin is decided, the bits left are charged in one call.
+    // Once every coin is decided, that bit's wave pair finds no live node
+    // and stops the phase (derand_channel.h); its sums go unused.
     const int d = engine->num_seed_bits();
     std::vector<long double> x0(n), x1(n);
     std::vector<bool> counted(n);
     for (int j = 0; j < d; ++j) {
       if (engine->decided()) {
-        t.charge_seed_bits(x0, x1, d - j);
+        t.aggregate_pair(x0, x1);
+        t.broadcast_bit(0);
         break;
       }
       std::fill(x0.begin(), x0.end(), 0.0L);

@@ -23,7 +23,8 @@
 // transport interface the Theorem 1.1 pipeline runs on: Linial coin
 // coloring, a BFS aggregation tree, one-round exchanges along the active
 // adjacency, and per seed bit one aggregate_pair of the two candidate
-// sums plus one broadcast_bit. derandomized_mis runs it on the sequential
+// sums plus one broadcast_bit, up to the first bit at which every coin is
+// decided (derand_channel.h). derandomized_mis runs it on the sequential
 // congest::Network (runtime::NetworkColoringTransport), and
 // runtime::derandomized_mis on the ParallelEngine
 // (src/runtime/mis_program.h).

@@ -64,6 +64,11 @@
 // counts its live nodes and answers decided() when the count is 0 (at
 // bit 0 already when no node is free). GenericPairProb makes no such
 // claim and answers false.
+// decided() is thus the negated OR of node-local flags: each free node
+// knows whether it is still tight from its own threshold, its input
+// colour and the seed bits broadcast so far. That is what lets a phase
+// stop in CONGEST: every convergecast carries the OR, and the first one
+// that finds it 0 ends the phase (derand_channel.h).
 //
 // Why FastBitwisePairProb is exact. During chunk t, with r = b - t - 1
 // digits after it, every probability it returns is a dyadic rational in

@@ -89,7 +89,8 @@ long double per_candidate(Acc z, int k) {
 }
 
 // Fixes one phase's seed bits one by one (Lemma 2.6), until the engine
-// has decided every coin; the bits left are charged in one call. At each
+// has decided every coin: that bit runs its wave pair, which finds no
+// live node and stops the phase (derand_channel.h). At each
 // bit only the edges the engine lists as dependent are queried: each
 // subtracts its old numerators from both endpoints' sums and adds its
 // new ones, so every node's sums are exact at every bit, and only those
@@ -118,9 +119,15 @@ void fix_seed_bits(ColoringTransport& t, PairProbEngine& engine, int b,
   const int d = engine.num_seed_bits();
   for (int j = 0; j < d; ++j) {
     if (engine.decided()) {
-      // Every coin is final, so the remaining bits' choices cannot matter
-      // and their waves cost what they cost whatever they carry.
-      t.charge_seed_bits(s.x0, s.x1, d - j);
+      // Every coin is final: this bit's convergecast finds no live node
+      // and its broadcast stops the phase; the sums go unused. Since the
+      // previous aggregate only the nodes carried at bit j - 1 moved.
+      if (j == 0) {
+        t.aggregate_pair(s.x0, s.x1);
+      } else {
+        t.aggregate_pair_update(s.x0, s.x1, s.dirty);
+      }
+      t.broadcast_bit(0);
       return;
     }
     ++s.stamp;

@@ -119,25 +119,51 @@ Metrics wave_cost(const TreeData& tree, int value_bits, int bandwidth) {
 
 Metrics pair_wave_cost(const TreeData& tree, TreeForm form, int bandwidth) {
   assert(form != TreeForm::kUnbound && "build_tree or bind_cluster first");
-  if (form == TreeForm::kCluster) return wave_cost(tree, 128, bandwidth);
-  Metrics m = wave_cost(tree, 64, bandwidth);
+  // Each wave also carries the 1-bit OR of "this node is free and tight".
+  if (form == TreeForm::kCluster) return wave_cost(tree, 128 + 1, bandwidth);
+  Metrics m = wave_cost(tree, 64 + 1, bandwidth);
   m.rounds += 1;  // the unquantized second sum's extra round
   return m;
 }
+
+namespace {
+
+// The kBfs form's second sum: every entry of values1, in index order.
+long double index_order_sum(const std::vector<long double>& values) {
+  long double sum = 0.0L;
+  for (const long double v : values) sum += v;
+  return sum;
+}
+
+// A stateless recompute of the pair PairWave::aggregate returns.
+[[maybe_unused]] std::pair<long double, long double> recomputed_pair(
+    const TreeData& tree, TreeForm form, const std::vector<long double>& values0,
+    const std::vector<long double>& values1) {
+  auto fixed_sum = [&](const std::vector<long double>& values) {
+    return from_fixed(saturate(recomputed_total(tree, values)));
+  };
+  return {fixed_sum(values0),
+          form == TreeForm::kCluster ? fixed_sum(values1) : index_order_sum(values1)};
+}
+
+}  // namespace
 
 std::pair<long double, long double> PairWave::aggregate(
     const TreeData& tree, TreeForm form, int bandwidth, const std::vector<long double>& values0,
     const std::vector<long double>& values1, std::optional<std::span<const NodeId>> changed,
     Metrics* cost) {
+  *cost = pair_wave_cost(tree, form, bandwidth);
+  if (changed && changed->empty() && last_) {
+    assert(*last_ == recomputed_pair(tree, form, values0, values1) &&
+           "a value moved although the update lists no node");
+    return *last_;
+  }
   auto sum = [&](TreeFixedSum& s, const std::vector<long double>& values) {
     return from_fixed(changed ? s.update(tree, values, *changed) : s.refresh(tree, values));
   };
-  *cost = pair_wave_cost(tree, form, bandwidth);
   const long double sum0 = sum(sum0_, values0);
-  if (form == TreeForm::kCluster) return {sum0, sum(sum1_, values1)};
-  long double sum1 = 0.0L;
-  for (const long double v : values1) sum1 += v;
-  return {sum0, sum1};
+  last_ = {sum0, form == TreeForm::kCluster ? sum(sum1_, values1) : index_order_sum(values1)};
+  return *last_;
 }
 
 std::uint64_t to_fixed(long double x) {

@@ -10,10 +10,20 @@
 // CONGEST cost in closed form (wave_cost). The convergecast's result is
 // a saturating Q32.32 sum, which the kernel keeps incrementally
 // (TreeFixedSum): a seed bit that moves only a few nodes' sums
-// re-encodes only those nodes, in O(changed) rather than O(tree). The
-// per-round NodeProgram form of both waves lives on in
-// tests/tree_wave_test.cpp, which holds the kernel to it, full and
-// incremental alike.
+// re-encodes only those nodes, in O(changed) rather than O(tree).
+//
+// A phase stops its waves once every coin is decided: each convergecast
+// also carries the OR of every node's "free and tight" flag, which a node
+// knows from its own threshold, its input colour and the bits broadcast
+// so far, and each broadcast carries {bit, stop}. The first wave pair
+// that finds the OR at 0 is the phase's last; its sums go unused. The
+// flag and the stop bit are charged on every wave pair, whether or not
+// it is the last (pair_wave_cost, and the 2-bit broadcast of
+// runtime::BasicColoringTransport::broadcast_bit), so a phase that stops
+// after its first decided bit j is charged min(j + 1, d) wave pairs of
+// one cost, d its number of seed bits. The per-round NodeProgram form
+// of both waves lives on in tests/tree_wave_test.cpp, which holds the
+// kernel to it, full and incremental alike.
 #pragma once
 
 #include <cstdint>
@@ -110,28 +120,32 @@ Metrics wave_cost(const TreeData& tree, int value_bits, int bandwidth);
 enum class TreeForm : char { kUnbound, kBfs, kCluster };
 
 // The charge of one pair aggregation (PairWave::aggregate) over a bound
-// tree of the given form: the one formula, which a caller that skips
-// the sums (ColoringTransport::charge_seed_bits) charges as well.
+// tree of the given form, the one formula for every seed bit: the two
+// sums plus the 1-bit liveness OR, so a 129-bit wave (kCluster) or a
+// 65-bit wave and one extra round (kBfs).
 Metrics pair_wave_cost(const TreeData& tree, TreeForm form, int bandwidth);
 
 // One Lemma 2.6 pair aggregation over a bound tree, as both
 // ColoringTransports run it: a TreeFixedSum per quantized sum, and *cost
 // set to the charge (pair_wave_cost), the same for either form of the
 // call:
-//  - kCluster: both sums quantized in one 128-bit wave.
+//  - kCluster: both sums quantized, with the liveness bit, in one
+//    129-bit wave.
 //  - kBfs: the second sum is an unquantized long double (summed over all
 //    of values1, in index order) riding one extra charged round after a
-//    64-bit wave. Its order of additions cannot be kept incrementally, so
-//    it is a full pass in both forms; only the first sum is incremental.
-//    The charge under-counts a 128-bit wave: ceil(64/B) rounds beyond
-//    the depth where a real one costs ceil(128/B) - 1, so 2 instead of 3
-//    per seed bit at B=40 and 6 instead of 10 at B=12. Closing the gap
-//    changes colours and rounds, so it waits for a deliberate re-baseline.
+//    65-bit wave (the first sum and the liveness bit). Its order of
+//    additions cannot be kept incrementally, so it is a full pass in both
+//    forms; only the first sum is incremental. The charge under-counts a
+//    129-bit wave: ceil(65/B) rounds beyond the depth where a real one
+//    costs ceil(129/B) - 1, so 2 instead of 3 per seed bit at B=40 and 6
+//    instead of 10 at B=12. Closing the gap changes colours and rounds,
+//    so it waits for a deliberate re-baseline.
 // `changed` selects the form of the call: std::nullopt refreshes every
 // tree node's sums, a list updates only those nodes (TreeFixedSum), with
 // the same sums and charge provided only they moved since the last call
-// over this tree. The owner calls invalidate() whenever it rebinds the
-// tree.
+// over this tree; an empty list returns the previous call's sums at once
+// (in the kBfs form that skips the pass over values1). The owner calls
+// invalidate() whenever it rebinds the tree.
 class PairWave {
  public:
   std::pair<long double, long double> aggregate(const TreeData& tree, TreeForm form,
@@ -143,10 +157,12 @@ class PairWave {
   void invalidate() {
     sum0_.invalidate();
     sum1_.invalidate();
+    last_.reset();
   }
 
  private:
   TreeFixedSum sum0_, sum1_;  // sum1_ is unused in the kBfs form
+  std::optional<std::pair<long double, long double>> last_;  // the previous call's sums
 };
 
 // Fixed-point codec of the aggregated values. 32 fractional bits.

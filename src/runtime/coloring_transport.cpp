@@ -68,23 +68,10 @@ std::pair<long double, long double> BasicColoringTransport<Exec>::aggregate(
 
 template <typename Exec>
 void BasicColoringTransport<Exec>::broadcast_bit(int) {
-  // The chosen bit goes down every tree edge; the caller already knows
-  // it, so only the charge remains.
+  // {bit, stop} goes down every tree edge; the caller already knows
+  // both, so only the charge remains.
   assert(form_ != congest::TreeForm::kUnbound && "build_tree or bind_cluster first");
-  exec_->charge(congest::wave_cost(tree_, 1, bandwidth_bits()));
-}
-
-template <typename Exec>
-void BasicColoringTransport<Exec>::charge_seed_bits(const std::vector<long double>&,
-                                                    const std::vector<long double>&, int count) {
-  if (count <= 0) return;
-  const int bw = bandwidth_bits();
-  congest::Metrics per_bit = congest::pair_wave_cost(tree_, form_, bw);
-  per_bit.merge(congest::wave_cost(tree_, 1, bw));
-  congest::Metrics total;
-  for (int i = 0; i < count; ++i) total.merge(per_bit);
-  pair_wave_.invalidate();
-  exec_->charge(total);
+  exec_->charge(congest::wave_cost(tree_, 2, bandwidth_bits()));
 }
 
 template <typename Exec>

@@ -70,11 +70,9 @@ class BasicColoringTransport final : public ColoringTransport {
       std::span<const NodeId> changed) override {
     return aggregate(values0, values1, changed);
   }
+  // Charges a 2-bit wave down the bound tree: the chosen bit and the
+  // stop bit that ends the phase once every coin is decided.
   void broadcast_bit(int bit) override;
-  // One charge of `count` x (pair_wave_cost + the 1-bit broadcast); no
-  // wave runs, and the encoded sums are invalidated.
-  void charge_seed_bits(const std::vector<long double>& values0,
-                        const std::vector<long double>& values1, int count) override;
   // Runs Linial and the MIS on a private executor over `conf`, configured
   // like this one, and charges only its rounds here.
   std::vector<bool> conflict_mis(const Graph& conf, const std::vector<bool>& membership,

@@ -919,6 +919,39 @@ TEST(BenchkitBaseline, CalibrationNeutralizesUniformMachineSpeedChange) {
   EXPECT_EQ(uncalibrated.drifted, 0);
 }
 
+// A drift line shows each drifted count as old -> new with its change
+// relative to the baseline, and a checksum as old -> new; a count that
+// did not move is not named.
+TEST(BenchkitBaseline, DriftLinesShowOldAndNewValues) {
+  const fs::path dir = fresh_dir("drift_values");
+  Record base;
+  base.scenario = "values.a";
+  base.transport = "network";
+  base.n = 64;
+  base.quick = true;
+  base.seed = 42;
+  base.reps = 1;
+  base.wall_ms = base.wall_ms_min = base.wall_ms_max = 10.0;
+  base.rounds = 346120;
+  base.messages = 1000;
+  base.total_bits = 0;
+  base.checksum = "0x0000000000000001";
+  base.verified = true;
+  std::string err;
+  ASSERT_TRUE(write_record_file(dir.string(), base, &err)) << err;
+  Record cur = base;
+  cur.rounds = 282446;
+  cur.total_bits = 7;
+  cur.checksum = "0x0000000000000002";
+  const BaselineReport report =
+      compare_with_baseline({cur}, dir.string(), 0.5, 0.01, /*calibrate=*/false);
+  ASSERT_EQ(report.lines.size(), 1u);
+  EXPECT_EQ(report.drifted, 1);
+  EXPECT_EQ(report.lines[0].drift,
+            "drift vs baseline: rounds 346120 -> 282446 (-18.4%) total_bits 0 -> 7"
+            " checksum 0x0000000000000001 -> 0x0000000000000002");
+}
+
 // The acceptance criterion for the attribution tooling: on an injected
 // slowdown, the gate's failure output must NAME the slow phase as the
 // top attribution line — failures start half-diagnosed.

@@ -291,13 +291,13 @@ TEST(Corollary12Golden, ReferenceOutputsAndCharges) {
   const Graph grid = make_grid(6, 7);
   const std::vector<Case> cases = {
       {"clustered", clustered, 0,
-       {6945496203001865173ull, 68, 5064, 5132, 5132, 26068, 364387, 28}},
+       {6945496203001865173ull, 68, 4760, 4828, 4828, 24586, 354442, 28}},
       {"clustered_b12", clustered, 12,
-       {6945496203001865173ull, 68, 6954, 7022, 7022, 26068, 167827, 12}},
+       {6945496203001865173ull, 68, 6536, 6604, 6604, 24586, 169738, 12}},
       {"grid6x7", grid, 0,
-       {11486874383797544485ull, 120, 5196, 5316, 5316, 18106, 255300, 28}},
+       {11486874383797544485ull, 120, 3060, 3180, 3180, 13870, 200440, 28}},
       {"grid6x7_b12", grid, 12,
-       {11486874383797544485ull, 120, 7716, 7836, 7836, 18106, 116420, 12}},
+       {11486874383797544485ull, 120, 4266, 4386, 4386, 13870, 95448, 12}},
   };
   for (const Case& c : cases) {
     PartialColoringOptions opts;

@@ -16,7 +16,9 @@
 
 #include "src/coloring/pair_prob.h"
 #include "src/hash/bitwise_family.h"
+#include "src/util/bits.h"
 #include "src/util/rng.h"
+#include "tests/test_support.h"
 
 namespace dcolor {
 namespace {
@@ -448,6 +450,62 @@ TEST(FastBitwiseEngine, DecidedFreezesCoins) {
 // 2^b, or on no edge) must not change a single bit of the fast engine's
 // answers for the nodes that do: the padded instance gives exactly the
 // compact instance's joints and coins.
+// The premise of the stop protocol (derand_channel.h): decided() is the
+// OR of node-local flags. At every bit of random phases, each free
+// node's tightness is recomputed from only its threshold, its input
+// colour and the bits fixed so far, and "no node is tight" must equal
+// decided().
+TEST(FastBitwiseEngine, DecidedIsNoFreeNodeLocallyTight) {
+  Rng rng(3030);
+  int stopped_early = 0;  // phases decided after their first bit, before their last
+  int live_bits = 0;      // bits at which some node was still tight
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::uint64_t K = 2 + rng.next_below(300);
+    const int b = 1 + static_cast<int>(rng.next_below(8));
+    const int w = ceil_log2(K);
+    const std::uint64_t full = std::uint64_t{1} << b;
+    const int n = 2 + static_cast<int>(rng.next_below(10));
+    std::vector<CoinSpec> specs(n);
+    for (CoinSpec& s : specs) {
+      s.input_color = rng.next_below(K);
+      const std::uint64_t kind = rng.next_below(4);
+      s.threshold = kind == 0 ? 0 : kind == 1 ? full : 1 + rng.next_below(full - 1);
+    }
+    std::vector<ConflictEdge> edges;
+    for (int u = 0; u < n; ++u) {
+      for (int v = u + 1; v < n; ++v) {
+        if (specs[u].input_color != specs[v].input_color) edges.push_back(ConflictEdge{u, v});
+      }
+    }
+    const std::string where =
+        "K=" + std::to_string(K) + " b=" + std::to_string(b) + " trial=" + std::to_string(trial);
+    auto fast = make_fast_bitwise_pair_prob(K, b);
+    fast->begin_phase(specs, edges);
+    const int d = fast->num_seed_bits();
+    ASSERT_EQ(d, b * (w + 1)) << where;
+    std::vector<int> fixed;
+    int first_decided = -1;
+    for (int j = 0; j < d; ++j) {
+      bool any_tight = false;
+      for (const CoinSpec& s : specs) {
+        const bool free = s.threshold != 0 && s.threshold < full;
+        any_tight |= free && test::bitwise_node_tight(s.input_color, s.threshold, w, b, fixed);
+      }
+      ASSERT_EQ(fast->decided(), !any_tight) << where << " j=" << j;
+      if (any_tight) {
+        ++live_bits;
+      } else if (first_decided < 0) {
+        first_decided = j;
+      }
+      fixed.push_back(static_cast<int>(rng.next_below(2)));
+      fast->fix_next_bit(fixed.back());
+    }
+    if (first_decided > 0) ++stopped_early;
+  }
+  EXPECT_GT(stopped_early, 10);
+  EXPECT_GT(live_bits, 100);
+}
+
 TEST(FastBitwiseEngine, PaddingWithNonParticipatingNodesIsExact) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {

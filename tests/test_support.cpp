@@ -58,6 +58,18 @@ std::vector<std::uint8_t> seed_bits(std::uint64_t s, int len) {
   return bits;
 }
 
+bool bitwise_node_tight(std::uint64_t input_color, std::uint64_t threshold, int w, int b,
+                        const std::vector<int>& fixed) {
+  const std::size_t chunk = static_cast<std::size_t>(w) + 1;
+  for (int t = 0; static_cast<std::size_t>(t + 1) * chunk <= fixed.size(); ++t) {
+    const int* seed = fixed.data() + static_cast<std::size_t>(t) * chunk;
+    int digit = seed[w];  // c_t
+    for (int i = 0; i < w; ++i) digit ^= seed[i] & static_cast<int>(input_color >> i & 1);
+    if (digit != static_cast<int>(threshold >> (b - 1 - t) & 1)) return false;
+  }
+  return true;
+}
+
 bool valid_mis(const InducedSubgraph& active, const std::vector<bool>& in_mis) {
   return is_mis(active, in_mis);
 }

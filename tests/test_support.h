@@ -51,6 +51,16 @@ bool proper_partial_on_active(const InducedSubgraph& active, const std::vector<s
 // coin-family tests enumerate.
 std::vector<std::uint8_t> seed_bits(std::uint64_t s, int len);
 
+// Whether a node of the bitwise coin family (src/hash/bitwise_family.h)
+// is still tight after the seed prefix `fixed`, computed from what the
+// node knows alone: its input colour, its threshold and the fixed bits.
+// Chunk t of the seed, w + 1 bits (a_t[0..w-1], then c_t), fixes output
+// digit t = <a_t, colour> ^ c_t; the node is tight while every fixed
+// digit equals digit t of its b-bit threshold (MSB first). Once a free
+// node (0 < threshold < 2^b) is not tight, its coin is final.
+bool bitwise_node_tight(std::uint64_t input_color, std::uint64_t threshold, int w, int b,
+                        const std::vector<int>& fixed);
+
 // True iff `in_mis` is an independent and maximal set on the active
 // subgraph. (Thin wrapper over dcolor::is_mis so suites only need this
 // header.)

@@ -194,18 +194,26 @@ std::vector<std::uint64_t> oracle_aggregate(ParallelEngine& eng, const TreeData&
   return sums;
 }
 
+// The widths of a seed bit's waves: every convergecast also carries the
+// 1-bit OR of "this node is free and tight", and every broadcast the
+// chosen bit and the stop bit.
+constexpr int kClusterWaveBits = 128 + 1;
+constexpr int kBfsWaveBits = 64 + 1;
+constexpr int kBroadcastBits = 2;
+
 // The pair aggregate_pair returns, by the oracle, with its charge left
-// on `eng`: in the cluster form both sums quantized in one 128-bit wave;
-// in the BFS form one 64-bit wave, one charged round for the unquantized
+// on `eng`: in the cluster form both sums quantized in one 129-bit wave;
+// in the BFS form one 65-bit wave, one charged round for the unquantized
 // second sum, and that sum over all of v1 in index order.
 std::pair<long double, long double> oracle_pair(ParallelEngine& eng, const TreeData& t,
                                                 bool cluster, const std::vector<long double>& v0,
                                                 const std::vector<long double>& v1) {
   if (cluster) {
-    const auto sums = oracle_aggregate(eng, t, 128, {&v0, &v1});
+    const auto sums = oracle_aggregate(eng, t, kClusterWaveBits, {&v0, &v1});
     return {congest::from_fixed(sums[0]), congest::from_fixed(sums[1])};
   }
-  const long double sum0 = congest::from_fixed(oracle_aggregate(eng, t, 64, {&v0})[0]);
+  const long double sum0 =
+      congest::from_fixed(oracle_aggregate(eng, t, kBfsWaveBits, {&v0})[0]);
   eng.tick(1);
   long double sum1 = 0.0L;
   for (const long double x : v1) sum1 += x;
@@ -391,7 +399,8 @@ void check_tree(const Graph& g, const Cluster* cluster, const std::string& name)
     const Metrics net_bc = net.metrics(), eng_bc = eng_t.metrics();
     const std::string bound = name + " B=" + std::to_string(bw);
     expect_tree_eq(want_tree, eng_t.tree(), bound + " engine transport");
-    // A 1-bit broadcast costs exactly one round per tree level.
+    // A 2-bit broadcast, {bit, stop}, costs exactly one round per tree
+    // level at every bandwidth here.
     EXPECT_EQ(net_bc.rounds, want_tree.depth) << bound;
     EXPECT_EQ(eng_bc.rounds, want_tree.depth) << bound;
 
@@ -411,7 +420,7 @@ void check_tree(const Graph& g, const Cluster* cluster, const std::string& name)
       expect_metrics_eq(eng_agg, eng.metrics(), where + " aggregate, engine");
 
       eng.reset_metrics();
-      oracle_broadcast(eng, tree, 1, 1);
+      oracle_broadcast(eng, tree, 0b01, kBroadcastBits);  // bit 1, no stop
       expect_metrics_eq(net_bc, eng.metrics(), where + " broadcast, Network");
       expect_metrics_eq(eng_bc, eng.metrics(), where + " broadcast, engine");
 
@@ -685,7 +694,7 @@ TEST(ClusterTreeParity, ThreadCountCannotPerturbCharges) {
     bind_oracle(eng, big, &tree);
     EXPECT_EQ(tree.depth, expected_tree(g, big).depth) << threads;
     EXPECT_EQ(tree.depth, kernel.tree().depth) << threads;
-    const auto sums = oracle_aggregate(eng, tree, 128, {&v0, &v1});
+    const auto sums = oracle_aggregate(eng, tree, kClusterWaveBits, {&v0, &v1});
     EXPECT_EQ(congest::from_fixed(sums[0]), want.first) << threads;
     EXPECT_EQ(congest::from_fixed(sums[1]), want.second) << threads;
     expect_metrics_eq(eng.metrics(), kernel.metrics(), "t=" + std::to_string(threads));
